@@ -659,6 +659,31 @@ struct Frame<S: SequentialSpec, V> {
     snap: Option<Checkpoint<S, V>>,
 }
 
+/// How many crash, drop and restart transitions the current path holds: the
+/// per-schedule fault budgets ([`ExploreConfig::max_crashes`],
+/// [`ExploreConfig::max_drops`], [`ExploreConfig::max_recoveries`]) are
+/// checked against these at every decision. They move in lockstep with
+/// [`Engine::path`].
+#[derive(Debug, Clone, Copy, Default)]
+struct FaultCounts {
+    crashes: usize,
+    drops: usize,
+    restarts: usize,
+}
+
+impl FaultCounts {
+    /// The counter of a budgeted fault transition; `None` for steps and
+    /// deliveries.
+    fn of(&mut self, kind: StepKind) -> Option<&mut usize> {
+        match kind {
+            StepKind::Crash(_) => Some(&mut self.crashes),
+            StepKind::Drop(_) => Some(&mut self.drops),
+            StepKind::Restart(_) => Some(&mut self.restarts),
+            StepKind::Step(_) | StepKind::Deliver(_) => None,
+        }
+    }
+}
+
 /// A race reversal whose branch node lies *outside* the engine's subtree
 /// (at or above a parallel worker's forced prefix): the node depth on the
 /// shared root path, and the weak-initials mask of candidate processes.
@@ -709,6 +734,8 @@ where
     /// The decisions of the current execution prefix (mirrors the session's
     /// decision log; kept separately so replays survive session rewinds).
     path: Vec<ProcessId>,
+    /// Fault transitions on `path`.
+    faults: FaultCounts,
     frames: Vec<Frame<S, V>>,
     /// Sleep set in force at the current point of the drive (always 0 when
     /// the reduction is off).
@@ -723,6 +750,11 @@ where
     /// while that object instance is still the live one.
     object_gen: u64,
     enabled_buf: Vec<ProcessId>,
+    /// Per-decision scratch: the awake crash, drop and restart alternatives
+    /// at the node [`Self::drive`] is visiting.
+    crash_alts: Vec<ProcessId>,
+    drop_alts: Vec<ProcessId>,
+    restart_alts: Vec<ProcessId>,
     /// Happens-before tracking over the current schedule prefix (source-
     /// DPOR modes; empty otherwise). Truncated in lockstep with `path`.
     hb: HbTracker,
@@ -793,12 +825,16 @@ where
             session: ExecSession::new(),
             object: None,
             path: Vec::new(),
+            faults: FaultCounts::default(),
             frames: Vec::new(),
             cur_sleep: 0,
             take_snapshots: take_snapshots && config.resume == ResumeMode::PrefixResume,
             spare_mem: Vec::new(),
             object_gen: 0,
             enabled_buf: Vec::new(),
+            crash_alts: Vec::new(),
+            drop_alts: Vec::new(),
+            restart_alts: Vec::new(),
             // Unused (and never pushed to) outside the source-DPOR modes.
             hb: HbTracker::new(
                 if config.reduction.is_source_dpor() {
@@ -828,6 +864,7 @@ where
     fn replay_prefix(&mut self, depth: usize) {
         let source_dpor = self.config.reduction.is_source_dpor();
         self.path.truncate(depth);
+        self.faults = FaultCounts::default();
         self.mem.reset();
         self.object = Some((self.setup)(&mut self.mem));
         self.object_gen += 1;
@@ -857,8 +894,11 @@ where
                 self.path[i],
             );
             self.monitor.observe(&self.session);
-            self.obs
-                .step_executed(StepKind::decode(self.path[i], n, cap), true);
+            let kind = StepKind::decode(self.path[i], n, cap);
+            if let Some(c) = self.faults.of(kind) {
+                *c += 1;
+            }
+            self.obs.step_executed(kind, true);
             if source_dpor {
                 self.hb.push(self.step_label(self.path[i]));
             }
@@ -866,6 +906,18 @@ where
         self.stats.executed_ticks += depth as u64;
         self.stats.replayed_ticks += depth as u64;
         self.stats.executed_steps += self.mem.global_steps() - steps_before;
+    }
+
+    /// Truncates `path` to its first `depth` decisions, rewinding the fault
+    /// counts with it.
+    fn truncate_path(&mut self, depth: usize) {
+        let (n, cap) = (self.workload.processes(), self.mem.net_cap());
+        for &id in self.path.iter().skip(depth) {
+            if let Some(c) = self.faults.of(StepKind::decode(id, n, cap)) {
+                *c -= 1;
+            }
+        }
+        self.path.truncate(depth);
     }
 
     /// The exact label of the transition the session just executed.
@@ -943,6 +995,9 @@ where
             StepKind::Restart(_) => self.stats.restart_steps += 1,
         }
         self.obs.step_executed(kind, false);
+        if let Some(c) = self.faults.of(kind) {
+            *c += 1;
+        }
         if self.cur_sleep != 0 {
             let fp = self.session.last_step_footprint();
             let label = self.step_label(chosen);
@@ -1130,50 +1185,35 @@ where
             self.enabled_buf.clear();
             self.enabled_buf.extend_from_slice(self.session.enabled());
             let sleep = self.cur_sleep;
-            let crashes_left = self.config.max_crashes != 0
-                && self
-                    .path
-                    .iter()
-                    .filter(|p| matches!(StepKind::decode(**p, n, cap), StepKind::Crash(_)))
-                    .count()
-                    < self.config.max_crashes;
             let crash_eligible = self.config.crash_eligible;
             // Crash alternatives awake at this node. A crash of `p` is a
             // valid alternative even while the *real* `p` is asleep: the
             // sibling subtree that put `p` to sleep covers only the
             // continuations in which `p`'s next step happens, not those in
             // which `p` crashes instead.
-            let mut crash_alts: Vec<ProcessId> = Vec::new();
-            if crashes_left {
+            self.crash_alts.clear();
+            if self.faults.crashes < self.config.max_crashes {
                 for p in &self.enabled_buf {
                     if p.index() < n && crash_eligible & bit(*p) != 0 {
                         let c = StepKind::Crash(*p).encode(n, cap);
                         if sleep & bit(c) == 0 {
-                            crash_alts.push(c);
+                            self.crash_alts.push(c);
                         }
                     }
                 }
             }
             // Drop alternatives: one per in-flight delivery in the enabled
-            // set, while the drop budget lasts (drops executed so far are
-            // the path entries at `2n + cap` and beyond). Like deliveries
-            // and crashes, drops participate in sleep sets — their precise
-            // write sets ([`crate::memory::NetWrites`]) make the wake rule
-            // honest for network transitions.
-            let drops_left = self.config.max_drops != 0
-                && self
-                    .path
-                    .iter()
-                    .filter(|p| matches!(StepKind::decode(**p, n, cap), StepKind::Drop(_)))
-                    .count()
-                    < self.config.max_drops;
-            let mut drop_alts: Vec<ProcessId> = Vec::new();
-            if drops_left {
+            // set, while the drop budget lasts. Like deliveries and crashes,
+            // drops participate in sleep sets — their precise write sets
+            // ([`crate::memory::NetWrites`]) make the wake rule honest for
+            // network transitions.
+            self.drop_alts.clear();
+            if self.faults.drops < self.config.max_drops {
                 for p in &self.enabled_buf {
                     if let StepKind::Deliver(s) = StepKind::decode(*p, n, cap) {
                         let d = StepKind::Drop(s).encode(n, cap);
                         if sleep & bit(d) == 0 {
-                            drop_alts.push(d);
+                            self.drop_alts.push(d);
                         }
                     }
                 }
@@ -1184,22 +1224,15 @@ where
             // session's live crash mask; a restart only branches at nodes
             // where something else is enabled (an all-crashed execution is
             // already complete).
-            let recoveries_left = self.config.max_recoveries != 0
-                && self
-                    .path
-                    .iter()
-                    .filter(|p| matches!(StepKind::decode(**p, n, cap), StepKind::Restart(_)))
-                    .count()
-                    < self.config.max_recoveries;
-            let mut restart_alts: Vec<ProcessId> = Vec::new();
-            if recoveries_left {
+            self.restart_alts.clear();
+            if self.faults.restarts < self.config.max_recoveries {
                 let mut rest = self.session.crashed_now() & self.config.recovery_eligible;
                 while rest != 0 {
                     let i = rest.trailing_zeros() as usize;
                     rest &= rest - 1;
                     let r = StepKind::Restart(ProcessId(i)).encode(n, cap);
                     if sleep & bit(r) == 0 {
-                        restart_alts.push(r);
+                        self.restart_alts.push(r);
                     }
                 }
             }
@@ -1214,10 +1247,11 @@ where
                 // drop or restart transition keeps the node alive (see
                 // above — its continuations are not covered by the sleeping
                 // siblings).
-                None => match crash_alts
+                None => match self
+                    .crash_alts
                     .pop()
-                    .or_else(|| drop_alts.pop())
-                    .or_else(|| restart_alts.pop())
+                    .or_else(|| self.drop_alts.pop())
+                    .or_else(|| self.restart_alts.pop())
                 {
                     Some(c) => c,
                     None => return Leaf::SleepBlocked,
@@ -1239,12 +1273,12 @@ where
             // eager queuing in every mode: an awake sibling is branched, a
             // sleeping one is already covered by an explored sibling's
             // subtree.
-            crash_alts.retain(|c| *c != chosen);
-            drop_alts.retain(|c| *c != chosen);
-            restart_alts.retain(|c| *c != chosen);
-            let has_awake_sibling = !crash_alts.is_empty()
-                || !drop_alts.is_empty()
-                || !restart_alts.is_empty()
+            self.crash_alts.retain(|c| *c != chosen);
+            self.drop_alts.retain(|c| *c != chosen);
+            self.restart_alts.retain(|c| *c != chosen);
+            let has_awake_sibling = !self.crash_alts.is_empty()
+                || !self.drop_alts.is_empty()
+                || !self.restart_alts.is_empty()
                 || self
                     .enabled_buf
                     .iter()
@@ -1263,12 +1297,12 @@ where
                         .filter(|p| *p != chosen && sleep & bit(*p) == 0)
                         .collect()
                 };
-                alts.extend(crash_alts);
-                alts.extend(drop_alts);
+                alts.extend_from_slice(&self.crash_alts);
+                alts.extend_from_slice(&self.drop_alts);
                 // Restarts are queued eagerly in every mode, like crashes
                 // and drops: a restart label never participates in a
                 // shared-memory race the seeding would discover.
-                alts.extend(restart_alts);
+                alts.extend_from_slice(&self.restart_alts);
                 let seeded = alts.iter().fold(bit(chosen), |m, p| m | bit(*p));
                 let enabled_mask = self.enabled_buf.iter().fold(0u64, |m, p| m | bit(*p));
                 let snap = self.checkpoint();
@@ -1322,7 +1356,7 @@ where
                         .expect("engine has an object")
                         .restore(&cp.object);
                     self.monitor.rewind_to(cp.monitor_mark);
-                    self.path.truncate(depth);
+                    self.truncate_path(depth);
                     self.hb.truncate(depth);
                     self.obs.checkpoint_restored();
                     true

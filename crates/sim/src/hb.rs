@@ -34,6 +34,30 @@
 //! wakeup state travels with prefix-resume checkpoints exactly like sleep
 //! sets do. Storage is flat (one `Vec` of labels, one stride-`n` `Vec` of
 //! clock entries) and reused across the whole exploration.
+//!
+//! # One pass per event
+//!
+//! [`HbTracker::push`] computes the new event `j`'s clock row and its
+//! reversible races in a single backward scan. Both rest on the
+//! **covered-prefix characterisation**: an earlier event `i` reaches `j`
+//! through some intermediate event (`i → k → j`) iff some *direct*
+//! dependent predecessor `k' > i` of `j` has `i ≤hb k'`. Scanning from
+//! `j - 1` down, the row accumulated so far is exactly the join of those
+//! `k'`, so event `i` of process `q` is *covered* iff the row's `q` entry
+//! already reaches `i`'s own per-process index. A covered event is skipped
+//! without a dependence test (it is ordered before `j` and adds nothing to
+//! the join); an uncovered dependent event is joined into the row and,
+//! when it belongs to another process, is a reversible race. Covering is
+//! downward closed per process (program order), so the scan stops as soon
+//! as every process's remaining earlier events are covered, which the
+//! per-process event counts make a counter check.
+//!
+//! The cost per event is one dependence test per *uncovered* earlier event
+//! and one `O(n)` join per direct dependent predecessor it keeps: `O(depth)`
+//! in the worst case (a process whose steps commute with everything keeps
+//! the scan going to the root), and usually a short suffix. The former
+//! separate race pass was `O(depth²)` per event, since it searched for an
+//! intermediate event for every dependent predecessor.
 
 use crate::memory::{Footprint, StepLabel};
 use scl_spec::ProcessId;
@@ -60,6 +84,14 @@ pub struct HbTracker {
     /// happen-before (or are) event `e`. An event's own entry is its
     /// 1-based per-process index.
     clocks: Vec<u32>,
+    /// `counts[p]` is the number of recorded events of process `p`.
+    counts: Vec<u32>,
+    /// The reversible races closed by the most recent [`Self::push`],
+    /// ascending (see [`Self::races_of_last`]).
+    races: Vec<usize>,
+    /// Scratch for [`Self::push`]: per process, the events at or before the
+    /// scan position.
+    left: Vec<u32>,
 }
 
 impl HbTracker {
@@ -74,6 +106,9 @@ impl HbTracker {
             lin_barriers,
             labels: Vec::new(),
             clocks: Vec::new(),
+            counts: vec![0; procs],
+            races: Vec::new(),
+            left: Vec::new(),
         }
     }
 
@@ -91,13 +126,19 @@ impl HbTracker {
     pub fn clear(&mut self) {
         self.labels.clear();
         self.clocks.clear();
+        self.counts.fill(0);
+        self.races.clear();
     }
 
     /// Truncates to the first `len` events (the explorer backtracked).
     pub fn truncate(&mut self, len: usize) {
         if len < self.labels.len() {
+            for label in &self.labels[len..] {
+                self.counts[label.proc.index()] -= 1;
+            }
             self.labels.truncate(len);
             self.clocks.truncate(len * self.procs);
+            self.races.clear();
         }
     }
 
@@ -111,25 +152,54 @@ impl HbTracker {
         self.clocks[i * self.procs + p.index()]
     }
 
-    /// Records one executed transition, computing its vector clock as the
-    /// join of every dependent predecessor's clock (program order included)
-    /// plus its own per-process tick.
+    /// Records one executed transition: computes its vector clock (the join
+    /// of every dependent predecessor's clock, program order included, plus
+    /// its own per-process tick) and its reversible races in one backward
+    /// scan — see the [module documentation](self#one-pass-per-event).
     pub fn push(&mut self, label: StepLabel) {
-        debug_assert!(label.proc.index() < self.procs);
+        let n = self.procs;
+        let p = label.proc.index();
+        debug_assert!(p < n);
         let j = self.labels.len();
-        let base = j * self.procs;
-        self.clocks.resize(base + self.procs, 0);
-        for i in 0..j {
-            if self.labels[i].dependent(label, self.lin_barriers) {
-                let (head, tail) = self.clocks.split_at_mut(base);
-                let src = &head[i * self.procs..(i + 1) * self.procs];
-                for (dst, &s) in tail.iter_mut().zip(src) {
+        let base = j * n;
+        self.clocks.resize(base + n, 0);
+        let (head, row) = self.clocks.split_at_mut(base);
+        let left = &mut self.left;
+        left.clear();
+        left.extend_from_slice(&self.counts);
+        self.races.clear();
+        // Processes with an uncovered earlier event: `row[q] < left[q]`.
+        let mut open = left.iter().filter(|&&c| c > 0).count();
+        let mut i = j;
+        while open > 0 {
+            // Some process has an unscanned event, so `i > 0`.
+            i -= 1;
+            let li = self.labels[i];
+            let q = li.proc.index();
+            // `c` is event `i`'s own per-process index.
+            let c = left[q];
+            debug_assert_eq!(c, head[i * n + q]);
+            left[q] = c - 1;
+            if row[q] >= c {
+                // Covered: ordered before `j` through a later joined event.
+                continue;
+            }
+            if li.dependent(label, self.lin_barriers) {
+                for (dst, &s) in row.iter_mut().zip(&head[i * n..(i + 1) * n]) {
                     *dst = (*dst).max(s);
                 }
+                if q != p {
+                    self.races.push(i);
+                }
+                open = row.iter().zip(left.iter()).filter(|(r, l)| r < l).count();
+            } else if row[q] == c - 1 {
+                open -= 1;
             }
         }
-        self.clocks[base + label.proc.index()] += 1;
+        row[p] += 1;
+        self.counts[p] += 1;
         self.labels.push(label);
+        self.races.reverse();
     }
 
     /// Whether event `i` happens-before event `j` (reflexive; `i <= j`).
@@ -141,23 +211,12 @@ impl HbTracker {
 
     /// Appends to `out` (ascending) the indices `i` such that `(i, last)` is
     /// a reversible race: different processes, dependent, and no
-    /// intermediate event `k` with `i → k → last`.
+    /// intermediate event `k` with `i → k → last`. The list is the one the
+    /// last [`Self::push`] built (an uncovered dependent event of another
+    /// process is exactly such an `i`), so this is a copy; it is empty after
+    /// a [`Self::truncate`] or [`Self::clear`] until the next push.
     pub fn races_of_last(&self, out: &mut Vec<usize>) {
-        let Some(j) = self.labels.len().checked_sub(1) else {
-            return;
-        };
-        let lj = self.labels[j];
-        for i in 0..j {
-            let li = self.labels[i];
-            if li.proc == lj.proc || !li.dependent(lj, self.lin_barriers) {
-                continue;
-            }
-            let transitive =
-                (i + 1..j).any(|k| self.happens_before(i, k) && self.happens_before(k, j));
-            if !transitive {
-                out.push(i);
-            }
-        }
+        out.extend_from_slice(&self.races);
     }
 
     /// A fingerprint of the happens-before *class* of the recorded
@@ -252,7 +311,45 @@ impl HbTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memory::{Footprint, RegId};
+    use crate::memory::{Footprint, NetWrites, RegId};
+    use crate::rng::SplitMix64;
+
+    impl HbTracker {
+        /// The brute-force reference for [`HbTracker::push`]: the clock row
+        /// joins *every* dependent predecessor (one dependence test per
+        /// earlier event), and the races are found by searching an
+        /// intermediate event `k` with `i → k → j` for every dependent
+        /// predecessor `i` of another process — `O(depth²)` per event.
+        fn push_quadratic(&mut self, label: StepLabel) {
+            let n = self.procs;
+            let j = self.labels.len();
+            let base = j * n;
+            self.clocks.resize(base + n, 0);
+            for i in 0..j {
+                if self.labels[i].dependent(label, self.lin_barriers) {
+                    let (head, tail) = self.clocks.split_at_mut(base);
+                    for (dst, &s) in tail.iter_mut().zip(&head[i * n..(i + 1) * n]) {
+                        *dst = (*dst).max(s);
+                    }
+                }
+            }
+            self.clocks[base + label.proc.index()] += 1;
+            self.counts[label.proc.index()] += 1;
+            self.labels.push(label);
+            self.races.clear();
+            for i in 0..j {
+                let li = self.labels[i];
+                if li.proc == label.proc || !li.dependent(label, self.lin_barriers) {
+                    continue;
+                }
+                let transitive =
+                    (i + 1..j).any(|k| self.happens_before(i, k) && self.happens_before(k, j));
+                if !transitive {
+                    self.races.push(i);
+                }
+            }
+        }
+    }
 
     fn p(i: usize) -> ProcessId {
         ProcessId(i)
@@ -421,5 +518,72 @@ mod tests {
         assert!(hb.happens_before(0, 1));
         hb.clear();
         assert!(hb.is_empty());
+    }
+
+    /// A random label over `procs` processes and three registers, every
+    /// footprint kind and random invoke/respond flags.
+    fn arb_label(rng: &mut SplitMix64, procs: usize) -> StepLabel {
+        let reg = |rng: &mut SplitMix64| RegId(rng.next_below(3));
+        let footprint = match rng.next_below(10) {
+            0 | 1 => Footprint::Pure,
+            2..=4 => Footprint::Read(reg(rng)),
+            5..=7 => Footprint::Write(reg(rng)),
+            8 => {
+                let regs: Vec<RegId> = (0..1 + rng.next_below(2)).map(|_| reg(rng)).collect();
+                Footprint::Net(NetWrites::new(&regs))
+            }
+            _ => Footprint::Unknown,
+        };
+        StepLabel {
+            proc: p(rng.next_below(procs)),
+            footprint,
+            invoked: rng.next_below(4) == 0,
+            responded: rng.next_below(4) == 0,
+        }
+    }
+
+    #[test]
+    fn one_pass_push_matches_the_quadratic_reference() {
+        for case in 0..256u64 {
+            let mut rng = SplitMix64::new(0x4B_1D ^ case);
+            let procs = 2 + rng.next_below(3);
+            let lin = rng.next_bool();
+            let mut fast = HbTracker::new(procs, lin);
+            let mut slow = HbTracker::new(procs, lin);
+            let (mut fast_races, mut slow_races) = (Vec::new(), Vec::new());
+            for step in 0..96 {
+                match rng.next_below(24) {
+                    0 => {
+                        let len = rng.next_below(fast.len() + 1);
+                        fast.truncate(len);
+                        slow.truncate(len);
+                    }
+                    1 => {
+                        fast.clear();
+                        slow.clear();
+                    }
+                    _ => {
+                        let label = arb_label(&mut rng, procs);
+                        fast.push(label);
+                        slow.push_quadratic(label);
+                        let at = format!("case {case} step {step} (procs {procs}, lin {lin})");
+                        assert_eq!(fast.clocks, slow.clocks, "clock rows differ at {at}");
+                        assert_eq!(fast.counts, slow.counts, "event counts differ at {at}");
+                        fast_races.clear();
+                        slow_races.clear();
+                        fast.races_of_last(&mut fast_races);
+                        slow.races_of_last(&mut slow_races);
+                        assert_eq!(fast_races, slow_races, "race lists differ at {at}");
+                        for &i in &fast_races {
+                            assert_eq!(
+                                fast.race_initials(i),
+                                slow.race_initials(i),
+                                "initials of race {i} differ at {at}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -29,7 +29,12 @@
 //! * [`SharedMemory::reset`] rewinds the memory to "freshly constructed"
 //!   while *reusing* every allocation: register slots, audit entries
 //!   (including their name `String`s) and counter vectors are recycled by
-//!   the next epoch's `alloc` calls.
+//!   the next epoch's `alloc` calls;
+//! * checkpoints reuse their inner buffers too:
+//!   [`SharedMemory::snapshot_into`] and [`SharedMemory::restore`] copy
+//!   into the destination's existing `Vec`s, down to each replica's state
+//!   and each inbox (`clone_from`), so a warm save or restore allocates
+//!   nothing.
 
 use crate::value::Value;
 use scl_spec::ProcessId;
@@ -200,7 +205,7 @@ pub struct NetWrites {
 }
 
 impl NetWrites {
-    fn new(regs: &[RegId]) -> Self {
+    pub(crate) fn new(regs: &[RegId]) -> Self {
         debug_assert!(!regs.is_empty() && regs.len() <= 4);
         let mut a = [regs[0]; 4];
         a[..regs.len()].copy_from_slice(regs);
@@ -547,14 +552,12 @@ impl SharedMemory {
         snap.wrote_in_op.clear();
         snap.wrote_in_op.extend_from_slice(&self.wrote_in_op);
         snap.global_steps = self.global_steps;
-        snap.net.servers.clear();
-        snap.net.servers.extend(self.net.servers.iter().cloned());
+        snap.net.servers.clone_from(&self.net.servers);
         snap.net.slots.clear();
         snap.net.slots.extend_from_slice(&self.net.slots);
         snap.net.seq = self.net.seq;
         snap.net.born = self.net.born;
-        snap.net.inboxes.clear();
-        snap.net.inboxes.extend(self.net.inboxes.iter().cloned());
+        snap.net.inboxes.clone_from(&self.net.inboxes);
         snap.net.severed = self.net.severed;
     }
 
@@ -590,14 +593,12 @@ impl SharedMemory {
             self.net.servers.len(),
             "network snapshot from a different topology or epoch"
         );
-        self.net.servers.clear();
-        self.net.servers.extend(snap.net.servers.iter().cloned());
+        self.net.servers.clone_from(&snap.net.servers);
         self.net.slots.clear();
         self.net.slots.extend_from_slice(&snap.net.slots);
         self.net.seq = snap.net.seq;
         self.net.born = snap.net.born;
-        self.net.inboxes.clear();
-        self.net.inboxes.extend(snap.net.inboxes.iter().cloned());
+        self.net.inboxes.clone_from(&snap.net.inboxes);
         self.net.severed = snap.net.severed;
     }
 

@@ -1,0 +1,142 @@
+//! Golden exploration counters: every registered `scl-check` scenario, run
+//! under the default configuration (`source-dpor-lin`, prefix-resume,
+//! incremental checker, sequential engine), must explore exactly the tree
+//! recorded here.
+//!
+//! The counters pin the *shape* of the explored tree, not its speed:
+//! schedules, executed steps and ticks, races and race seeds, distinct
+//! happens-before classes, sleep-blocked continuations, and checkpoint saves
+//! and restores. A change that is meant to cost less but explore the same
+//! tree (a faster clock join, cheaper checkpoints, a tighter hot loop) must
+//! leave every number here unchanged; a change that reshapes the tree on
+//! purpose must update the table and say why.
+//!
+//! The three ABD scenarios that stop at the schedule cap under the default
+//! budget run at a cap of [`ABD_CAP`] schedules here, which keeps the whole
+//! test to a few seconds in a debug build.
+
+use scl::check::{registry, CheckConfig, Outcome};
+use scl::sim::TelemetryObserver;
+use std::sync::Arc;
+
+/// Schedule cap of the bounded ABD scenarios.
+const ABD_CAP: u64 = 2_000;
+
+/// The scenarios that never exhaust under the default budget.
+const BOUNDED: [&str; 3] = [
+    "abd_lossy_n2",
+    "abd_partition_minority_n2",
+    "abd_retry_exhaustion_abort_n2",
+];
+
+/// Per scenario: outcome tag, then `[schedules, executed_steps,
+/// executed_ticks, races, race_seeds, hb_classes, sleep_blocked,
+/// checkpoint_saves, checkpoint_restores]`.
+#[rustfmt::skip]
+const GOLDEN: [(&str, &str, [u64; 9]); 28] = [
+    ("spec_tas_n2", "exhausted", [77, 533, 542, 179, 76, 28, 0, 185, 76]),
+    ("spec_tas_n3", "exhausted", [11923, 75087, 76154, 41552, 12388, 2229, 466, 30573, 12388]),
+    ("spec_tas_n3_realtime", "violation", [1859, 11630, 11700, 6451, 1930, 1857, 67, 4755, 1925]),
+    ("solo_fast_tas_n2", "exhausted", [77, 517, 526, 179, 76, 28, 0, 184, 76]),
+    ("a1_n2", "exhausted", [65, 446, 455, 146, 64, 24, 0, 152, 64]),
+    ("a1_dropped_raw_fence_n2", "violation", [6, 43, 47, 14, 8, 6, 0, 25, 5]),
+    ("resettable_tas_n2", "exhausted", [392, 3844, 4290, 965, 391, 157, 0, 1339, 391]),
+    ("universal_queue_n2", "exhausted", [605, 9986, 10700, 1589, 604, 272, 0, 4048, 604]),
+    ("universal_register_n2", "exhausted", [605, 9986, 10700, 1589, 604, 272, 0, 4048, 604]),
+    ("consensus_split_n2", "exhausted", [81, 599, 610, 202, 80, 36, 0, 165, 80]),
+    ("consensus_cas_n2", "exhausted", [8, 28, 34, 14, 7, 6, 0, 10, 7]),
+    ("crash_spec_tas_n2", "exhausted", [377, 903, 1759, 504, 81, 146, 525, 492, 901]),
+    ("crash_write_behind_open_n2", "exhausted", [36, 100, 170, 73, 16, 36, 20, 39, 55]),
+    ("crash_write_behind_strict_n2", "violation", [9, 36, 54, 20, 6, 9, 4, 9, 12]),
+    ("crash_resettable_tas_wedge_n2", "violation", [4, 39, 44, 8, 4, 4, 0, 16, 3]),
+    ("crash_a1_dropped_raw_fence_n2", "violation", [36, 88, 163, 80, 13, 28, 36, 57, 71]),
+    ("recovery_tas_n2", "exhausted", [102, 263, 390, 163, 56, 74, 0, 109, 101]),
+    ("recovery_tas_mutant_n2", "violation", [10, 12, 23, 12, 4, 10, 0, 12, 9]),
+    ("recovery_write_behind_flush_durable_n2", "exhausted", [442, 1678, 2070, 972, 362, 259, 0, 483, 441]),
+    ("recovery_write_behind_flush_strict_n2", "violation", [47, 187, 235, 100, 36, 25, 0, 60, 46]),
+    ("recovery_write_behind_abandon_durable_n2", "exhausted", [361, 1371, 1726, 751, 281, 205, 0, 410, 360]),
+    ("recovery_write_behind_abandon_recoverable_n2", "violation", [26, 95, 123, 48, 18, 19, 0, 32, 25]),
+    ("recovery_recrash_unrecovered_n2", "violation", [9, 33, 44, 16, 7, 9, 0, 12, 8]),
+    ("abd_partition_majority_wedge_n2", "violation", [1, 4, 12, 2, 1, 1, 0, 10, 0]),
+    ("abd_quorum_mutant", "violation", [19685, 24113, 52466, 0, 0, 19685, 354, 17175, 20038]),
+    ("abd_lossy_n2", "limit_reached", [2000, 1497, 4277, 173, 1, 1909, 105, 1707, 2105]),
+    ("abd_partition_minority_n2", "limit_reached", [2000, 18911, 37194, 2783, 1, 2000, 7575, 8228, 9575]),
+    ("abd_retry_exhaustion_abort_n2", "limit_reached", [2000, 10656, 20351, 1512, 1, 1574, 4004, 4574, 6004]),
+];
+
+const FIELDS: [&str; 9] = [
+    "schedules",
+    "executed_steps",
+    "executed_ticks",
+    "races",
+    "race_seeds",
+    "hb_classes",
+    "sleep_blocked",
+    "checkpoint_saves",
+    "checkpoint_restores",
+];
+
+#[test]
+fn golden_table_covers_the_registry() {
+    let mut golden: Vec<&str> = GOLDEN.iter().map(|(name, _, _)| *name).collect();
+    let mut registered: Vec<&str> = registry().iter().map(|s| s.name).collect();
+    golden.sort_unstable();
+    registered.sort_unstable();
+    assert_eq!(
+        golden, registered,
+        "every registered scenario needs a golden row (and every row a scenario)"
+    );
+}
+
+#[test]
+fn exploration_counters_match_the_golden_table() {
+    let mut mismatches = Vec::new();
+    for (name, tag, expected) in GOLDEN {
+        let scenario = scl::check::find(name).expect("golden scenario is registered");
+        let observer = Arc::new(TelemetryObserver::new(0, 0));
+        let config = CheckConfig {
+            max_schedules: if BOUNDED.contains(&name) {
+                ABD_CAP
+            } else {
+                CheckConfig::default().max_schedules
+            },
+            observer: Some(observer.clone()),
+            ..Default::default()
+        };
+        let report = scenario.run(&config);
+        assert!(
+            !matches!(
+                report.outcome,
+                Outcome::ConfigError(_) | Outcome::HarnessFailure { .. }
+            ),
+            "{name}: {:?}",
+            report.outcome
+        );
+        let t = observer.snapshot();
+        let stats = &report.explore;
+        let actual = [
+            stats.schedules,
+            stats.executed_steps,
+            stats.executed_ticks,
+            t.races,
+            t.race_seeds,
+            t.hb_classes,
+            t.sleep_blocked,
+            t.checkpoint_saves,
+            t.checkpoint_restores,
+        ];
+        if report.outcome.tag() != tag {
+            mismatches.push(format!("{name}: outcome {} != {tag}", report.outcome.tag()));
+        }
+        for ((field, a), e) in FIELDS.iter().zip(actual).zip(expected) {
+            if a != e {
+                mismatches.push(format!("{name}: {field} {a} != {e}"));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "the explored tree changed:\n{}",
+        mismatches.join("\n")
+    );
+}
