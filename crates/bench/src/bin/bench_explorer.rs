@@ -1,7 +1,7 @@
 //! Explorer throughput: schedules/sec, executed work and reduction factors
 //! on fixed speculative-TAS workloads.
 //!
-//! Eleven modes are measured on the same 2–3 process A1/A2 (speculative
+//! Eight modes are measured on the same 2–3 process A1/A2 (speculative
 //! TAS) workloads, in one process and one sitting so the numbers are
 //! comparable:
 //!
@@ -14,13 +14,9 @@
 //!   available parallelism;
 //! * `prefix_resume` — [`ResumeMode::PrefixResume`]: backtracking restores a
 //!   checkpoint instead of replaying the prefix (PR 2);
-//! * `sleep_sets` — [`Reduction::SleepSets`]: commuting interleavings are
-//!   explored once (PR 2);
-//! * `combined` — both (the mode that exhausts the *full* n=3 space);
-//! * `sleep_sets_lin` — [`Reduction::SleepSetsLinPreserving`]: the eager
-//!   linearizability-preserving reduction (PR 3);
 //! * `source_dpor` — [`Reduction::SourceDpor`]: race-driven wakeup-set
-//!   seeding instead of eager branching (PR 5);
+//!   seeding under sleep sets, so commuting interleavings are explored
+//!   once;
 //! * `source_dpor_lin` — [`Reduction::SourceDporLinPreserving`]: source
 //!   DPOR with the invoke/commit barriers folded into the race relation;
 //! * `source_combined` — `source_dpor_lin` + prefix-resume (the `scl-check`
@@ -37,9 +33,10 @@
 //! repetition per cell — the CI guard that keeps the bench binary and the
 //! JSON schema from rotting. The full run asserts the PR 2 and PR 5
 //! acceptance bars: the reduced explorer exhausts the full n=3 space at a
-//! ≥5× step saving, the source-DPOR representative counts never exceed the
-//! corresponding sleep-set counts, and the lin-preserving source-DPOR count
-//! on the exhaustive n=2 space is strictly below the eager mode's 79.
+//! ≥5× step saving on n=2, and the source-DPOR representative counts never
+//! exceed the counts the removed eager sleep-set modes explored (26/79 on
+//! n=2, 1956/11925 on the full n=3 space; strictly below 79 on the
+//! lin-preserving n=2 space).
 
 use scl_bench::benchjson;
 use scl_core::new_speculative_tas;
@@ -149,12 +146,6 @@ fn mode_config(mode: &str, max_schedules: u64) -> ExploreConfig {
         "baseline" | "reused" | "parallel" => {}
         "metrics_only" => config.metrics_only = true,
         "prefix_resume" => config.resume = ResumeMode::PrefixResume,
-        "sleep_sets" => config.reduction = Reduction::SleepSets,
-        "combined" => {
-            config.reduction = Reduction::SleepSets;
-            config.resume = ResumeMode::PrefixResume;
-        }
-        "sleep_sets_lin" => config.reduction = Reduction::SleepSetsLinPreserving,
         "source_dpor" => config.reduction = Reduction::SourceDpor,
         "source_dpor_lin" => config.reduction = Reduction::SourceDporLinPreserving,
         "source_combined" => {
@@ -245,21 +236,11 @@ fn main() {
         "metrics_only",
         "parallel",
         "prefix_resume",
-        "sleep_sets",
-        "combined",
-        "sleep_sets_lin",
         "source_dpor",
         "source_dpor_lin",
         "source_combined",
     ];
-    let reduced: &[&str] = &[
-        "sleep_sets",
-        "combined",
-        "sleep_sets_lin",
-        "source_dpor",
-        "source_dpor_lin",
-        "source_combined",
-    ];
+    let reduced: &[&str] = &["source_dpor", "source_dpor_lin", "source_combined"];
     let n2_cap = if smoke { 2_000 } else { 1_000_000 };
     let n3_cap = if smoke { 2_000 } else { 50_000 };
     let full_cap = if smoke { 5_000 } else { u64::MAX };
@@ -292,21 +273,10 @@ fn main() {
             }
         }
         let by_mode = |name: &str| results.iter().find(|(m, _)| m == name).map(|(_, v)| *v);
-        if let (Some(full), Some(ss)) = (by_mode("reused"), by_mode("sleep_sets")) {
+        if let (Some(full), Some(source)) = (by_mode("reused"), by_mode("source_dpor")) {
             derived.push(format!(
-                "    \"{wl_name}/sleep_set_reduction_factor\": {:.2}",
-                full.schedules as f64 / ss.schedules.max(1) as f64
-            ));
-        }
-        if let (Some(eager), Some(source)) = (by_mode("sleep_sets_lin"), by_mode("source_dpor_lin"))
-        {
-            derived.push(format!(
-                "    \"{wl_name}/source_dpor_lin_schedule_saving_vs_sleep_sets_lin\": {:.4}",
-                eager.schedules as f64 / source.schedules.max(1) as f64
-            ));
-            derived.push(format!(
-                "    \"{wl_name}/source_dpor_lin_step_saving_vs_sleep_sets_lin\": {:.2}",
-                eager.executed_steps as f64 / source.executed_steps.max(1) as f64
+                "    \"{wl_name}/source_dpor_reduction_factor\": {:.2}",
+                full.schedules as f64 / source.schedules.max(1) as f64
             ));
         }
         let entries: Vec<String> = results
@@ -338,14 +308,14 @@ fn main() {
                 .map(|(_, _, m)| *m)
                 .expect("measured")
         };
-        let full = get("speculative_tas_n3_full", "combined");
+        let full = get("speculative_tas_n3_full", "source_combined");
         assert!(
             full.exhausted,
             "the reduced explorer must exhaust the full n=3 space"
         );
         let (b, c) = (
             get("speculative_tas_n2", "baseline"),
-            get("speculative_tas_n2", "combined"),
+            get("speculative_tas_n2", "source_combined"),
         );
         let saving = b.executed_steps as f64 / c.executed_steps.max(1) as f64;
         assert!(
@@ -354,34 +324,33 @@ fn main() {
              on the exhaustive n=2 workload (got {saving:.1}x)"
         );
         // PR 5: race-driven wakeup sets never cost representatives over the
-        // eager sleep-set modes, on any benched workload...
-        for wl in ["speculative_tas_n2", "speculative_tas_n3_full"] {
-            let plain = (get(wl, "source_dpor"), get(wl, "sleep_sets"));
-            let lin = (get(wl, "source_dpor_lin"), get(wl, "sleep_sets_lin"));
-            assert!(plain.0.exhausted && lin.0.exhausted, "{wl}: must exhaust");
+        // counts the removed eager sleep-set modes explored (plain, lin), on
+        // any benched workload...
+        for (wl, eager_plain, eager_lin) in [
+            ("speculative_tas_n2", 26, 79),
+            ("speculative_tas_n3_full", 1_956, 11_925),
+        ] {
+            let (plain, lin) = (get(wl, "source_dpor"), get(wl, "source_dpor_lin"));
+            assert!(plain.exhausted && lin.exhausted, "{wl}: must exhaust");
             assert!(
-                plain.0.schedules <= plain.1.schedules,
-                "{wl}: source_dpor explored {} > sleep_sets {}",
-                plain.0.schedules,
-                plain.1.schedules
+                plain.schedules <= eager_plain,
+                "{wl}: source_dpor explored {} > eager {eager_plain}",
+                plain.schedules
             );
             assert!(
-                lin.0.schedules <= lin.1.schedules,
-                "{wl}: source_dpor_lin explored {} > sleep_sets_lin {}",
-                lin.0.schedules,
-                lin.1.schedules
+                lin.schedules <= eager_lin,
+                "{wl}: source_dpor_lin explored {} > eager {eager_lin}",
+                lin.schedules
             );
         }
         // ...and the lin-preserving gap actually closes on the exhaustive
         // n=2 space: strictly below the eager mode's 79 representatives.
-        let eager_lin = get("speculative_tas_n2", "sleep_sets_lin");
         let source_lin = get("speculative_tas_n2", "source_dpor_lin");
         assert!(
-            source_lin.schedules < eager_lin.schedules,
+            source_lin.schedules < 79,
             "source_dpor_lin must explore strictly fewer n=2 representatives \
-             than sleep_sets_lin ({} vs {})",
-            source_lin.schedules,
-            eager_lin.schedules
+             than the eager mode's 79 ({})",
+            source_lin.schedules
         );
         // The resume mechanics do not change the enumeration.
         let source_combined = get("speculative_tas_n2", "source_combined");

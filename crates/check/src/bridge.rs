@@ -1,5 +1,5 @@
-//! The explorer ↔ specification bridge: a [`ScheduleMonitor`] that records
-//! invoke/commit events into a [`ConcurrentHistory`] *incrementally* while
+//! The explorer ↔ specification bridge: a [`ScheduleMonitor`] that feeds
+//! invoke/commit events to a linearizability checker *incrementally* while
 //! the schedule explorer runs, and answers per-schedule linearizability
 //! verdicts.
 //!
@@ -7,22 +7,26 @@
 //! verdict per schedule called `res.trace.commit_projection()` in its check
 //! — allocating a fresh history and re-running the Wing–Gong search from
 //! scratch for every explored schedule, and requiring full trace recording.
-//! The bridge instead:
+//! The bridge instead keeps **one** checker per worker for the whole
+//! exploration, rewound whenever the explorer restores a checkpoint, and
+//! works under [`TraceMode::MetricsOnly`](scl_sim::TraceMode) — events are
+//! taken from the executor's [`TickEmission`] stream, not from the trace.
+//! Which checker depends on the [`CheckerMode`]:
 //!
-//! * maintains **one** [`ConcurrentHistory`] per worker for the whole
-//!   exploration, rewound by high-water-mark truncation whenever the
-//!   explorer restores a checkpoint (the PR 1 allocation-free discipline);
-//! * works under [`TraceMode::MetricsOnly`](scl_sim::TraceMode) — events are
-//!   taken from the executor's [`TickEmission`] stream, not from the trace;
-//! * in [`CheckerMode::Incremental`], feeds the events to an
+//! * [`CheckerMode::Incremental`] feeds the events to an
 //!   [`IncrementalLinChecker`] whose frontier is memoised at branch points,
 //!   so backtracking re-checks only the suffix of each schedule instead of
-//!   re-running the checker from tick 0.
+//!   re-running the checker from tick 0;
+//! * [`CheckerMode::FromScratch`] records a [`ConcurrentHistory`], rewound
+//!   by high-water-mark truncation (its buffers are reused across the whole
+//!   exploration), and runs the from-scratch search on it at every
+//!   verdict.
 
 use scl_sim::{ExecSession, OpOutcome, ScheduleMonitor, TickEmission};
 use scl_spec::{
     check_linearizable_with_stats, check_strict_linearizable_with_stats, ConcurrentHistory,
-    HistoryMark, IncVerdict, IncrementalLinChecker, LinCheckResult, SequentialSpec,
+    HistoryMark, IncVerdict, IncrementalLinChecker, LinCheckResult, Request, RequestId,
+    SequentialSpec,
 };
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -93,31 +97,84 @@ impl CrashedPending {
 
 /// See the [module documentation](self).
 pub struct LinMonitor<S: SequentialSpec> {
-    spec: S,
-    mode: CheckerMode,
     crashed_pending: CrashedPending,
-    hist: ConcurrentHistory<S>,
-    inc: IncrementalLinChecker<S>,
-    /// Stack of (token, history mark, incremental-checker token).
-    marks: Vec<(u64, HistoryMark, u64)>,
-    next_token: u64,
-    /// Checker states expanded by [`CheckerMode::FromScratch`] verdicts.
-    scratch_states: u64,
+    checker: Checker<S>,
+}
+
+/// The per-mode checker state: exactly one of the two is maintained.
+enum Checker<S: SequentialSpec> {
+    /// The incremental checker (boxed: it is several times the size of the
+    /// other variant); its own mark tokens are the monitor's.
+    Incremental(Box<IncrementalLinChecker<S>>),
+    /// The recorded history, re-checked from scratch at every verdict.
+    FromScratch {
+        spec: S,
+        hist: ConcurrentHistory<S>,
+        /// Stack of (token, history mark).
+        marks: Vec<(u64, HistoryMark)>,
+        next_token: u64,
+        /// Checker states expanded by the verdicts so far.
+        states: u64,
+    },
+}
+
+impl<S: SequentialSpec> Checker<S> {
+    fn invoke(&mut self, req: &Request<S>) {
+        match self {
+            Checker::Incremental(inc) => inc.invoke(req),
+            // `event_count` is a dense clock over recorded events, so
+            // relative order (all the checker consumes) matches the trace's.
+            Checker::FromScratch { hist, .. } => {
+                hist.record_invoke(hist.event_count(), req.clone())
+            }
+        }
+    }
+
+    fn commit(&mut self, id: RequestId, resp: &S::Resp) {
+        match self {
+            Checker::Incremental(inc) => inc.commit(id, resp),
+            Checker::FromScratch { hist, .. } => {
+                hist.record_response(hist.event_count(), id, resp.clone())
+            }
+        }
+    }
+
+    /// A deadline: the operation may take effect only before this point.
+    fn crash(&mut self, id: RequestId) {
+        match self {
+            Checker::Incremental(inc) => inc.crash(id),
+            Checker::FromScratch { hist, .. } => hist.record_crash(hist.event_count(), id),
+        }
+    }
+
+    /// A requirement: the operation must have taken effect by this point.
+    fn crash_required(&mut self, id: RequestId) {
+        match self {
+            Checker::Incremental(inc) => inc.recovered_required(id),
+            Checker::FromScratch { hist, .. } => hist.record_crash_required(hist.event_count(), id),
+        }
+    }
 }
 
 impl<S: SequentialSpec> LinMonitor<S> {
     /// A fresh monitor checking against `spec`, with the open crashed-pending
     /// closure (crashes invisible — plain linearizability).
     pub fn new(spec: S, mode: CheckerMode) -> Self {
+        let checker = match mode {
+            CheckerMode::Incremental => {
+                Checker::Incremental(Box::new(IncrementalLinChecker::new(spec)))
+            }
+            CheckerMode::FromScratch => Checker::FromScratch {
+                spec,
+                hist: ConcurrentHistory::new(),
+                marks: Vec::new(),
+                next_token: 0,
+                states: 0,
+            },
+        };
         LinMonitor {
-            inc: IncrementalLinChecker::new(spec.clone()),
-            spec,
-            mode,
             crashed_pending: CrashedPending::Open,
-            hist: ConcurrentHistory::new(),
-            marks: Vec::new(),
-            next_token: 0,
-            scratch_states: 0,
+            checker,
         }
     }
 
@@ -127,84 +184,63 @@ impl<S: SequentialSpec> LinMonitor<S> {
         self
     }
 
-    /// The checker mode.
-    pub fn mode(&self) -> CheckerMode {
-        self.mode
-    }
-
-    /// The crashed-pending closure mode.
-    pub fn crashed_pending(&self) -> CrashedPending {
-        self.crashed_pending
-    }
-
-    /// The history of the execution currently being observed.
-    pub fn history(&self) -> &ConcurrentHistory<S> {
-        &self.hist
-    }
-
     /// Total checker states expanded so far (across the whole exploration):
     /// frontier expansions in incremental mode, search nodes of the repeated
     /// from-scratch runs otherwise.
     pub fn checker_states(&self) -> u64 {
-        match self.mode {
-            CheckerMode::Incremental => self.inc.stats().states,
-            CheckerMode::FromScratch => self.scratch_states,
+        match &self.checker {
+            Checker::Incremental(inc) => inc.stats().states,
+            Checker::FromScratch { states, .. } => *states,
         }
     }
 
     /// The linearizability verdict for the execution observed since the last
     /// explorer restart/rewind, as a check-style result.
     pub fn verdict(&mut self) -> Result<(), String> {
-        match self.mode {
-            CheckerMode::Incremental => match self.inc.verdict() {
-                IncVerdict::Linearizable => Ok(()),
-                IncVerdict::NotLinearizable(id) => Err(format!(
-                    "commit projection is not linearizable (no order admits the response of {id})"
-                )),
-                IncVerdict::TooLarge => {
-                    Err("history exceeds the 128-operation checker bound".to_string())
-                }
-            },
-            CheckerMode::FromScratch => {
-                let (result, stats) = match self.crashed_pending {
-                    CrashedPending::Open => check_linearizable_with_stats(&self.spec, &self.hist),
-                    // The durable and recoverable closures share the strict
-                    // search — the difference is entirely in *what* `observe`
-                    // recorded: where the deadline sits (crash point vs
-                    // recovery completion) and whether the op is required.
-                    CrashedPending::Strict
-                    | CrashedPending::Durable
-                    | CrashedPending::Recoverable => {
-                        check_strict_linearizable_with_stats(&self.spec, &self.hist)
-                    }
-                };
-                self.scratch_states += stats.states;
-                match result {
-                    LinCheckResult::Linearizable(_) => Ok(()),
-                    LinCheckResult::NotLinearizable => match self.crashed_pending {
-                        CrashedPending::Open => {
-                            Err("commit projection is not linearizable".to_string())
-                        }
-                        CrashedPending::Strict => Err(
-                            "commit projection is not strictly linearizable (crashed-pending: \
-                             strict)"
-                                .to_string(),
-                        ),
-                        CrashedPending::Durable => Err(
-                            "commit projection is not durably linearizable (crashed-pending: \
-                             durable)"
-                                .to_string(),
-                        ),
-                        CrashedPending::Recoverable => Err(
-                            "commit projection is not recoverably linearizable (crashed-pending: \
-                             recoverable)"
-                                .to_string(),
-                        ),
-                    },
-                    LinCheckResult::TooLarge => {
+        let (spec, hist, states) = match &mut self.checker {
+            Checker::Incremental(inc) => {
+                return match inc.verdict() {
+                    IncVerdict::Linearizable => Ok(()),
+                    IncVerdict::NotLinearizable(id) => Err(format!(
+                        "commit projection is not linearizable (no order admits the response \
+                         of {id})"
+                    )),
+                    IncVerdict::TooLarge => {
                         Err("history exceeds the 128-operation checker bound".to_string())
                     }
-                }
+                };
+            }
+            Checker::FromScratch {
+                spec, hist, states, ..
+            } => (spec, hist, states),
+        };
+        let (result, stats) = match self.crashed_pending {
+            CrashedPending::Open => check_linearizable_with_stats(spec, hist),
+            // The durable and recoverable closures share the strict search —
+            // the difference is entirely in *what* `observe` recorded: where
+            // the deadline sits (crash point vs recovery completion) and
+            // whether the op is required.
+            CrashedPending::Strict | CrashedPending::Durable | CrashedPending::Recoverable => {
+                check_strict_linearizable_with_stats(spec, hist)
+            }
+        };
+        *states += stats.states;
+        match result {
+            LinCheckResult::Linearizable(_) => Ok(()),
+            LinCheckResult::NotLinearizable => Err(match self.crashed_pending {
+                CrashedPending::Open => "commit projection is not linearizable".to_string(),
+                CrashedPending::Strict => "commit projection is not strictly linearizable \
+                                           (crashed-pending: strict)"
+                    .to_string(),
+                CrashedPending::Durable => "commit projection is not durably linearizable \
+                                            (crashed-pending: durable)"
+                    .to_string(),
+                CrashedPending::Recoverable => "commit projection is not recoverably \
+                                                linearizable (crashed-pending: recoverable)"
+                    .to_string(),
+            }),
+            LinCheckResult::TooLarge => {
+                Err("history exceeds the 128-operation checker bound".to_string())
             }
         }
     }
@@ -216,34 +252,26 @@ where
     V: Clone + Eq + Hash + Debug,
 {
     fn begin(&mut self) {
-        self.hist.clear();
-        self.inc.begin();
-        self.marks.clear();
+        match &mut self.checker {
+            Checker::Incremental(inc) => inc.begin(),
+            Checker::FromScratch { hist, marks, .. } => {
+                hist.clear();
+                marks.clear();
+            }
+        }
     }
 
     fn observe(&mut self, session: &ExecSession<S, V>) {
         match session.last_emission() {
             TickEmission::Invoked { op_index } => {
-                let req = session.result().ops[op_index].req.clone();
-                // `event_count` is a dense clock over recorded events, so
-                // relative order (all the checker consumes) matches the
-                // trace's.
-                let at = self.hist.event_count();
-                if self.mode == CheckerMode::Incremental {
-                    self.inc.invoke(&req);
-                }
-                self.hist.record_invoke(at, req);
+                self.checker.invoke(&session.result().ops[op_index].req);
             }
             TickEmission::Committed { op_index } => {
                 let record = &session.result().ops[op_index];
                 let Some(OpOutcome::Commit(resp)) = &record.outcome else {
                     unreachable!("Committed emission always carries a commit outcome");
                 };
-                let at = self.hist.event_count();
-                if self.mode == CheckerMode::Incremental {
-                    self.inc.commit(record.req.id, resp);
-                }
-                self.hist.record_response(at, record.req.id, resp.clone());
+                self.checker.commit(record.req.id, resp);
             }
             TickEmission::Crashed { op_index } => {
                 // Under the open closure a crashed-pending op is just a
@@ -254,12 +282,7 @@ where
                 // deadline is the recovery completion, consumed below.
                 if self.crashed_pending == CrashedPending::Strict {
                     if let Some(op_index) = op_index {
-                        let id = session.result().ops[op_index].req.id;
-                        let at = self.hist.event_count();
-                        if self.mode == CheckerMode::Incremental {
-                            self.inc.crash(id);
-                        }
-                        self.hist.record_crash(at, id);
+                        self.checker.crash(session.result().ops[op_index].req.id);
                     }
                 }
             }
@@ -279,15 +302,10 @@ where
                     let Some(OpOutcome::Commit(resp)) = &record.outcome else {
                         unreachable!("a resolving recovery always commits the op");
                     };
-                    let at = self.hist.event_count();
-                    if self.mode == CheckerMode::Incremental {
-                        self.inc.commit(id, resp);
-                    }
-                    self.hist.record_response(at, id, resp.clone());
+                    self.checker.commit(id, resp);
                     return;
                 }
                 // The recovery completed without resolving the operation.
-                let at = self.hist.event_count();
                 match self.crashed_pending {
                     // Open: still just a pending op. Strict: the crash point
                     // (recorded at the Crashed emission) already caps it.
@@ -295,19 +313,9 @@ where
                     // Durable: the op may be lost, but not take effect after
                     // its owner recovered — a strict-style deadline at the
                     // recovery completion.
-                    CrashedPending::Durable => {
-                        if self.mode == CheckerMode::Incremental {
-                            self.inc.crash(id);
-                        }
-                        self.hist.record_crash(at, id);
-                    }
+                    CrashedPending::Durable => self.checker.crash(id),
                     // Recoverable: the op must have taken effect by now.
-                    CrashedPending::Recoverable => {
-                        if self.mode == CheckerMode::Incremental {
-                            self.inc.recovered_required(id);
-                        }
-                        self.hist.record_crash_required(at, id);
-                    }
+                    CrashedPending::Recoverable => self.checker.crash_required(id),
                 }
             }
             // Aborts are not part of the commit projection (the operation
@@ -325,30 +333,33 @@ where
     }
 
     fn mark(&mut self) -> u64 {
-        let token = self.next_token;
-        self.next_token += 1;
-        let inc_token = if self.mode == CheckerMode::Incremental {
-            self.inc.mark()
-        } else {
-            0
-        };
-        self.marks.push((token, self.hist.mark(), inc_token));
-        token
+        match &mut self.checker {
+            Checker::Incremental(inc) => inc.mark(),
+            Checker::FromScratch {
+                hist,
+                marks,
+                next_token,
+                ..
+            } => {
+                let token = *next_token;
+                *next_token += 1;
+                marks.push((token, hist.mark()));
+                token
+            }
+        }
     }
 
     fn rewind_to(&mut self, mark: u64) {
-        while let Some(&(token, _, _)) = self.marks.last() {
-            if token > mark {
-                self.marks.pop();
-            } else {
-                break;
+        match &mut self.checker {
+            Checker::Incremental(inc) => inc.rewind_to(mark),
+            Checker::FromScratch { hist, marks, .. } => {
+                while marks.last().is_some_and(|&(token, _)| token > mark) {
+                    marks.pop();
+                }
+                let &(token, hist_mark) = marks.last().expect("mark exists");
+                assert_eq!(token, mark, "rewound to an unknown monitor mark");
+                hist.truncate_to(hist_mark);
             }
-        }
-        let &(token, hist_mark, inc_token) = self.marks.last().expect("mark exists");
-        assert_eq!(token, mark, "rewound to an unknown monitor mark");
-        self.hist.truncate_to(hist_mark);
-        if self.mode == CheckerMode::Incremental {
-            self.inc.rewind_to(inc_token);
         }
     }
 }

@@ -26,12 +26,13 @@
 //!   reduction/resume/checker/budget flags and emits a JSON report
 //!   (`--smoke` runs the whole registry under tiny bounds in CI).
 //!
-//! The reduced modes matter here: `Reduction::SleepSets` explicitly does
-//! *not* preserve real-time order, so it may miss (or, harmlessly, can never
-//! invent) linearizability counterexamples that depend only on event order.
-//! [`scl_sim::Reduction::SleepSetsLinPreserving`] closes that gap with
-//! invoke/commit barrier footprints; the oracle tests in `tests/` verify it
-//! against unreduced enumeration.
+//! The reduced modes matter here: [`scl_sim::Reduction::SourceDpor`]
+//! explicitly does *not* preserve real-time order, so it may miss (or,
+//! harmlessly, can never invent) linearizability counterexamples that depend
+//! only on event order. [`scl_sim::Reduction::SourceDporLinPreserving`] (the
+//! default) closes that gap with invoke/commit barriers in its race relation
+//! and wake rule; the oracle tests in `tests/` verify it against unreduced
+//! enumeration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -141,14 +142,16 @@ pub fn reports_to_json_partial(
     )
 }
 
-/// Renders one report's telemetry counters (`"null"` when no observer was
-/// attached). The phase split is derived here: `checker_secs` is the wall
-/// time spent inside [`LinMonitor::verdict`] calls, `explore_secs` the
-/// remainder of the scenario's total wall time.
+/// Renders one report's telemetry (`"null"` when no observer was attached):
+/// the engine's work counters from [`ScenarioReport::explore`], plus what
+/// the observer recorded. The phase split is derived here: `checker_secs`
+/// is the wall time spent inside [`LinMonitor::verdict`] calls,
+/// `explore_secs` the remainder of the scenario's total wall time.
 fn telemetry_json(r: &ScenarioReport) -> String {
     let Some(t) = &r.telemetry else {
         return "null".to_string();
     };
+    let e = &r.explore;
     let checker_secs = t.checker_nanos as f64 / 1e9;
     let explore_secs = (r.secs - checker_secs).max(0.0);
     // The histogram has a fixed 65-bucket layout; trailing zeros carry no
@@ -165,18 +168,18 @@ fn telemetry_json(r: &ScenarioReport) -> String {
          \"schedules\": {}, \"sleep_blocked\": {}, \"checkpoint_saves\": {}, \
          \"checkpoint_restores\": {}, \"races\": {}, \"race_seeds\": {}, \"hb_classes\": {}, \
          \"depth_hist\": [{}], \"explore_secs\": {:.6}, \"checker_secs\": {:.6}}}",
-        t.explored_steps,
-        t.replayed_steps,
-        t.crash_branches,
-        t.delivery_branches,
-        t.drop_branches,
-        t.restart_branches,
-        t.schedules,
-        t.sleep_blocked,
-        t.checkpoint_saves,
-        t.checkpoint_restores,
-        t.races,
-        t.race_seeds,
+        e.executed_ticks - e.replayed_ticks,
+        e.replayed_ticks,
+        e.crash_steps,
+        e.delivery_steps,
+        e.drop_steps,
+        e.restart_steps,
+        e.schedules,
+        e.sleep_blocked,
+        e.snapshots,
+        e.checkpoint_restores,
+        e.races,
+        e.race_seeds,
         t.hb_classes,
         hist.join(", "),
         explore_secs,

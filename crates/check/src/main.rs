@@ -3,7 +3,7 @@
 //! ```text
 //! scl-check --list
 //! scl-check spec_tas_n2 a1_dropped_raw_fence_n2
-//! scl-check --all --reduction sleep-sets-lin --resume prefix-resume
+//! scl-check --all --reduction source-dpor --resume full-replay
 //! scl-check --smoke --json SCL_CHECK_SMOKE.json        # the CI entry point
 //! scl-check --smoke --artifacts traces/               # counterexample dumps
 //! scl-check replay traces/a1_dropped_raw_fence_n2.trace.json
@@ -410,11 +410,12 @@ fn main() {
                 break;
             }
         }
-        // One fresh observer per scenario: its counters land in this
-        // scenario's JSON entry and nothing else's. Exploration telemetry is
-        // cheap (relaxed atomic bumps against whole-schedule executions), so
-        // the CLI always collects it; the zero-cost NoObserver path is for
-        // library/bench callers that leave `observer` unset.
+        // One fresh observer per scenario: what it records lands in this
+        // scenario's JSON entry and nothing else's. The observer is called
+        // once per completed schedule (a depth-histogram bump and an
+        // hb-class fingerprint), never per tick, so the CLI always attaches
+        // it; the zero-cost NoObserver path is for library/bench callers
+        // that leave `observer` unset.
         let mut run_config = config.clone();
         run_config.observer = Some(Arc::new(TelemetryObserver::new(
             heartbeat,

@@ -38,10 +38,8 @@ use std::time::Instant;
 pub struct CheckConfig {
     /// Partial-order reduction mode. The default is the
     /// linearizability-preserving *source-DPOR* reduction: its pruning
-    /// provably cannot change the commit projection (like the eager
-    /// `sleep-sets-lin` mode) at a strictly smaller representative count —
-    /// race detection on executed transitions replaces the conservative
-    /// may-respond barrier branching.
+    /// provably cannot change the commit projection, so per-schedule
+    /// linearizability verdicts lose nothing.
     pub reduction: Reduction,
     /// Backtracking strategy.
     pub resume: ResumeMode,
@@ -102,9 +100,10 @@ pub struct CheckConfig {
     /// Telemetry observer attached to the exploration (`None` — the default
     /// — runs the zero-cost [`NoObserver`] path; the benches assert it stays
     /// within noise of the pre-observer engine). The CLI attaches one fresh
-    /// observer per scenario run; its snapshot lands in
-    /// [`ScenarioReport::telemetry`] and the checker wall-clock share is
-    /// measured by timing every [`LinMonitor::verdict`] call into it.
+    /// observer per scenario run; its snapshot (depth histogram,
+    /// happens-before classes) lands in [`ScenarioReport::telemetry`] and the
+    /// checker wall-clock share is measured by timing every
+    /// [`LinMonitor::verdict`] call into it.
     pub observer: Option<Arc<TelemetryObserver>>,
     /// Replay redirection: when set, the scenario's runner re-executes
     /// exactly this recorded schedule (same object constructor, workload,
@@ -260,8 +259,9 @@ pub struct ScenarioReport {
     pub underpowered: bool,
     /// Wall-clock seconds the whole run took (exploration plus checking).
     pub secs: f64,
-    /// Telemetry counters, when [`CheckConfig::observer`] was attached. The
-    /// snapshot's `checker_nanos` is the checker's share of `secs`; the
+    /// What the telemetry observer recorded, when [`CheckConfig::observer`]
+    /// was attached (the work counters are in [`ScenarioReport::explore`]).
+    /// The snapshot's `checker_nanos` is the checker's share of `secs`; the
     /// remainder is exploration wall time.
     pub telemetry: Option<TelemetrySnapshot>,
 }
@@ -1653,8 +1653,6 @@ where
 pub fn reduction_values() -> &'static [(&'static str, Reduction)] {
     &[
         ("off", Reduction::Off),
-        ("sleep-sets", Reduction::SleepSets),
-        ("sleep-sets-lin", Reduction::SleepSetsLinPreserving),
         ("source-dpor", Reduction::SourceDpor),
         ("source-dpor-lin", Reduction::SourceDporLinPreserving),
     ]
@@ -1768,8 +1766,6 @@ where
 pub fn reduction_name(r: Reduction) -> &'static str {
     match r {
         Reduction::Off => "off",
-        Reduction::SleepSets => "sleep_sets",
-        Reduction::SleepSetsLinPreserving => "sleep_sets_lin_preserving",
         Reduction::SourceDpor => "source_dpor",
         Reduction::SourceDporLinPreserving => "source_dpor_lin_preserving",
     }
@@ -1810,7 +1806,7 @@ mod tests {
         // listed name must parse to its mode, and every mode must have a
         // report name (reduction_name is a total match, so adding an enum
         // variant without a table entry fails to compile or fails here).
-        assert_eq!(reduction_values().len(), 5);
+        assert_eq!(reduction_values().len(), 3);
         for (name, r) in reduction_values() {
             assert_eq!(parse_reduction(name), Some(*r));
             assert!(!reduction_name(*r).is_empty());
@@ -1860,6 +1856,19 @@ mod tests {
             nearest("open", crashed_pending_values().iter().map(|(n, _)| *n)),
             Some("open")
         );
+    }
+
+    #[test]
+    fn removed_eager_reductions_are_unknown_values() {
+        let names: Vec<&str> = reduction_values().iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, ["off", "source-dpor", "source-dpor-lin"]);
+        for removed in ["sleep-sets", "sleep-sets-lin"] {
+            assert_eq!(parse_reduction(removed), None);
+            assert_eq!(
+                unknown_value_message("--reduction value", removed, names.iter().copied()),
+                format!("unknown --reduction value `{removed}` (see scl-check --list)")
+            );
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 use scl_check::{find, CheckConfig, CheckerMode, CrashedPending, LinMonitor, Outcome};
 use scl_core::AbdRegister;
 use scl_sim::{
-    explore_schedules_monitored_report, explore_schedules_parallel_monitored_report, ExploreConfig,
-    ExploreOutcome, Reduction, ResumeMode, SharedMemory, Workload,
+    explore_schedules_monitored_observed_report,
+    explore_schedules_parallel_monitored_observed_report, ExploreConfig, ExploreOutcome,
+    NoObserver, Reduction, ResumeMode, SharedMemory, Workload,
 };
 use scl_spec::{RegisterOp, RegisterSpec};
 use std::collections::BTreeSet;
@@ -32,7 +33,7 @@ fn abd_signature_set(
     let mut set = BTreeSet::new();
     let mut monitor = LinMonitor::new(RegisterSpec, CheckerMode::Incremental)
         .with_crashed_pending(crashed_pending);
-    let report = explore_schedules_monitored_report(
+    let report = explore_schedules_monitored_observed_report(
         |mem: &mut SharedMemory| AbdRegister::new(mem, 1, 2, cap, 1),
         wl,
         &ExploreConfig {
@@ -44,6 +45,7 @@ fn abd_signature_set(
             ..Default::default()
         },
         &mut monitor,
+        &NoObserver,
         |res, _mem, m: &mut LinMonitor<RegisterSpec>| {
             let mut ops: Vec<String> = res
                 .ops
@@ -98,19 +100,20 @@ fn abd_reductions_have_the_full_verdict_set_under_crash_and_drop_budgets() {
             "{crashed_pending:?}: a majority-quorum ABD write must stay linearizable under one \
              crash and one drop"
         );
-        for reduction in [
-            Reduction::SleepSetsLinPreserving,
-            Reduction::SourceDporLinPreserving,
-        ] {
-            for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-                let (set, scheds) =
-                    abd_signature_set(&wl, cap, reduction, resume, crashed_pending, 1);
-                assert_eq!(full, set, "{crashed_pending:?}/{reduction:?}/{resume:?}");
-                assert!(
-                    scheds < full_scheds,
-                    "{reduction:?} must prune the network space: {scheds} vs {full_scheds}"
-                );
-            }
+        for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
+            let (set, scheds) = abd_signature_set(
+                &wl,
+                cap,
+                Reduction::SourceDporLinPreserving,
+                resume,
+                crashed_pending,
+                1,
+            );
+            assert_eq!(full, set, "{crashed_pending:?}/{resume:?}");
+            assert!(
+                scheds < full_scheds,
+                "source DPOR must prune the network space: {scheds} vs {full_scheds}"
+            );
         }
     }
 }
@@ -123,58 +126,50 @@ fn parallel_engine_matches_sequential_on_the_abd_network_space() {
     // cross worker boundaries here.
     let wl: Wl = Workload::from_ops(vec![vec![RegisterOp::Write(5)]]);
     let cap = 12;
-    let explore_config = |threads: usize, reduction: Reduction, resume: ResumeMode| ExploreConfig {
-        max_schedules: 5_000_000,
-        max_crashes: 1,
-        max_drops: 1,
-        threads,
-        reduction,
-        resume,
-        ..Default::default()
-    };
-    for reduction in [
-        Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDporLinPreserving,
-    ] {
-        for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-            let (seq, seq_scheds) =
-                abd_signature_set(&wl, cap, reduction, resume, CrashedPending::Open, 1);
-            let set = Mutex::new(BTreeSet::new());
-            let factory = || LinMonitor::new(RegisterSpec, CheckerMode::Incremental);
-            let (report, monitors) = explore_schedules_parallel_monitored_report(
-                |mem: &mut SharedMemory| AbdRegister::new(mem, 1, 2, cap, 1),
-                &wl,
-                &explore_config(2, reduction, resume),
-                &factory,
-                |res, _mem, m: &mut LinMonitor<RegisterSpec>| {
-                    let mut ops: Vec<String> = res
-                        .ops
-                        .iter()
-                        .map(|o| format!("{}={:?}", o.req.id, o.outcome))
-                        .collect();
-                    ops.sort();
-                    set.lock().unwrap().insert(format!(
-                        "{}|crashed={:b}|lin={}",
-                        ops.join(","),
-                        res.crashed,
-                        m.verdict().is_ok()
-                    ));
-                    Ok(())
-                },
-            );
-            assert!(!monitors.is_empty());
-            let par_scheds = match report.outcome {
-                Ok(ExploreOutcome::Exhausted { schedules }) => schedules,
-                other => panic!("parallel exploration must exhaust, got {other:?}"),
-            };
-            let par = set.into_inner().unwrap();
-            assert_eq!(seq, par, "{reduction:?}/{resume:?}");
-            // The eager mode partitions the identical tree; wave-parallel
-            // source DPOR guarantees coverage, not representative counts.
-            if reduction == Reduction::SleepSetsLinPreserving {
-                assert_eq!(seq_scheds, par_scheds, "{reduction:?}/{resume:?}");
-            }
-        }
+    let reduction = Reduction::SourceDporLinPreserving;
+    for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
+        let (seq, _) = abd_signature_set(&wl, cap, reduction, resume, CrashedPending::Open, 1);
+        let set = Mutex::new(BTreeSet::new());
+        let factory = || LinMonitor::new(RegisterSpec, CheckerMode::Incremental);
+        let (report, monitors) = explore_schedules_parallel_monitored_observed_report(
+            |mem: &mut SharedMemory| AbdRegister::new(mem, 1, 2, cap, 1),
+            &wl,
+            &ExploreConfig {
+                max_schedules: 5_000_000,
+                max_crashes: 1,
+                max_drops: 1,
+                threads: 2,
+                reduction,
+                resume,
+                ..Default::default()
+            },
+            &factory,
+            &NoObserver,
+            |res, _mem, m: &mut LinMonitor<RegisterSpec>| {
+                let mut ops: Vec<String> = res
+                    .ops
+                    .iter()
+                    .map(|o| format!("{}={:?}", o.req.id, o.outcome))
+                    .collect();
+                ops.sort();
+                set.lock().unwrap().insert(format!(
+                    "{}|crashed={:b}|lin={}",
+                    ops.join(","),
+                    res.crashed,
+                    m.verdict().is_ok()
+                ));
+                Ok(())
+            },
+        );
+        assert!(!monitors.is_empty());
+        assert!(
+            matches!(report.outcome, Ok(ExploreOutcome::Exhausted { .. })),
+            "parallel exploration must exhaust, got {:?}",
+            report.outcome
+        );
+        // Wave-parallel source DPOR guarantees coverage, not
+        // representative counts.
+        assert_eq!(seq, set.into_inner().unwrap(), "{resume:?}");
     }
 }
 
@@ -187,27 +182,22 @@ fn abd_quorum_mutant_is_caught_in_every_lin_preserving_mode() {
     // the signature oracle above and by the release-mode numbers in
     // EXPERIMENTS.md rather than re-run here.
     let scenario = find("abd_quorum_mutant").expect("registered");
-    for reduction in [
-        Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDporLinPreserving,
-    ] {
-        for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-            let config = CheckConfig {
-                reduction,
-                resume,
-                ..Default::default()
-            };
-            let report = scenario.run(&config);
-            assert!(
-                matches!(
-                    report.outcome,
-                    Outcome::Violation { ref message, .. } if message.contains("linearizable")
-                ),
-                "{reduction:?}/{resume:?}: {:?}",
-                report.outcome
-            );
-            assert!(report.as_expected());
-        }
+    for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
+        let config = CheckConfig {
+            reduction: Reduction::SourceDporLinPreserving,
+            resume,
+            ..Default::default()
+        };
+        let report = scenario.run(&config);
+        assert!(
+            matches!(
+                report.outcome,
+                Outcome::Violation { ref message, .. } if message.contains("linearizable")
+            ),
+            "{resume:?}: {:?}",
+            report.outcome
+        );
+        assert!(report.as_expected());
     }
 }
 
@@ -217,11 +207,7 @@ fn abd_majority_partition_wedges_as_a_designed_progress_violation() {
     // (the writer wedges with its quorum unreachable), never a hang or a
     // silent pass — in every lin-preserving mode × resume mode.
     let scenario = find("abd_partition_majority_wedge_n2").expect("registered");
-    for reduction in [
-        Reduction::Off,
-        Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDporLinPreserving,
-    ] {
+    for reduction in [Reduction::Off, Reduction::SourceDporLinPreserving] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             let config = CheckConfig {
                 reduction,

@@ -5,13 +5,17 @@
 use scl_check::{find, CheckConfig, CheckerMode, CrashedPending, LinMonitor, Outcome};
 use scl_core::{new_speculative_tas, A1Tas, A1Variant, A2Tas, Composed};
 use scl_sim::{
-    explore_schedules_monitored_report, explore_schedules_report, ExecutionResult, ExploreConfig,
-    ExploreOutcome, Reduction, ResumeMode, SharedMemory, Workload,
+    explore_schedules_monitored_observed_report, explore_schedules_report, ExecutionResult,
+    ExploreConfig, ExploreOutcome, NoObserver, Reduction, ResumeMode, SharedMemory, Workload,
 };
 use scl_spec::{check_linearizable, TasOp, TasSpec, TasSwitch};
 use std::collections::BTreeSet;
 
 type Wl = Workload<TasSpec, TasSwitch>;
+
+/// Representatives the removed eager lin-preserving sleep-set mode explored
+/// on the n=2 speculative-TAS space (prefix-resume).
+const EAGER_LIN_N2_SCHEDULES: u64 = 79;
 
 /// A canonical per-schedule signature: every operation's outcome plus the
 /// linearizability verdict of the commit projection. Two schedules with the
@@ -61,29 +65,24 @@ where
 fn lin_preserving_reductions_have_the_full_verdict_set_on_n2_speculative_tas() {
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
     let (full, full_scheds) = signature_set(new_speculative_tas, &wl, Reduction::Off);
-    let (eager, eager_scheds) =
-        signature_set(new_speculative_tas, &wl, Reduction::SleepSetsLinPreserving);
     let (source, source_scheds) =
         signature_set(new_speculative_tas, &wl, Reduction::SourceDporLinPreserving);
-    assert_eq!(
-        full, eager,
-        "the eager reduction must reach exactly the outcome+verdict signatures of the full one"
-    );
     assert_eq!(
         full, source,
         "the source-DPOR reduction must reach exactly the outcome+verdict signatures of the \
          full one"
     );
     assert!(
-        eager_scheds < full_scheds,
-        "the reduction must actually prune: {eager_scheds} vs {full_scheds}"
+        source_scheds < full_scheds,
+        "the reduction must actually prune: {source_scheds} vs {full_scheds}"
     );
     // The race-driven wakeup sets close part of the lin-preserving gap:
-    // strictly fewer representatives, same verdict-signature coverage.
+    // strictly fewer representatives than eager branching, same
+    // verdict-signature coverage.
     assert!(
-        source_scheds < eager_scheds,
+        source_scheds < EAGER_LIN_N2_SCHEDULES,
         "source DPOR must explore strictly fewer representatives: {source_scheds} vs \
-         {eager_scheds}"
+         {EAGER_LIN_N2_SCHEDULES}"
     );
     // Every signature of the correct object is linearizable.
     assert!(full.iter().all(|s| s.ends_with("lin=true")));
@@ -101,9 +100,7 @@ fn lin_preserving_reduction_keeps_the_mutants_violating_signatures() {
         )
     };
     let (full, _) = signature_set(mk, &wl, Reduction::Off);
-    let (eager, _) = signature_set(mk, &wl, Reduction::SleepSetsLinPreserving);
     let (source, _) = signature_set(mk, &wl, Reduction::SourceDporLinPreserving);
-    assert_eq!(full, eager);
     assert_eq!(full, source);
     assert!(
         full.iter().any(|s| s.ends_with("lin=false")),
@@ -117,15 +114,11 @@ fn incremental_checker_agrees_with_from_scratch_on_every_explored_schedule() {
     // fallbacks included) and compare its verdict with a from-scratch
     // Wing–Gong run on the trace's commit projection at every single leaf.
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
-    for reduction in [
-        Reduction::Off,
-        Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDporLinPreserving,
-    ] {
+    for reduction in [Reduction::Off, Reduction::SourceDporLinPreserving] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             let mut monitor = LinMonitor::new(TasSpec, CheckerMode::Incremental);
             let mut schedules = 0u64;
-            let report = explore_schedules_monitored_report(
+            let report = explore_schedules_monitored_observed_report(
                 new_speculative_tas,
                 &wl,
                 &ExploreConfig {
@@ -135,6 +128,7 @@ fn incremental_checker_agrees_with_from_scratch_on_every_explored_schedule() {
                     ..Default::default()
                 },
                 &mut monitor,
+                &NoObserver,
                 |res, _mem, m: &mut LinMonitor<TasSpec>| {
                     schedules += 1;
                     let incremental = m.verdict().is_ok();
@@ -164,8 +158,6 @@ fn dropped_raw_fence_mutant_is_detected_in_every_mode() {
     let scenario = find("a1_dropped_raw_fence_n2").expect("registered");
     for reduction in [
         Reduction::Off,
-        Reduction::SleepSets,
-        Reduction::SleepSetsLinPreserving,
         Reduction::SourceDpor,
         Reduction::SourceDporLinPreserving,
     ] {
@@ -200,11 +192,7 @@ fn n3_realtime_inversion_is_detected_by_the_lin_preserving_reduction() {
     // still under the linearizability-preserving reduction (a plain
     // final-state check cannot see it; that is the whole point of the mode).
     let scenario = find("spec_tas_n3_realtime").expect("registered");
-    for reduction in [
-        Reduction::Off,
-        Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDporLinPreserving,
-    ] {
+    for reduction in [Reduction::Off, Reduction::SourceDporLinPreserving] {
         let config = CheckConfig {
             reduction,
             max_schedules: 5_000_000,
@@ -274,7 +262,7 @@ where
     let mut set = BTreeSet::new();
     let mut monitor =
         LinMonitor::new(TasSpec, CheckerMode::Incremental).with_crashed_pending(crashed_pending);
-    let report = explore_schedules_monitored_report(
+    let report = explore_schedules_monitored_observed_report(
         setup,
         wl,
         &ExploreConfig {
@@ -285,6 +273,7 @@ where
             ..Default::default()
         },
         &mut monitor,
+        &NoObserver,
         |res, _mem, m: &mut LinMonitor<TasSpec>| {
             let mut ops: Vec<String> = res
                 .ops
@@ -333,26 +322,19 @@ fn crash_aware_reductions_have_the_full_verdict_set_on_n2_speculative_tas() {
             full.iter().all(|s| s.ends_with("lin=true")),
             "{crashed_pending:?}: speculative TAS must stay linearizable under one crash"
         );
-        for reduction in [
-            Reduction::SleepSetsLinPreserving,
-            Reduction::SourceDporLinPreserving,
-        ] {
-            for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-                let (set, scheds) = crash_signature_set(
-                    new_speculative_tas,
-                    &wl,
-                    reduction,
-                    resume,
-                    crashed_pending,
-                );
-                assert_eq!(full, set, "{crashed_pending:?}/{reduction:?}/{resume:?}");
-                if reduction == Reduction::SourceDporLinPreserving {
-                    assert!(
-                        scheds < full_scheds,
-                        "crash-aware source DPOR must still prune: {scheds} vs {full_scheds}"
-                    );
-                }
-            }
+        for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
+            let (set, scheds) = crash_signature_set(
+                new_speculative_tas,
+                &wl,
+                Reduction::SourceDporLinPreserving,
+                resume,
+                crashed_pending,
+            );
+            assert_eq!(full, set, "{crashed_pending:?}/{resume:?}");
+            assert!(
+                scheds < full_scheds,
+                "crash-aware source DPOR must still prune: {scheds} vs {full_scheds}"
+            );
         }
     }
 }
@@ -380,17 +362,15 @@ fn crash_aware_reductions_keep_the_mutants_violating_signatures() {
             full.iter().any(|s| s.ends_with("lin=false")),
             "the mutant must keep non-linearizable signatures under crashes"
         );
-        for reduction in [
-            Reduction::SleepSetsLinPreserving,
-            Reduction::SourceDporLinPreserving,
-        ] {
-            for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-                let (set, _) = crash_signature_set(mk, &wl, reduction, resume, crashed_pending);
-                assert_eq!(
-                    full, set,
-                    "mutant {crashed_pending:?}/{reduction:?}/{resume:?}"
-                );
-            }
+        for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
+            let (set, _) = crash_signature_set(
+                mk,
+                &wl,
+                Reduction::SourceDporLinPreserving,
+                resume,
+                crashed_pending,
+            );
+            assert_eq!(full, set, "mutant {crashed_pending:?}/{resume:?}");
         }
     }
 }
@@ -400,11 +380,7 @@ fn wedged_resettable_tas_is_reported_within_budget_in_every_lin_preserving_mode(
     // The progress-violation scenario must be *found* (as a violation, not a
     // hang or a budget exhaustion) under every reduction × resume mode.
     let scenario = find("crash_resettable_tas_wedge_n2").expect("registered");
-    for reduction in [
-        Reduction::Off,
-        Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDporLinPreserving,
-    ] {
+    for reduction in [Reduction::Off, Reduction::SourceDporLinPreserving] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             let config = CheckConfig {
                 reduction,
@@ -443,7 +419,7 @@ where
     let mut set = BTreeSet::new();
     let mut monitor =
         LinMonitor::new(TasSpec, CheckerMode::Incremental).with_crashed_pending(crashed_pending);
-    let report = explore_schedules_monitored_report(
+    let report = explore_schedules_monitored_observed_report(
         setup,
         wl,
         &ExploreConfig {
@@ -455,6 +431,7 @@ where
             ..Default::default()
         },
         &mut monitor,
+        &NoObserver,
         |res, _mem, m: &mut LinMonitor<TasSpec>| {
             let mut ops: Vec<String> = res
                 .ops
@@ -511,21 +488,19 @@ fn recovery_aware_reductions_have_the_full_verdict_set_on_recoverable_tas() {
             "{crashed_pending:?}: the recoverable TAS must stay linearizable under \
              crash + restart"
         );
-        for reduction in [
-            Reduction::SleepSetsLinPreserving,
-            Reduction::SourceDporLinPreserving,
-        ] {
-            for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-                let (set, scheds) =
-                    recovery_signature_set(mk, &wl, reduction, resume, crashed_pending);
-                assert_eq!(full, set, "{crashed_pending:?}/{reduction:?}/{resume:?}");
-                if reduction == Reduction::SourceDporLinPreserving {
-                    assert!(
-                        scheds < full_scheds,
-                        "recovery-aware source DPOR must still prune: {scheds} vs {full_scheds}"
-                    );
-                }
-            }
+        for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
+            let (set, scheds) = recovery_signature_set(
+                mk,
+                &wl,
+                Reduction::SourceDporLinPreserving,
+                resume,
+                crashed_pending,
+            );
+            assert_eq!(full, set, "{crashed_pending:?}/{resume:?}");
+            assert!(
+                scheds < full_scheds,
+                "recovery-aware source DPOR must still prune: {scheds} vs {full_scheds}"
+            );
         }
     }
 }
@@ -538,8 +513,6 @@ fn recovery_mutant_is_detected_in_every_mode() {
     let scenario = find("recovery_tas_mutant_n2").expect("registered");
     for reduction in [
         Reduction::Off,
-        Reduction::SleepSets,
-        Reduction::SleepSetsLinPreserving,
         Reduction::SourceDpor,
         Reduction::SourceDporLinPreserving,
     ] {

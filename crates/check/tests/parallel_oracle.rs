@@ -1,12 +1,13 @@
 //! Determinism oracle for the parallel monitor-carrying engine: on the full
 //! n=2 schedule spaces, the verdict-signature set produced by
-//! [`explore_schedules_parallel_monitored_report`] must be bit-identical to
+//! [`explore_schedules_parallel_monitored_observed_report`] must be
+//! bit-identical to
 //! the sequential engine's, for every reduction × resume × checker mode —
 //! including on the seeded `DroppedRawFence` mutant, whose non-linearizable
 //! signatures must survive the partitioned exploration.
 //!
-//! For the eager modes the parallel engine explores the *identical* tree,
-//! so schedule counts are compared too. The wave-parallel source-DPOR
+//! Under `Reduction::Off` the parallel engine explores the *identical*
+//! tree, so schedule counts are compared too. The wave-parallel source-DPOR
 //! driver explores a deterministic sibling-ordering refinement of the
 //! sequential tree — identical equivalence-class coverage, possibly
 //! different representatives — so there the comparison is on exactly what
@@ -17,9 +18,9 @@
 use scl_check::{CheckerMode, LinMonitor};
 use scl_core::{new_speculative_tas, A1Tas, A1Variant, A2Tas, Composed};
 use scl_sim::{
-    explore_schedules_monitored_report, explore_schedules_parallel_monitored_report,
-    ExecutionResult, ExploreConfig, ExploreOutcome, Reduction, ResumeMode, SharedMemory, SimObject,
-    Workload,
+    explore_schedules_monitored_observed_report,
+    explore_schedules_parallel_monitored_observed_report, ExecutionResult, ExploreConfig,
+    ExploreOutcome, NoObserver, Reduction, ResumeMode, SharedMemory, SimObject, Workload,
 };
 use scl_spec::{TasOp, TasSpec, TasSwitch};
 use std::collections::BTreeSet;
@@ -83,11 +84,12 @@ where
     let mut monitor = LinMonitor::new(TasSpec, checker);
     let mut set = BTreeSet::new();
     let with_verdict = verdict_in_signature(reduction);
-    let report = explore_schedules_monitored_report(
+    let report = explore_schedules_monitored_observed_report(
         setup,
         wl,
         &config(reduction, resume, 1),
         &mut monitor,
+        &NoObserver,
         |res, _mem, m: &mut LinMonitor<TasSpec>| {
             let verdict = m.verdict();
             set.insert(signature(res, &verdict, with_verdict));
@@ -115,11 +117,12 @@ where
     let set = Mutex::new(BTreeSet::new());
     let factory = move || LinMonitor::new(TasSpec, checker);
     let with_verdict = verdict_in_signature(reduction);
-    let (report, monitors) = explore_schedules_parallel_monitored_report(
+    let (report, monitors) = explore_schedules_parallel_monitored_observed_report(
         setup,
         wl,
         &config(reduction, resume, threads),
         &factory,
+        &NoObserver,
         |res, _mem, m: &mut LinMonitor<TasSpec>| {
             let verdict = m.verdict();
             set.lock()
@@ -146,8 +149,6 @@ where
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
     for reduction in [
         Reduction::Off,
-        Reduction::SleepSets,
-        Reduction::SleepSetsLinPreserving,
         Reduction::SourceDpor,
         Reduction::SourceDporLinPreserving,
     ] {
@@ -158,7 +159,7 @@ where
                 if expect_violating_signatures && verdict_in_signature(reduction) {
                     // Sanity: the mutant's two-winner histories are visible
                     // in every mode (two winners is a final-state property,
-                    // which even plain sleep sets preserve).
+                    // which even plain source DPOR preserves).
                     assert!(
                         seq_set.iter().any(|s| s.contains("lin=err")),
                         "{reduction:?}/{resume:?}/{checker:?}: no violating signature"
@@ -170,9 +171,9 @@ where
                     seq_set, par_set,
                     "verdict-signature sets diverge under {reduction:?}/{resume:?}/{checker:?}"
                 );
-                // The eager modes partition the *identical* tree across
-                // workers; the wave-parallel source-DPOR driver guarantees
-                // identical coverage, not identical representative counts.
+                // `Off` partitions the *identical* tree across workers; the
+                // wave-parallel source-DPOR driver guarantees identical
+                // coverage, not identical representative counts.
                 if !reduction.is_source_dpor() {
                     assert_eq!(
                         seq_schedules, par_schedules,

@@ -1,7 +1,7 @@
 //! Replay oracle: every expected-violation scenario in the registry —
 //! shared-memory, crash-fault and network scenarios alike — must emit a
 //! counterexample whose deterministic replay reproduces the recorded verdict
-//! bit-identically, under every linearizability-preserving reduction and
+//! bit-identically, under the linearizability-preserving reduction and
 //! both resume modes. The full artifact round trip (serialize → parse →
 //! rebuild config → replay) is part of the oracle: what `scl-check
 //! --artifacts` writes is exactly what `scl-check replay` must reproduce.
@@ -10,18 +10,13 @@ use scl_check::{artifact_json, Artifact, CheckConfig, Outcome, ReplayCapture, Sc
 use scl_sim::{Reduction, ReplayOutcome, ResumeMode};
 use std::sync::Arc;
 
-/// The reduction × resume grid the oracle sweeps. Only lin-preserving
-/// reductions: the others may legitimately prune real-time-only violations,
-/// so "must violate" is not a fair expectation for them.
+/// The reduction × resume grid the oracle sweeps. Only the lin-preserving
+/// reduction: plain source DPOR may legitimately prune real-time-only
+/// violations, so "must violate" is not a fair expectation for it.
 fn mode_grid() -> Vec<(Reduction, ResumeMode)> {
-    let reductions = [
-        Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDporLinPreserving,
-    ];
-    let resumes = [ResumeMode::FullReplay, ResumeMode::PrefixResume];
-    reductions
-        .iter()
-        .flat_map(|&r| resumes.iter().map(move |&m| (r, m)))
+    [ResumeMode::FullReplay, ResumeMode::PrefixResume]
+        .into_iter()
+        .map(|m| (Reduction::SourceDporLinPreserving, m))
         .collect()
 }
 

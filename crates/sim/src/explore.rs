@@ -33,15 +33,13 @@
 //!
 //! # Pruning: [`Reduction`]
 //!
-//! With [`Reduction::SleepSets`] the explorer additionally prunes schedules
-//! that are guaranteed to lead to already-covered states, using the
-//! sleep-set partial-order reduction driven by per-step access footprints
-//! ([`crate::memory::Footprint`]). The [`Reduction::SourceDpor`] modes go
-//! further: instead of branching eagerly on every enabled sibling, they
-//! detect the reversible races of each executed schedule (happens-before
-//! tracking in [`crate::hb`]) and seed backtrack/wakeup entries only where
-//! a race reversal is realisable. See [`Reduction`] for the per-mode
-//! soundness contracts.
+//! The [`Reduction::SourceDpor`] modes prune schedules that are guaranteed
+//! to lead to already-covered states. They track happens-before over the
+//! executed transitions ([`crate::hb`]), detect the reversible races of each
+//! executed schedule, and seed backtrack/wakeup entries only where a race
+//! reversal is realisable; sleep sets driven by per-step access footprints
+//! ([`crate::memory::Footprint`]) prune on top. [`Reduction::Off`] is the
+//! unreduced oracle. See [`Reduction`] for the soundness contract.
 //!
 //! # Throughput
 //!
@@ -54,7 +52,9 @@
 //! along the root schedule — with a deterministic merge; checkpoints are
 //! per-worker and sleep sets travel with each branch ticket.
 
-use crate::executor::{ExecSession, ExecutionResult, Executor, SurveyStatus, TraceMode, Workload};
+use crate::executor::{
+    ExecSession, ExecutionResult, Executor, SurveyStatus, TickEmission, TraceMode, Workload,
+};
 use crate::hb::HbTracker;
 use crate::machine::{ObjectSnapshot, SimObject};
 use crate::memory::{MemSnapshot, SharedMemory, StepLabel};
@@ -67,120 +67,80 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// How the explorer prunes the scheduling tree.
+///
+/// The reduced modes run source DPOR (Abdulla et al., *Optimal DPOR*, POPL
+/// 2014). The explorer tracks happens-before over the *executed* transition
+/// stream ([`crate::hb::HbTracker`] over per-tick
+/// [`crate::memory::StepLabel`]s) and detects the reversible races of each
+/// explored schedule. It seeds a backtrack/wakeup entry only at prefixes
+/// where a race reversal is realisable (a weak initial of the non-dependent
+/// suffix), so the branch set at a node is a *source set* rather than
+/// "every enabled process". Sleep sets run on top: after the subtree in
+/// which process `p` moves first at a node is explored, sibling subtrees put
+/// `p` to sleep until some executed step is *dependent* with `p`'s pending
+/// step (same register, at least one write — see
+/// [`crate::memory::Footprint::dependent`]). Explored complete schedules are
+/// therefore never equivalent.
+///
+/// # Soundness contract
+///
+/// Under [`Reduction::SourceDpor`] every reachable *final state* (register
+/// contents, step counters, operation outcomes) of a complete execution is
+/// still reached by at least one explored schedule, so checks over final
+/// states and outcome sets lose nothing. What is **not** preserved is the
+/// bookkeeping that distinguishes commuting interleavings: trace event
+/// *order* (and thus real-time precedence between operations of different
+/// processes), contention metrics (`foreign_steps`, `overlapping_ops`), and
+/// register identities allocated lazily mid-execution.
+///
+/// [`Reduction::SourceDporLinPreserving`] additionally keeps real-time
+/// precedence, so per-schedule linearizability verdicts lose nothing either.
+/// Checks that depend on anything else in the list above must run under
+/// [`Reduction::Off`], the oracle both reduced modes are tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Reduction {
     /// Enumerate every schedule (the oracle mode).
     #[default]
     Off,
-    /// Sleep-set partial-order reduction: after exploring the subtree in
-    /// which process `p` moves first at a decision point, sibling subtrees
-    /// put `p` "to sleep" and never schedule it until some executed step is
-    /// *dependent* with `p`'s pending step (same register, at least one
-    /// write — see [`Footprint::dependent`]). Schedules that differ only in
-    /// the order of commuting steps are explored once.
-    ///
-    /// # Soundness contract
-    ///
-    /// Every reachable *final state* (register contents, step counters,
-    /// operation outcomes) of a complete execution is still reached by at
-    /// least one explored schedule, so checks over final states and outcome
-    /// sets lose nothing. What is **not** preserved is the bookkeeping that
-    /// distinguishes commuting interleavings: trace event *order* (and thus
-    /// real-time precedence between operations of different processes),
-    /// contention metrics (`foreign_steps`, `overlapping_ops`), and register
-    /// identities allocated lazily mid-execution. Checks that depend on
-    /// those must run under [`Reduction::Off`], which remains the oracle
-    /// that this mode is tested against.
-    SleepSets,
-    /// Sleep sets with *invoke/commit barrier footprints*: in addition to
-    /// the shared-memory dependence of [`Reduction::SleepSets`], a
-    /// transition that may emit a **response** event (its operation's next
-    /// step may finish — [`crate::OpExecution::may_respond_next`]) is
-    /// treated as dependent with every other process's **invocation**
-    /// transition, and vice versa.
+    /// Source DPOR with sleep sets over shared-memory footprints.
+    SourceDpor,
+    /// [`Reduction::SourceDpor`] with *invoke/commit barriers* folded into
+    /// both the race relation and the sleep-set wake rule: a transition that
+    /// emitted a response event races with (and wakes) other processes'
+    /// invocation transitions, and vice versa.
     ///
     /// # Why this preserves linearizability verdicts
     ///
     /// The commit projection checked by Theorem 3 is sensitive to exactly
     /// one cross-process ordering: whether a response event precedes another
     /// process's invocation event (real-time precedence). Swapping two
-    /// adjacent transitions that are *independent* under this extended
+    /// adjacent transitions that are independent under this extended
     /// relation never changes the projection: swaps involving a silent
     /// transition move no event, and invocation–invocation or
     /// response–response swaps reorder only event pairs the precedence
     /// relation ignores. Every pruned schedule is therefore equivalent to an
     /// explored one with the *same* operation outcomes **and** the same
-    /// invoke/commit precedence relation — per-schedule linearizability
-    /// verdicts (and any check over outcomes plus real-time precedence) lose
-    /// nothing. The POR oracle tests in `scl-check` verify this against full
-    /// enumeration.
+    /// invoke/commit precedence relation. The POR oracle tests in
+    /// `scl-check` verify this against full enumeration.
     ///
-    /// Contention metrics and register identities allocated mid-execution
-    /// are still *not* preserved (as under [`Reduction::SleepSets`]).
-    SleepSetsLinPreserving,
-    /// Source DPOR (Abdulla et al., POPL 2014): instead of branching
-    /// eagerly on every enabled sibling, the explorer tracks
-    /// happens-before over the *executed* transition stream
-    /// ([`crate::hb::HbTracker`] over per-tick [`crate::memory::StepLabel`]s),
-    /// detects the reversible races of each explored schedule, and seeds a
-    /// backtrack/wakeup entry only at prefixes where a race reversal is
-    /// realisable (a weak initial of the non-dependent suffix). Sleep sets
-    /// keep running on top with the same wake rule, so explored complete
-    /// schedules are never equivalent; the race-driven seeding then makes
-    /// the branch set a *source set* rather than "every enabled process".
-    ///
-    /// # Soundness contract
-    ///
-    /// Identical to [`Reduction::SleepSets`] (every reachable final state /
-    /// outcome set is still reached; trace order, contention metrics and
-    /// mid-run register identities are not preserved), at a representative
-    /// count that is never larger — race detection works on exact executed
-    /// labels, where the eager explorer must branch first and prune later.
-    SourceDpor,
-    /// [`Reduction::SourceDpor`] with the invoke/commit barrier footprints
-    /// of [`Reduction::SleepSetsLinPreserving`] folded into the race
-    /// relation: a transition that emitted a response event races with
-    /// other processes' invocation transitions (and vice versa), so every
-    /// pruned schedule keeps an explored representative with the same
-    /// outcomes *and* the same invoke/commit precedence — per-schedule
-    /// linearizability verdicts lose nothing (same contract as
-    /// [`Reduction::SleepSetsLinPreserving`], oracle-tested in `scl-check`).
-    ///
-    /// This is where the race-driven seeding pays most: the sleep-set wake
-    /// rule must treat a step that *may* respond
-    /// ([`crate::OpExecution::may_respond_next`], an over-approximation) as
-    /// a barrier, while race detection sees whether the executed step
-    /// actually responded — so the reduced space is strictly smaller than
-    /// the eager lin-preserving mode's wherever the may-analysis is
-    /// imprecise.
+    /// Race detection sees whether an executed step actually responded. The
+    /// wake rule must ask whether a *sleeping* step may respond
+    /// ([`crate::OpExecution::may_respond_next`], an over-approximation),
+    /// which costs reduction but never soundness.
     SourceDporLinPreserving,
 }
 
 impl Reduction {
-    /// Whether this mode runs the sleep-set machinery (every reduced mode
-    /// does: the source-DPOR modes layer race-driven branching *under* the
-    /// same sleep sets).
-    pub fn uses_sleep_sets(self) -> bool {
+    /// Whether this mode runs source DPOR: race-driven backtracking under
+    /// sleep sets (every mode but [`Reduction::Off`]).
+    pub fn is_source_dpor(self) -> bool {
         self != Reduction::Off
     }
 
-    /// Whether this mode adds the invoke/commit barrier footprints (to the
-    /// sleep-set wake rule, and — in the source-DPOR mode — to the race
-    /// relation).
+    /// Whether this mode adds the invoke/commit barriers to the race
+    /// relation and the sleep-set wake rule.
     pub fn preserves_lin(self) -> bool {
-        matches!(
-            self,
-            Reduction::SleepSetsLinPreserving | Reduction::SourceDporLinPreserving
-        )
-    }
-
-    /// Whether this mode seeds backtrack points from detected races instead
-    /// of branching eagerly on every enabled sibling.
-    pub fn is_source_dpor(self) -> bool {
-        matches!(
-            self,
-            Reduction::SourceDpor | Reduction::SourceDporLinPreserving
-        )
+        self == Reduction::SourceDporLinPreserving
     }
 }
 
@@ -289,18 +249,6 @@ impl Default for ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// The fast mode: sleep-set reduction combined with prefix-resume
-    /// backtracking (the configuration that makes the full n=3 spaces
-    /// tractable). Subject to the [`Reduction::SleepSets`] soundness
-    /// contract.
-    pub fn reduced() -> Self {
-        ExploreConfig {
-            reduction: Reduction::SleepSets,
-            resume: ResumeMode::PrefixResume,
-            ..Default::default()
-        }
-    }
-
     pub(crate) fn executor(&self) -> Executor {
         Executor::new()
             .max_ticks(self.max_ticks)
@@ -427,11 +375,14 @@ pub struct ExploreStats {
     pub sleep_blocked: u64,
     /// Checkpoints taken ([`ResumeMode::PrefixResume`]).
     pub snapshots: u64,
+    /// Backtracks that restored a checkpoint instead of replaying the
+    /// prefix.
+    pub checkpoint_restores: u64,
     /// Branch points where checkpointing was unsupported and the explorer
     /// fell back to replay.
     pub snapshot_fallbacks: u64,
-    /// Reversible races detected on executed transitions (source-DPOR
-    /// modes only).
+    /// Reversible races detected on executed transitions (0 under
+    /// [`Reduction::Off`]).
     pub races: u64,
     /// Backtrack/wakeup entries actually seeded from those races (the rest
     /// were already explored, pending, or covered by a sleep set).
@@ -451,6 +402,18 @@ pub struct ExploreStats {
 }
 
 impl ExploreStats {
+    /// Counts one executed fault or network transition in its per-kind
+    /// counter (plain steps have none).
+    fn count_transition(&mut self, kind: StepKind) {
+        match kind {
+            StepKind::Step(_) => {}
+            StepKind::Crash(_) => self.crash_steps += 1,
+            StepKind::Deliver(_) => self.delivery_steps += 1,
+            StepKind::Drop(_) => self.drop_steps += 1,
+            StepKind::Restart(_) => self.restart_steps += 1,
+        }
+    }
+
     fn absorb(&mut self, other: &ExploreStats) {
         self.schedules += other.schedules;
         self.executed_ticks += other.executed_ticks;
@@ -458,6 +421,7 @@ impl ExploreStats {
         self.replayed_ticks += other.replayed_ticks;
         self.sleep_blocked += other.sleep_blocked;
         self.snapshots += other.snapshots;
+        self.checkpoint_restores += other.checkpoint_restores;
         self.snapshot_fallbacks += other.snapshot_fallbacks;
         self.races += other.races;
         self.race_seeds += other.race_seeds;
@@ -589,9 +553,9 @@ impl SharedBudget {
 }
 
 /// The sleep-set mask bit of process `p`. Processes beyond the 64-bit mask
-/// (only reachable with [`Reduction::Off`] — sleep sets assert `n <= 64`)
-/// map to the empty mask: they are never put to sleep, which costs
-/// reduction, never soundness.
+/// (only reachable with [`Reduction::Off`] — the reduced modes assert
+/// `n <= 64`) map to the empty mask: they are never put to sleep, which
+/// costs reduction, never soundness.
 #[inline]
 fn bit(p: ProcessId) -> u64 {
     if p.index() < 64 {
@@ -620,6 +584,61 @@ fn deadline_ok(config: &ExploreConfig) -> bool {
         .is_none_or(|d| std::time::Instant::now() < d)
 }
 
+/// The exact label of the transition `session` just executed, scheduled as
+/// the raw id `chosen` in a workload of `n` processes over a network of `cap`
+/// slots. The happens-before layer of the explorer and of
+/// [`crate::replay`] both see transitions through this one decoding.
+pub(crate) fn step_label<S, V>(
+    session: &ExecSession<S, V>,
+    chosen: ProcessId,
+    n: usize,
+    cap: usize,
+) -> StepLabel
+where
+    S: SequentialSpec,
+    V: Clone + Eq + Hash + Debug,
+{
+    let (invoked, responded) = match session.last_emission() {
+        TickEmission::Invoked { .. } => (true, false),
+        TickEmission::Committed { .. } | TickEmission::Aborted { .. } => (false, true),
+        // A crash emits no trace event, but the strict crashed-pending
+        // verdict is sensitive to its order against other processes'
+        // invocations, so the lin-preserving mode must treat it like a
+        // response barrier.
+        TickEmission::Crashed { .. } => (false, true),
+        // A restart is a conservative barrier like a crash, and a recovery
+        // completion is a genuine response event under the
+        // durable/recoverable closures (it may resolve — or forever abandon
+        // — the interrupted operation).
+        TickEmission::Restarted { .. } | TickEmission::Recovered { .. } => (false, true),
+        // Network transitions move no operation event; their ordering
+        // effect is carried entirely by their footprint (inbox/replica
+        // writes, or Unknown for reply-enqueuing deliveries).
+        TickEmission::Delivered { .. } | TickEmission::Dropped { .. } => (false, false),
+        TickEmission::None => (false, false),
+    };
+    // Crash transitions are scheduled as the pseudo-process `n + p`; their
+    // label belongs to the *real* process `p`, which makes a crash dependent
+    // with every step of the same process for free. Network transitions
+    // (`2n + …`) are labelled with the *owner* of the delivered/dropped
+    // message — the client whose operation the message belongs to.
+    let proc = match session.last_emission() {
+        TickEmission::Delivered { owner, .. } | TickEmission::Dropped { owner, .. } => owner,
+        _ => match StepKind::decode(chosen, n, cap) {
+            StepKind::Step(p) | StepKind::Crash(p) | StepKind::Restart(p) => p,
+            // Unreachable: a network transition always emits
+            // Delivered/Dropped, matched above.
+            StepKind::Deliver(_) | StepKind::Drop(_) => chosen,
+        },
+    };
+    StepLabel {
+        proc,
+        footprint: session.last_step_footprint(),
+        invoked,
+        responded,
+    }
+}
+
 /// A checkpoint of a whole execution at a branch point.
 struct Checkpoint<S: SequentialSpec, V> {
     mem: MemSnapshot,
@@ -635,10 +654,10 @@ struct Checkpoint<S: SequentialSpec, V> {
 }
 
 /// One branch point of the DFS: the decision depth, the untried siblings
-/// (under the eager sleep-set modes every non-sleeping alternative,
-/// ascending, popped from the back so the visit order matches the replay
-/// explorer of PR 1; under source DPOR initially empty, filled lazily by
-/// race seeding), and the sleep-set bookkeeping.
+/// (under [`Reduction::Off`] every alternative, ascending, popped from the
+/// back so the visit order matches the original replay explorer; under
+/// source DPOR only the eagerly queued network and fault transitions, the
+/// rest filled lazily by race seeding), and the sleep-set bookkeeping.
 struct Frame<S: SequentialSpec, V> {
     depth: usize,
     alts: Vec<ProcessId>,
@@ -726,7 +745,8 @@ where
     setup: FSetup,
     check: FCheck,
     monitor: M,
-    /// Telemetry hooks ([`NoObserver`] monomorphises them away entirely).
+    /// Per-schedule telemetry hooks ([`NoObserver`] monomorphises them away
+    /// entirely).
     obs: &'a Obs,
     mem: SharedMemory,
     session: ExecSession<S, V>,
@@ -737,8 +757,8 @@ where
     /// Fault transitions on `path`.
     faults: FaultCounts,
     frames: Vec<Frame<S, V>>,
-    /// Sleep set in force at the current point of the drive (always 0 when
-    /// the reduction is off).
+    /// Sleep set in force at the current point of the drive (always 0 under
+    /// [`Reduction::Off`]).
     cur_sleep: u64,
     /// Whether this engine takes checkpoints (PrefixResume and not the
     /// root-branch discovery pass).
@@ -755,8 +775,8 @@ where
     crash_alts: Vec<ProcessId>,
     drop_alts: Vec<ProcessId>,
     restart_alts: Vec<ProcessId>,
-    /// Happens-before tracking over the current schedule prefix (source-
-    /// DPOR modes; empty otherwise). Truncated in lockstep with `path`.
+    /// Happens-before tracking over the current schedule prefix (empty
+    /// under [`Reduction::Off`]). Truncated in lockstep with `path`.
     hb: HbTracker,
     /// Scratch buffer for [`HbTracker::races_of_last`].
     race_buf: Vec<usize>,
@@ -789,7 +809,7 @@ where
         obs: &'a Obs,
         take_snapshots: bool,
     ) -> Self {
-        if config.reduction.uses_sleep_sets() {
+        if config.reduction.is_source_dpor() {
             assert!(
                 workload.processes() <= 64,
                 "sleep-set reduction supports at most 64 processes"
@@ -835,7 +855,7 @@ where
             crash_alts: Vec::new(),
             drop_alts: Vec::new(),
             restart_alts: Vec::new(),
-            // Unused (and never pushed to) outside the source-DPOR modes.
+            // Unused (and never pushed to) under `Reduction::Off`.
             hb: HbTracker::new(
                 if config.reduction.is_source_dpor() {
                     workload.processes()
@@ -851,13 +871,9 @@ where
         }
     }
 
-    fn sleep_sets(&self) -> bool {
-        self.config.reduction.uses_sleep_sets()
-    }
-
     /// Rebuilds the execution state for the first `depth` decisions of
     /// `self.path` by replaying them from tick 0. The monitor is restarted
-    /// and re-observes the replayed prefix; under the source-DPOR modes the
+    /// and re-observes the replayed prefix; under source DPOR the
     /// happens-before stream is rebuilt alongside (without re-running race
     /// detection — the replayed events' races were already processed when
     /// those transitions first executed).
@@ -898,9 +914,10 @@ where
             if let Some(c) = self.faults.of(kind) {
                 *c += 1;
             }
-            self.obs.step_executed(kind, true);
+            self.stats.count_transition(kind);
             if source_dpor {
-                self.hb.push(self.step_label(self.path[i]));
+                self.hb
+                    .push(step_label(&self.session, self.path[i], n, cap));
             }
         }
         self.stats.executed_ticks += depth as u64;
@@ -920,58 +937,12 @@ where
         self.path.truncate(depth);
     }
 
-    /// The exact label of the transition the session just executed.
-    fn step_label(&self, chosen: ProcessId) -> StepLabel {
-        use crate::executor::TickEmission;
-        let (invoked, responded) = match self.session.last_emission() {
-            TickEmission::Invoked { .. } => (true, false),
-            TickEmission::Committed { .. } | TickEmission::Aborted { .. } => (false, true),
-            // A crash emits no trace event, but the strict crashed-pending
-            // verdict is sensitive to its order against other processes'
-            // invocations, so the lin-preserving modes must treat it like a
-            // response barrier.
-            TickEmission::Crashed { .. } => (false, true),
-            // A restart is a conservative barrier like a crash, and a
-            // recovery completion is a genuine response event under the
-            // durable/recoverable closures (it may resolve — or forever
-            // abandon — the interrupted operation).
-            TickEmission::Restarted { .. } | TickEmission::Recovered { .. } => (false, true),
-            // Network transitions move no operation event; their ordering
-            // effect is carried entirely by their footprint (inbox/replica
-            // writes, or Unknown for reply-enqueuing deliveries).
-            TickEmission::Delivered { .. } | TickEmission::Dropped { .. } => (false, false),
-            TickEmission::None => (false, false),
-        };
-        // Crash transitions are scheduled as the pseudo-process `n + p`;
-        // their label belongs to the *real* process `p`, which makes a
-        // crash dependent with every step of the same process for free.
-        // Network transitions (`2n + …`) are labelled with the *owner* of
-        // the delivered/dropped message — the client whose operation the
-        // message belongs to.
-        let n = self.workload.processes();
-        let proc = match self.session.last_emission() {
-            TickEmission::Delivered { owner, .. } | TickEmission::Dropped { owner, .. } => owner,
-            _ => match StepKind::decode(chosen, n, self.mem.net_cap()) {
-                StepKind::Step(p) | StepKind::Crash(p) | StepKind::Restart(p) => p,
-                // Unreachable: a network transition always emits
-                // Delivered/Dropped, matched above.
-                StepKind::Deliver(_) | StepKind::Drop(_) => chosen,
-            },
-        };
-        StepLabel {
-            proc,
-            footprint: self.session.last_step_footprint(),
-            invoked,
-            responded,
-        }
-    }
-
     /// Executes one scheduling decision and applies the sleep-set wake rule:
     /// any sleeping process whose pending step is dependent with the step
     /// just executed is woken. Under
-    /// [`Reduction::SleepSetsLinPreserving`] the rule additionally treats
+    /// [`Reduction::SourceDporLinPreserving`] the rule additionally treats
     /// response emissions and invocations of different processes as
-    /// dependent (invoke/commit barrier footprints).
+    /// dependent (invoke/commit barriers).
     fn exec_tick(&mut self, chosen: ProcessId) {
         let steps_before = self.mem.global_steps();
         self.executor.tick(
@@ -987,20 +958,13 @@ where
         let n = self.workload.processes();
         let cap = self.mem.net_cap();
         let kind = StepKind::decode(chosen, n, cap);
-        match kind {
-            StepKind::Step(_) => {}
-            StepKind::Crash(_) => self.stats.crash_steps += 1,
-            StepKind::Deliver(_) => self.stats.delivery_steps += 1,
-            StepKind::Drop(_) => self.stats.drop_steps += 1,
-            StepKind::Restart(_) => self.stats.restart_steps += 1,
-        }
-        self.obs.step_executed(kind, false);
+        self.stats.count_transition(kind);
         if let Some(c) = self.faults.of(kind) {
             *c += 1;
         }
         if self.cur_sleep != 0 {
             let fp = self.session.last_step_footprint();
-            let label = self.step_label(chosen);
+            let label = step_label(&self.session, chosen, n, cap);
             let lin = self.config.reduction.preserves_lin();
             // An executed *restart* wakes every sleeper. A restart re-enables
             // a disabled process, and the commuted order — run the sleeping
@@ -1041,7 +1005,7 @@ where
                 } else if i >= n {
                     // A sleeping *crash* transition of process `i - n`: a
                     // crash is dependent with every step of its own
-                    // process, and — under the lin-preserving modes — with
+                    // process, and — under the lin-preserving mode — with
                     // other processes' invocations (the strict
                     // crashed-pending verdict orders crashes against
                     // invocations; see [`StepLabel`] above).
@@ -1064,25 +1028,24 @@ where
         }
         self.path.push(chosen);
         if self.config.reduction.is_source_dpor() {
-            self.observe_races(chosen);
+            self.hb.push(step_label(&self.session, chosen, n, cap));
+            self.observe_races();
         }
     }
 
     /// Source-DPOR race processing for the transition just pushed onto
-    /// `self.path`: record its happens-before clock, detect the reversible
+    /// `self.path` and the happens-before tracker: detect the reversible
     /// races it closes, and seed one weak initial into the backtrack set of
     /// each race's branch node — unless an initial is already explored,
     /// pending, or asleep there (then the reversal is covered). Races whose
     /// branch node lies at or above this engine's subtree entry are
     /// collected as [`EscapedSeed`]s for the parallel coordinator.
-    fn observe_races(&mut self, chosen: ProcessId) {
-        self.hb.push(self.step_label(chosen));
+    fn observe_races(&mut self) {
         let mut races = std::mem::take(&mut self.race_buf);
         races.clear();
         self.hb.races_of_last(&mut races);
         for &i in &races {
             self.stats.races += 1;
-            let mut seeded = false;
             let initials = self.hb.race_initials(i);
             debug_assert!(initials != 0, "a race reversal always has an initial");
             // The frame stack mirrors the current path's branch nodes, so
@@ -1101,7 +1064,6 @@ where
                         frame.alts.push(q);
                         frame.seeded |= bit(q);
                         self.stats.race_seeds += 1;
-                        seeded = true;
                     }
                 }
                 Err(_) if i < self.subtree_start => {
@@ -1120,7 +1082,6 @@ where
                     // covered by the subtree that put them to sleep.
                 }
             }
-            self.obs.race_detected(seeded);
         }
         self.race_buf = races;
     }
@@ -1149,7 +1110,6 @@ where
         let mut mem = self.spare_mem.pop().unwrap_or_default();
         self.mem.snapshot_into(&mut mem);
         self.stats.snapshots += 1;
-        self.obs.checkpoint_saved();
         Some(Checkpoint {
             mem,
             session,
@@ -1258,21 +1218,20 @@ where
                 },
             };
             // A branch node exists wherever some sibling transition is
-            // awake. The eager sleep-set modes queue every awake sibling up
-            // front (ascending; popped from the back, so siblings are
-            // visited in descending order — the PR 1 DFS order); the
-            // source-DPOR modes start the backtrack set empty and let race
-            // detection fill it — except for network deliveries, which are
-            // queued eagerly in *every* mode: race seeding targets the next
-            // step of a real process, while a delivery is a one-shot
-            // transition whose alternative orderings must be branched where
-            // they are enabled. Crash and drop alternatives are likewise
-            // queued eagerly everywhere (a crash label never participates
-            // in a shared-memory race, and a drop is a fault injection race
-            // seeding would never discover). Sleep sets prune on top of the
-            // eager queuing in every mode: an awake sibling is branched, a
-            // sleeping one is already covered by an explored sibling's
-            // subtree.
+            // awake. `Off` queues every sibling up front (ascending; popped
+            // from the back, so siblings are visited in descending order —
+            // the original DFS order); source DPOR starts the backtrack set
+            // empty and lets race detection fill it — except for network
+            // deliveries, which are queued eagerly in *every* mode: race
+            // seeding targets the next step of a real process, while a
+            // delivery is a one-shot transition whose alternative orderings
+            // must be branched where they are enabled. Crash and drop
+            // alternatives are likewise queued eagerly everywhere (a crash
+            // label never participates in a shared-memory race, and a drop
+            // is a fault injection race seeding would never discover).
+            // Under source DPOR sleep sets prune on top of the eager
+            // queuing: an awake sibling is branched, a sleeping one is
+            // already covered by an explored sibling's subtree.
             self.crash_alts.retain(|c| *c != chosen);
             self.drop_alts.retain(|c| *c != chosen);
             self.restart_alts.retain(|c| *c != chosen);
@@ -1284,19 +1243,19 @@ where
                     .iter()
                     .any(|p| *p != chosen && sleep & bit(*p) == 0);
             if has_awake_sibling {
-                let mut alts: Vec<ProcessId> = if self.config.reduction.is_source_dpor() {
-                    self.enabled_buf
-                        .iter()
-                        .copied()
-                        .filter(|p| p.index() >= 2 * n && *p != chosen && sleep & bit(*p) == 0)
-                        .collect()
+                // Under source DPOR only network deliveries (ids `>= 2n`)
+                // are queued here.
+                let first_eager = if self.config.reduction.is_source_dpor() {
+                    2 * n
                 } else {
-                    self.enabled_buf
-                        .iter()
-                        .copied()
-                        .filter(|p| *p != chosen && sleep & bit(*p) == 0)
-                        .collect()
+                    0
                 };
+                let mut alts: Vec<ProcessId> = self
+                    .enabled_buf
+                    .iter()
+                    .copied()
+                    .filter(|p| p.index() >= first_eager && *p != chosen && sleep & bit(*p) == 0)
+                    .collect();
                 alts.extend_from_slice(&self.crash_alts);
                 alts.extend_from_slice(&self.drop_alts);
                 // Restarts are queued eagerly in every mode, like crashes
@@ -1324,7 +1283,7 @@ where
     /// execution state at that depth and executes the sibling. Returns
     /// `false` when the whole subtree is exhausted.
     fn backtrack(&mut self) -> bool {
-        let sleep_sets = self.sleep_sets();
+        let sleep_sets = self.config.reduction.is_source_dpor();
         loop {
             let Some(frame) = self.frames.last_mut() else {
                 return false;
@@ -1358,7 +1317,7 @@ where
                     self.monitor.rewind_to(cp.monitor_mark);
                     self.truncate_path(depth);
                     self.hb.truncate(depth);
-                    self.obs.checkpoint_restored();
+                    self.stats.checkpoint_restores += 1;
                     true
                 }
                 _ => false,
@@ -1418,8 +1377,8 @@ where
                     self.stats.schedules += 1;
                     self.obs.schedule_completed(self.session.depth());
                     // The happens-before stream covers the whole schedule
-                    // only in the source-DPOR modes; elsewhere there is no
-                    // class fingerprint to report.
+                    // only under source DPOR; under `Off` there is no class
+                    // fingerprint to report.
                     if self.config.reduction.is_source_dpor() && self.obs.wants_hb_classes() {
                         self.obs.hb_class(self.hb.fingerprint());
                     }
@@ -1435,10 +1394,7 @@ where
                         return Ok(Subtree::Exhausted);
                     }
                 }
-                Leaf::SleepBlocked => {
-                    self.stats.sleep_blocked += 1;
-                    self.obs.sleep_blocked();
-                }
+                Leaf::SleepBlocked => self.stats.sleep_blocked += 1,
             }
             if !self.backtrack() {
                 return Ok(Subtree::Exhausted);
@@ -1487,52 +1443,28 @@ where
     FCheck: FnMut(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String>,
 {
     let mut monitor = NoMonitor;
-    explore_schedules_monitored_report(
+    explore_schedules_monitored_observed_report(
         setup,
         workload,
         config,
         &mut monitor,
+        &NoObserver,
         move |res, mem, _m: &mut NoMonitor| check(res, mem),
     )
 }
 
 /// Explores all schedules like [`explore_schedules_report`], additionally
-/// feeding every executed scheduling decision to `monitor` — which is
-/// checkpointed and rewound together with the explorer's prefix-resume
-/// machinery, so it observes each schedule's events exactly once (the shared
-/// prefix once per branch *point*, not once per schedule). The check
-/// receives the monitor and typically asks it for a per-schedule verdict.
-pub fn explore_schedules_monitored_report<S, V, O, M, FSetup, FCheck>(
-    setup: FSetup,
-    workload: &Workload<S, V>,
-    config: &ExploreConfig,
-    monitor: &mut M,
-    check: FCheck,
-) -> ExploreReport
-where
-    S: SequentialSpec,
-    V: Clone + Eq + Hash + Debug,
-    O: SimObject<S, V>,
-    M: ScheduleMonitor<S, V>,
-    FSetup: FnMut(&mut SharedMemory) -> O,
-    FCheck: FnMut(&ExecutionResult<S, V>, &SharedMemory, &mut M) -> Result<(), String>,
-{
-    explore_schedules_monitored_observed_report(
-        setup,
-        workload,
-        config,
-        monitor,
-        &NoObserver,
-        check,
-    )
-}
-
-/// Explores all schedules like [`explore_schedules_monitored_report`],
-/// additionally reporting engine telemetry to `obs` (see
-/// [`crate::telemetry::ExploreObserver`]). Passing [`NoObserver`]
-/// monomorphises every hook away; the other entry points do exactly that,
-/// so an observed exploration with `NoObserver` and an unobserved one are
-/// the same code.
+/// feeding every executed scheduling decision to `monitor` and reporting
+/// per-schedule telemetry to `obs`.
+///
+/// The monitor is checkpointed and rewound together with the explorer's
+/// prefix-resume machinery, so it observes each schedule's events exactly
+/// once (the shared prefix once per branch *point*, not once per schedule).
+/// The check receives the monitor and typically asks it for a per-schedule
+/// verdict. `obs` sees every completed schedule (see
+/// [`crate::telemetry::ExploreObserver`]); passing [`NoObserver`]
+/// monomorphises its hooks away, and the unmonitored entry points do exactly
+/// that.
 pub fn explore_schedules_monitored_observed_report<S, V, O, M, Obs, FSetup, FCheck>(
     setup: FSetup,
     workload: &Workload<S, V>,
@@ -1632,9 +1564,10 @@ struct BranchReport {
     violation: Option<ExploreError>,
 }
 
-/// Explores all schedules like [`explore_schedules_monitored_report`], but
-/// partitions the depth-first search across OS threads, with one
-/// factory-built [`ScheduleMonitor`] per engine. Returns the report together
+/// Explores all schedules like
+/// [`explore_schedules_monitored_observed_report`], but partitions the
+/// depth-first search across OS threads, with one factory-built
+/// [`ScheduleMonitor`] per engine. Returns the report together
 /// with every engine's monitor (the root discovery engine's first, then the
 /// workers' in spawn order) so callers can aggregate monitor state — e.g.
 /// checker statistics — across the exploration.
@@ -1663,12 +1596,12 @@ struct BranchReport {
 ///   to run. Size `max_schedules` to cover the tree when determinism of
 ///   the violation matters.
 ///
-/// Under [`Reduction::SleepSets`] each branch ticket carries the sleep set
-/// in force at its branch point, so the union of the workers' subtrees is
-/// exactly the sequential reduced tree.
+/// Under [`Reduction::Off`] the union of the workers' subtrees is exactly
+/// the sequential tree.
 ///
-/// Under the [`Reduction::SourceDpor`] modes the harvested tickets are the
-/// wakeup entries race detection seeded along the root schedule, and the
+/// Under source DPOR each branch ticket carries the sleep set in force at
+/// its branch point, the harvested tickets are the wakeup entries race
+/// detection seeded along the root schedule, and the
 /// exploration proceeds in **waves**: a race whose branch node lies inside
 /// a worker's forced prefix escapes to the coordinator, which filters the
 /// seed against the node's explored/sleep state and mints a new ticket for
@@ -1687,43 +1620,13 @@ struct BranchReport {
 /// lin-preserving space). Prefer the sequential engine for representative
 /// counting; the parallel engine buys wall-clock on multi-core hosts.
 ///
+/// One observer is shared by the root-discovery engine and every worker
+/// engine (the [`ExploreObserver`] hooks take `&self` and the trait requires
+/// `Sync` for exactly this), so what it records aggregates across the whole
+/// exploration. Passing [`NoObserver`] monomorphises every hook away.
+///
 /// Because the check runs concurrently it must be `Fn + Sync` (the
 /// sequential API accepts `FnMut`).
-pub fn explore_schedules_parallel_monitored_report<S, V, O, MF, FSetup, FCheck>(
-    setup: FSetup,
-    workload: &Workload<S, V>,
-    config: &ExploreConfig,
-    factory: &MF,
-    check: FCheck,
-) -> (ExploreReport, Vec<MF::Monitor>)
-where
-    S: SequentialSpec,
-    S::Op: Sync,
-    V: Clone + Eq + Hash + Debug + Sync,
-    O: SimObject<S, V>,
-    MF: MonitorFactory<S, V> + Sync,
-    MF::Monitor: Send,
-    FSetup: Fn(&mut SharedMemory) -> O + Sync,
-    FCheck:
-        Fn(&ExecutionResult<S, V>, &SharedMemory, &mut MF::Monitor) -> Result<(), String> + Sync,
-{
-    explore_schedules_parallel_monitored_observed_report(
-        setup,
-        workload,
-        config,
-        factory,
-        &NoObserver,
-        check,
-    )
-}
-
-/// Explores all schedules like
-/// [`explore_schedules_parallel_monitored_report`], additionally reporting
-/// engine telemetry to `obs`. One observer is shared by the root-discovery
-/// engine and every worker engine (the [`ExploreObserver`] hooks take
-/// `&self` and the trait requires `Sync` for exactly this); counters
-/// therefore aggregate across the whole exploration. Passing [`NoObserver`]
-/// monomorphises every hook away.
 pub fn explore_schedules_parallel_monitored_observed_report<S, V, O, MF, Obs, FSetup, FCheck>(
     setup: FSetup,
     workload: &Workload<S, V>,
@@ -1799,14 +1702,13 @@ where
     // schedule, and per-node coordinator state is kept so seeds escaping
     // from worker subtrees can join them in later waves.
     let root_path: Vec<ProcessId> = root_engine.path.clone();
-    let sleep_sets = config.reduction.uses_sleep_sets();
     let source_dpor = config.reduction.is_source_dpor();
     let mut tickets: Vec<Ticket> = Vec::new();
     let mut root_nodes: Vec<RootNode> = Vec::new();
     for frame in root_engine.frames.iter().rev() {
         let mut explored = frame.explored;
         for &alt in frame.alts.iter().rev() {
-            let sleep = if sleep_sets {
+            let sleep = if source_dpor {
                 sibling_entry_sleep(frame.sleep, explored, alt)
             } else {
                 0
@@ -1855,8 +1757,8 @@ where
     // Tickets are processed in waves: the harvested root branches first,
     // then — in the source-DPOR modes — the tickets minted from the race
     // seeds that escaped the previous wave's subtrees, until no new seed
-    // survives the per-node explored/sleep filter. Eager modes never escape
-    // a seed, so they run exactly one wave.
+    // survives the per-node explored/sleep filter. `Off` never escapes a
+    // seed, so it runs exactly one wave.
     let best_violating_branch = AtomicUsize::new(usize::MAX);
     let mut monitors = vec![root_monitor];
     let mut branch_reports: Vec<BranchReport> = Vec::new();
@@ -2035,9 +1937,8 @@ where
     }
 
     // Deterministic merge: first violating branch in ticket issue order
-    // wins (for the eager modes that order is exactly the sequential DFS
-    // visit order; the source-DPOR waves are a deterministic refinement of
-    // it). Every ticket of every executed wave yields a report (abandoned
+    // wins (under `Off` that order is exactly the sequential DFS visit
+    // order; the source-DPOR waves are a deterministic refinement of it). Every ticket of every executed wave yields a report (abandoned
     // branches report `violation: None, exhausted: false`).
     let mut exhausted = true;
     let mut first_violation = None;
@@ -2065,8 +1966,8 @@ where
 /// Explores all schedules like [`explore_schedules`], but partitions the
 /// depth-first search across OS threads, and reports the combined work. A
 /// thin monitor-less wrapper over
-/// [`explore_schedules_parallel_monitored_report`], which documents the
-/// partitioning and merge semantics.
+/// [`explore_schedules_parallel_monitored_observed_report`], which documents
+/// the partitioning and merge semantics.
 pub fn explore_schedules_parallel_report<S, V, O, FSetup, FCheck>(
     setup: FSetup,
     workload: &Workload<S, V>,
@@ -2082,11 +1983,12 @@ where
     FCheck: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String> + Sync,
 {
     let factory = || NoMonitor;
-    let (report, _monitors) = explore_schedules_parallel_monitored_report(
+    let (report, _monitors) = explore_schedules_parallel_monitored_observed_report(
         setup,
         workload,
         config,
         &factory,
+        &NoObserver,
         |res: &ExecutionResult<S, V>, mem: &SharedMemory, _m: &mut NoMonitor| check(res, mem),
     );
     report
@@ -2241,8 +2143,6 @@ mod tests {
         let mut configs = Vec::new();
         for reduction in [
             Reduction::Off,
-            Reduction::SleepSets,
-            Reduction::SleepSetsLinPreserving,
             Reduction::SourceDpor,
             Reduction::SourceDporLinPreserving,
         ] {
@@ -2380,7 +2280,7 @@ mod tests {
             },
             &wl,
             &ExploreConfig {
-                reduction: Reduction::SleepSets,
+                reduction: Reduction::SourceDpor,
                 ..Default::default()
             },
             lin_check,
@@ -2400,28 +2300,27 @@ mod tests {
         assert!(reduced.stats.executed_steps < full.stats.executed_steps);
     }
 
+    /// The combined mode (reduction plus prefix-resume) explores the same
+    /// tree as the reduction alone under full replay.
     #[test]
     fn combined_mode_agrees_with_sleep_sets_alone() {
         let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(3, TasOp::TestAndSet);
-        let replay = explore_schedules_report(
-            |mem| SwapTas {
-                flag: mem.alloc("flag", Value::FALSE),
-            },
-            &wl,
-            &ExploreConfig {
-                reduction: Reduction::SleepSets,
-                ..Default::default()
-            },
-            lin_check,
-        );
-        let combined = explore_schedules_report(
-            |mem| SwapTas {
-                flag: mem.alloc("flag", Value::FALSE),
-            },
-            &wl,
-            &ExploreConfig::reduced(),
-            lin_check,
-        );
+        let run = |resume| {
+            explore_schedules_report(
+                |mem| SwapTas {
+                    flag: mem.alloc("flag", Value::FALSE),
+                },
+                &wl,
+                &ExploreConfig {
+                    reduction: Reduction::SourceDpor,
+                    resume,
+                    ..Default::default()
+                },
+                lin_check,
+            )
+        };
+        let replay = run(ResumeMode::FullReplay);
+        let combined = run(ResumeMode::PrefixResume);
         assert_eq!(replay.outcome, combined.outcome);
         assert_eq!(replay.stats.schedules, combined.stats.schedules);
         assert_eq!(replay.stats.sleep_blocked, combined.stats.sleep_blocked);
@@ -2756,8 +2655,8 @@ mod tests {
             report.stats.schedules
         };
         let off = count(Reduction::Off);
-        let plain = count(Reduction::SleepSets);
-        let lin = count(Reduction::SleepSetsLinPreserving);
+        let plain = count(Reduction::SourceDpor);
+        let lin = count(Reduction::SourceDporLinPreserving);
         assert!(
             plain <= lin,
             "barriers can only add schedules: {plain} {lin}"
@@ -2783,8 +2682,13 @@ mod tests {
         fp
     }
 
+    /// The removed eager sleep-set mode explored this space with 6
+    /// schedules and 7 sleep-blocked continuations under full replay; the
+    /// bounds below are its recorded counts.
     #[test]
     fn source_dpor_explores_no_more_schedules_than_eager_sleep_sets() {
+        const EAGER_SCHEDULES: u64 = 6;
+        const EAGER_SLEEP_BLOCKED: u64 = 7;
         // On the all-writes swap TAS the exact race relation equals the
         // conservative wake relation, so the counts must coincide exactly;
         // the win is the all-but-eliminated sleep-blocked work.
@@ -2813,20 +2717,18 @@ mod tests {
             (report.stats, states)
         };
         let (off, off_states) = run(Reduction::Off);
-        let (sleep, sleep_states) = run(Reduction::SleepSets);
         let (source, source_states) = run(Reduction::SourceDpor);
         let (source_lin, source_lin_states) = run(Reduction::SourceDporLinPreserving);
         // Race-driven branching never adds representatives over eager
         // branching with the same relation...
-        assert!(source.schedules <= sleep.schedules);
+        assert_eq!(source.schedules, EAGER_SCHEDULES);
         assert!(source_lin.schedules < off.schedules);
         assert!(source.races > 0 && source.race_seeds > 0);
         // ...wastes (much) less work on sleep-blocked continuations...
-        assert!(source.sleep_blocked <= sleep.sleep_blocked);
+        assert!(source.sleep_blocked <= EAGER_SLEEP_BLOCKED);
         // ...and still reaches every final state of the full enumeration.
         assert_eq!(off_states, source_states);
         assert_eq!(off_states, source_lin_states);
-        assert_eq!(off_states, sleep_states);
     }
 
     #[test]
@@ -2893,10 +2795,10 @@ mod tests {
     /// always claims to have read 5, touching only an unrelated register, so
     /// every *outcome* is schedule-independent but the history is
     /// linearizable only when the read does not complete before the write is
-    /// invoked. Plain sleep sets treat the two processes as fully
-    /// independent and explore a single interleaving (which passes);
-    /// [`Reduction::SleepSetsLinPreserving`] keeps the response↔invocation
-    /// orderings apart and must find the violation.
+    /// invoked. Plain source DPOR (sleep sets included) treats the two
+    /// processes as fully independent and explores a single interleaving
+    /// (which passes); [`Reduction::SourceDporLinPreserving`] keeps the
+    /// response↔invocation orderings apart and must find the violation.
     #[test]
     fn order_only_violation_is_missed_by_plain_sleep_sets_and_caught_by_lin_preserving() {
         use scl_spec::{RegisterOp, RegisterSpec};
@@ -2994,16 +2896,12 @@ mod tests {
         // Full enumeration sees the violating order (read commits before the
         // write is invoked).
         assert!(run(Reduction::Off).is_err());
-        // Plain sleep sets prune it away: every outcome is order-independent,
-        // so the whole sibling subtree is (correctly, per its contract)
-        // considered covered. Plain source DPOR explores a subset of that
-        // tree and misses it the same way.
-        assert!(run(Reduction::SleepSets).is_ok());
+        // Plain source DPOR prunes it away: every outcome is
+        // order-independent, so the whole sibling subtree is (correctly, per
+        // its contract) considered covered.
         assert!(run(Reduction::SourceDpor).is_ok());
-        // The invoke/commit barriers keep the distinction alive — in the
-        // eager mode through the wake rule, in the source mode through the
+        // The invoke/commit barriers keep the distinction alive through the
         // response↔invocation race relation.
-        assert!(run(Reduction::SleepSetsLinPreserving).is_err());
         assert!(run(Reduction::SourceDporLinPreserving).is_err());
     }
 
@@ -3067,13 +2965,14 @@ mod tests {
         for config in all_mode_configs() {
             let mut monitor = MirrorMonitor::default();
             let mut schedules = 0u64;
-            let report = explore_schedules_monitored_report(
+            let report = explore_schedules_monitored_observed_report(
                 |mem| SwapTas {
                     flag: mem.alloc("flag", Value::FALSE),
                 },
                 &wl,
                 &config,
                 &mut monitor,
+                &NoObserver,
                 |res, _mem, m: &mut MirrorMonitor| {
                     schedules += 1;
                     let expected: Vec<(bool, scl_spec::RequestId)> = res
@@ -3214,6 +3113,68 @@ mod tests {
             };
             assert_eq!(run(&config), reference, "config {config:?}");
         }
+    }
+
+    /// Counts executed crash, delivery, drop and restart transitions as the
+    /// monitor sees them — replayed prefixes included.
+    #[derive(Default)]
+    struct KindCounter {
+        counts: [u64; 4],
+    }
+
+    impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ScheduleMonitor<S, V> for KindCounter {
+        fn begin(&mut self) {}
+        fn observe(&mut self, session: &ExecSession<S, V>) {
+            let kind = match session.last_emission() {
+                TickEmission::Crashed { .. } => 0,
+                TickEmission::Delivered { .. } => 1,
+                TickEmission::Dropped { .. } => 2,
+                TickEmission::Restarted { .. } => 3,
+                _ => return,
+            };
+            self.counts[kind] += 1;
+        }
+        fn mark(&mut self) -> u64 {
+            0
+        }
+        fn rewind_to(&mut self, _mark: u64) {}
+    }
+
+    /// [`explore_schedules_report`] with a [`KindCounter`] attached: the
+    /// per-kind stats must count every executed transition of their kind,
+    /// replayed prefixes included.
+    fn counted_report<S, V, O>(
+        setup: impl FnMut(&mut SharedMemory) -> O,
+        workload: &Workload<S, V>,
+        config: &ExploreConfig,
+        mut check: impl FnMut(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String>,
+    ) -> ExploreReport
+    where
+        S: SequentialSpec,
+        V: Clone + Eq + Hash + Debug,
+        O: SimObject<S, V>,
+    {
+        let mut counter = KindCounter::default();
+        let report = explore_schedules_monitored_observed_report(
+            setup,
+            workload,
+            config,
+            &mut counter,
+            &NoObserver,
+            |res, mem, _m: &mut KindCounter| check(res, mem),
+        );
+        let s = &report.stats;
+        assert_eq!(
+            counter.counts,
+            [
+                s.crash_steps,
+                s.delivery_steps,
+                s.drop_steps,
+                s.restart_steps
+            ],
+            "{config:?}"
+        );
+        report
     }
 
     #[test]
@@ -3379,7 +3340,7 @@ mod tests {
     fn restart_prefix_resume_is_equivalent_to_full_replay() {
         let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(2, TasOp::TestAndSet);
         let mk = |resume| {
-            explore_schedules_report(
+            counted_report(
                 |mem| SwapTas {
                     flag: mem.alloc("flag", Value::FALSE),
                 },
@@ -3397,7 +3358,12 @@ mod tests {
         let resume = mk(ResumeMode::PrefixResume);
         assert_eq!(replay.outcome, resume.outcome);
         assert_eq!(replay.stats.schedules, resume.stats.schedules);
-        assert_eq!(replay.stats.restart_steps, resume.stats.restart_steps);
+        // Prefix-resume replays nothing, so it executes each restart of the
+        // tree once; full replay re-executes the restarts on replayed
+        // prefixes on top (`counted_report` checks both counts exactly).
+        assert_eq!(resume.stats.replayed_ticks, 0);
+        assert!(resume.stats.restart_steps > 0);
+        assert!(replay.stats.restart_steps > resume.stats.restart_steps);
         assert!(resume.stats.snapshots > 0);
         assert_eq!(resume.stats.snapshot_fallbacks, 0);
         assert!(resume.stats.executed_ticks < replay.stats.executed_ticks);
@@ -3426,7 +3392,7 @@ mod tests {
         let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(2, TasOp::TestAndSet);
         let run = || {
             let factory = PanicMonitor::default;
-            let (report, monitors) = explore_schedules_parallel_monitored_report(
+            let (report, monitors) = explore_schedules_parallel_monitored_observed_report(
                 |mem: &mut SharedMemory| SwapTas {
                     flag: mem.alloc("flag", Value::FALSE),
                 },
@@ -3436,6 +3402,7 @@ mod tests {
                     ..Default::default()
                 },
                 &factory,
+                &NoObserver,
                 |_res, _mem, _m: &mut PanicMonitor| Ok(()),
             );
             assert!(!monitors.is_empty(), "monitors survive a worker panic");
@@ -3799,7 +3766,7 @@ mod tests {
         fn network_prefix_resume_matches_full_replay() {
             let wl = workload();
             let mk = |resume| {
-                explore_schedules_report(
+                counted_report(
                     setup,
                     &wl,
                     &ExploreConfig {
@@ -3814,8 +3781,14 @@ mod tests {
             let resume = mk(ResumeMode::PrefixResume);
             assert_eq!(replay.outcome, resume.outcome);
             assert_eq!(replay.stats.schedules, resume.stats.schedules);
-            assert_eq!(replay.stats.delivery_steps, resume.stats.delivery_steps);
-            assert_eq!(replay.stats.drop_steps, resume.stats.drop_steps);
+            // Prefix-resume replays nothing, so it executes each network
+            // transition of the tree once; full replay re-executes those on
+            // replayed prefixes on top (`counted_report` checks both counts
+            // exactly).
+            assert_eq!(resume.stats.replayed_ticks, 0);
+            assert!(resume.stats.delivery_steps > 0 && resume.stats.drop_steps > 0);
+            assert!(replay.stats.delivery_steps > resume.stats.delivery_steps);
+            assert!(replay.stats.drop_steps >= resume.stats.drop_steps);
             assert!(resume.stats.snapshots > 0);
             assert_eq!(
                 resume.stats.snapshot_fallbacks, 0,

@@ -2,9 +2,8 @@
 //! over the executed transition stream, reversible-race detection, and the
 //! weak-initials computation that seeds wakeup/backtrack sets.
 //!
-//! The sleep-set reductions in [`crate::explore`] prune *already-covered*
-//! sibling subtrees but still branch eagerly at every decision point. Source
-//! DPOR (Abdulla, Aronis, Jonsson, Sagonas, *Optimal dynamic partial order
+//! Sleep sets alone prune *already-covered* sibling subtrees but still
+//! branch eagerly at every decision point. Source DPOR (Abdulla, Aronis, Jonsson, Sagonas, *Optimal dynamic partial order
 //! reduction*, POPL 2014 — the "source sets" half, without wakeup trees)
 //! instead looks at the trace that was actually executed, detects the
 //! *reversible races* in it, and seeds a backtrack point only where a race

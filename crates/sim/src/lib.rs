@@ -26,13 +26,12 @@
 //! * [`explore`] — bounded exhaustive exploration of all schedules of small
 //!   executions: an incremental depth-first search with optional
 //!   prefix-resume backtracking (snapshot/restore of memory, session and
-//!   object instead of prefix replay) and partial-order reduction — classic
-//!   sleep sets driven by per-step access footprints, or source DPOR with
-//!   race-driven wakeup sets over the happens-before layer in [`hb`]. Used
-//!   by the test-suites to verify
-//!   linearizability and safe composability over *every* interleaving of
-//!   small configurations, and by `bench_explorer` to exhaust the full n=3
-//!   speculative-TAS space.
+//!   object instead of prefix replay) and partial-order reduction — source
+//!   DPOR with race-driven wakeup sets over the happens-before layer in
+//!   [`hb`], under sleep sets driven by per-step access footprints. Used by
+//!   the test-suites to verify linearizability and safe composability over
+//!   *every* interleaving of small configurations, and by `bench_explorer`
+//!   to exhaust the full n=3 speculative-TAS space.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,10 +58,8 @@ pub use executor::{
     SessionSnapshot, SurveyStatus, TickEmission, TraceMode, Workload,
 };
 pub use explore::{
-    explore_schedules, explore_schedules_monitored_observed_report,
-    explore_schedules_monitored_report, explore_schedules_parallel,
-    explore_schedules_parallel_monitored_observed_report,
-    explore_schedules_parallel_monitored_report, explore_schedules_parallel_report,
+    explore_schedules, explore_schedules_monitored_observed_report, explore_schedules_parallel,
+    explore_schedules_parallel_monitored_observed_report, explore_schedules_parallel_report,
     explore_schedules_report, ExploreConfig, ExploreError, ExploreOutcome, ExploreReport,
     ExploreStats, ExploreViolation, MonitorFactory, NoMonitor, Reduction, ResumeMode,
     ScheduleMonitor,

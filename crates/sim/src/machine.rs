@@ -110,11 +110,13 @@ pub trait OpExecution<S: SequentialSpec, V> {
     /// (return [`StepOutcome::Done`]) — i.e. whether the next scheduling of
     /// this operation may emit a commit or abort event.
     ///
-    /// Used by the linearizability-preserving sleep-set reduction
-    /// (`Reduction::SleepSetsLinPreserving` in `scl-sim`): reordering a
-    /// response past another process's invocation changes the real-time
-    /// precedence of the invoke/commit projection, so such pairs must be
-    /// treated as dependent. Like [`Self::next_footprint`] this must be a
+    /// Used by the sleep-set wake rule of the linearizability-preserving
+    /// reduction ([`crate::Reduction::SourceDporLinPreserving`]): reordering
+    /// a response past another process's invocation changes the real-time
+    /// precedence of the invoke/commit projection, so a sleeping step that
+    /// may respond must wake when another process invokes. (Race detection
+    /// sees whether an executed step actually responded and does not need
+    /// this hook.) Like [`Self::next_footprint`] this must be a
     /// function of local state only, and it must *over*-approximate: answer
     /// `true` whenever completion is possible. The default (`true`) is
     /// always sound and merely costs reduction.

@@ -12,7 +12,7 @@
 //! reproduces.
 
 use crate::executor::{ExecSession, ExecutionResult, SurveyStatus, TickEmission, Workload};
-use crate::explore::{ExploreConfig, ScheduleMonitor};
+use crate::explore::{step_label, ExploreConfig, ScheduleMonitor};
 use crate::hb::HbTracker;
 use crate::machine::SimObject;
 use crate::memory::{SharedMemory, StepLabel};
@@ -73,44 +73,6 @@ pub enum ReplayOutcome {
         /// What the recorded decision was and why it could not be taken.
         reason: String,
     },
-}
-
-/// The exact label of the transition the session just executed — the same
-/// decoding the exploration engine uses (crash pseudo-steps belong to the
-/// real process; network transitions to the message's owner).
-fn step_label<S, V>(
-    session: &ExecSession<S, V>,
-    chosen: ProcessId,
-    n: usize,
-    cap: usize,
-) -> StepLabel
-where
-    S: SequentialSpec,
-    V: Clone + Eq + Hash + Debug,
-{
-    let (invoked, responded) = match session.last_emission() {
-        TickEmission::Invoked { .. } => (true, false),
-        TickEmission::Committed { .. } | TickEmission::Aborted { .. } => (false, true),
-        TickEmission::Crashed { .. } => (false, true),
-        // Restart/recovery transitions are conservative lin barriers, exactly
-        // as the exploration engine labels them (see `Engine::step_label`).
-        TickEmission::Restarted { .. } | TickEmission::Recovered { .. } => (false, true),
-        TickEmission::Delivered { .. } | TickEmission::Dropped { .. } => (false, false),
-        TickEmission::None => (false, false),
-    };
-    let proc = match session.last_emission() {
-        TickEmission::Delivered { owner, .. } | TickEmission::Dropped { owner, .. } => owner,
-        _ => match StepKind::decode(chosen, n, cap) {
-            StepKind::Step(p) | StepKind::Crash(p) | StepKind::Restart(p) => p,
-            StepKind::Deliver(_) | StepKind::Drop(_) => chosen,
-        },
-    };
-    StepLabel {
-        proc,
-        footprint: session.last_step_footprint(),
-        invoked,
-        responded,
-    }
 }
 
 /// Replays `schedule` tick by tick against a freshly built object,

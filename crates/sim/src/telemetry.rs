@@ -1,5 +1,5 @@
 //! Exploration telemetry: a zero-cost-when-off observer trait plus a
-//! counting implementation.
+//! recording implementation.
 //!
 //! The engine in [`crate::explore`] is generic over an [`ExploreObserver`].
 //! The default observer is [`NoObserver`], whose methods are empty `#[inline]`
@@ -7,61 +7,30 @@
 //! the observer off is the same machine code as before the hooks existed
 //! (the benches assert the wall-clock overhead stays within noise).
 //!
-//! [`TelemetryObserver`] is the shipped implementation: relaxed atomic
-//! counters for every interesting engine event (executed vs re-executed
-//! steps, checkpoint saves/restores, sleep-blocked continuations, races and
-//! planted wakeup seeds, crash/delivery/drop branches), a schedule-depth
-//! histogram, distinct happens-before-class coverage, and an optional
-//! progress heartbeat printed to **stderr** every N completed schedules.
-//! All state is shared-reference friendly so one observer can be handed to
-//! every worker of a parallel exploration.
+//! The engine's work counters live in [`crate::explore::ExploreStats`]; the
+//! observer only sees what those counters cannot hold: each completed
+//! schedule (its depth, and its happens-before class on request).
+//! [`TelemetryObserver`] is the shipped implementation: a schedule-depth
+//! histogram, distinct happens-before-class coverage, the checker's share of
+//! wall time, and an optional progress heartbeat printed to **stderr** every
+//! N completed schedules. All state is shared-reference friendly so one
+//! observer can be handed to every worker of a parallel exploration.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::step::StepKind;
-
-/// Hooks the exploration engine calls as it works.
+/// Hooks the exploration engine calls once per completed schedule.
 ///
 /// All methods take `&self` (one observer may be shared across worker
 /// threads) and default to empty inline bodies, so an observer only pays for
 /// the events it overrides and [`NoObserver`] pays for nothing.
 pub trait ExploreObserver: Sync {
-    /// One transition was executed. `replayed` is true when the execution is
-    /// a re-execution — part of a prefix replay after a checkpoint miss —
-    /// rather than first-time exploration.
-    #[inline]
-    fn step_executed(&self, kind: StepKind, replayed: bool) {
-        let _ = (kind, replayed);
-    }
-
     /// One complete schedule finished at the given depth (tick count).
     #[inline]
     fn schedule_completed(&self, depth: usize) {
         let _ = depth;
-    }
-
-    /// A continuation was pruned because every enabled process was asleep.
-    #[inline]
-    fn sleep_blocked(&self) {}
-
-    /// A checkpoint was saved at a branch point.
-    #[inline]
-    fn checkpoint_saved(&self) {}
-
-    /// Backtracking restored a saved checkpoint (as opposed to replaying the
-    /// prefix from scratch).
-    #[inline]
-    fn checkpoint_restored(&self) {}
-
-    /// The race detector found a reversible race. `seeded` is true when a
-    /// wakeup seed was planted at the race's branch point (false when the
-    /// seed was already covered or the race escaped the current subtree).
-    #[inline]
-    fn race_detected(&self, seeded: bool) {
-        let _ = seeded;
     }
 
     /// Whether the engine should compute a happens-before class fingerprint
@@ -94,59 +63,26 @@ impl ExploreObserver for NoObserver {}
 /// beyond this land in the overflow bucket (index `DEPTH_BUCKETS`).
 const DEPTH_BUCKETS: usize = 64;
 
-/// A counting [`ExploreObserver`]: relaxed atomics throughout, safe to share
-/// across the parallel explorer's workers, snapshot at any time with
+/// A recording [`ExploreObserver`]: relaxed atomics throughout, safe to
+/// share across the parallel explorer's workers, snapshot at any time with
 /// [`TelemetryObserver::snapshot`].
 #[derive(Debug)]
 pub struct TelemetryObserver {
     start: Instant,
     heartbeat_every: u64,
     max_schedules: u64,
-    explored_steps: AtomicU64,
-    replayed_steps: AtomicU64,
-    crash_branches: AtomicU64,
-    delivery_branches: AtomicU64,
-    drop_branches: AtomicU64,
-    restart_branches: AtomicU64,
-    schedules: AtomicU64,
-    sleep_blocked: AtomicU64,
-    checkpoint_saves: AtomicU64,
-    checkpoint_restores: AtomicU64,
-    races: AtomicU64,
-    race_seeds: AtomicU64,
+    /// Completed schedules, counted only while the heartbeat is on.
+    heartbeat_count: AtomicU64,
     checker_nanos: AtomicU64,
     depth_hist: [AtomicU64; DEPTH_BUCKETS + 1],
     hb_classes: Mutex<HashSet<u64>>,
 }
 
-/// A point-in-time copy of a [`TelemetryObserver`]'s counters, suitable for
-/// embedding in reports.
+/// A point-in-time copy of what a [`TelemetryObserver`] recorded, suitable
+/// for embedding in reports next to the exploration's
+/// [`crate::explore::ExploreStats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
-    /// First-time (non-replay) transitions executed.
-    pub explored_steps: u64,
-    /// Transitions re-executed while replaying a prefix.
-    pub replayed_steps: u64,
-    /// Crash pseudo-steps taken (explored or replayed).
-    pub crash_branches: u64,
-    /// Delivery pseudo-steps taken (explored or replayed).
-    pub delivery_branches: u64,
-    /// Drop pseudo-steps taken (explored or replayed).
-    pub drop_branches: u64,
-    /// Restart pseudo-steps taken (explored or replayed).
-    pub restart_branches: u64,
-    /// Complete schedules explored.
-    pub schedules: u64,
-    /// Sleep-blocked continuations pruned.
-    pub sleep_blocked: u64,
-    /// Checkpoints saved at branch points.
-    pub checkpoint_saves: u64,
-    /// Checkpoints restored during backtracking.
-    pub checkpoint_restores: u64,
-    /// Reversible races detected.
-    pub races: u64,
-    /// Wakeup seeds planted for detected races.
-    pub race_seeds: u64,
     /// Wall time spent inside the checker (filled by harnesses that time
     /// their monitor, not by the engine itself).
     pub checker_nanos: u64,
@@ -167,18 +103,7 @@ impl TelemetryObserver {
             start: Instant::now(),
             heartbeat_every,
             max_schedules,
-            explored_steps: AtomicU64::new(0),
-            replayed_steps: AtomicU64::new(0),
-            crash_branches: AtomicU64::new(0),
-            delivery_branches: AtomicU64::new(0),
-            drop_branches: AtomicU64::new(0),
-            restart_branches: AtomicU64::new(0),
-            schedules: AtomicU64::new(0),
-            sleep_blocked: AtomicU64::new(0),
-            checkpoint_saves: AtomicU64::new(0),
-            checkpoint_restores: AtomicU64::new(0),
-            races: AtomicU64::new(0),
-            race_seeds: AtomicU64::new(0),
+            heartbeat_count: AtomicU64::new(0),
             checker_nanos: AtomicU64::new(0),
             depth_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             hb_classes: Mutex::new(HashSet::new()),
@@ -191,21 +116,9 @@ impl TelemetryObserver {
         self.checker_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
-    /// Copies every counter into a plain snapshot.
+    /// Copies everything recorded into a plain snapshot.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
-            explored_steps: self.explored_steps.load(Ordering::Relaxed),
-            replayed_steps: self.replayed_steps.load(Ordering::Relaxed),
-            crash_branches: self.crash_branches.load(Ordering::Relaxed),
-            delivery_branches: self.delivery_branches.load(Ordering::Relaxed),
-            drop_branches: self.drop_branches.load(Ordering::Relaxed),
-            restart_branches: self.restart_branches.load(Ordering::Relaxed),
-            schedules: self.schedules.load(Ordering::Relaxed),
-            sleep_blocked: self.sleep_blocked.load(Ordering::Relaxed),
-            checkpoint_saves: self.checkpoint_saves.load(Ordering::Relaxed),
-            checkpoint_restores: self.checkpoint_restores.load(Ordering::Relaxed),
-            races: self.races.load(Ordering::Relaxed),
-            race_seeds: self.race_seeds.load(Ordering::Relaxed),
             checker_nanos: self.checker_nanos.load(Ordering::Relaxed),
             depth_hist: self
                 .depth_hist
@@ -218,34 +131,14 @@ impl TelemetryObserver {
 }
 
 impl ExploreObserver for TelemetryObserver {
-    fn step_executed(&self, kind: StepKind, replayed: bool) {
-        if replayed {
-            self.replayed_steps.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.explored_steps.fetch_add(1, Ordering::Relaxed);
-        }
-        match kind {
-            StepKind::Step(_) => {}
-            StepKind::Crash(_) => {
-                self.crash_branches.fetch_add(1, Ordering::Relaxed);
-            }
-            StepKind::Deliver(_) => {
-                self.delivery_branches.fetch_add(1, Ordering::Relaxed);
-            }
-            StepKind::Drop(_) => {
-                self.drop_branches.fetch_add(1, Ordering::Relaxed);
-            }
-            StepKind::Restart(_) => {
-                self.restart_branches.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     fn schedule_completed(&self, depth: usize) {
-        let done = self.schedules.fetch_add(1, Ordering::Relaxed) + 1;
         let bucket = depth.min(DEPTH_BUCKETS);
         self.depth_hist[bucket].fetch_add(1, Ordering::Relaxed);
-        if self.heartbeat_every > 0 && done.is_multiple_of(self.heartbeat_every) {
+        if self.heartbeat_every == 0 {
+            return;
+        }
+        let done = self.heartbeat_count.fetch_add(1, Ordering::Relaxed) + 1;
+        if done.is_multiple_of(self.heartbeat_every) {
             let secs = self.start.elapsed().as_secs_f64().max(1e-9);
             let rate = done as f64 / secs;
             let frac = if self.max_schedules > 0 {
@@ -257,25 +150,6 @@ impl ExploreObserver for TelemetryObserver {
                 "heartbeat: {done} schedules ({rate:.0}/s, {:.1}% of budget, depth {depth})",
                 frac * 100.0
             );
-        }
-    }
-
-    fn sleep_blocked(&self) {
-        self.sleep_blocked.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn checkpoint_saved(&self) {
-        self.checkpoint_saves.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn checkpoint_restored(&self) {
-        self.checkpoint_restores.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn race_detected(&self, seeded: bool) {
-        self.races.fetch_add(1, Ordering::Relaxed);
-        if seeded {
-            self.race_seeds.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -293,43 +167,24 @@ impl ExploreObserver for TelemetryObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scl_spec::ProcessId;
 
     #[test]
     fn counters_accumulate() {
         let t = TelemetryObserver::new(0, 100);
-        t.step_executed(StepKind::Step(ProcessId(0)), false);
-        t.step_executed(StepKind::Crash(ProcessId(1)), false);
-        t.step_executed(StepKind::Deliver(0), true);
-        t.step_executed(StepKind::Drop(2), true);
-        t.step_executed(StepKind::Restart(ProcessId(1)), false);
+        t.schedule_completed(3);
         t.schedule_completed(3);
         t.schedule_completed(500);
-        t.sleep_blocked();
-        t.checkpoint_saved();
-        t.checkpoint_restored();
-        t.race_detected(true);
-        t.race_detected(false);
         t.hb_class(42);
         t.hb_class(42);
         t.hb_class(7);
         t.add_checker_nanos(11);
+        t.add_checker_nanos(4);
         let s = t.snapshot();
-        assert_eq!(s.explored_steps, 3);
-        assert_eq!(s.replayed_steps, 2);
-        assert_eq!(s.crash_branches, 1);
-        assert_eq!(s.delivery_branches, 1);
-        assert_eq!(s.drop_branches, 1);
-        assert_eq!(s.restart_branches, 1);
-        assert_eq!(s.schedules, 2);
-        assert_eq!(s.sleep_blocked, 1);
-        assert_eq!(s.checkpoint_saves, 1);
-        assert_eq!(s.checkpoint_restores, 1);
-        assert_eq!(s.races, 2);
-        assert_eq!(s.race_seeds, 1);
-        assert_eq!(s.checker_nanos, 11);
-        assert_eq!(s.depth_hist[3], 1);
+        assert_eq!(s.checker_nanos, 15);
+        assert_eq!(s.depth_hist.len(), DEPTH_BUCKETS + 1);
+        assert_eq!(s.depth_hist[3], 2);
         assert_eq!(s.depth_hist[DEPTH_BUCKETS], 1);
+        assert_eq!(s.depth_hist.iter().sum::<u64>(), 3);
         assert_eq!(s.hb_classes, 2);
     }
 

@@ -5,8 +5,9 @@
 //!
 //! The counters pin the *shape* of the explored tree, not its speed:
 //! schedules, executed steps and ticks, races and race seeds, distinct
-//! happens-before classes, sleep-blocked continuations, and checkpoint saves
-//! and restores. A change that is meant to cost less but explore the same
+//! happens-before classes, sleep-blocked continuations, checkpoint saves and
+//! restores, executed crash/delivery/drop/restart transitions, and the split
+//! of executed ticks into first-time and replayed ones. A change that is meant to cost less but explore the same
 //! tree (a faster clock join, cheaper checkpoints, a tighter hot loop) must
 //! leave every number here unchanged; a change that reshapes the tree on
 //! purpose must update the table and say why.
@@ -31,40 +32,41 @@ const BOUNDED: [&str; 3] = [
 
 /// Per scenario: outcome tag, then `[schedules, executed_steps,
 /// executed_ticks, races, race_seeds, hb_classes, sleep_blocked,
-/// checkpoint_saves, checkpoint_restores]`.
+/// checkpoint_saves, checkpoint_restores, crash_steps, delivery_steps,
+/// drop_steps, restart_steps, explored_ticks, replayed_ticks]`.
 #[rustfmt::skip]
-const GOLDEN: [(&str, &str, [u64; 9]); 28] = [
-    ("spec_tas_n2", "exhausted", [77, 533, 542, 179, 76, 28, 0, 185, 76]),
-    ("spec_tas_n3", "exhausted", [11923, 75087, 76154, 41552, 12388, 2229, 466, 30573, 12388]),
-    ("spec_tas_n3_realtime", "violation", [1859, 11630, 11700, 6451, 1930, 1857, 67, 4755, 1925]),
-    ("solo_fast_tas_n2", "exhausted", [77, 517, 526, 179, 76, 28, 0, 184, 76]),
-    ("a1_n2", "exhausted", [65, 446, 455, 146, 64, 24, 0, 152, 64]),
-    ("a1_dropped_raw_fence_n2", "violation", [6, 43, 47, 14, 8, 6, 0, 25, 5]),
-    ("resettable_tas_n2", "exhausted", [392, 3844, 4290, 965, 391, 157, 0, 1339, 391]),
-    ("universal_queue_n2", "exhausted", [605, 9986, 10700, 1589, 604, 272, 0, 4048, 604]),
-    ("universal_register_n2", "exhausted", [605, 9986, 10700, 1589, 604, 272, 0, 4048, 604]),
-    ("consensus_split_n2", "exhausted", [81, 599, 610, 202, 80, 36, 0, 165, 80]),
-    ("consensus_cas_n2", "exhausted", [8, 28, 34, 14, 7, 6, 0, 10, 7]),
-    ("crash_spec_tas_n2", "exhausted", [377, 903, 1759, 504, 81, 146, 525, 492, 901]),
-    ("crash_write_behind_open_n2", "exhausted", [36, 100, 170, 73, 16, 36, 20, 39, 55]),
-    ("crash_write_behind_strict_n2", "violation", [9, 36, 54, 20, 6, 9, 4, 9, 12]),
-    ("crash_resettable_tas_wedge_n2", "violation", [4, 39, 44, 8, 4, 4, 0, 16, 3]),
-    ("crash_a1_dropped_raw_fence_n2", "violation", [36, 88, 163, 80, 13, 28, 36, 57, 71]),
-    ("recovery_tas_n2", "exhausted", [102, 263, 390, 163, 56, 74, 0, 109, 101]),
-    ("recovery_tas_mutant_n2", "violation", [10, 12, 23, 12, 4, 10, 0, 12, 9]),
-    ("recovery_write_behind_flush_durable_n2", "exhausted", [442, 1678, 2070, 972, 362, 259, 0, 483, 441]),
-    ("recovery_write_behind_flush_strict_n2", "violation", [47, 187, 235, 100, 36, 25, 0, 60, 46]),
-    ("recovery_write_behind_abandon_durable_n2", "exhausted", [361, 1371, 1726, 751, 281, 205, 0, 410, 360]),
-    ("recovery_write_behind_abandon_recoverable_n2", "violation", [26, 95, 123, 48, 18, 19, 0, 32, 25]),
-    ("recovery_recrash_unrecovered_n2", "violation", [9, 33, 44, 16, 7, 9, 0, 12, 8]),
-    ("abd_partition_majority_wedge_n2", "violation", [1, 4, 12, 2, 1, 1, 0, 10, 0]),
-    ("abd_quorum_mutant", "violation", [19685, 24113, 52466, 0, 0, 19685, 354, 17175, 20038]),
-    ("abd_lossy_n2", "limit_reached", [2000, 1497, 4277, 173, 1, 1909, 105, 1707, 2105]),
-    ("abd_partition_minority_n2", "limit_reached", [2000, 18911, 37194, 2783, 1, 2000, 7575, 8228, 9575]),
-    ("abd_retry_exhaustion_abort_n2", "limit_reached", [2000, 10656, 20351, 1512, 1, 1574, 4004, 4574, 6004]),
+const GOLDEN: [(&str, &str, [u64; 15]); 28] = [
+    ("spec_tas_n2", "exhausted", [77, 533, 542, 179, 76, 28, 0, 185, 76, 0, 0, 0, 0, 542, 0]),
+    ("spec_tas_n3", "exhausted", [11923, 75087, 76154, 41552, 12388, 2229, 466, 30573, 12388, 0, 0, 0, 0, 76154, 0]),
+    ("spec_tas_n3_realtime", "violation", [1859, 11630, 11700, 6451, 1930, 1857, 67, 4755, 1925, 0, 0, 0, 0, 11700, 0]),
+    ("solo_fast_tas_n2", "exhausted", [77, 517, 526, 179, 76, 28, 0, 184, 76, 0, 0, 0, 0, 526, 0]),
+    ("a1_n2", "exhausted", [65, 446, 455, 146, 64, 24, 0, 152, 64, 0, 0, 0, 0, 455, 0]),
+    ("a1_dropped_raw_fence_n2", "violation", [6, 43, 47, 14, 8, 6, 0, 25, 5, 0, 0, 0, 0, 47, 0]),
+    ("resettable_tas_n2", "exhausted", [392, 3844, 4290, 965, 391, 157, 0, 1339, 391, 0, 0, 0, 0, 4290, 0]),
+    ("universal_queue_n2", "exhausted", [605, 9986, 10700, 1589, 604, 272, 0, 4048, 604, 0, 0, 0, 0, 10700, 0]),
+    ("universal_register_n2", "exhausted", [605, 9986, 10700, 1589, 604, 272, 0, 4048, 604, 0, 0, 0, 0, 10700, 0]),
+    ("consensus_split_n2", "exhausted", [81, 599, 610, 202, 80, 36, 0, 165, 80, 0, 0, 0, 0, 610, 0]),
+    ("consensus_cas_n2", "exhausted", [8, 28, 34, 14, 7, 6, 0, 10, 7, 0, 0, 0, 0, 34, 0]),
+    ("crash_spec_tas_n2", "exhausted", [377, 903, 1759, 504, 81, 146, 525, 492, 901, 823, 0, 0, 0, 1759, 0]),
+    ("crash_write_behind_open_n2", "exhausted", [36, 100, 170, 73, 16, 36, 20, 39, 55, 39, 0, 0, 0, 170, 0]),
+    ("crash_write_behind_strict_n2", "violation", [9, 36, 54, 20, 6, 9, 4, 9, 12, 7, 0, 0, 0, 54, 0]),
+    ("crash_resettable_tas_wedge_n2", "violation", [4, 39, 44, 8, 4, 4, 0, 16, 3, 1, 0, 0, 0, 44, 0]),
+    ("crash_a1_dropped_raw_fence_n2", "violation", [36, 88, 163, 80, 13, 28, 36, 57, 71, 64, 0, 0, 0, 163, 0]),
+    ("recovery_tas_n2", "exhausted", [102, 263, 390, 163, 56, 74, 0, 109, 101, 28, 0, 0, 30, 390, 0]),
+    ("recovery_tas_mutant_n2", "violation", [10, 12, 23, 12, 4, 10, 0, 12, 9, 7, 0, 0, 1, 23, 0]),
+    ("recovery_write_behind_flush_durable_n2", "exhausted", [442, 1678, 2070, 972, 362, 259, 0, 483, 441, 39, 0, 0, 60, 2070, 0]),
+    ("recovery_write_behind_flush_strict_n2", "violation", [47, 187, 235, 100, 36, 25, 0, 60, 46, 7, 0, 0, 8, 235, 0]),
+    ("recovery_write_behind_abandon_durable_n2", "exhausted", [361, 1371, 1726, 751, 281, 205, 0, 410, 360, 39, 0, 0, 60, 1726, 0]),
+    ("recovery_write_behind_abandon_recoverable_n2", "violation", [26, 95, 123, 48, 18, 19, 0, 32, 25, 5, 0, 0, 7, 123, 0]),
+    ("recovery_recrash_unrecovered_n2", "violation", [9, 33, 44, 16, 7, 9, 0, 12, 8, 2, 0, 0, 1, 44, 0]),
+    ("abd_partition_majority_wedge_n2", "violation", [1, 4, 12, 2, 1, 1, 0, 10, 0, 0, 4, 0, 0, 12, 0]),
+    ("abd_quorum_mutant", "violation", [19685, 24113, 52466, 0, 0, 19685, 354, 17175, 20038, 0, 28337, 0, 0, 52466, 0]),
+    ("abd_lossy_n2", "limit_reached", [2000, 1497, 4277, 173, 1, 1909, 105, 1707, 2105, 1480, 1230, 68, 0, 4277, 0]),
+    ("abd_partition_minority_n2", "limit_reached", [2000, 18911, 37194, 2783, 1, 2000, 7575, 8228, 9575, 0, 16726, 0, 0, 37194, 0]),
+    ("abd_retry_exhaustion_abort_n2", "limit_reached", [2000, 10656, 20351, 1512, 1, 1574, 4004, 4574, 6004, 0, 7662, 2031, 0, 20351, 0]),
 ];
 
-const FIELDS: [&str; 9] = [
+const FIELDS: [&str; 15] = [
     "schedules",
     "executed_steps",
     "executed_ticks",
@@ -74,6 +76,12 @@ const FIELDS: [&str; 9] = [
     "sleep_blocked",
     "checkpoint_saves",
     "checkpoint_restores",
+    "crash_steps",
+    "delivery_steps",
+    "drop_steps",
+    "restart_steps",
+    "explored_ticks",
+    "replayed_ticks",
 ];
 
 #[test]
@@ -112,18 +120,23 @@ fn exploration_counters_match_the_golden_table() {
             "{name}: {:?}",
             report.outcome
         );
-        let t = observer.snapshot();
         let stats = &report.explore;
         let actual = [
             stats.schedules,
             stats.executed_steps,
             stats.executed_ticks,
-            t.races,
-            t.race_seeds,
-            t.hb_classes,
-            t.sleep_blocked,
-            t.checkpoint_saves,
-            t.checkpoint_restores,
+            stats.races,
+            stats.race_seeds,
+            observer.snapshot().hb_classes,
+            stats.sleep_blocked,
+            stats.snapshots,
+            stats.checkpoint_restores,
+            stats.crash_steps,
+            stats.delivery_steps,
+            stats.drop_steps,
+            stats.restart_steps,
+            stats.executed_ticks - stats.replayed_ticks,
+            stats.replayed_ticks,
         ];
         if report.outcome.tag() != tag {
             mismatches.push(format!("{name}: outcome {} != {tag}", report.outcome.tag()));

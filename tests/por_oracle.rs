@@ -1,5 +1,5 @@
 //! Soundness oracle for the reduced explorer: on configurations small enough
-//! to enumerate fully, sleep-set exploration must reach exactly the final
+//! to enumerate fully, source-DPOR exploration must reach exactly the final
 //! states full enumeration reaches, prefix-resume must enumerate exactly the
 //! same schedules as full replay, and a seeded bug (module A1 with its final
 //! RAW-fenced read dropped) must be caught in every mode.
@@ -17,6 +17,12 @@ type Wl = Workload<TasSpec, TasSwitch>;
 /// The full n=2 speculative-TAS schedule count, pinned since PR 1.
 const N2_FULL_SCHEDULES: u64 = 64_472;
 
+/// Representatives the removed eager sleep-set modes explored under
+/// prefix-resume: plain on n=2, lin-preserving on n=2, plain on n=3.
+const EAGER_N2_SCHEDULES: u64 = 26;
+const EAGER_LIN_N2_SCHEDULES: u64 = 79;
+const EAGER_N3_SCHEDULES: u64 = 1_956;
+
 fn mode(reduction: Reduction, resume: ResumeMode) -> ExploreConfig {
     ExploreConfig {
         max_schedules: u64::MAX,
@@ -28,7 +34,11 @@ fn mode(reduction: Reduction, resume: ResumeMode) -> ExploreConfig {
 
 fn all_modes() -> Vec<ExploreConfig> {
     let mut v = Vec::new();
-    for reduction in [Reduction::Off, Reduction::SleepSets, Reduction::SourceDpor] {
+    for reduction in [
+        Reduction::Off,
+        Reduction::SourceDpor,
+        Reduction::SourceDporLinPreserving,
+    ] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             v.push(mode(reduction, resume));
         }
@@ -68,10 +78,9 @@ fn final_states(config: &ExploreConfig, n: usize) -> (ExploreOutcome, BTreeSet<S
     (outcome, states)
 }
 
-/// On n=2 (64472 schedules) every reduced mode — the eager sleep-set modes
-/// and the race-driven source-DPOR modes — reaches exactly the same set of
-/// final states as full enumeration: the oracle the acceptance criteria
-/// require.
+/// On n=2 (64472 schedules) both source-DPOR modes reach exactly the same
+/// set of final states as full enumeration: the oracle the acceptance
+/// criteria require.
 #[test]
 fn reduced_modes_reach_exactly_the_full_final_state_set_on_n2() {
     let (full_outcome, full_states) =
@@ -84,12 +93,7 @@ fn reduced_modes_reach_exactly_the_full_final_state_set_on_n2() {
         "the unreduced enumeration must match the pinned PR 1 count"
     );
 
-    for reduction in [
-        Reduction::SleepSets,
-        Reduction::SleepSetsLinPreserving,
-        Reduction::SourceDpor,
-        Reduction::SourceDporLinPreserving,
-    ] {
+    for reduction in [Reduction::SourceDpor, Reduction::SourceDporLinPreserving] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             let (reduced_outcome, reduced_states) = final_states(&mode(reduction, resume), 2);
             assert!(matches!(reduced_outcome, ExploreOutcome::Exhausted { .. }));
@@ -107,12 +111,12 @@ fn reduced_modes_reach_exactly_the_full_final_state_set_on_n2() {
     }
 }
 
-/// The race-driven modes never explore more representatives than their
-/// eager counterparts — and exactly match them where the executed-label
-/// race relation coincides with the conservative wake relation (the plain
-/// footprint modes), while strictly shrinking the lin-preserving space
-/// (the may-respond barrier is an over-approximation that race detection
-/// does not pay).
+/// The race-driven modes never explore more representatives than the
+/// removed eager sleep-set modes did — and exactly match them where the
+/// executed-label race relation coincides with the conservative wake
+/// relation (the plain footprint mode), while strictly shrinking the
+/// lin-preserving space (the may-respond barrier is an over-approximation
+/// that race detection does not pay).
 #[test]
 fn source_dpor_counts_close_the_reduction_gap_on_n2() {
     let count = |reduction| {
@@ -120,23 +124,23 @@ fn source_dpor_counts_close_the_reduction_gap_on_n2() {
             .0
             .schedules()
     };
-    let (sleep, sleep_lin) = (
-        count(Reduction::SleepSets),
-        count(Reduction::SleepSetsLinPreserving),
-    );
     let (source, source_lin) = (
         count(Reduction::SourceDpor),
         count(Reduction::SourceDporLinPreserving),
     );
     assert_eq!(
-        source, sleep,
+        source, EAGER_N2_SCHEDULES,
         "plain relations coincide, so must the counts"
     );
     assert!(
-        source_lin < sleep_lin,
-        "the lin-preserving source-DPOR space must be strictly smaller ({source_lin} vs {sleep_lin})"
+        source_lin < EAGER_LIN_N2_SCHEDULES,
+        "the lin-preserving source-DPOR space must be strictly smaller ({source_lin} vs \
+         {EAGER_LIN_N2_SCHEDULES})"
     );
-    assert!(sleep <= source_lin, "barriers can only add representatives");
+    assert!(
+        source <= source_lin,
+        "barriers can only add representatives"
+    );
 }
 
 /// Prefix-resume changes the backtracking mechanics, not the enumeration:
@@ -171,24 +175,26 @@ fn prefix_resume_enumerates_exactly_the_full_replay_tree_on_n2() {
 /// axes).
 #[test]
 fn reduced_modes_agree_on_n3() {
+    // The race-driven branching reaches the same final states in both
+    // resume mechanics, with the eager mode's representative count (the
+    // plain race relation is exact)...
     let (a_outcome, a_states) =
-        final_states(&mode(Reduction::SleepSets, ResumeMode::FullReplay), 3);
+        final_states(&mode(Reduction::SourceDpor, ResumeMode::FullReplay), 3);
     let (b_outcome, b_states) =
-        final_states(&mode(Reduction::SleepSets, ResumeMode::PrefixResume), 3);
+        final_states(&mode(Reduction::SourceDpor, ResumeMode::PrefixResume), 3);
     assert!(matches!(a_outcome, ExploreOutcome::Exhausted { .. }));
     assert_eq!(a_outcome, b_outcome);
     assert_eq!(a_states, b_states);
-    // The race-driven branching reaches the same final states (with the
-    // same representative count — the plain race relation is exact) in both
-    // resume mechanics.
-    let (c_outcome, c_states) =
-        final_states(&mode(Reduction::SourceDpor, ResumeMode::FullReplay), 3);
-    let (d_outcome, d_states) =
-        final_states(&mode(Reduction::SourceDpor, ResumeMode::PrefixResume), 3);
-    assert_eq!(c_outcome, d_outcome);
+    assert_eq!(a_outcome.schedules(), EAGER_N3_SCHEDULES);
+    // ...and the invoke/commit barriers add representatives, never final
+    // states.
+    let (c_outcome, c_states) = final_states(
+        &mode(Reduction::SourceDporLinPreserving, ResumeMode::PrefixResume),
+        3,
+    );
+    assert!(matches!(c_outcome, ExploreOutcome::Exhausted { .. }));
     assert_eq!(a_states, c_states);
-    assert_eq!(c_states, d_states);
-    assert!(c_outcome.schedules() <= a_outcome.schedules());
+    assert!(a_outcome.schedules() <= c_outcome.schedules());
 }
 
 /// The seeded bug: dropping A1's final RAW-fenced read of `aborted` lets a
