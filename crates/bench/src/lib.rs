@@ -1,5 +1,6 @@
 //! Shared helpers for the experiment binaries (`exp-e1` … `exp-e9`) and the
-//! Criterion benches.
+//! wall-clock benches in `benches/` (plain `harness = false` binaries on
+//! [`microbench`]).
 //!
 //! Each experiment binary regenerates one row/series of the paper's
 //! quantitative claims (see EXPERIMENTS.md at the workspace root for the
@@ -82,61 +83,6 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     println!("{}", header.join("\t"));
     for row in rows {
         println!("{}", row.join("\t"));
-    }
-}
-
-/// Shared JSON plumbing for the report-writing bench binaries
-/// (`bench_explorer`, `bench_check`): the host-metadata object and the
-/// workspace-anchored artifact path switching that both used to copy-paste.
-pub mod benchjson {
-    use std::path::{Path, PathBuf};
-
-    /// Renders the shared `"host"` JSON member: available parallelism (so
-    /// single-core "parallel" numbers are self-describing), build profile,
-    /// debug-assertion state and the smoke flag, plus any binary-specific
-    /// extra fields (pre-rendered JSON values).
-    pub fn host_json(smoke: bool, extras: &[(&str, String)]) -> String {
-        let mut fields = vec![
-            format!(
-                "\"available_parallelism\": {}",
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(0)
-            ),
-            format!(
-                "\"build_profile\": \"{}\"",
-                if cfg!(debug_assertions) {
-                    "debug"
-                } else {
-                    "release"
-                }
-            ),
-            format!("\"debug_assertions\": {}", cfg!(debug_assertions)),
-            format!("\"smoke\": {smoke}"),
-        ];
-        fields.extend(extras.iter().map(|(k, v)| format!("\"{k}\": {v}")));
-        format!("  \"host\": {{{}}}", fields.join(", "))
-    }
-
-    /// Writes a bench report named `stem`: full runs go to
-    /// `<workspace root>/<stem>.json` (the committed record), smoke runs to
-    /// the gitignored `<workspace root>/artifacts/<stem>.smoke.json` — so
-    /// CI smoke runs can never clobber committed full-run numbers. The path
-    /// is anchored at this crate's manifest, independent of the invocation
-    /// directory. Returns the path written.
-    pub fn write_report(stem: &str, smoke: bool, json: &str) -> PathBuf {
-        let file = if smoke {
-            format!("../../artifacts/{stem}.smoke.json")
-        } else {
-            format!("../../{stem}.json")
-        };
-        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).expect("create artifact directory");
-        }
-        std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {stem} report: {e}"));
-        println!("\nwrote {}", path.display());
-        path
     }
 }
 

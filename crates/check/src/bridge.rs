@@ -40,7 +40,8 @@ pub enum CheckerMode {
     Incremental,
     /// Re-run the from-scratch Wing–Gong search on the (incrementally
     /// maintained, allocation-reusing) history at every leaf. The baseline
-    /// the incremental mode is measured against in `bench_check`.
+    /// whose checker states the incremental mode must undercut (the
+    /// `count_bars` test).
     FromScratch,
 }
 

@@ -98,12 +98,11 @@ pub struct CheckConfig {
     /// whole run's budget.
     pub deadline: Option<std::time::Instant>,
     /// Telemetry observer attached to the exploration (`None` — the default
-    /// — runs the zero-cost [`NoObserver`] path; the benches assert it stays
-    /// within noise of the pre-observer engine). The CLI attaches one fresh
-    /// observer per scenario run; its snapshot (depth histogram,
-    /// happens-before classes) lands in [`ScenarioReport::telemetry`] and the
-    /// checker wall-clock share is measured by timing every
-    /// [`LinMonitor::verdict`] call into it.
+    /// — runs the [`NoObserver`] path, whose empty hooks monomorphise away).
+    /// The CLI attaches one fresh observer per scenario run; its snapshot
+    /// (depth histogram, happens-before classes) lands in
+    /// [`ScenarioReport::telemetry`] and the checker wall-clock share is
+    /// measured by timing every [`LinMonitor::verdict`] call into it.
     pub observer: Option<Arc<TelemetryObserver>>,
     /// Replay redirection: when set, the scenario's runner re-executes
     /// exactly this recorded schedule (same object constructor, workload,

@@ -232,15 +232,21 @@ fn metrics_only_with_trace_consuming_checks_is_a_config_error() {
 
 #[test]
 fn every_registered_scenario_matches_its_expectation_under_smoke_bounds() {
-    let config = CheckConfig::smoke();
-    for scenario in scl_check::registry() {
-        let report = scenario.run(&config);
-        assert!(
-            report.as_expected(),
-            "scenario {}: {:?}",
-            scenario.name,
-            report.outcome
-        );
+    // Sequentially and with the parallel monitor-carrying driver.
+    for workers in [1, 2] {
+        let config = CheckConfig {
+            workers,
+            ..CheckConfig::smoke()
+        };
+        for scenario in scl_check::registry() {
+            let report = scenario.run(&config);
+            assert!(
+                report.as_expected(),
+                "scenario {} (workers={workers}): {:?}",
+                scenario.name,
+                report.outcome
+            );
+        }
     }
 }
 

@@ -4,8 +4,8 @@
 //! plain linearizability; this object is deliberately constructed to be
 //! linearizable in every crash-free execution **and** under the open
 //! crashed-pending closure, while violating *strict* linearizability once
-//! its writer can crash — it separates the two `--checker crashed-pending`
-//! modes of `scl-check` on the same histories.
+//! its writer can crash — it separates the two `--crashed-pending` modes
+//! (`open` and `strict`) of `scl-check` on the same histories.
 //!
 //! The register keeps two cells:
 //!

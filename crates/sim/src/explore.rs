@@ -1964,16 +1964,15 @@ where
 }
 
 /// Explores all schedules like [`explore_schedules`], but partitions the
-/// depth-first search across OS threads, and reports the combined work. A
-/// thin monitor-less wrapper over
+/// depth-first search across OS threads. A thin monitor-less wrapper over
 /// [`explore_schedules_parallel_monitored_observed_report`], which documents
 /// the partitioning and merge semantics.
-pub fn explore_schedules_parallel_report<S, V, O, FSetup, FCheck>(
+pub fn explore_schedules_parallel<S, V, O, FSetup, FCheck>(
     setup: FSetup,
     workload: &Workload<S, V>,
     config: &ExploreConfig,
     check: FCheck,
-) -> ExploreReport
+) -> Result<ExploreOutcome, ExploreError>
 where
     S: SequentialSpec,
     S::Op: Sync,
@@ -1991,28 +1990,7 @@ where
         &NoObserver,
         |res: &ExecutionResult<S, V>, mem: &SharedMemory, _m: &mut NoMonitor| check(res, mem),
     );
-    report
-}
-
-/// Explores all schedules like [`explore_schedules`], but partitions the
-/// depth-first search across OS threads. See
-/// [`explore_schedules_parallel_report`] for the partitioning and merge
-/// semantics.
-pub fn explore_schedules_parallel<S, V, O, FSetup, FCheck>(
-    setup: FSetup,
-    workload: &Workload<S, V>,
-    config: &ExploreConfig,
-    check: FCheck,
-) -> Result<ExploreOutcome, ExploreError>
-where
-    S: SequentialSpec,
-    S::Op: Sync,
-    V: Clone + Eq + Hash + Debug + Sync,
-    O: SimObject<S, V>,
-    FSetup: Fn(&mut SharedMemory) -> O + Sync,
-    FCheck: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String> + Sync,
-{
-    explore_schedules_parallel_report(setup, workload, config, check).outcome
+    report.outcome
 }
 
 #[cfg(test)]
@@ -2765,7 +2743,7 @@ mod tests {
                         ..base.clone()
                     };
                     let par_states = Mutex::new(std::collections::BTreeSet::new());
-                    let par = explore_schedules_parallel_report(
+                    let par = explore_schedules_parallel(
                         |mem: &mut SharedMemory| SwapTas {
                             flag: mem.alloc("flag", Value::FALSE),
                         },
@@ -2777,9 +2755,8 @@ mod tests {
                         },
                     );
                     assert!(
-                        matches!(par.outcome, Ok(ExploreOutcome::Exhausted { .. })),
-                        "threads={threads} {reduction:?}/{resume:?}: {:?}",
-                        par.outcome
+                        matches!(par, Ok(ExploreOutcome::Exhausted { .. })),
+                        "threads={threads} {reduction:?}/{resume:?}: {par:?}"
                     );
                     assert_eq!(
                         seq_states,
@@ -3805,7 +3782,15 @@ mod tests {
                 threads: 2,
                 ..Default::default()
             };
-            let report = explore_schedules_parallel_report(setup, &wl, &config, |_, _| Ok(()));
+            let factory = || NoMonitor;
+            let (report, _) = explore_schedules_parallel_monitored_observed_report(
+                setup,
+                &wl,
+                &config,
+                &factory,
+                &NoObserver,
+                |_, _, _: &mut NoMonitor| Ok(()),
+            );
             assert!(
                 matches!(report.outcome, Ok(ExploreOutcome::Exhausted { .. })),
                 "{:?}",

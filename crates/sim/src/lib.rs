@@ -30,8 +30,8 @@
 //!   DPOR with race-driven wakeup sets over the happens-before layer in
 //!   [`hb`], under sleep sets driven by per-step access footprints. Used by
 //!   the test-suites to verify linearizability and safe composability over
-//!   *every* interleaving of small configurations, and by `bench_explorer`
-//!   to exhaust the full n=3 speculative-TAS space.
+//!   *every* interleaving of small configurations, including the full n=3
+//!   speculative-TAS space.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,10 +59,9 @@ pub use executor::{
 };
 pub use explore::{
     explore_schedules, explore_schedules_monitored_observed_report, explore_schedules_parallel,
-    explore_schedules_parallel_monitored_observed_report, explore_schedules_parallel_report,
-    explore_schedules_report, ExploreConfig, ExploreError, ExploreOutcome, ExploreReport,
-    ExploreStats, ExploreViolation, MonitorFactory, NoMonitor, Reduction, ResumeMode,
-    ScheduleMonitor,
+    explore_schedules_parallel_monitored_observed_report, explore_schedules_report, ExploreConfig,
+    ExploreError, ExploreOutcome, ExploreReport, ExploreStats, ExploreViolation, MonitorFactory,
+    NoMonitor, Reduction, ResumeMode, ScheduleMonitor,
 };
 pub use hb::HbTracker;
 pub use machine::{

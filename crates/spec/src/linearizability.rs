@@ -328,8 +328,8 @@ struct OpEntry<S: SequentialSpec> {
 
 /// Work accounting of one [`check_linearizable_with_stats`] call: how many
 /// checker states (nodes of the memoised Wing–Gong search) were expanded.
-/// Used by `bench_check` to quantify what the incremental checker saves over
-/// re-running this search from scratch for every explored schedule.
+/// Quantifies what the incremental checker saves over re-running this search
+/// from scratch for every explored schedule.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinCheckStats {
     /// Search nodes visited (including memoisation hits, which still cost a
