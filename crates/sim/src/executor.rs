@@ -465,10 +465,32 @@ pub struct SessionSnapshot<S: SequentialSpec, V> {
 }
 
 impl<S: SequentialSpec, V> SessionSnapshot<S, V> {
+    /// An empty snapshot buffer (fill with [`ExecSession::snapshot_into`]).
+    pub fn new() -> Self {
+        SessionSnapshot {
+            states: Vec::new(),
+            open: Vec::new(),
+            open_metrics: Vec::new(),
+            latent: Vec::new(),
+            latent_metrics: Vec::new(),
+            trace_len: 0,
+            ops_len: 0,
+            decisions_len: 0,
+            crashed: 0,
+            restarted: 0,
+        }
+    }
+
     /// The number of scheduling decisions taken when the snapshot was made —
     /// i.e. the depth at which [`Executor::resume_from`] resumes.
     pub fn depth(&self) -> usize {
         self.decisions_len
+    }
+}
+
+impl<S: SequentialSpec, V> Default for SessionSnapshot<S, V> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -579,34 +601,63 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
         self.last_footprint
     }
 
-    /// Checkpoints the session mid-run. Returns `None` when some in-flight
+    /// Checkpoints the session mid-run into a fresh buffer: a thin wrapper
+    /// over [`Self::snapshot_into`]. Returns `None` when some in-flight
     /// operation does not support [`OpExecution::fork`] — callers then fall
     /// back to replaying the prefix.
     pub fn snapshot(&self) -> Option<SessionSnapshot<S, V>> {
-        let mut states = Vec::with_capacity(self.states.len());
+        let mut snap = SessionSnapshot::new();
+        self.snapshot_into(&mut snap).then_some(snap)
+    }
+
+    /// Checkpoints the session mid-run into `snap`, reusing its buffers:
+    /// every `Vec` of the snapshot is cleared and refilled, so a recycled
+    /// snapshot allocates nothing beyond the forked operation states (each
+    /// in-flight [`OpExecution::fork`] is its own box). Captured: the
+    /// per-process states, the open operations and the interrupted ones of
+    /// crashed or recovering processes with their metrics, the lengths of
+    /// the trace, op records and decision log, and the crash and restart
+    /// masks.
+    ///
+    /// Returns `false` when some in-flight operation does not support
+    /// [`OpExecution::fork`]; `snap` then holds no usable checkpoint.
+    pub fn snapshot_into(&self, snap: &mut SessionSnapshot<S, V>) -> bool {
+        snap.states.clear();
         for st in &self.states {
-            states.push(st.fork()?);
+            match st.fork() {
+                Some(st) => snap.states.push(st),
+                None => return false,
+            }
         }
-        let latent: Vec<usize> = self.states.iter().filter_map(|st| st.latent_op()).collect();
-        Some(SessionSnapshot {
-            latent_metrics: latent
-                .iter()
-                .map(|&i| self.result.metrics.ops[i].clone())
-                .collect(),
-            latent,
-            states,
-            open: self.open.clone(),
-            open_metrics: self
-                .open
-                .iter()
-                .map(|&i| self.result.metrics.ops[i].clone())
-                .collect(),
-            trace_len: self.result.trace.len(),
-            ops_len: self.result.ops.len(),
-            decisions_len: self.result.decisions.len(),
-            crashed: self.result.crashed,
-            restarted: self.result.restarted,
-        })
+        let metrics = &self.result.metrics.ops;
+        snap.latent.clear();
+        snap.latent
+            .extend(self.states.iter().filter_map(|st| st.latent_op()));
+        snap.latent_metrics.clear();
+        snap.latent_metrics
+            .extend(snap.latent.iter().map(|&i| metrics[i].clone()));
+        snap.open.clear();
+        snap.open.extend_from_slice(&self.open);
+        snap.open_metrics.clear();
+        snap.open_metrics
+            .extend(self.open.iter().map(|&i| metrics[i].clone()));
+        snap.trace_len = self.result.trace.len();
+        snap.ops_len = self.result.ops.len();
+        snap.decisions_len = self.result.decisions.len();
+        snap.crashed = self.result.crashed;
+        snap.restarted = self.result.restarted;
+        true
+    }
+
+    /// Reinstates the enabled and in-progress sets a [`Executor::survey`]
+    /// computed at this decision point earlier — for a session just
+    /// rewound by [`Executor::resume_from`] to a point whose survey the
+    /// caller kept, so it need not survey again.
+    pub(crate) fn set_survey(&mut self, enabled: &[ProcessId], in_progress: &[ProcessId]) {
+        self.enabled.clear();
+        self.enabled.extend_from_slice(enabled);
+        self.in_progress.clear();
+        self.in_progress.extend_from_slice(in_progress);
     }
 
     /// Consumes the session, returning the last result.
@@ -825,14 +876,13 @@ impl Executor {
         // once every client is done or crashed, residual deliveries cannot
         // affect the observable history, so draining them would only
         // multiply equivalent schedules.
-        let cap = mem.net_cap();
-        if cap > 0 && live {
+        if live {
             let n = workload.processes();
-            let occupied = mem.net_occupied();
-            for s in 0..cap {
-                if occupied & (1u64 << s) != 0 {
-                    session.enabled.push(ProcessId(2 * n + s));
-                }
+            let mut occupied = mem.net_occupied();
+            while occupied != 0 {
+                let s = occupied.trailing_zeros() as usize;
+                occupied &= occupied - 1;
+                session.enabled.push(ProcessId(2 * n + s));
             }
         }
         let tick = session.result.decisions.len() as u64;

@@ -53,7 +53,8 @@
 //! per-worker and sleep sets travel with each branch ticket.
 
 use crate::executor::{
-    ExecSession, ExecutionResult, Executor, SurveyStatus, TickEmission, TraceMode, Workload,
+    ExecSession, ExecutionResult, Executor, SessionSnapshot, SurveyStatus, TickEmission, TraceMode,
+    Workload,
 };
 use crate::hb::HbTracker;
 use crate::machine::{ObjectSnapshot, SimObject};
@@ -642,7 +643,7 @@ where
 /// A checkpoint of a whole execution at a branch point.
 struct Checkpoint<S: SequentialSpec, V> {
     mem: MemSnapshot,
-    session: crate::executor::SessionSnapshot<S, V>,
+    session: SessionSnapshot<S, V>,
     object: ObjectSnapshot,
     /// The monitor position at the branch point ([`ScheduleMonitor::mark`]).
     monitor_mark: u64,
@@ -675,6 +676,11 @@ struct Frame<S: SequentialSpec, V> {
     /// is a delivery/crash/drop, and those alternatives are already queued
     /// eagerly at every node in every mode, so the reversal is covered.
     enabled_mask: u64,
+    /// Where this node's survey starts in [`Engine::surveys`]: its enabled
+    /// set, then its in-progress set, up to the next frame's start.
+    survey_start: usize,
+    /// Length of the enabled set within that survey.
+    enabled_len: usize,
     snap: Option<Checkpoint<S, V>>,
 }
 
@@ -765,6 +771,12 @@ where
     take_snapshots: bool,
     /// Recycled memory-snapshot buffers.
     spare_mem: Vec<MemSnapshot>,
+    /// Recycled session-snapshot buffers.
+    spare_sessions: Vec<SessionSnapshot<S, V>>,
+    /// The surveys of the frames' nodes, one flat stack in frame order (see
+    /// [`Frame::survey_start`]): a checkpoint restore reinstates the node's
+    /// enabled and in-progress sets from here instead of surveying again.
+    surveys: Vec<ProcessId>,
     /// Incremented every time a replay rebuilds the object; checkpoints
     /// record the generation they were taken under and are only restored
     /// while that object instance is still the live one.
@@ -850,6 +862,8 @@ where
             cur_sleep: 0,
             take_snapshots: take_snapshots && config.resume == ResumeMode::PrefixResume,
             spare_mem: Vec::new(),
+            spare_sessions: Vec::new(),
+            surveys: Vec::new(),
             object_gen: 0,
             enabled_buf: Vec::new(),
             crash_alts: Vec::new(),
@@ -1094,16 +1108,17 @@ where
         // Session first: forking the (small) in-flight op states is cheaper
         // than a deep object snapshot, so an unforkable op short-circuits
         // before the object pays for a clone that would be thrown away.
-        let Some(session) = self.session.snapshot() else {
-            self.stats.snapshot_fallbacks += 1;
-            return None;
+        let mut session = self.spare_sessions.pop().unwrap_or_default();
+        let object = if self.session.snapshot_into(&mut session) {
+            self.object
+                .as_ref()
+                .expect("engine has an object")
+                .snapshot()
+        } else {
+            None
         };
-        let Some(object) = self
-            .object
-            .as_ref()
-            .expect("engine has an object")
-            .snapshot()
-        else {
+        let Some(object) = object else {
+            self.spare_sessions.push(session);
             self.stats.snapshot_fallbacks += 1;
             return None;
         };
@@ -1117,6 +1132,12 @@ where
             monitor_mark: self.monitor.mark(),
             gen: self.object_gen,
         })
+    }
+
+    /// Returns a finished frame's checkpoint buffers to the spare pools.
+    fn recycle(&mut self, cp: Checkpoint<S, V>) {
+        self.spare_mem.push(cp.mem);
+        self.spare_sessions.push(cp.session);
     }
 
     /// Drives the current execution forward to its next leaf, creating a
@@ -1265,6 +1286,9 @@ where
                 let seeded = alts.iter().fold(bit(chosen), |m, p| m | bit(*p));
                 let enabled_mask = self.enabled_buf.iter().fold(0u64, |m, p| m | bit(*p));
                 let snap = self.checkpoint();
+                let survey_start = self.surveys.len();
+                self.surveys.extend_from_slice(&self.enabled_buf);
+                self.surveys.extend_from_slice(self.session.in_progress());
                 self.frames.push(Frame {
                     depth: self.session.depth(),
                     alts,
@@ -1272,6 +1296,8 @@ where
                     seeded,
                     sleep,
                     enabled_mask,
+                    survey_start,
+                    enabled_len: self.enabled_buf.len(),
                     snap,
                 });
             }
@@ -1290,8 +1316,9 @@ where
             };
             let Some(alt) = frame.alts.pop() else {
                 let done = self.frames.pop().expect("frame checked above");
+                self.surveys.truncate(done.survey_start);
                 if let Some(cp) = done.snap {
-                    self.spare_mem.push(cp.mem);
+                    self.recycle(cp);
                 }
                 continue;
             };
@@ -1302,6 +1329,7 @@ where
                 0
             };
             frame.explored |= bit(alt);
+            let (survey_start, enabled_len) = (frame.survey_start, frame.enabled_len);
             let restored = match &self.frames.last().expect("frame exists").snap {
                 // A checkpoint from an older object generation references a
                 // rebuilt-and-discarded object instance through its forked
@@ -1322,16 +1350,29 @@ where
                 }
                 _ => false,
             };
-            if !restored {
+            // Re-establish the enabled set at the branch point (the restore
+            // or replay left the session's scratch view stale): a restore
+            // reinstates the frame's recorded survey, a replay surveys.
+            if restored {
+                let (enabled, in_progress) = self.surveys[survey_start..].split_at(enabled_len);
+                #[cfg(debug_assertions)]
+                {
+                    let status = self
+                        .executor
+                        .survey(&mut self.session, &self.mem, self.workload);
+                    assert_eq!(status, SurveyStatus::Choose, "branch point disappeared");
+                    assert_eq!(self.session.enabled(), enabled, "recorded survey is stale");
+                    assert_eq!(self.session.in_progress(), in_progress);
+                }
+                self.session.set_survey(enabled, in_progress);
+            } else {
                 self.replay_prefix(depth);
+                let status = self
+                    .executor
+                    .survey(&mut self.session, &self.mem, self.workload);
+                debug_assert_eq!(status, SurveyStatus::Choose, "branch point disappeared");
             }
             self.cur_sleep = entry_sleep;
-            // Re-establish the enabled set at the branch point (the restore
-            // or replay left the session's scratch view stale).
-            let status = self
-                .executor
-                .survey(&mut self.session, &self.mem, self.workload);
-            debug_assert_eq!(status, SurveyStatus::Choose, "branch point disappeared");
             self.exec_tick(alt);
             return true;
         }
@@ -1351,7 +1392,12 @@ where
         gate: &mut dyn FnMut() -> bool,
         root_only: bool,
     ) -> Result<Subtree, ExploreViolation> {
-        self.frames.clear();
+        while let Some(frame) = self.frames.pop() {
+            if let Some(cp) = frame.snap {
+                self.recycle(cp);
+            }
+        }
+        self.surveys.clear();
         self.escaped.clear();
         self.subtree_start = forced.len() + usize::from(branch.is_some());
         self.path.clear();

@@ -57,9 +57,78 @@
 //! the scan going to the root), and usually a short suffix. The former
 //! separate race pass was `O(depth²)` per event, since it searched for an
 //! intermediate event for every dependent predecessor.
+//!
+//! The dependence test itself is filtered. Beside each 64-byte
+//! [`StepLabel`] the tracker keeps a compact signature: the process, the
+//! invoke/respond/unknown flags, and the read and write register sets
+//! folded into `u64` masks (register `r` sets bit `r mod 64`). Two
+//! signatures *may conflict* when they share a process, either is
+//! unknown, a lin barrier pairs an invocation with a response, or a write
+//! bit of one meets a read or write bit of the other. Folding only merges
+//! registers, so a pair that may not conflict is independent for certain;
+//! a pair that may conflict, aliased registers included, falls back to the
+//! exact [`StepLabel::dependent`]. Clocks and races are therefore the ones
+//! the exact test alone computes, while the scan reads a 24-byte signature
+//! per visited event and the label only on a possible conflict.
 
-use crate::memory::{Footprint, StepLabel};
+use crate::memory::{Footprint, RegId, StepLabel};
 use scl_spec::ProcessId;
+
+/// The compact dependence signature of one event (see the
+/// [module documentation](self#one-pass-per-event)): a conservative
+/// summary of its [`StepLabel`] that rules out most independent pairs
+/// without reading the label.
+#[derive(Debug, Clone, Copy)]
+struct Sig {
+    /// Read registers, folded mod 64.
+    reads: u64,
+    /// Written registers (network write sets included), folded mod 64.
+    writes: u64,
+    proc: u32,
+    /// [`Sig::INVOKED`] | [`Sig::RESPONDED`] | [`Sig::UNKNOWN`].
+    flags: u32,
+}
+
+impl Sig {
+    const INVOKED: u32 = 1;
+    const RESPONDED: u32 = 2;
+    const UNKNOWN: u32 = 4;
+
+    fn of(label: StepLabel) -> Sig {
+        let fold = |r: RegId| 1u64 << (r.0 % 64);
+        let (reads, writes, unknown) = match label.footprint {
+            Footprint::Pure => (0, 0, 0),
+            Footprint::Read(r) => (fold(r), 0, 0),
+            Footprint::Write(r) => (0, fold(r), 0),
+            Footprint::Net(w) => (0, w.regs().iter().fold(0, |m, &r| m | fold(r)), 0),
+            Footprint::Unknown => (0, 0, Sig::UNKNOWN),
+        };
+        Sig {
+            reads,
+            writes,
+            proc: label.proc.index() as u32,
+            flags: unknown
+                | if label.invoked { Sig::INVOKED } else { 0 }
+                | if label.responded { Sig::RESPONDED } else { 0 },
+        }
+    }
+
+    /// The flags of an earlier event that make it possibly dependent with
+    /// this one regardless of registers: unknown, and under lin barriers
+    /// the response/invocation flag opposite to each of this event's.
+    fn barrier_flags(self, lin_barriers: bool) -> u32 {
+        let mut hit = Sig::UNKNOWN;
+        if lin_barriers {
+            if self.flags & Sig::INVOKED != 0 {
+                hit |= Sig::RESPONDED;
+            }
+            if self.flags & Sig::RESPONDED != 0 {
+                hit |= Sig::INVOKED;
+            }
+        }
+        hit
+    }
+}
 
 /// The bit of process `p` in an initials/backtrack mask (processes are
 /// bounded to 64 by the reduced explorer modes).
@@ -78,6 +147,8 @@ pub struct HbTracker {
     /// dependence relation ([`StepLabel::dependent`]'s `lin_barriers`).
     lin_barriers: bool,
     labels: Vec<StepLabel>,
+    /// `sigs[e]` is the [`Sig`] of `labels[e]`.
+    sigs: Vec<Sig>,
     /// Flat per-event vector clocks, stride `procs`:
     /// `clocks[e * procs + p]` is the number of events of process `p` that
     /// happen-before (or are) event `e`. An event's own entry is its
@@ -104,6 +175,7 @@ impl HbTracker {
             procs,
             lin_barriers,
             labels: Vec::new(),
+            sigs: Vec::new(),
             clocks: Vec::new(),
             counts: vec![0; procs],
             races: Vec::new(),
@@ -124,6 +196,7 @@ impl HbTracker {
     /// Drops every recorded event, keeping allocations.
     pub fn clear(&mut self) {
         self.labels.clear();
+        self.sigs.clear();
         self.clocks.clear();
         self.counts.fill(0);
         self.races.clear();
@@ -132,10 +205,11 @@ impl HbTracker {
     /// Truncates to the first `len` events (the explorer backtracked).
     pub fn truncate(&mut self, len: usize) {
         if len < self.labels.len() {
-            for label in &self.labels[len..] {
-                self.counts[label.proc.index()] -= 1;
+            for sig in &self.sigs[len..] {
+                self.counts[sig.proc as usize] -= 1;
             }
             self.labels.truncate(len);
+            self.sigs.truncate(len);
             self.clocks.truncate(len * self.procs);
             self.races.clear();
         }
@@ -159,6 +233,11 @@ impl HbTracker {
         let n = self.procs;
         let p = label.proc.index();
         debug_assert!(p < n);
+        let sig = Sig::of(label);
+        // Every earlier event may conflict with an unknown one.
+        let always = sig.flags & Sig::UNKNOWN != 0;
+        let hit_flags = sig.barrier_flags(self.lin_barriers);
+        let touched = sig.reads | sig.writes;
         let j = self.labels.len();
         let base = j * n;
         self.clocks.resize(base + n, 0);
@@ -173,8 +252,8 @@ impl HbTracker {
         while open > 0 {
             // Some process has an unscanned event, so `i > 0`.
             i -= 1;
-            let li = self.labels[i];
-            let q = li.proc.index();
+            let si = self.sigs[i];
+            let q = si.proc as usize;
             // `c` is event `i`'s own per-process index.
             let c = left[q];
             debug_assert_eq!(c, head[i * n + q]);
@@ -183,7 +262,11 @@ impl HbTracker {
                 // Covered: ordered before `j` through a later joined event.
                 continue;
             }
-            if li.dependent(label, self.lin_barriers) {
+            let may_conflict = always
+                || q == p
+                || si.flags & hit_flags != 0
+                || (si.writes & touched) | (si.reads & sig.writes) != 0;
+            if may_conflict && self.labels[i].dependent(label, self.lin_barriers) {
                 for (dst, &s) in row.iter_mut().zip(&head[i * n..(i + 1) * n]) {
                     *dst = (*dst).max(s);
                 }
@@ -198,13 +281,14 @@ impl HbTracker {
         row[p] += 1;
         self.counts[p] += 1;
         self.labels.push(label);
+        self.sigs.push(sig);
         self.races.reverse();
     }
 
     /// Whether event `i` happens-before event `j` (reflexive; `i <= j`).
     pub fn happens_before(&self, i: usize, j: usize) -> bool {
         debug_assert!(i <= j);
-        let p = self.labels[i].proc;
+        let p = ProcessId(self.sigs[i].proc as usize);
         self.clock(j, p) >= self.clock(i, p)
     }
 
@@ -288,7 +372,7 @@ impl HbTracker {
             if !in_v(m) {
                 continue;
             }
-            let pm = self.labels[m].proc;
+            let pm = ProcessId(self.sigs[m].proc as usize);
             if preceded & bit(pm) != 0 {
                 continue;
             }
@@ -335,6 +419,7 @@ mod tests {
             self.clocks[base + label.proc.index()] += 1;
             self.counts[label.proc.index()] += 1;
             self.labels.push(label);
+            self.sigs.push(Sig::of(label));
             self.races.clear();
             for i in 0..j {
                 let li = self.labels[i];
@@ -519,10 +604,13 @@ mod tests {
         assert!(hb.is_empty());
     }
 
-    /// A random label over `procs` processes and three registers, every
+    /// A random label over `procs` processes and six registers that alias
+    /// pairwise mod 64 (`r` and `r + 64` fold onto one signature bit, so
+    /// the push prefilter's exact fallback decides those pairs), every
     /// footprint kind and random invoke/respond flags.
     fn arb_label(rng: &mut SplitMix64, procs: usize) -> StepLabel {
-        let reg = |rng: &mut SplitMix64| RegId(rng.next_below(3));
+        const REGS: [usize; 6] = [0, 1, 2, 64, 65, 66];
+        let reg = |rng: &mut SplitMix64| RegId(REGS[rng.next_below(REGS.len())]);
         let footprint = match rng.next_below(10) {
             0 | 1 => Footprint::Pure,
             2..=4 => Footprint::Read(reg(rng)),

@@ -34,7 +34,14 @@
 //!   [`SharedMemory::snapshot_into`] and [`SharedMemory::restore`] copy
 //!   into the destination's existing `Vec`s, down to each replica's state
 //!   and each inbox (`clone_from`), so a warm save or restore allocates
-//!   nothing.
+//!   nothing;
+//! * the audit is rolled back by log, not by scan: every first application
+//!   of a primitive class to a register appends that register to an
+//!   append-only audit log, a snapshot records only the log's length, and
+//!   a restore pops the log back to it (see [`MemSnapshot`]);
+//! * the set of occupied in-flight network slots is a maintained `u64`
+//!   mask, so [`SharedMemory::net_occupied`] and
+//!   [`SharedMemory::net_in_flight`] are `O(1)`.
 
 use crate::value::Value;
 use scl_spec::ProcessId;
@@ -130,6 +137,10 @@ struct Network {
     /// never reused; this catches send/reply collisions under too-small
     /// caps, since a consumed slot is `None` again).
     born: u64,
+    /// Bit `s` = slot `s` holds an undelivered message right now: set by a
+    /// send or a reply enqueue, cleared by the delivery or drop that
+    /// consumes it. Always equal to the `Some` entries of `slots`.
+    occupied: u64,
     /// Per-client, per-lane FIFO inboxes, indexed `c * NET_LANES + lane`;
     /// deliveries push onto the message's lane, [`SharedMemory::net_recv`]
     /// pops from the front of one lane. Separate queues make deliveries
@@ -157,6 +168,7 @@ struct NetSnapshot {
     slots: Vec<Option<Message>>,
     seq: usize,
     born: u64,
+    occupied: u64,
     inboxes: Vec<Vec<Message>>,
     severed: u64,
 }
@@ -382,18 +394,25 @@ impl RegisterAudit {
 
 /// A point-in-time copy of a [`SharedMemory`], restorable in `O(state)`.
 ///
-/// The snapshot records the register values and all step accounting, plus the
-/// *high-water marks* of the append-only structures (live register count and
-/// per-register audit class counts), so [`SharedMemory::restore`] can rewind
-/// allocations performed after the snapshot by truncation. Snapshots are
-/// plain buffers; reuse one across [`SharedMemory::snapshot_into`] calls to
-/// avoid reallocating.
+/// What is copied: the live register values, the per-process counters and
+/// RAW-fence flags, the global step count, and the whole network state
+/// (replica states, in-flight slots with their occupied mask, the slot
+/// sequence and born mask, every inbox lane, the severed mask).
+///
+/// What is *not* copied: the audit. The append-only structures are
+/// recorded by their *high-water marks* only — the live register count,
+/// and the length of the memory's audit log (the registers to which a
+/// primitive class was first applied, in order) — so
+/// [`SharedMemory::restore`] rewinds allocations by truncation and audit
+/// classes by popping the log back to the mark, touching only what changed
+/// since the snapshot. Snapshots are plain buffers; reuse one across
+/// [`SharedMemory::snapshot_into`] calls to avoid reallocating.
 #[derive(Debug, Clone, Default)]
 pub struct MemSnapshot {
     live: usize,
     regs: Vec<Value>,
-    /// `audit[i].classes.len()` for `i < live` at snapshot time.
-    class_lens: Vec<usize>,
+    /// The audit log's length at snapshot time.
+    audit_len: usize,
     counters: Vec<ProcessCounters>,
     wrote_in_op: Vec<bool>,
     global_steps: u64,
@@ -431,6 +450,11 @@ pub struct SharedMemory {
     /// Footprint of the most recent shared-memory step (for the explorer's
     /// dependence tracking); `Pure` until the first step.
     last_footprint: Footprint,
+    /// The registers in the order a primitive class was first applied to
+    /// them: entry `k` records that the `k`-th audit class push went to
+    /// that register. Snapshots store its length; restores pop it back,
+    /// popping one class off each popped register's audit.
+    audit_log: Vec<RegId>,
     /// The simulated message-passing network (empty until
     /// [`Self::net_init`]).
     net: Network,
@@ -455,6 +479,7 @@ impl SharedMemory {
         self.wrote_in_op.iter_mut().for_each(|w| *w = false);
         self.global_steps = 0;
         self.last_footprint = Footprint::Pure;
+        self.audit_log.clear();
         // The network is structural per epoch: setup re-runs `net_init`.
         self.net.cap = 0;
         self.net.clients = 0;
@@ -463,6 +488,7 @@ impl SharedMemory {
         self.net.slots.clear();
         self.net.seq = 0;
         self.net.born = 0;
+        self.net.occupied = 0;
         self.net.inboxes.clear();
         self.net.severed = 0;
         self.net.inbox_regs.clear();
@@ -540,13 +566,15 @@ impl SharedMemory {
     /// without replaying the prefix. Only allocations performed *after* the
     /// snapshot are rolled back (by truncating the live range); registers
     /// allocated before it keep their identity.
+    ///
+    /// The copy covers register values, counters, fence flags and the
+    /// network (see [`MemSnapshot`]); the audit costs one length, because
+    /// its rollback runs off the audit log.
     pub fn snapshot_into(&self, snap: &mut MemSnapshot) {
         snap.live = self.live;
         snap.regs.clear();
         snap.regs.extend_from_slice(&self.regs[..self.live]);
-        snap.class_lens.clear();
-        snap.class_lens
-            .extend(self.audit[..self.live].iter().map(|a| a.classes.len()));
+        snap.audit_len = self.audit_log.len();
         snap.counters.clear();
         snap.counters.extend_from_slice(&self.counters);
         snap.wrote_in_op.clear();
@@ -557,6 +585,7 @@ impl SharedMemory {
         snap.net.slots.extend_from_slice(&self.net.slots);
         snap.net.seq = self.net.seq;
         snap.net.born = self.net.born;
+        snap.net.occupied = self.net.occupied;
         snap.net.inboxes.clone_from(&self.net.inboxes);
         snap.net.severed = self.net.severed;
     }
@@ -570,18 +599,28 @@ impl SharedMemory {
 
     /// Restores the state captured by [`Self::snapshot_into`]. The snapshot
     /// must have been taken on this memory within the current epoch (no
-    /// intervening [`Self::reset`]); registers allocated after the snapshot
-    /// are rolled back and their slots become recyclable by future `alloc`s,
-    /// exactly as after a `reset`.
+    /// intervening [`Self::reset`]), and no snapshot taken after it may have
+    /// been restored since (checkpoints nest like a stack); registers
+    /// allocated after the snapshot are rolled back and their slots become
+    /// recyclable by future `alloc`s, exactly as after a `reset`.
+    ///
+    /// The audit rewinds by popping the audit log back to the snapshot's
+    /// length: every popped entry takes the last class off its register.
+    /// Log entries only name registers live when they were pushed, so the
+    /// popped classes are exactly the ones applied since the snapshot.
     pub fn restore(&mut self, snap: &MemSnapshot) {
         debug_assert!(
             snap.live <= self.regs.len(),
             "snapshot from a different memory or epoch"
         );
+        debug_assert!(
+            snap.audit_len <= self.audit_log.len(),
+            "snapshot restored out of stack order"
+        );
         self.live = snap.live;
         self.regs[..snap.live].copy_from_slice(&snap.regs);
-        for (audit, &len) in self.audit[..snap.live].iter_mut().zip(&snap.class_lens) {
-            audit.classes.truncate(len);
+        for r in self.audit_log.drain(snap.audit_len..) {
+            self.audit[r.0].classes.pop();
         }
         self.counters.truncate(snap.counters.len());
         self.counters.copy_from_slice(&snap.counters);
@@ -598,6 +637,7 @@ impl SharedMemory {
         self.net.slots.extend_from_slice(&snap.net.slots);
         self.net.seq = snap.net.seq;
         self.net.born = snap.net.born;
+        self.net.occupied = snap.net.occupied;
         self.net.inboxes.clone_from(&snap.net.inboxes);
         self.net.severed = snap.net.severed;
     }
@@ -650,6 +690,7 @@ impl SharedMemory {
         let audit = &mut self.audit[r.0];
         if !audit.classes.contains(&class) {
             audit.classes.push(class);
+            self.audit_log.push(r);
         }
         self.last_footprint = if class == PrimitiveClass::Read {
             Footprint::Read(r)
@@ -734,6 +775,7 @@ impl SharedMemory {
     /// are monotone, never reused); pick it as the worst-case message count
     /// of the workload and the explorer will map slot `s` to delivery
     /// pseudo-process `2n + s` and drop pseudo-process `2n + cap + s`.
+    /// `cap` is at most 64: slot sets are `u64` masks.
     pub fn net_init(
         &mut self,
         clients: usize,
@@ -746,6 +788,10 @@ impl SharedMemory {
             clients + servers <= 64,
             "severed-endpoint mask is a u64: at most 64 endpoints"
         );
+        assert!(
+            cap <= 64,
+            "in-flight slot masks are u64s: net_init cap must be at most 64 (got {cap})"
+        );
         self.net.cap = cap;
         self.net.clients = clients;
         self.net.servers.clear();
@@ -757,6 +803,7 @@ impl SharedMemory {
         self.net.slots.resize(cap, None);
         self.net.seq = 0;
         self.net.born = 0;
+        self.net.occupied = 0;
         self.net.inboxes.clear();
         self.net.inboxes.resize(clients * NET_LANES, Vec::new());
         self.net.severed = 0;
@@ -841,6 +888,7 @@ impl SharedMemory {
              the net_init cap"
         );
         self.net.born |= 1u64 << s;
+        self.net.occupied |= 1u64 << s;
         self.net.slots[s] = Some(msg);
         self.net.seq += 1;
         // `record` set a single-register `Write(slot_reg)`; widen it to the
@@ -851,20 +899,31 @@ impl SharedMemory {
 
     /// Bitmask of occupied in-flight slots (bit `s` = slot `s` holds an
     /// undelivered message) — the explorer's per-state set of enabled
-    /// delivery/drop transitions.
+    /// delivery/drop transitions. Maintained by every send, delivery and
+    /// drop, so this is a field read.
     pub fn net_occupied(&self) -> u64 {
-        let mut mask = 0u64;
-        for (s, slot) in self.net.slots.iter().enumerate() {
-            if slot.is_some() {
-                mask |= 1u64 << s;
-            }
-        }
-        mask
+        debug_assert_eq!(
+            self.net.occupied,
+            self.scanned_occupied(),
+            "maintained in-flight mask diverged from the slots"
+        );
+        self.net.occupied
+    }
+
+    /// The occupied-slot mask recomputed by scanning every slot: the
+    /// reference the maintained mask is checked against.
+    fn scanned_occupied(&self) -> u64 {
+        self.net
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, slot)| slot.is_some())
+            .fold(0, |m, (s, _)| m | 1u64 << s)
     }
 
     /// Number of in-flight (undelivered) messages.
     pub fn net_in_flight(&self) -> usize {
-        self.net.slots.iter().filter(|s| s.is_some()).count()
+        self.net_occupied().count_ones() as usize
     }
 
     /// The message currently occupying `slot`, if any — an inspector for
@@ -901,6 +960,7 @@ impl SharedMemory {
         let msg = self.net.slots[slot]
             .take()
             .expect("net_deliver of an empty slot");
+        self.net.occupied &= !(1u64 << slot);
         let owner = msg.owner;
         let item = self.net.slot_item_regs[slot];
         match msg.dst {
@@ -928,6 +988,7 @@ impl SharedMemory {
                              net_init cap"
                         );
                         self.net.born |= 1u64 << rs;
+                        self.net.occupied |= 1u64 << rs;
                         self.net.slots[rs] = Some(r);
                         (owner, net_fp(&[item, srv, self.net.slot_item_regs[rs]]))
                     }
@@ -951,6 +1012,7 @@ impl SharedMemory {
         let msg = self.net.slots[slot]
             .take()
             .expect("net_drop of an empty slot");
+        self.net.occupied &= !(1u64 << slot);
         let owner = msg.owner;
         let ix = Self::lane_ix(owner.index(), msg.lane);
         let fp = net_fp(&[self.net.slot_item_regs[slot], self.net.inbox_regs[ix]]);
@@ -1541,6 +1603,112 @@ mod tests {
         assert_eq!(m.net_server_state(0), &[1]);
         assert_eq!(m.net_severed(), 0);
         assert_eq!(m.net_occupied(), 0b1000_0010);
+    }
+
+    #[test]
+    #[should_panic(expected = "net_init cap must be at most 64")]
+    fn net_init_rejects_a_cap_beyond_the_u64_slot_masks() {
+        let mut m = SharedMemory::new();
+        m.net_init(1, 1, 65, &[0], echo_handler);
+    }
+
+    /// The audit log read back per register: entry counts must equal each
+    /// live register's class count, and no entry may name a dead register.
+    fn assert_audit_log_matches_a_scan(m: &SharedMemory, at: &str) {
+        let mut per_reg = vec![0usize; m.register_count()];
+        for r in &m.audit_log {
+            assert!(
+                r.0 < m.register_count(),
+                "log names a dead register at {at}"
+            );
+            per_reg[r.0] += 1;
+        }
+        for (r, a) in m.audit().iter().enumerate() {
+            assert_eq!(per_reg[r], a.classes.len(), "register {r} at {at}");
+        }
+    }
+
+    #[test]
+    fn random_traffic_with_checkpoints_keeps_the_mask_and_audit_equal_to_a_scan() {
+        use crate::rng::SplitMix64;
+        const CAP: usize = 64;
+        for case in 0..48u64 {
+            let mut rng = SplitMix64::new(0x0CC_0F1A ^ case);
+            let mut m = SharedMemory::new();
+            m.net_init(2, 2, CAP, &[0], echo_handler);
+            let mut regs: Vec<RegId> = (0..3)
+                .map(|i| m.alloc(&format!("r{i}"), Value::int(0)))
+                .collect();
+            // Sends so far: kept below CAP / 2 so every send slot `s` and
+            // its reply slot `CAP - 1 - s` stay disjoint.
+            let mut sends = 0usize;
+            // Checkpoints: the snapshot, a clone of the memory it captured,
+            // and the send count at the time.
+            let mut stack: Vec<(MemSnapshot, SharedMemory, usize)> = Vec::new();
+            for step in 0..240 {
+                let at = format!("case {case} step {step}");
+                let in_flight = m.scanned_occupied();
+                let pick = |rng: &mut SplitMix64, mask: u64| {
+                    let k = rng.next_below(mask.count_ones() as usize);
+                    (0..CAP).filter(|s| mask & 1u64 << s != 0).nth(k).unwrap()
+                };
+                match rng.next_below(12) {
+                    0 | 1 if sends < CAP / 2 => {
+                        let c = rng.next_below(2);
+                        assert!(m.net_send(p(c), req(c, rng.next_below(2), step as i64)));
+                        sends += 1;
+                    }
+                    2..=4 if in_flight != 0 => {
+                        m.net_deliver(pick(&mut rng, in_flight));
+                    }
+                    5 if in_flight != 0 => {
+                        m.net_drop(pick(&mut rng, in_flight));
+                    }
+                    6 => {
+                        let _ = m.net_recv(p(rng.next_below(2)), LANE);
+                    }
+                    7 if regs.len() < 6 => regs.push(m.alloc("late", Value::int(0))),
+                    8 | 9 => {
+                        let r = regs[rng.next_below(regs.len())];
+                        let q = p(rng.next_below(3));
+                        match rng.next_below(5) {
+                            0 => drop(m.read(q, r)),
+                            1 => m.write(q, r, Value::int(1)),
+                            2 => drop(m.swap(q, r, Value::int(2))),
+                            3 => drop(m.fetch_add(q, r, 1)),
+                            _ => drop(m.compare_and_swap(q, r, Value::int(0), Value::int(3))),
+                        }
+                    }
+                    10 => {
+                        let mut snap = MemSnapshot::new();
+                        m.snapshot_into(&mut snap);
+                        stack.push((snap, m.clone(), sends));
+                    }
+                    11 if !stack.is_empty() => {
+                        // Restore the newest checkpoint; keep it for a later
+                        // second restore half of the time.
+                        let (snap, expect, at_sends) = if rng.next_bool() {
+                            stack.pop().unwrap()
+                        } else {
+                            stack.last().cloned().unwrap()
+                        };
+                        m.restore(&snap);
+                        sends = at_sends;
+                        regs.retain(|r| r.0 < m.register_count());
+                        assert_eq!(m.audit(), expect.audit(), "audit at {at}");
+                        assert_eq!(m.net_digest(), expect.net_digest(), "network at {at}");
+                        assert_eq!(m.net.occupied, expect.net.occupied, "mask at {at}");
+                    }
+                    _ => {}
+                }
+                assert_eq!(m.net.occupied, m.scanned_occupied(), "mask at {at}");
+                assert_eq!(
+                    m.net_in_flight(),
+                    m.scanned_occupied().count_ones() as usize
+                );
+                assert_audit_log_matches_a_scan(&m, &at);
+            }
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! This is the property the explorer's prefix-resume mode rests on. The
 //! `SharedMemory`-only round trip is unit-tested in `scl-sim`; these tests
 //! exercise the full (memory, session, object) triple through the public
-//! checkpoint API on the paper's actual algorithms.
+//! checkpoint API on the paper's actual algorithms. The session checkpoint
+//! goes through a recycled `SessionSnapshot` buffer, as the explorer's
+//! pooled checkpoints do.
 
 use scl::core::{
     new_composable_universal, new_solo_fast_tas, new_speculative_tas, new_three_level_universal,
@@ -14,7 +16,8 @@ use scl::core::{
     SplitConsensus, UniversalConstruction, WbRecovery, WriteBehindRegister,
 };
 use scl::sim::{
-    ExecSession, Executor, MemSnapshot, SharedMemory, SimObject, SplitMix64, SurveyStatus, Workload,
+    ExecSession, Executor, MemSnapshot, SessionSnapshot, SharedMemory, SimObject, SplitMix64,
+    SurveyStatus, Workload,
 };
 use scl::spec::{
     ConsensusOp, ConsensusSpec, CounterOp, CounterSpec, History, ProcessId, RegisterOp,
@@ -113,7 +116,18 @@ fn assert_roundtrip_bit_identical<S, V, O>(
     let mut ref_session: ExecSession<S, V> = ExecSession::new();
     executor.begin(&mut ref_session, workload);
     let mut ref_script = Script::new(script, n, cap, usize::MAX);
+    // The interrupted run's session checkpoint reuses this buffer. It first
+    // holds a different snapshot of the reference run: the deepest one with
+    // the most operations in progress, so every list in it is at least as
+    // long as the checkpoint's and a refill that does not clear one shows
+    // as a divergence.
+    let mut reused: SessionSnapshot<S, V> = SessionSnapshot::new();
+    let mut most_in_progress = 0;
     while executor.survey(&mut ref_session, &ref_mem, workload) == SurveyStatus::Choose {
+        if ref_session.in_progress().len() >= most_in_progress {
+            most_in_progress = ref_session.in_progress().len();
+            assert!(ref_session.snapshot_into(&mut reused));
+        }
         let chosen = ref_script.choose(ref_session.enabled(), ref_session.crashed_now());
         executor.tick(
             &mut ref_session,
@@ -136,9 +150,15 @@ fn assert_roundtrip_bit_identical<S, V, O>(
         let status = executor.survey(&mut session, &mem, workload);
         if saved.is_none() && session.depth() == checkpoint_at && status == SurveyStatus::Choose {
             mem.snapshot_into(&mut mem_snap);
-            let session_snap = session
-                .snapshot()
-                .expect("every core object must support in-flight forking");
+            let mut session_snap = std::mem::take(&mut reused);
+            assert!(
+                session.snapshot_into(&mut session_snap),
+                "every core object must support in-flight forking"
+            );
+            assert_eq!(
+                session.snapshot().map(|fresh| fresh.depth()),
+                Some(session_snap.depth())
+            );
             let object_snap = obj
                 .snapshot()
                 .expect("every core object must support snapshotting");
@@ -215,6 +235,12 @@ fn assert_roundtrip_bit_identical<S, V, O>(
         mem.net_digest(),
         "network state (replicas, in-flight slots, inboxes, partition) diverged"
     );
+    assert_eq!(
+        ref_mem.net_occupied(),
+        mem.net_occupied(),
+        "in-flight mask diverged"
+    );
+    assert_eq!(ref_mem.net_in_flight(), mem.net_in_flight());
     for i in 0..ref_mem.register_count() {
         assert_eq!(
             ref_mem.peek(scl::sim::RegId(i)),
