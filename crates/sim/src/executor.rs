@@ -30,6 +30,31 @@
 //!   `Vec` per tick;
 //! * a [`TraceMode::MetricsOnly`] run skips all per-event trace pushes for
 //!   exploration checks that only consume metrics and memory state.
+//!
+//! # Checkpoints: marks on undo logs
+//!
+//! The schedule explorer rewinds a session to earlier decision points of
+//! the same run. [`ExecSession::mark`] returns an `O(1)` [`SessionMark`],
+//! and [`ExecSession::undo_to`] rewinds to it by undoing only what changed
+//! since. The session keeps two undo logs, both copy-on-write per mark:
+//!
+//! * **process states**: the first change to a process's state after the
+//!   newest mark puts the old state on the log. A state that is *replaced*
+//!   — an invocation, a crash, a restart, a trivial recovery — is moved
+//!   there, no copy needed. An operation that steps *in place* — its
+//!   completing step included — is copied with [`OpExecution::fork`]
+//!   first, once per mark;
+//! * **operation records**: the first change to an operation's metrics or
+//!   outcome after the newest mark logs its metrics (an operation changes
+//!   only while it is open or interrupted, so its outcome was unset).
+//!
+//! The append-only buffers (trace, op records, decision log) rewind by
+//! truncation to the lengths in the mark, and the crash and restart masks
+//! ride in it. A mark is refused when some in-flight operation cannot fork:
+//! a later in-place step could not be undone. To know that, a mark forks
+//! every in-flight operation not known to fork since its last change and
+//! keeps the copy as the pre-image the operation's next in-place step logs,
+//! so no fork is wasted on the check.
 
 use crate::adversary::{Adversary, SchedView};
 use crate::machine::{OpExecution, OpOutcome, SimObject, StepOutcome};
@@ -416,47 +441,21 @@ impl<S: SequentialSpec, V> ProcState<S, V> {
             },
         })
     }
-
-    /// The operation record index this state may still resolve *outside*
-    /// the session's open set: the interrupted op of a crashed process (a
-    /// future restart's recovery may commit it) or of an in-flight recovery.
-    /// Snapshots capture these so a rewind undoes late resolutions.
-    fn latent_op(&self) -> Option<usize> {
-        match self {
-            ProcState::Crashed {
-                interrupted: Some(m),
-                ..
-            }
-            | ProcState::Recovering {
-                op_index: Some(m), ..
-            } => Some(*m),
-            _ => None,
-        }
-    }
 }
 
-/// A mid-run checkpoint of an [`ExecSession`], restorable with
-/// [`Executor::resume_from`].
-///
-/// Captures every piece of session state a continuation depends on: the
-/// per-process operation state machines (via [`OpExecution::fork`]), the set
-/// of open operations together with their still-mutable metrics, and the
-/// high-water marks of the append-only result buffers (trace, op records,
-/// decision log). Pair it with [`crate::memory::MemSnapshot`] for the shared
-/// memory and [`crate::machine::ObjectSnapshot`] for the object under test to
-/// rewind a complete execution.
-pub struct SessionSnapshot<S: SequentialSpec, V> {
-    states: Vec<ProcState<S, V>>,
-    open: Vec<usize>,
-    /// Copies of `metrics.ops[i]` for each `i` in `open` (closed operations
-    /// never mutate again, open ones do).
-    open_metrics: Vec<OpMetrics>,
-    /// Interrupted operations of crashed / recovering processes
-    /// ([`ProcState::latent_op`]) with their metrics: not in `open`, but a
-    /// later restart's recovery may still resolve them, so a rewind must
-    /// restore them too.
-    latent: Vec<usize>,
-    latent_metrics: Vec<OpMetrics>,
+/// A position on an [`ExecSession`]'s undo logs, returned by
+/// [`ExecSession::mark`] and consumed by [`ExecSession::undo_to`]: the
+/// lengths of both logs and of the append-only result buffers, the crash and
+/// restart masks, and the mark's epoch (see the
+/// [module documentation](self#checkpoints-marks-on-undo-logs)). Pair it
+/// with a [`crate::memory::MemMark`] for the shared memory and an
+/// [`crate::machine::ObjectSnapshot`] for the object under test to rewind a
+/// complete execution.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SessionMark {
+    epoch: u64,
+    states: usize,
+    ops: usize,
     trace_len: usize,
     ops_len: usize,
     decisions_len: usize,
@@ -464,33 +463,35 @@ pub struct SessionSnapshot<S: SequentialSpec, V> {
     restarted: u64,
 }
 
-impl<S: SequentialSpec, V> SessionSnapshot<S, V> {
-    /// An empty snapshot buffer (fill with [`ExecSession::snapshot_into`]).
-    pub fn new() -> Self {
-        SessionSnapshot {
-            states: Vec::new(),
-            open: Vec::new(),
-            open_metrics: Vec::new(),
-            latent: Vec::new(),
-            latent_metrics: Vec::new(),
-            trace_len: 0,
-            ops_len: 0,
-            decisions_len: 0,
-            crashed: 0,
-            restarted: 0,
-        }
-    }
-
-    /// The number of scheduling decisions taken when the snapshot was made —
-    /// i.e. the depth at which [`Executor::resume_from`] resumes.
+impl SessionMark {
+    /// The number of scheduling decisions taken when the mark was made —
+    /// i.e. the depth [`ExecSession::undo_to`] rewinds to.
     pub fn depth(&self) -> usize {
         self.decisions_len
     }
 }
 
-impl<S: SequentialSpec, V> Default for SessionSnapshot<S, V> {
-    fn default() -> Self {
-        Self::new()
+/// The undo log of operation records (see the
+/// [module documentation](self#checkpoints-marks-on-undo-logs)).
+#[derive(Default)]
+struct OpLog {
+    /// Index, metrics before the change, previous stamp.
+    entries: Vec<(usize, OpMetrics, u64)>,
+    /// Per operation record, the epoch in which it last went onto the log.
+    /// An operation invoked after the newest mark is stamped with its epoch:
+    /// an undo truncates it instead.
+    stamps: Vec<u64>,
+}
+
+impl OpLog {
+    /// Logs operation `i`'s metrics before its first change since the
+    /// newest mark (`epoch`).
+    #[inline]
+    fn touch(&mut self, epoch: u64, ops: &[OpMetrics], i: usize) {
+        if self.stamps[i] != epoch {
+            self.entries.push((i, ops[i].clone(), self.stamps[i]));
+            self.stamps[i] = epoch;
+        }
     }
 }
 
@@ -499,12 +500,31 @@ impl<S: SequentialSpec, V> Default for SessionSnapshot<S, V> {
 /// allocations. Create once per worker, pass to [`Executor::run_in`].
 pub struct ExecSession<S: SequentialSpec, V> {
     states: Vec<ProcState<S, V>>,
-    open: Vec<usize>,
     enabled: Vec<ProcessId>,
     in_progress: Vec<ProcessId>,
     last_emission: TickEmission,
     last_footprint: Footprint,
     result: ExecutionResult<S, V>,
+    /// The epoch of the newest live mark (0 before the first mark of a
+    /// run: nothing is logged then). Every mark opens a fresh epoch; an
+    /// undo returns to the mark's.
+    epoch: u64,
+    /// Marks taken this run: the last epoch handed out.
+    epochs: u64,
+    /// Undo log of process states: process, pre-image, previous stamp.
+    state_log: Vec<(usize, ProcState<S, V>, u64)>,
+    /// `state_stamp[p]` is the epoch in which `states[p]` last went onto
+    /// the log; it is the current epoch iff the state already changed since
+    /// the newest mark.
+    state_stamp: Vec<u64>,
+    /// `spare[p]` is a fork of `states[p]` as it is now, made by a mark to
+    /// check forkability and logged by the next in-place step.
+    spare: Vec<Option<ProcState<S, V>>>,
+    /// `forkable[p]`: `states[p]` as it is now is known to fork — it was
+    /// checked by a mark, or an undo put back a state a mark checked.
+    forkable: Vec<bool>,
+    /// Undo log of operation records.
+    op_log: OpLog,
 }
 
 impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> Default for ExecSession<S, V> {
@@ -518,12 +538,18 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
     pub fn new() -> Self {
         ExecSession {
             states: Vec::new(),
-            open: Vec::new(),
             enabled: Vec::new(),
             in_progress: Vec::new(),
             last_emission: TickEmission::None,
             last_footprint: Footprint::Pure,
             result: ExecutionResult::default(),
+            epoch: 0,
+            epochs: 0,
+            state_log: Vec::new(),
+            state_stamp: Vec::new(),
+            spare: Vec::new(),
+            forkable: Vec::new(),
+            op_log: OpLog::default(),
         }
     }
 
@@ -584,7 +610,7 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
     }
 
     /// What the most recent [`Executor::tick`] emitted. Reset by
-    /// [`Executor::begin`] and [`Executor::resume_from`].
+    /// [`Executor::begin`] and [`Self::undo_to`].
     pub fn last_emission(&self) -> TickEmission {
         self.last_emission
     }
@@ -596,63 +622,138 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
     /// [`Self::last_emission`] this labels the executed transition exactly
     /// (the source-DPOR race detection in [`crate::explore`] consumes both
     /// as a [`crate::memory::StepLabel`]). Reset by [`Executor::begin`] and
-    /// [`Executor::resume_from`].
+    /// [`Self::undo_to`].
     pub fn last_step_footprint(&self) -> Footprint {
         self.last_footprint
     }
 
-    /// Checkpoints the session mid-run into a fresh buffer: a thin wrapper
-    /// over [`Self::snapshot_into`]. Returns `None` when some in-flight
-    /// operation does not support [`OpExecution::fork`] — callers then fall
-    /// back to replaying the prefix.
-    pub fn snapshot(&self) -> Option<SessionSnapshot<S, V>> {
-        let mut snap = SessionSnapshot::new();
-        self.snapshot_into(&mut snap).then_some(snap)
-    }
-
-    /// Checkpoints the session mid-run into `snap`, reusing its buffers:
-    /// every `Vec` of the snapshot is cleared and refilled, so a recycled
-    /// snapshot allocates nothing beyond the forked operation states (each
-    /// in-flight [`OpExecution::fork`] is its own box). Captured: the
-    /// per-process states, the open operations and the interrupted ones of
-    /// crashed or recovering processes with their metrics, the lengths of
-    /// the trace, op records and decision log, and the crash and restart
-    /// masks.
-    ///
-    /// Returns `false` when some in-flight operation does not support
-    /// [`OpExecution::fork`]; `snap` then holds no usable checkpoint.
-    pub fn snapshot_into(&self, snap: &mut SessionSnapshot<S, V>) -> bool {
-        snap.states.clear();
-        for st in &self.states {
-            match st.fork() {
-                Some(st) => snap.states.push(st),
-                None => return false,
+    /// Marks the current point of the run for a later [`Self::undo_to`]
+    /// (see the [module documentation](self#checkpoints-marks-on-undo-logs)).
+    /// Returns `None` when some in-flight operation does not support
+    /// [`OpExecution::fork`] right now — callers then fall back to replaying
+    /// the prefix. Only operations changed since they were last checked are
+    /// forked, and each fork is kept as the pre-image for the operation's
+    /// next in-place step.
+    pub fn mark(&mut self) -> Option<SessionMark> {
+        for (p, st) in self.states.iter().enumerate() {
+            // Only a state that steps in place needs a copy to be undone.
+            let in_place = matches!(
+                st,
+                ProcState::Running { .. } | ProcState::Recovering { exec: Some(_), .. }
+            );
+            if in_place && !self.forkable[p] {
+                self.spare[p] = Some(st.fork()?);
+                self.forkable[p] = true;
             }
         }
-        let metrics = &self.result.metrics.ops;
-        snap.latent.clear();
-        snap.latent
-            .extend(self.states.iter().filter_map(|st| st.latent_op()));
-        snap.latent_metrics.clear();
-        snap.latent_metrics
-            .extend(snap.latent.iter().map(|&i| metrics[i].clone()));
-        snap.open.clear();
-        snap.open.extend_from_slice(&self.open);
-        snap.open_metrics.clear();
-        snap.open_metrics
-            .extend(self.open.iter().map(|&i| metrics[i].clone()));
-        snap.trace_len = self.result.trace.len();
-        snap.ops_len = self.result.ops.len();
-        snap.decisions_len = self.result.decisions.len();
-        snap.crashed = self.result.crashed;
-        snap.restarted = self.result.restarted;
-        true
+        self.epochs += 1;
+        self.epoch = self.epochs;
+        Some(SessionMark {
+            epoch: self.epoch,
+            states: self.state_log.len(),
+            ops: self.op_log.entries.len(),
+            trace_len: self.result.trace.len(),
+            ops_len: self.result.ops.len(),
+            decisions_len: self.result.decisions.len(),
+            crashed: self.result.crashed,
+            restarted: self.result.restarted,
+        })
+    }
+
+    /// Rewinds the session to `mark`, taken earlier in the *same* run, so
+    /// exploration can backtrack one scheduling decision and re-execute only
+    /// the suffix: pops both undo logs back to the mark and truncates the
+    /// trace, op records and decision log. Marks nest like a stack (no mark
+    /// taken before `mark` may have been undone to since) and `mark` stays
+    /// usable for further undos. The caller rewinds the paired
+    /// [`crate::memory::MemMark`] and [`crate::machine::ObjectSnapshot`]
+    /// alongside.
+    pub fn undo_to(&mut self, mark: &SessionMark) {
+        debug_assert!(
+            mark.epoch <= self.epochs
+                && mark.states <= self.state_log.len()
+                && mark.ops <= self.op_log.entries.len(),
+            "undo to a mark from another run, or out of stack order"
+        );
+        for (p, prev, stamp) in self.state_log.drain(mark.states..).rev() {
+            self.states[p] = prev;
+            self.state_stamp[p] = stamp;
+            self.spare[p] = None;
+        }
+        // Every state is now the one the mark checked.
+        self.forkable.fill(true);
+        let result = &mut self.result;
+        for (i, prev, stamp) in self.op_log.entries.drain(mark.ops..).rev() {
+            result.metrics.ops[i] = prev;
+            // A logged operation was open or interrupted at the mark, so it
+            // had no outcome yet; if the abandoned suffix gave it one (a
+            // completion or a recovery's late commit), reopen it.
+            result.ops[i].outcome = None;
+            self.op_log.stamps[i] = stamp;
+        }
+        result.trace.truncate(mark.trace_len);
+        result.ops.truncate(mark.ops_len);
+        result.metrics.ops.truncate(mark.ops_len);
+        self.op_log.stamps.truncate(mark.ops_len);
+        result.decisions.truncate(mark.decisions_len);
+        result.completed = false;
+        result.ticks = mark.decisions_len as u64;
+        result.crashed = mark.crashed;
+        result.restarted = mark.restarted;
+        self.epoch = mark.epoch;
+        self.last_emission = TickEmission::None;
+        self.last_footprint = Footprint::Pure;
+    }
+
+    /// Replaces process `p`'s state. On its first change since the newest
+    /// mark the old state moves onto the undo log; no copy is made.
+    fn set_state(&mut self, p: usize, new: ProcState<S, V>) {
+        let old = std::mem::replace(&mut self.states[p], new);
+        self.spare[p] = None;
+        self.forkable[p] = false;
+        if self.state_stamp[p] != self.epoch {
+            self.state_log.push((p, old, self.state_stamp[p]));
+            self.state_stamp[p] = self.epoch;
+        }
+    }
+
+    /// Readies process `p`'s state for an in-place step. On its first
+    /// change since the newest mark a copy goes onto the undo log: the
+    /// mark's spare fork if it made one, a fresh fork otherwise (the mark
+    /// checked that the state forks).
+    fn touch_state(&mut self, p: usize) {
+        let spare = self.spare[p].take();
+        if self.state_stamp[p] != self.epoch {
+            debug_assert!(self.forkable[p], "in-place step of a state no mark checked");
+            let copy = spare.unwrap_or_else(|| {
+                self.states[p]
+                    .fork()
+                    .expect("a mark checked that this operation forks")
+            });
+            self.state_log.push((p, copy, self.state_stamp[p]));
+            self.state_stamp[p] = self.epoch;
+        }
+        self.forkable[p] = false;
+    }
+
+    /// Charges `dsteps` foreign steps to the running operation of every
+    /// process but `p`.
+    fn charge_foreign_steps(&mut self, p: usize, dsteps: u64) {
+        let ops = &mut self.result.metrics.ops;
+        for (q, st) in self.states.iter().enumerate() {
+            if let ProcState::Running { metrics_idx, .. } = st {
+                if q != p {
+                    self.op_log.touch(self.epoch, ops, *metrics_idx);
+                    ops[*metrics_idx].foreign_steps += dsteps;
+                }
+            }
+        }
     }
 
     /// Reinstates the enabled and in-progress sets a [`Executor::survey`]
     /// computed at this decision point earlier — for a session just
-    /// rewound by [`Executor::resume_from`] to a point whose survey the
-    /// caller kept, so it need not survey again.
+    /// rewound by [`Self::undo_to`] to a point whose survey the caller
+    /// kept, so it need not survey again.
     pub(crate) fn set_survey(&mut self, enabled: &[ProcessId], in_progress: &[ProcessId]) {
         self.enabled.clear();
         self.enabled.extend_from_slice(enabled);
@@ -665,12 +766,23 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
         self.result
     }
 
-    /// Rewinds every buffer, keeping allocations.
+    /// Rewinds every buffer, keeping allocations. Marks of the previous run
+    /// become invalid.
     fn rewind(&mut self, n: usize) {
         self.states.clear();
         self.states
             .extend((0..n).map(|_| ProcState::Idle { next_op: 0 }));
-        self.open.clear();
+        self.epoch = 0;
+        self.epochs = 0;
+        self.state_log.clear();
+        self.state_stamp.clear();
+        self.state_stamp.resize(n, 0);
+        self.spare.clear();
+        self.spare.resize_with(n, || None);
+        self.forkable.clear();
+        self.forkable.resize(n, false);
+        self.op_log.entries.clear();
+        self.op_log.stamps.clear();
         self.enabled.clear();
         self.in_progress.clear();
         self.last_emission = TickEmission::None;
@@ -989,11 +1101,14 @@ impl Executor {
                 "SimObject::recover must not take shared-memory steps \
                  (allocate lazily, access in OpExecution::step)"
             );
-            session.states[ri] = ProcState::Recovering {
-                exec,
-                op_index: interrupted,
-                next_op,
-            };
+            session.set_state(
+                ri,
+                ProcState::Recovering {
+                    exec,
+                    op_index: interrupted,
+                    next_op,
+                },
+            );
             session.result.restarted |= 1u64 << ri;
             session.last_emission = TickEmission::Restarted {
                 op_index: interrupted,
@@ -1033,11 +1148,7 @@ impl Executor {
                     metrics_idx,
                     op_cursor,
                     ..
-                } => {
-                    let midx = *metrics_idx;
-                    session.open.retain(|&oi| oi != midx);
-                    (Some(midx), *op_cursor + 1)
-                }
+                } => (Some(*metrics_idx), *op_cursor + 1),
                 ProcState::Idle { next_op } => (None, *next_op),
                 ProcState::Recovering {
                     op_index, next_op, ..
@@ -1046,19 +1157,20 @@ impl Executor {
                 // crash step cannot reach them (debug-asserted above).
                 ProcState::Done | ProcState::Crashed { .. } => (None, workload.ops[ri].len()),
             };
-            session.states[ri] = ProcState::Crashed {
-                interrupted: op_index,
-                next_op,
-            };
+            session.set_state(
+                ri,
+                ProcState::Crashed {
+                    interrupted: op_index,
+                    next_op,
+                },
+            );
             session.result.crashed |= 1u64 << ri;
             session.last_emission = TickEmission::Crashed { op_index };
             return;
         }
         let p = chosen;
         let pi = p.index();
-
-        let metrics = &mut session.result.metrics;
-        match &mut session.states[pi] {
+        match &session.states[pi] {
             ProcState::Idle { next_op } => {
                 let cursor = *next_op;
                 let (op, switch) = workload.ops[pi][cursor].clone();
@@ -1082,16 +1194,21 @@ impl Executor {
                     "SimObject::invoke must not take shared-memory steps \
                      (allocate lazily, access in OpExecution::step)"
                 );
-                let metrics_idx = metrics.ops.len();
-                // Register overlaps with currently open operations.
+                let metrics_idx = session.result.metrics.ops.len();
+                // Register overlaps with the operations running now.
+                let ops = &mut session.result.metrics.ops;
                 let mut overlaps = 0;
-                for &oi in &session.open {
-                    if metrics.ops[oi].proc != p {
-                        metrics.ops[oi].overlapping_ops += 1;
+                for st in &session.states {
+                    if let ProcState::Running {
+                        metrics_idx: oi, ..
+                    } = st
+                    {
+                        session.op_log.touch(session.epoch, ops, *oi);
+                        ops[*oi].overlapping_ops += 1;
                         overlaps += 1;
                     }
                 }
-                metrics.ops.push(OpMetrics {
+                ops.push(OpMetrics {
                     req_id: req.id,
                     proc: p,
                     invoke_tick: tick,
@@ -1103,22 +1220,30 @@ impl Executor {
                     overlapping_ops: overlaps,
                     aborted: false,
                 });
-                session.open.push(metrics_idx);
+                session.op_log.stamps.push(session.epoch);
                 session.result.ops.push(OpRecord { req, outcome: None });
                 session.last_emission = TickEmission::Invoked {
                     op_index: metrics_idx,
                 };
-                session.states[pi] = ProcState::Running {
+                session.set_state(
+                    pi,
+                    ProcState::Running {
+                        exec,
+                        metrics_idx,
+                        op_cursor: cursor,
+                    },
+                );
+            }
+            ProcState::Running { .. } => {
+                session.touch_state(pi);
+                let ProcState::Running {
                     exec,
                     metrics_idx,
-                    op_cursor: cursor,
+                    op_cursor,
+                } = &mut session.states[pi]
+                else {
+                    unreachable!("matched as running above")
                 };
-            }
-            ProcState::Running {
-                exec,
-                metrics_idx,
-                op_cursor,
-            } => {
                 let midx = *metrics_idx;
                 let cursor = *op_cursor;
                 let before = mem.counters(p);
@@ -1132,21 +1257,18 @@ impl Executor {
                     // the one-step contract; label conservatively.
                     _ => Footprint::Unknown,
                 };
-                metrics.ops[midx].steps += dsteps;
-                metrics.ops[midx].fences += after.fences - before.fences;
-                metrics.ops[midx].rmws += after.rmws - before.rmws;
-                // Charge foreign steps to every other open operation.
+                let ops = &mut session.result.metrics.ops;
+                session.op_log.touch(session.epoch, ops, midx);
+                ops[midx].steps += dsteps;
+                ops[midx].fences += after.fences - before.fences;
+                ops[midx].rmws += after.rmws - before.rmws;
                 if dsteps > 0 {
-                    for &oi in &session.open {
-                        if metrics.ops[oi].proc != p {
-                            metrics.ops[oi].foreign_steps += dsteps;
-                        }
-                    }
+                    session.charge_foreign_steps(pi, dsteps);
                 }
                 if let StepOutcome::Done(outcome) = outcome {
-                    let req_id = metrics.ops[midx].req_id;
-                    metrics.ops[midx].response_tick = Some(tick);
-                    session.open.retain(|&oi| oi != midx);
+                    let metrics = &mut session.result.metrics.ops[midx];
+                    let req_id = metrics.req_id;
+                    metrics.response_tick = Some(tick);
                     let aborted = match &outcome {
                         OpOutcome::Commit(resp) => {
                             if full_trace {
@@ -1161,7 +1283,7 @@ impl Executor {
                             true
                         }
                     };
-                    metrics.ops[midx].aborted = aborted;
+                    metrics.aborted = aborted;
                     session.result.ops[midx].outcome = Some(outcome);
                     session.last_emission = if aborted {
                         TickEmission::Aborted { op_index: midx }
@@ -1169,7 +1291,7 @@ impl Executor {
                         TickEmission::Committed { op_index: midx }
                     };
                     let has_more = cursor + 1 < workload.ops[pi].len();
-                    session.states[pi] = if aborted && self.on_abort == OnAbort::Stop {
+                    let next = if aborted && self.on_abort == OnAbort::Stop {
                         ProcState::Done
                     } else if has_more {
                         ProcState::Idle {
@@ -1178,6 +1300,7 @@ impl Executor {
                     } else {
                         ProcState::Done
                     };
+                    session.set_state(pi, next);
                 }
             }
             ProcState::Recovering {
@@ -1187,34 +1310,34 @@ impl Executor {
             } => {
                 let oi = *op_index;
                 let resume_at = *next_op;
-                let finished = match exec {
+                let finished = if exec.is_none() {
                     // Trivial recovery: completes immediately, resolving
                     // nothing.
-                    None => Some(None),
-                    Some(e) => {
-                        let before = mem.counters(p);
-                        let outcome = e.step(mem);
-                        let after = mem.counters(p);
-                        let dsteps = after.steps - before.steps;
-                        session.last_footprint = match dsteps {
-                            0 => Footprint::Pure,
-                            1 => mem.last_footprint(),
-                            _ => Footprint::Unknown,
-                        };
-                        // Recovery steps are not charged to the interrupted
-                        // operation (its metrics froze at the crash), but
-                        // they are still foreign steps for everyone else.
-                        if dsteps > 0 {
-                            for &o in &session.open {
-                                if metrics.ops[o].proc != p {
-                                    metrics.ops[o].foreign_steps += dsteps;
-                                }
-                            }
-                        }
-                        match outcome {
-                            StepOutcome::Done(out) => Some(Some(out)),
-                            _ => None,
-                        }
+                    Some(None)
+                } else {
+                    session.touch_state(pi);
+                    let ProcState::Recovering { exec: Some(e), .. } = &mut session.states[pi]
+                    else {
+                        unreachable!("matched as a recovery routine above")
+                    };
+                    let before = mem.counters(p);
+                    let outcome = e.step(mem);
+                    let after = mem.counters(p);
+                    let dsteps = after.steps - before.steps;
+                    session.last_footprint = match dsteps {
+                        0 => Footprint::Pure,
+                        1 => mem.last_footprint(),
+                        _ => Footprint::Unknown,
+                    };
+                    // Recovery steps are not charged to the interrupted
+                    // operation (its metrics froze at the crash), but they
+                    // are still foreign steps for everyone else.
+                    if dsteps > 0 {
+                        session.charge_foreign_steps(pi, dsteps);
+                    }
+                    match outcome {
+                        StepOutcome::Done(out) => Some(Some(out)),
+                        _ => None,
                     }
                 };
                 if let Some(outcome) = finished {
@@ -1222,8 +1345,10 @@ impl Executor {
                         (Some(OpOutcome::Commit(resp)), Some(midx)) => {
                             // Late commit: the recovery resolved the
                             // interrupted operation.
-                            let req_id = metrics.ops[midx].req_id;
-                            metrics.ops[midx].response_tick = Some(tick);
+                            let ops = &mut session.result.metrics.ops;
+                            session.op_log.touch(session.epoch, ops, midx);
+                            let req_id = ops[midx].req_id;
+                            ops[midx].response_tick = Some(tick);
                             if full_trace {
                                 session.result.trace.record_commit(p, req_id, resp.clone());
                             }
@@ -1240,61 +1365,16 @@ impl Executor {
                         op_index: oi,
                         resolved,
                     };
-                    session.states[pi] = if resume_at < workload.ops[pi].len() {
+                    let next = if resume_at < workload.ops[pi].len() {
                         ProcState::Idle { next_op: resume_at }
                     } else {
                         ProcState::Done
                     };
+                    session.set_state(pi, next);
                 }
             }
             ProcState::Done | ProcState::Crashed { .. } => {}
         }
-    }
-
-    /// Rewinds `session` to the state captured by an earlier
-    /// [`ExecSession::snapshot`] of the *same* run, so exploration can
-    /// backtrack one scheduling decision and re-execute only the suffix. The
-    /// caller restores the paired [`crate::memory::MemSnapshot`] and
-    /// [`crate::machine::ObjectSnapshot`] alongside; the snapshot stays
-    /// usable for further restores.
-    pub fn resume_from<S, V>(&self, session: &mut ExecSession<S, V>, snap: &SessionSnapshot<S, V>)
-    where
-        S: SequentialSpec,
-        V: Clone + Eq + Hash + Debug,
-    {
-        session.states.clear();
-        for st in &snap.states {
-            session.states.push(
-                st.fork()
-                    .expect("a snapshot only holds forkable operation states"),
-            );
-        }
-        session.open.clear();
-        session.open.extend_from_slice(&snap.open);
-        session.last_emission = TickEmission::None;
-        session.last_footprint = Footprint::Pure;
-        let result = &mut session.result;
-        result.trace.truncate(snap.trace_len);
-        result.ops.truncate(snap.ops_len);
-        result.metrics.ops.truncate(snap.ops_len);
-        for (&oi, m) in snap.open.iter().zip(&snap.open_metrics) {
-            result.metrics.ops[oi] = m.clone();
-            // An operation open at snapshot time had no outcome yet; if the
-            // abandoned suffix closed it, reopen it.
-            result.ops[oi].outcome = None;
-        }
-        for (&oi, m) in snap.latent.iter().zip(&snap.latent_metrics) {
-            // An interrupted operation of a crashed / recovering process was
-            // unresolved at snapshot time; if the abandoned suffix resolved
-            // it through a recovery, reopen it.
-            result.metrics.ops[oi] = m.clone();
-            result.ops[oi].outcome = None;
-        }
-        result.decisions.truncate(snap.decisions_len);
-        result.completed = false;
-        result.ticks = snap.decisions_len as u64;
-        result.crashed = snap.crashed;
-        result.restarted = snap.restarted;
     }
 }
 

@@ -25,11 +25,15 @@
 //! [`ResumeMode::PrefixResume`] the explorer checkpoints the execution
 //! (shared memory, executor session, object) at every branch point and
 //! restores the checkpoint instead, re-executing only the suffix — total
-//! cost proportional to the *edges of the scheduling tree*. Prefix-resume
-//! needs the object to support [`SimObject::snapshot`] and its in-flight
-//! operations [`crate::OpExecution::fork`]; wherever they are unsupported
-//! the explorer silently falls back to replay for that branch, so the mode
-//! is always safe to enable.
+//! cost proportional to the *edges of the scheduling tree*. The memory and
+//! session checkpoints are marks on undo logs ([`SharedMemory::mark`],
+//! [`ExecSession::mark`]): saving one costs `O(1)` and a restore undoes only
+//! what the abandoned continuation changed, so a branch point that is never
+//! revisited costs nothing and a short continuation is cheap to abandon.
+//! Prefix-resume needs the object to support [`SimObject::snapshot`] and its
+//! in-flight operations [`crate::OpExecution::fork`]; wherever they are
+//! unsupported the explorer silently falls back to replay for that branch,
+//! so the mode is always safe to enable.
 //!
 //! # Pruning: [`Reduction`]
 //!
@@ -53,12 +57,12 @@
 //! per-worker and sleep sets travel with each branch ticket.
 
 use crate::executor::{
-    ExecSession, ExecutionResult, Executor, SessionSnapshot, SurveyStatus, TickEmission, TraceMode,
+    ExecSession, ExecutionResult, Executor, SessionMark, SurveyStatus, TickEmission, TraceMode,
     Workload,
 };
 use crate::hb::HbTracker;
 use crate::machine::{ObjectSnapshot, SimObject};
-use crate::memory::{MemSnapshot, SharedMemory, StepLabel};
+use crate::memory::{MemMark, SharedMemory, StepLabel};
 use crate::step::StepKind;
 use crate::telemetry::{ExploreObserver, NoObserver};
 use scl_spec::{ProcessId, SequentialSpec};
@@ -152,10 +156,14 @@ pub enum ResumeMode {
     /// every backtrack (always available).
     #[default]
     FullReplay,
-    /// Checkpoint at branch points ([`SharedMemory::snapshot_into`],
-    /// [`ExecSession::snapshot`], [`SimObject::snapshot`]) and restore the
-    /// checkpoint, re-executing only the suffix. Falls back to replay for
-    /// any branch whose in-flight state cannot be snapshotted.
+    /// Checkpoint at branch points and restore the checkpoint, re-executing
+    /// only the suffix. A checkpoint is a [`SharedMemory::mark`] and an
+    /// [`ExecSession::mark`] on their undo logs plus a
+    /// [`SimObject::snapshot`]; restoring it undoes the logs back to the
+    /// marks ([`SharedMemory::undo_to`], [`ExecSession::undo_to`]) and
+    /// restores the object. Falls back to replay for any branch whose
+    /// in-flight state cannot be forked or whose object cannot be
+    /// snapshotted, and wherever a replay has since rebuilt the object.
     PrefixResume,
 }
 
@@ -640,17 +648,20 @@ where
     }
 }
 
-/// A checkpoint of a whole execution at a branch point.
-struct Checkpoint<S: SequentialSpec, V> {
-    mem: MemSnapshot,
-    session: SessionSnapshot<S, V>,
+/// A checkpoint of a whole execution at a branch point: marks on the
+/// memory's and the session's undo logs (`O(1)` to take; a restore undoes
+/// only what the abandoned continuation changed), plus the object's private
+/// state and the monitor position.
+struct Checkpoint {
+    mem: MemMark,
+    session: SessionMark,
     object: ObjectSnapshot,
     /// The monitor position at the branch point ([`ScheduleMonitor::mark`]).
     monitor_mark: u64,
     /// The object generation ([`Engine::object_gen`]) this checkpoint was
-    /// taken under. A fallback replay rebuilds the object, so checkpoints
-    /// from earlier generations must not be restored: their forked
-    /// executions reference the *previous* object instance's shared state.
+    /// taken under. A fallback replay rebuilds the object and resets the
+    /// memory and session, so checkpoints from earlier generations must not
+    /// be restored: their marks point into discarded undo logs.
     gen: u64,
 }
 
@@ -659,7 +670,7 @@ struct Checkpoint<S: SequentialSpec, V> {
 /// back so the visit order matches the original replay explorer; under
 /// source DPOR only the eagerly queued network and fault transitions, the
 /// rest filled lazily by race seeding), and the sleep-set bookkeeping.
-struct Frame<S: SequentialSpec, V> {
+struct Frame {
     depth: usize,
     alts: Vec<ProcessId>,
     /// Choices whose subtrees are explored or in progress at this node.
@@ -681,7 +692,7 @@ struct Frame<S: SequentialSpec, V> {
     survey_start: usize,
     /// Length of the enabled set within that survey.
     enabled_len: usize,
-    snap: Option<Checkpoint<S, V>>,
+    snap: Option<Checkpoint>,
 }
 
 /// How many crash, drop and restart transitions the current path holds: the
@@ -762,17 +773,13 @@ where
     path: Vec<ProcessId>,
     /// Fault transitions on `path`.
     faults: FaultCounts,
-    frames: Vec<Frame<S, V>>,
+    frames: Vec<Frame>,
     /// Sleep set in force at the current point of the drive (always 0 under
     /// [`Reduction::Off`]).
     cur_sleep: u64,
     /// Whether this engine takes checkpoints (PrefixResume and not the
     /// root-branch discovery pass).
     take_snapshots: bool,
-    /// Recycled memory-snapshot buffers.
-    spare_mem: Vec<MemSnapshot>,
-    /// Recycled session-snapshot buffers.
-    spare_sessions: Vec<SessionSnapshot<S, V>>,
     /// The surveys of the frames' nodes, one flat stack in frame order (see
     /// [`Frame::survey_start`]): a checkpoint restore reinstates the node's
     /// enabled and in-progress sets from here instead of surveying again.
@@ -861,8 +868,6 @@ where
             frames: Vec::new(),
             cur_sleep: 0,
             take_snapshots: take_snapshots && config.resume == ResumeMode::PrefixResume,
-            spare_mem: Vec::new(),
-            spare_sessions: Vec::new(),
             surveys: Vec::new(),
             object_gen: 0,
             enabled_buf: Vec::new(),
@@ -1101,43 +1106,34 @@ where
     }
 
     /// Takes a checkpoint of the current execution state, if supported.
-    fn checkpoint(&mut self) -> Option<Checkpoint<S, V>> {
+    fn checkpoint(&mut self) -> Option<Checkpoint> {
         if !self.take_snapshots {
             return None;
         }
-        // Session first: forking the (small) in-flight op states is cheaper
-        // than a deep object snapshot, so an unforkable op short-circuits
-        // before the object pays for a clone that would be thrown away.
-        let mut session = self.spare_sessions.pop().unwrap_or_default();
-        let object = if self.session.snapshot_into(&mut session) {
+        // Session first: its mark checks that the in-flight operations fork,
+        // which is cheaper than a deep object snapshot, so an unforkable op
+        // short-circuits before the object pays for a clone that would be
+        // thrown away. A session mark left unused when the object cannot
+        // snapshot costs only logging: marks need no release.
+        let session = self.session.mark();
+        let object = session.and_then(|_| {
             self.object
                 .as_ref()
                 .expect("engine has an object")
                 .snapshot()
-        } else {
-            None
-        };
-        let Some(object) = object else {
-            self.spare_sessions.push(session);
+        });
+        let (Some(session), Some(object)) = (session, object) else {
             self.stats.snapshot_fallbacks += 1;
             return None;
         };
-        let mut mem = self.spare_mem.pop().unwrap_or_default();
-        self.mem.snapshot_into(&mut mem);
         self.stats.snapshots += 1;
         Some(Checkpoint {
-            mem,
+            mem: self.mem.mark(),
             session,
             object,
             monitor_mark: self.monitor.mark(),
             gen: self.object_gen,
         })
-    }
-
-    /// Returns a finished frame's checkpoint buffers to the spare pools.
-    fn recycle(&mut self, cp: Checkpoint<S, V>) {
-        self.spare_mem.push(cp.mem);
-        self.spare_sessions.push(cp.session);
     }
 
     /// Drives the current execution forward to its next leaf, creating a
@@ -1317,9 +1313,6 @@ where
             let Some(alt) = frame.alts.pop() else {
                 let done = self.frames.pop().expect("frame checked above");
                 self.surveys.truncate(done.survey_start);
-                if let Some(cp) = done.snap {
-                    self.recycle(cp);
-                }
                 continue;
             };
             let depth = frame.depth;
@@ -1331,13 +1324,13 @@ where
             frame.explored |= bit(alt);
             let (survey_start, enabled_len) = (frame.survey_start, frame.enabled_len);
             let restored = match &self.frames.last().expect("frame exists").snap {
-                // A checkpoint from an older object generation references a
-                // rebuilt-and-discarded object instance through its forked
-                // executions; restoring it would split the execution state
-                // across two objects. Replay instead.
+                // A checkpoint from an older object generation predates a
+                // replay, which rebuilt the object and reset the memory and
+                // session, discarding the undo logs its marks point into.
+                // Replay instead.
                 Some(cp) if cp.gen == self.object_gen => {
-                    self.mem.restore(&cp.mem);
-                    self.executor.resume_from(&mut self.session, &cp.session);
+                    self.mem.undo_to(&cp.mem);
+                    self.session.undo_to(&cp.session);
                     self.object
                         .as_mut()
                         .expect("engine has an object")
@@ -1392,11 +1385,7 @@ where
         gate: &mut dyn FnMut() -> bool,
         root_only: bool,
     ) -> Result<Subtree, ExploreViolation> {
-        while let Some(frame) = self.frames.pop() {
-            if let Some(cp) = frame.snap {
-                self.recycle(cp);
-            }
-        }
+        self.frames.clear();
         self.surveys.clear();
         self.escaped.clear();
         self.subtree_start = forced.len() + usize::from(branch.is_some());

@@ -70,6 +70,16 @@
 //! exact [`StepLabel::dependent`]. Clocks and races are therefore the ones
 //! the exact test alone computes, while the scan reads a 24-byte signature
 //! per visited event and the label only on a possible conflict.
+//!
+//! # Class fingerprints, incrementally
+//!
+//! [`HbTracker::fingerprint`] names the Mazurkiewicz class of the recorded
+//! schedule. Each process keeps a running FNV-1a hash of its own events in
+//! program order — label content and final clock row — folded in by
+//! [`HbTracker::push`], with the hash before each event kept on a
+//! per-event stack so [`HbTracker::truncate`] restores it exactly. A
+//! fingerprint then folds the per-process hashes: `O(processes)` per
+//! completed schedule instead of a walk over every event.
 
 use crate::memory::{Footprint, RegId, StepLabel};
 use scl_spec::ProcessId;
@@ -130,6 +140,47 @@ impl Sig {
     }
 }
 
+/// One FNV-1a step: folds the word `v` into the hash `h`.
+#[inline]
+fn fnv(h: u64, v: u64) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    (h ^ v).wrapping_mul(PRIME)
+}
+
+/// The FNV-1a offset basis: the hash of nothing.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Process `p`'s class hash before its first event.
+fn class_seed(p: usize) -> u64 {
+    fnv(FNV_OFFSET, 0xffff_ffff_ffff_0000 | p as u64)
+}
+
+/// Folds one event of a process — its label content and clock row — into
+/// that process's class hash.
+fn fold_event(mut h: u64, label: StepLabel, row: &[u32]) -> u64 {
+    let (tag, detail) = match label.footprint {
+        Footprint::Pure => (1, 0),
+        Footprint::Read(r) => (2, r.0 as u64),
+        Footprint::Write(r) => (3, r.0 as u64),
+        Footprint::Net(w) => {
+            let mut acc = 0u64;
+            for r in w.regs() {
+                acc = acc
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    .wrapping_add(r.0 as u64 + 1);
+            }
+            (4, acc)
+        }
+        Footprint::Unknown => (5, 0),
+    };
+    h = fnv(
+        h,
+        tag | (u64::from(label.invoked) << 8) | (u64::from(label.responded) << 9),
+    );
+    h = fnv(h, detail);
+    row.iter().fold(h, |h, &c| fnv(h, u64::from(c)))
+}
+
 /// The bit of process `p` in an initials/backtrack mask (processes are
 /// bounded to 64 by the reduced explorer modes).
 #[inline]
@@ -162,6 +213,11 @@ pub struct HbTracker {
     /// Scratch for [`Self::push`]: per process, the events at or before the
     /// scan position.
     left: Vec<u32>,
+    /// Per process, the running class hash of its events (see the
+    /// [module documentation](self#class-fingerprints-incrementally)).
+    class: Vec<u64>,
+    /// `prev_class[e]` is the class hash of event `e`'s process before `e`.
+    prev_class: Vec<u64>,
 }
 
 impl HbTracker {
@@ -180,6 +236,8 @@ impl HbTracker {
             counts: vec![0; procs],
             races: Vec::new(),
             left: Vec::new(),
+            class: (0..procs).map(class_seed).collect(),
+            prev_class: Vec::new(),
         }
     }
 
@@ -200,14 +258,20 @@ impl HbTracker {
         self.clocks.clear();
         self.counts.fill(0);
         self.races.clear();
+        for (p, h) in self.class.iter_mut().enumerate() {
+            *h = class_seed(p);
+        }
+        self.prev_class.clear();
     }
 
     /// Truncates to the first `len` events (the explorer backtracked).
     pub fn truncate(&mut self, len: usize) {
         if len < self.labels.len() {
-            for sig in &self.sigs[len..] {
+            for (sig, &prev) in self.sigs[len..].iter().zip(&self.prev_class[len..]).rev() {
                 self.counts[sig.proc as usize] -= 1;
+                self.class[sig.proc as usize] = prev;
             }
+            self.prev_class.truncate(len);
             self.labels.truncate(len);
             self.sigs.truncate(len);
             self.clocks.truncate(len * self.procs);
@@ -280,6 +344,8 @@ impl HbTracker {
         }
         row[p] += 1;
         self.counts[p] += 1;
+        self.prev_class.push(self.class[p]);
+        self.class[p] = fold_event(self.class[p], label, row);
         self.labels.push(label);
         self.sigs.push(sig);
         self.races.reverse();
@@ -307,54 +373,17 @@ impl HbTracker {
     /// independent transitions (the same Mazurkiewicz trace) produce the
     /// same value.
     ///
-    /// The hash folds, per process in index order and per event of that
-    /// process in program order, the event's label content (footprint and
-    /// invoke/response flags) and its full vector clock row. Program order
-    /// and clock rows are invariant under commuting independent steps, and
-    /// together they determine the trace's dependence graph, so equivalent
-    /// linearizations hash identically while schedules with a different
-    /// dependence structure (almost surely) do not.
+    /// Each process's events are hashed in program order, each with its
+    /// label content (footprint and invoke/response flags) and its full
+    /// vector clock row, and the per-process hashes are folded in process
+    /// order. Program order and clock rows are invariant under commuting
+    /// independent steps, and together they determine the trace's
+    /// dependence graph, so equivalent linearizations hash identically
+    /// while schedules with a different dependence structure (almost
+    /// surely) do not. The per-process hashes are maintained by
+    /// [`Self::push`] and [`Self::truncate`], so this costs `O(processes)`.
     pub fn fingerprint(&self) -> u64 {
-        // FNV-1a, folded manually — no external hashers here.
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut fold = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(PRIME);
-        };
-        let fp_words = |fp: Footprint| -> (u64, u64) {
-            match fp {
-                Footprint::Pure => (1, 0),
-                Footprint::Read(r) => (2, r.0 as u64),
-                Footprint::Write(r) => (3, r.0 as u64),
-                Footprint::Net(w) => {
-                    let mut acc = 0u64;
-                    for r in w.regs() {
-                        acc = acc
-                            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                            .wrapping_add(r.0 as u64 + 1);
-                    }
-                    (4, acc)
-                }
-                Footprint::Unknown => (5, 0),
-            }
-        };
-        for p in 0..self.procs {
-            fold(0xffff_ffff_ffff_0000 | p as u64);
-            for (e, label) in self.labels.iter().enumerate() {
-                if label.proc.index() != p {
-                    continue;
-                }
-                let (tag, detail) = fp_words(label.footprint);
-                fold(tag | (u64::from(label.invoked) << 8) | (u64::from(label.responded) << 9));
-                fold(detail);
-                for q in 0..self.procs {
-                    fold(u64::from(self.clocks[e * self.procs + q]));
-                }
-            }
-        }
-        h
+        self.class.iter().fold(FNV_OFFSET, |h, &c| fnv(h, c))
     }
 
     /// The weak initials of `v = notdep(i)·last` for a race `(i, last)`
@@ -420,6 +449,12 @@ mod tests {
             self.counts[label.proc.index()] += 1;
             self.labels.push(label);
             self.sigs.push(Sig::of(label));
+            self.prev_class.push(self.class[label.proc.index()]);
+            self.class[label.proc.index()] = fold_event(
+                self.class[label.proc.index()],
+                label,
+                &self.clocks[base..base + n],
+            );
             self.races.clear();
             for i in 0..j {
                 let li = self.labels[i];
@@ -432,6 +467,24 @@ mod tests {
                     self.races.push(i);
                 }
             }
+        }
+
+        /// The full-walk reference for [`HbTracker::fingerprint`]: rehashes
+        /// every process's events from its seed, in program order, from
+        /// the labels and clock rows alone.
+        fn fingerprint_full_walk(&self) -> u64 {
+            let n = self.procs;
+            (0..n)
+                .map(|p| {
+                    self.labels
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, l)| l.proc.index() == p)
+                        .fold(class_seed(p), |h, (e, &l)| {
+                            fold_event(h, l, &self.clocks[e * n..(e + 1) * n])
+                        })
+                })
+                .fold(FNV_OFFSET, fnv)
         }
     }
 
@@ -670,6 +723,14 @@ mod tests {
                         }
                     }
                 }
+                // The maintained class hashes agree with a full walk after
+                // every push, truncate and clear.
+                assert_eq!(
+                    fast.fingerprint(),
+                    fast.fingerprint_full_walk(),
+                    "fingerprint differs from the full walk at case {case} step {step}"
+                );
+                assert_eq!(slow.fingerprint(), fast.fingerprint());
             }
         }
     }

@@ -25,8 +25,9 @@
 //!   operation step counts and contention measurements.
 //! * [`explore`] — bounded exhaustive exploration of all schedules of small
 //!   executions: an incremental depth-first search with optional
-//!   prefix-resume backtracking (snapshot/restore of memory, session and
-//!   object instead of prefix replay) and partial-order reduction — source
+//!   prefix-resume backtracking (undo-log marks on memory and session plus
+//!   an object snapshot, instead of prefix replay) and partial-order
+//!   reduction — source
 //!   DPOR with race-driven wakeup sets over the happens-before layer in
 //!   [`hb`], under sleep sets driven by per-step access footprints. Used by
 //!   the test-suites to verify linearizability and safe composability over
@@ -54,8 +55,8 @@ pub use adversary::{
     SoloAdversary,
 };
 pub use executor::{
-    Decision, DecisionLog, ExecSession, ExecutionResult, Executor, OnAbort, OpRecord,
-    SessionSnapshot, SurveyStatus, TickEmission, TraceMode, Workload,
+    Decision, DecisionLog, ExecSession, ExecutionResult, Executor, OnAbort, OpRecord, SessionMark,
+    SurveyStatus, TickEmission, TraceMode, Workload,
 };
 pub use explore::{
     explore_schedules, explore_schedules_monitored_observed_report, explore_schedules_parallel,
@@ -68,8 +69,8 @@ pub use machine::{
     ImmediateOutcome, ObjectSnapshot, OpExecution, OpOutcome, SimObject, StepOutcome,
 };
 pub use memory::{
-    Footprint, MemSnapshot, Message, NetNode, PrimitiveClass, RegId, ServerHandler, SharedMemory,
-    StepLabel,
+    Footprint, MemMark, MemSnapshot, Message, NetNode, PrimitiveClass, RegId, ServerHandler,
+    SharedMemory, StepLabel,
 };
 pub use metrics::{ContentionKind, ExecutionMetrics, OpMetrics};
 pub use replay::{replay_schedule, ReplayLog, ReplayOutcome, ReplayTick};

@@ -17,10 +17,9 @@ use std::any::Any;
 /// lazily allocated sub-objects, request tables, …).
 ///
 /// Snapshots are produced by [`SimObject::snapshot`] and consumed by
-/// [`SimObject::restore`]; the schedule explorer pairs them with
-/// [`crate::memory::MemSnapshot`] and
-/// [`crate::executor::SessionSnapshot`] to rewind a whole execution to an
-/// earlier decision point. Objects whose entire state lives in shared
+/// [`SimObject::restore`]; the schedule explorer pairs them with a
+/// [`crate::memory::MemMark`] and a [`crate::executor::SessionMark`] to
+/// rewind a whole execution to an earlier decision point. Objects whose entire state lives in shared
 /// registers use [`ObjectSnapshot::stateless`].
 pub struct ObjectSnapshot(Box<dyn Any>);
 
@@ -88,6 +87,12 @@ pub trait OpExecution<S: SequentialSpec, V> {
     /// exactly like `self` would from this point on; state shared with the
     /// owning [`SimObject`] (e.g. through `Rc` cells) may — and should — stay
     /// shared, because [`SimObject::restore`] rewinds it in place.
+    ///
+    /// The explorer may fork after the checkpoint it serves, right before
+    /// the operation's next step (other operations may have moved in
+    /// between), and may fork the same state more than once. So whether
+    /// `fork` succeeds, and what it copies, must depend only on the
+    /// operation's own state.
     fn fork(&self) -> Option<Box<dyn OpExecution<S, V>>> {
         None
     }

@@ -30,15 +30,25 @@
 //!   while *reusing* every allocation: register slots, audit entries
 //!   (including their name `String`s) and counter vectors are recycled by
 //!   the next epoch's `alloc` calls;
-//! * checkpoints reuse their inner buffers too:
-//!   [`SharedMemory::snapshot_into`] and [`SharedMemory::restore`] copy
-//!   into the destination's existing `Vec`s, down to each replica's state
-//!   and each inbox (`clone_from`), so a warm save or restore allocates
-//!   nothing;
+//! * checkpoints are marks on undo logs: after [`SharedMemory::mark`],
+//!   every write logs the pre-image of what it overwrites (a register, a
+//!   process's counters and fence flag, an in-flight slot, an inbox-lane
+//!   push or pop, a replica's state), and the scalars (live register count,
+//!   global step count, slot sequence, born/occupied/severed masks, audit-log
+//!   length) ride in the [`MemMark`] itself. Taking a mark is `O(1)`;
+//!   [`SharedMemory::undo_to`] pops the logs back to it, so a backtrack
+//!   costs what the abandoned continuation changed, not the size of the
+//!   state. Marks nest like a stack and one mark may be undone to
+//!   repeatedly;
+//! * the full-copy checkpoint API remains: [`SharedMemory::snapshot_into`]
+//!   and [`SharedMemory::restore`] copy into the destination's existing
+//!   `Vec`s, down to each replica's state and each inbox (`clone_from`), so
+//!   a warm save or restore allocates nothing — and a [`MemSnapshot`] can be
+//!   restored into a different memory of the same shape;
 //! * the audit is rolled back by log, not by scan: every first application
 //!   of a primitive class to a register appends that register to an
-//!   append-only audit log, a snapshot records only the log's length, and
-//!   a restore pops the log back to it (see [`MemSnapshot`]);
+//!   append-only audit log, a snapshot or mark records only the log's
+//!   length, and a rewind pops the log back to it (see [`MemSnapshot`]);
 //! * the set of occupied in-flight network slots is a maintained `u64`
 //!   mask, so [`SharedMemory::net_occupied`] and
 //!   [`SharedMemory::net_in_flight`] are `O(1)`.
@@ -162,7 +172,7 @@ struct Network {
 }
 
 /// A point-in-time copy of the network state (part of [`MemSnapshot`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct NetSnapshot {
     servers: Vec<Vec<i64>>,
     slots: Vec<Option<Message>>,
@@ -406,8 +416,9 @@ impl RegisterAudit {
 /// [`SharedMemory::restore`] rewinds allocations by truncation and audit
 /// classes by popping the log back to the mark, touching only what changed
 /// since the snapshot. Snapshots are plain buffers; reuse one across
-/// [`SharedMemory::snapshot_into`] calls to avoid reallocating.
-#[derive(Debug, Clone, Default)]
+/// [`SharedMemory::snapshot_into`] calls to avoid reallocating. Two
+/// snapshots compare equal iff they captured the same state.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MemSnapshot {
     live: usize,
     regs: Vec<Value>,
@@ -428,6 +439,70 @@ impl MemSnapshot {
     /// The global step count at snapshot time.
     pub fn global_steps(&self) -> u64 {
         self.global_steps
+    }
+}
+
+/// A position on a [`SharedMemory`]'s undo logs, returned by
+/// [`SharedMemory::mark`] and consumed by [`SharedMemory::undo_to`].
+///
+/// It holds the length of every undo log and the memory's scalars at
+/// marking time: the live register count, the number of processes with
+/// counters, the global step count, the audit-log length, and the network's
+/// slot sequence and born, occupied and severed masks. Everything else is
+/// rewound from the logs, so a mark is a few words and costs `O(1)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemMark {
+    regs: usize,
+    counters: usize,
+    slots: usize,
+    inboxes: usize,
+    servers: usize,
+    words: usize,
+    live: usize,
+    procs: usize,
+    global_steps: u64,
+    audit_len: usize,
+    seq: usize,
+    born: u64,
+    occupied: u64,
+    severed: u64,
+}
+
+/// The undo logs behind [`SharedMemory::mark`]: the pre-image of every
+/// write since the first mark, one log per kind of state, popped in
+/// reverse by [`SharedMemory::undo_to`]. The logs are independent — each
+/// covers state no other log touches — so only the order within a log
+/// matters.
+#[derive(Debug, Clone, Default)]
+struct UndoLog {
+    /// Whether writes are logged: set by the first mark, cleared by
+    /// [`SharedMemory::reset`] and [`SharedMemory::restore`]. Without a
+    /// mark nothing can be undone, so nothing is logged.
+    on: bool,
+    /// Overwritten register values.
+    regs: Vec<(RegId, Value)>,
+    /// A process's counters and RAW-fence flag before a step.
+    counters: Vec<(usize, ProcessCounters, bool)>,
+    /// An in-flight slot before a send, delivery, drop or reply.
+    slots: Vec<(usize, Option<Message>)>,
+    /// Inbox-lane changes: `None` undoes a push by popping the lane's back,
+    /// `Some(m)` undoes a receive by putting `m` back at its front.
+    inboxes: Vec<(usize, Option<Message>)>,
+    /// A replica's state before a delivery: the replica and where its
+    /// words start in `words` (they run to the next entry's start).
+    servers: Vec<(usize, usize)>,
+    words: Vec<i64>,
+}
+
+impl UndoLog {
+    fn clear(&mut self) {
+        self.on = false;
+        self.regs.clear();
+        self.counters.clear();
+        self.slots.clear();
+        self.inboxes.clear();
+        self.servers.clear();
+        self.words.clear();
     }
 }
 
@@ -458,6 +533,8 @@ pub struct SharedMemory {
     /// The simulated message-passing network (empty until
     /// [`Self::net_init`]).
     net: Network,
+    /// Pre-images of the writes since the first [`Self::mark`].
+    undo: UndoLog,
 }
 
 impl SharedMemory {
@@ -480,6 +557,7 @@ impl SharedMemory {
         self.global_steps = 0;
         self.last_footprint = Footprint::Pure;
         self.audit_log.clear();
+        self.undo.clear();
         // The network is structural per epoch: setup re-runs `net_init`.
         self.net.cap = 0;
         self.net.clients = 0;
@@ -608,6 +686,9 @@ impl SharedMemory {
     /// length: every popped entry takes the last class off its register.
     /// Log entries only name registers live when they were pushed, so the
     /// popped classes are exactly the ones applied since the snapshot.
+    ///
+    /// A restore discards every [`Self::mark`]: the undo logs describe the
+    /// path to the state being overwritten, not to the restored one.
     pub fn restore(&mut self, snap: &MemSnapshot) {
         debug_assert!(
             snap.live <= self.regs.len(),
@@ -640,6 +721,128 @@ impl SharedMemory {
         self.net.occupied = snap.net.occupied;
         self.net.inboxes.clone_from(&snap.net.inboxes);
         self.net.severed = snap.net.severed;
+        self.undo.clear();
+    }
+
+    /// Marks the current state on the undo logs, for a later
+    /// [`Self::undo_to`]: the prefix-resume checkpoint of the schedule
+    /// explorer. From the first mark on, every write logs the pre-image of
+    /// what it overwrites (see [`MemMark`] for what the mark itself holds),
+    /// so marking is `O(1)` and an undo costs what changed since the mark.
+    pub fn mark(&mut self) -> MemMark {
+        self.undo.on = true;
+        MemMark {
+            regs: self.undo.regs.len(),
+            counters: self.undo.counters.len(),
+            slots: self.undo.slots.len(),
+            inboxes: self.undo.inboxes.len(),
+            servers: self.undo.servers.len(),
+            words: self.undo.words.len(),
+            live: self.live,
+            procs: self.counters.len(),
+            global_steps: self.global_steps,
+            audit_len: self.audit_log.len(),
+            seq: self.net.seq,
+            born: self.net.born,
+            occupied: self.net.occupied,
+            severed: self.net.severed,
+        }
+    }
+
+    /// Rewinds the memory to the state at `mark`, popping every undo log
+    /// back to the mark's position. Marks nest like a stack: `mark` must
+    /// have been taken on this memory within the current epoch (no
+    /// [`Self::reset`] or [`Self::restore`] since), and no mark taken before
+    /// it may have been undone to since. `mark` stays valid, so the same
+    /// branch point can be rewound to once per sibling. As with
+    /// [`Self::restore`], registers allocated after the mark are rolled
+    /// back and their slots become recyclable.
+    pub fn undo_to(&mut self, mark: &MemMark) {
+        let u = &mut self.undo;
+        debug_assert!(
+            u.on && mark.regs <= u.regs.len()
+                && mark.counters <= u.counters.len()
+                && mark.slots <= u.slots.len()
+                && mark.inboxes <= u.inboxes.len()
+                && mark.servers <= u.servers.len()
+                && mark.audit_len <= self.audit_log.len(),
+            "undo to a mark from another epoch, or out of stack order"
+        );
+        for (r, v) in u.regs.drain(mark.regs..).rev() {
+            self.regs[r.0] = v;
+        }
+        for (p, c, wrote) in u.counters.drain(mark.counters..).rev() {
+            self.counters[p] = c;
+            self.wrote_in_op[p] = wrote;
+        }
+        self.counters.truncate(mark.procs);
+        self.wrote_in_op.truncate(mark.procs);
+        for (s, slot) in u.slots.drain(mark.slots..).rev() {
+            self.net.slots[s] = slot;
+        }
+        for (ix, popped) in u.inboxes.drain(mark.inboxes..).rev() {
+            match popped {
+                None => drop(self.net.inboxes[ix].pop()),
+                Some(m) => self.net.inboxes[ix].insert(0, m),
+            }
+        }
+        while u.servers.len() > mark.servers {
+            let (j, start) = u.servers.pop().expect("length checked");
+            let state = &mut self.net.servers[j];
+            state.clear();
+            state.extend_from_slice(&u.words[start..]);
+            u.words.truncate(start);
+        }
+        debug_assert_eq!(u.words.len(), mark.words);
+        for r in self.audit_log.drain(mark.audit_len..) {
+            self.audit[r.0].classes.pop();
+        }
+        self.live = mark.live;
+        self.global_steps = mark.global_steps;
+        self.net.seq = mark.seq;
+        self.net.born = mark.born;
+        self.net.occupied = mark.occupied;
+        self.net.severed = mark.severed;
+    }
+
+    /// Sets register `r`, logging its old value while a mark is live.
+    #[inline]
+    fn set_reg(&mut self, r: RegId, v: Value) {
+        if self.undo.on {
+            self.undo.regs.push((r, self.regs[r.0]));
+        }
+        self.regs[r.0] = v;
+    }
+
+    /// Logs process `pi`'s counters and fence flag before a change.
+    #[inline]
+    fn log_counters(&mut self, pi: usize) {
+        if self.undo.on {
+            self.undo
+                .counters
+                .push((pi, self.counters[pi], self.wrote_in_op[pi]));
+        }
+    }
+
+    /// Sets in-flight slot `s`, logging its old content while a mark is
+    /// live; returns the old content.
+    #[inline]
+    fn set_slot(&mut self, s: usize, msg: Option<Message>) -> Option<Message> {
+        let old = std::mem::replace(&mut self.net.slots[s], msg);
+        if self.undo.on {
+            self.undo.slots.push((s, old));
+        }
+        old
+    }
+
+    /// Appends `msg` to inbox lane `ix`, logging the push while a mark is
+    /// live.
+    #[inline]
+    fn inbox_push(&mut self, ix: usize, msg: Message) {
+        self.net.inboxes[ix].push(msg);
+        if self.undo.on {
+            self.undo.inboxes.push((ix, None));
+        }
     }
 
     /// The footprint of the most recent shared-memory step
@@ -652,6 +855,7 @@ impl SharedMemory {
     /// per-operation RAW-fence accounting).
     pub fn begin_op(&mut self, p: ProcessId) {
         self.ensure_proc(p);
+        self.log_counters(p.index());
         self.wrote_in_op[p.index()] = false;
     }
 
@@ -670,6 +874,7 @@ impl SharedMemory {
         self.ensure_proc(p);
         self.global_steps += 1;
         let pi = p.index();
+        self.log_counters(pi);
         let c = &mut self.counters[pi];
         c.steps += 1;
         match class {
@@ -709,14 +914,16 @@ impl SharedMemory {
     /// Atomic write (one step).
     pub fn write(&mut self, p: ProcessId, r: RegId, v: Value) {
         self.record(p, r, PrimitiveClass::Write);
-        self.regs[r.0] = v;
+        self.set_reg(r, v);
     }
 
     /// Atomic swap: writes `v` and returns the previous value (one step,
     /// consensus number 2).
     pub fn swap(&mut self, p: ProcessId, r: RegId, v: Value) -> Value {
         self.record(p, r, PrimitiveClass::Swap);
-        std::mem::replace(&mut self.regs[r.0], v)
+        let prev = self.regs[r.0];
+        self.set_reg(r, v);
+        prev
     }
 
     /// Atomic test-and-set on a boolean register: sets it to `true` and
@@ -724,7 +931,7 @@ impl SharedMemory {
     pub fn test_and_set(&mut self, p: ProcessId, r: RegId) -> bool {
         self.record(p, r, PrimitiveClass::TestAndSet);
         let prev = self.regs[r.0].as_bool();
-        self.regs[r.0] = Value::TRUE;
+        self.set_reg(r, Value::TRUE);
         prev
     }
 
@@ -733,7 +940,7 @@ impl SharedMemory {
     pub fn fetch_add(&mut self, p: ProcessId, r: RegId, delta: i64) -> i64 {
         self.record(p, r, PrimitiveClass::FetchAdd);
         let prev = self.regs[r.0].as_opt_int().unwrap_or(0);
-        self.regs[r.0] = Value::int(prev + delta);
+        self.set_reg(r, Value::int(prev + delta));
         prev
     }
 
@@ -750,7 +957,7 @@ impl SharedMemory {
         self.record(p, r, PrimitiveClass::CompareAndSwap);
         let current = self.regs[r.0];
         if current == expected {
-            self.regs[r.0] = new;
+            self.set_reg(r, new);
         }
         current
     }
@@ -889,7 +1096,7 @@ impl SharedMemory {
         );
         self.net.born |= 1u64 << s;
         self.net.occupied |= 1u64 << s;
-        self.net.slots[s] = Some(msg);
+        self.set_slot(s, Some(msg));
         self.net.seq += 1;
         // `record` set a single-register `Write(slot_reg)`; widen it to the
         // exact two-register network write set.
@@ -957,8 +1164,8 @@ impl SharedMemory {
     /// a send by some other client) commutes, which is exactly the freedom
     /// the partial-order reductions need to prune message interleavings.
     pub fn net_deliver(&mut self, slot: usize) -> (ProcessId, Footprint) {
-        let msg = self.net.slots[slot]
-            .take()
+        let msg = self
+            .set_slot(slot, None)
             .expect("net_deliver of an empty slot");
         self.net.occupied &= !(1u64 << slot);
         let owner = msg.owner;
@@ -967,11 +1174,15 @@ impl SharedMemory {
             NetNode::Client(c) => {
                 let ix = Self::lane_ix(c, msg.lane);
                 let fp = net_fp(&[item, self.net.inbox_regs[ix]]);
-                self.net.inboxes[ix].push(msg);
+                self.inbox_push(ix, msg);
                 (owner, fp)
             }
             NetNode::Server(j) => {
                 let handler = self.net.handler.expect("net_deliver before net_init");
+                if self.undo.on {
+                    self.undo.servers.push((j, self.undo.words.len()));
+                    self.undo.words.extend_from_slice(&self.net.servers[j]);
+                }
                 let reply = handler(j, &mut self.net.servers[j], &msg);
                 let srv = self.net.server_regs[j];
                 match reply {
@@ -989,7 +1200,7 @@ impl SharedMemory {
                         );
                         self.net.born |= 1u64 << rs;
                         self.net.occupied |= 1u64 << rs;
-                        self.net.slots[rs] = Some(r);
+                        self.set_slot(rs, Some(r));
                         (owner, net_fp(&[item, srv, self.net.slot_item_regs[rs]]))
                     }
                     _ => (owner, net_fp(&[item, srv])),
@@ -1009,14 +1220,14 @@ impl SharedMemory {
     /// notification (filed under the dropped message's own lane, so the
     /// owner's current collect phase sees it iff it is still in that phase).
     pub fn net_drop(&mut self, slot: usize) -> (ProcessId, Footprint) {
-        let msg = self.net.slots[slot]
-            .take()
+        let msg = self
+            .set_slot(slot, None)
             .expect("net_drop of an empty slot");
         self.net.occupied &= !(1u64 << slot);
         let owner = msg.owner;
         let ix = Self::lane_ix(owner.index(), msg.lane);
         let fp = net_fp(&[self.net.slot_item_regs[slot], self.net.inbox_regs[ix]]);
-        self.net.inboxes[ix].push(Message { lost: true, ..msg });
+        self.inbox_push(ix, Message { lost: true, ..msg });
         (owner, fp)
     }
 
@@ -1041,7 +1252,11 @@ impl SharedMemory {
         if self.net.inboxes[ix].is_empty() {
             None
         } else {
-            Some(self.net.inboxes[ix].remove(0))
+            let msg = self.net.inboxes[ix].remove(0);
+            if self.undo.on {
+                self.undo.inboxes.push((ix, Some(msg)));
+            }
+            Some(msg)
         }
     }
 
@@ -1642,9 +1857,9 @@ mod tests {
             // Sends so far: kept below CAP / 2 so every send slot `s` and
             // its reply slot `CAP - 1 - s` stay disjoint.
             let mut sends = 0usize;
-            // Checkpoints: the snapshot, a clone of the memory it captured,
-            // and the send count at the time.
-            let mut stack: Vec<(MemSnapshot, SharedMemory, usize)> = Vec::new();
+            // Checkpoints: the mark, a full-copy snapshot and a clone of the
+            // memory taken at the mark, and the send count at the time.
+            let mut stack: Vec<(MemMark, MemSnapshot, SharedMemory, usize)> = Vec::new();
             for step in 0..240 {
                 let at = format!("case {case} step {step}");
                 let in_flight = m.scanned_occupied();
@@ -1680,21 +1895,31 @@ mod tests {
                         }
                     }
                     10 => {
+                        let mark = m.mark();
                         let mut snap = MemSnapshot::new();
                         m.snapshot_into(&mut snap);
-                        stack.push((snap, m.clone(), sends));
+                        stack.push((mark, snap, m.clone(), sends));
                     }
                     11 if !stack.is_empty() => {
-                        // Restore the newest checkpoint; keep it for a later
-                        // second restore half of the time.
-                        let (snap, expect, at_sends) = if rng.next_bool() {
+                        // Undo to the newest mark; keep it for a later second
+                        // undo half of the time. The rewound state must equal
+                        // the full copy taken at the mark.
+                        let (mark, snap, expect, at_sends) = if rng.next_bool() {
                             stack.pop().unwrap()
                         } else {
                             stack.last().cloned().unwrap()
                         };
-                        m.restore(&snap);
+                        m.undo_to(&mark);
                         sends = at_sends;
                         regs.retain(|r| r.0 < m.register_count());
+                        assert_eq!(m.snapshot(), snap, "state at {at}");
+                        for i in 0..m.register_count() {
+                            assert_eq!(
+                                m.peek(RegId(i)),
+                                expect.peek(RegId(i)),
+                                "register {i} at {at}"
+                            );
+                        }
                         assert_eq!(m.audit(), expect.audit(), "audit at {at}");
                         assert_eq!(m.net_digest(), expect.net_digest(), "network at {at}");
                         assert_eq!(m.net.occupied, expect.net.occupied, "mask at {at}");

@@ -16,7 +16,7 @@
 //! N completed schedules. All state is shared-reference friendly so one
 //! observer can be handed to every worker of a parallel exploration.
 
-use std::collections::HashSet;
+use scl_spec::FxHashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -35,8 +35,9 @@ pub trait ExploreObserver: Sync {
 
     /// Whether the engine should compute a happens-before class fingerprint
     /// for each completed schedule and report it via
-    /// [`hb_class`](ExploreObserver::hb_class). Fingerprinting walks the
-    /// whole happens-before log, so it is gated behind this opt-in.
+    /// [`hb_class`](ExploreObserver::hb_class). Fingerprints are cheap
+    /// (`O(processes)`, see [`crate::hb::HbTracker::fingerprint`]) but
+    /// not free, so they are gated behind this opt-in.
     #[inline]
     fn wants_hb_classes(&self) -> bool {
         false
@@ -75,7 +76,9 @@ pub struct TelemetryObserver {
     heartbeat_count: AtomicU64,
     checker_nanos: AtomicU64,
     depth_hist: [AtomicU64; DEPTH_BUCKETS + 1],
-    hb_classes: Mutex<HashSet<u64>>,
+    /// Distinct class fingerprints. Fingerprints are already well-mixed
+    /// hashes, so the cheap Fx hasher spreads them as well as SipHash.
+    hb_classes: Mutex<FxHashSet<u64>>,
 }
 
 /// A point-in-time copy of what a [`TelemetryObserver`] recorded, suitable
@@ -106,7 +109,7 @@ impl TelemetryObserver {
             heartbeat_count: AtomicU64::new(0),
             checker_nanos: AtomicU64::new(0),
             depth_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            hb_classes: Mutex::new(HashSet::new()),
+            hb_classes: Mutex::new(FxHashSet::default()),
         }
     }
 

@@ -6,9 +6,11 @@
 //! This is the property the explorer's prefix-resume mode rests on. The
 //! `SharedMemory`-only round trip is unit-tested in `scl-sim`; these tests
 //! exercise the full (memory, session, object) triple through the public
-//! checkpoint API on the paper's actual algorithms. The session checkpoint
-//! goes through a recycled `SessionSnapshot` buffer, as the explorer's
-//! pooled checkpoints do.
+//! checkpoint API on the paper's actual algorithms, the way the explorer
+//! does: marks on the memory's and the session's undo logs plus an object
+//! snapshot, rewound with `undo_to`/`restore` — twice from the same mark,
+//! after detours in which a crash and an operation's completion replace
+//! running process states.
 
 use scl::core::{
     new_composable_universal, new_solo_fast_tas, new_speculative_tas, new_three_level_universal,
@@ -16,8 +18,8 @@ use scl::core::{
     SplitConsensus, UniversalConstruction, WbRecovery, WriteBehindRegister,
 };
 use scl::sim::{
-    ExecSession, Executor, MemSnapshot, SessionSnapshot, SharedMemory, SimObject, SplitMix64,
-    SurveyStatus, Workload,
+    ExecSession, Executor, SharedMemory, SimObject, SplitMix64, SurveyStatus, TickEmission,
+    Workload,
 };
 use scl::spec::{
     ConsensusOp, ConsensusSpec, CounterOp, CounterSpec, History, ProcessId, RegisterOp,
@@ -92,10 +94,89 @@ impl<'a> Script<'a> {
     }
 }
 
-/// Drives `object` under `script`; at decision `checkpoint_at` takes a full
-/// (memory, session, object) snapshot, executes a detour, restores, and
-/// finishes the scripted run. Returns nothing; panics on any divergence from
-/// the uninterrupted reference run.
+/// Scrambles the state a rewind must undo: crashes a process — a running
+/// one if some running process is enabled, so its in-flight state is
+/// replaced — and restarts it; then runs another running process until its
+/// operation completes; then takes up to eight more ticks, of the last
+/// enabled transition in round 0 and of the first in round 1.
+fn detour<S, V, O>(
+    executor: &Executor,
+    session: &mut ExecSession<S, V>,
+    mem: &mut SharedMemory,
+    obj: &mut O,
+    workload: &Workload<S, V>,
+    round: usize,
+) where
+    S: SequentialSpec,
+    V: Clone + Eq + Hash + Debug,
+    O: SimObject<S, V>,
+{
+    let n = workload.processes();
+    let cap = mem.net_cap();
+    // The caller surveyed: the enabled set is current. With a network it
+    // may hold only delivery pseudo-steps; then the tick loop below
+    // scrambles the in-flight buffer instead.
+    let enabled = session.enabled().to_vec();
+    let real = |p: &&ProcessId| p.index() < n && enabled.contains(p);
+    let running = session.in_progress().iter().find(real).copied();
+    let victim = running.or_else(|| enabled.iter().find(real).copied());
+    if let Some(victim) = victim {
+        // The crash puts the victim's state (a running operation's, if it
+        // had one) on the undo log; the restart wipes volatile state, sets
+        // the restarted bit and installs the object's recovery routine.
+        executor.tick(session, mem, obj, workload, ProcessId(n + victim.index()));
+        executor.tick(
+            session,
+            mem,
+            obj,
+            workload,
+            ProcessId(2 * n + 2 * cap + victim.index()),
+        );
+    }
+    // Step another running process until its operation completes (or it
+    // stops being schedulable): its state goes on the log at its first
+    // step and is replaced at the completion.
+    if executor.survey(session, mem, workload) == SurveyStatus::Choose {
+        let other = session
+            .in_progress()
+            .iter()
+            .copied()
+            .find(|p| Some(*p) != victim && p.index() < n && session.enabled().contains(p));
+        if let Some(q) = other {
+            for _ in 0..16 {
+                executor.tick(session, mem, obj, workload, q);
+                let completed = matches!(
+                    session.last_emission(),
+                    TickEmission::Committed { .. } | TickEmission::Aborted { .. }
+                );
+                if completed
+                    || executor.survey(session, mem, workload) != SurveyStatus::Choose
+                    || !session.enabled().contains(&q)
+                {
+                    break;
+                }
+            }
+        }
+    }
+    for _ in 0..8 {
+        if executor.survey(session, mem, workload) != SurveyStatus::Choose {
+            break;
+        }
+        let enabled = session.enabled();
+        let pick = if round == 0 {
+            enabled[enabled.len() - 1]
+        } else {
+            enabled[0]
+        };
+        executor.tick(session, mem, obj, workload, pick);
+    }
+}
+
+/// Drives `object` under `script`; at decision `checkpoint_at` marks the
+/// memory and the session and snapshots the object, takes a detour, rewinds
+/// (twice: a mark stays valid after an undo), and finishes the scripted
+/// run. Returns nothing; panics on any divergence from the uninterrupted
+/// reference run.
 fn assert_roundtrip_bit_identical<S, V, O>(
     build: impl Fn(&mut SharedMemory) -> O,
     workload: &Workload<S, V>,
@@ -116,18 +197,7 @@ fn assert_roundtrip_bit_identical<S, V, O>(
     let mut ref_session: ExecSession<S, V> = ExecSession::new();
     executor.begin(&mut ref_session, workload);
     let mut ref_script = Script::new(script, n, cap, usize::MAX);
-    // The interrupted run's session checkpoint reuses this buffer. It first
-    // holds a different snapshot of the reference run: the deepest one with
-    // the most operations in progress, so every list in it is at least as
-    // long as the checkpoint's and a refill that does not clear one shows
-    // as a divergence.
-    let mut reused: SessionSnapshot<S, V> = SessionSnapshot::new();
-    let mut most_in_progress = 0;
     while executor.survey(&mut ref_session, &ref_mem, workload) == SurveyStatus::Choose {
-        if ref_session.in_progress().len() >= most_in_progress {
-            most_in_progress = ref_session.in_progress().len();
-            assert!(ref_session.snapshot_into(&mut reused));
-        }
         let chosen = ref_script.choose(ref_session.enabled(), ref_session.crashed_now());
         executor.tick(
             &mut ref_session,
@@ -138,72 +208,40 @@ fn assert_roundtrip_bit_identical<S, V, O>(
         );
     }
 
-    // Interrupted run: checkpoint, detour, restore, replay.
+    // Interrupted run: mark, detour, rewind, replay.
     let mut mem = SharedMemory::new();
     let mut obj = build(&mut mem);
     let mut session: ExecSession<S, V> = ExecSession::new();
     executor.begin(&mut session, workload);
     let mut run_script = Script::new(script, n, cap, usize::MAX);
-    let mut mem_snap = MemSnapshot::new();
-    let mut saved = None;
+    let mut rewound = false;
     loop {
         let status = executor.survey(&mut session, &mem, workload);
-        if saved.is_none() && session.depth() == checkpoint_at && status == SurveyStatus::Choose {
-            mem.snapshot_into(&mut mem_snap);
-            let mut session_snap = std::mem::take(&mut reused);
-            assert!(
-                session.snapshot_into(&mut session_snap),
-                "every core object must support in-flight forking"
-            );
-            assert_eq!(
-                session.snapshot().map(|fresh| fresh.depth()),
-                Some(session_snap.depth())
-            );
+        if !rewound && session.depth() == checkpoint_at && status == SurveyStatus::Choose {
+            rewound = true;
+            let mem_mark = mem.mark();
+            let session_mark = session
+                .mark()
+                .expect("every core object must support in-flight forking");
+            assert_eq!(session_mark.depth(), checkpoint_at);
             let object_snap = obj
                 .snapshot()
                 .expect("every core object must support snapshotting");
-            saved = Some((session_snap, object_snap, run_script.pos));
-
-            // Detour: run the execution some other way to scramble every
-            // piece of state the restore must rewind — including a crash
-            // (the restore must reinstate the pre-detour crash mask and
-            // re-enable the process the detour killed). With a network the
-            // enabled set may hold only delivery pseudo-steps; then the
-            // delivery-heavy detour below scrambles the in-flight buffer
-            // instead.
-            let victim = session.enabled().iter().copied().find(|p| p.index() < n);
-            if let Some(victim) = victim {
-                executor.tick(
-                    &mut session,
-                    &mut mem,
-                    &mut obj,
-                    workload,
-                    ProcessId(n + victim.index()),
+            let enabled = session.enabled().to_vec();
+            let in_progress = session.in_progress().to_vec();
+            for round in 0..2 {
+                detour(&executor, &mut session, &mut mem, &mut obj, workload, round);
+                mem.undo_to(&mem_mark);
+                session.undo_to(&session_mark);
+                obj.restore(&object_snap);
+                assert_eq!(session.depth(), checkpoint_at);
+                assert_eq!(
+                    executor.survey(&mut session, &mem, workload),
+                    SurveyStatus::Choose
                 );
-                // ...and bring it straight back: the restart wipes volatile
-                // state, sets the restarted bit and installs the object's
-                // recovery routine — all of which the restore must rewind.
-                executor.tick(
-                    &mut session,
-                    &mut mem,
-                    &mut obj,
-                    workload,
-                    ProcessId(2 * n + 2 * cap + victim.index()),
-                );
+                assert_eq!(session.enabled(), &enabled[..], "enabled set after an undo");
+                assert_eq!(session.in_progress(), &in_progress[..]);
             }
-            for _ in 0..8 {
-                if executor.survey(&mut session, &mem, workload) != SurveyStatus::Choose {
-                    break;
-                }
-                let last = *session.enabled().last().expect("enabled is non-empty");
-                executor.tick(&mut session, &mut mem, &mut obj, workload, last);
-            }
-
-            let (session_snap, object_snap, pos) = saved.as_ref().expect("saved above");
-            mem.restore(&mem_snap);
-            executor.resume_from(&mut session, session_snap);
-            obj.restore(object_snap);
-            run_script.pos = *pos;
             continue;
         }
         if status != SurveyStatus::Choose {
