@@ -369,7 +369,7 @@ pub fn artifact_json(
                  {}, \"responded\": {}, \"emission\": {}}}",
                 t.id.index(),
                 crate::json_string(&t.kind.describe()),
-                t.label.proc.index(),
+                tick_proc(t),
                 crate::json_string(&footprint_str(&t.label.footprint)),
                 t.label.invoked,
                 t.label.responded,
@@ -410,6 +410,18 @@ pub fn artifact_json(
         races.join(", "),
         ticks.join(",\n"),
     )
+}
+
+/// The process a transition belongs to: the stepping, crashing or
+/// restarting process, and for a delivery or drop the owner of the message
+/// (its happens-before thread is the message's slot, not a process).
+fn tick_proc(t: &ReplayTick) -> usize {
+    match t.emission {
+        TickEmission::Delivered { owner, .. } | TickEmission::Dropped { owner, .. } => {
+            owner.index()
+        }
+        _ => t.label.proc.index(),
+    }
 }
 
 /// One cell of the interleaving diagram: what the transition did, in the
@@ -459,7 +471,7 @@ pub fn render_interleaving(log: &ReplayLog) -> String {
     let cells: Vec<(usize, String)> = log
         .ticks
         .iter()
-        .map(|t| (t.label.proc.index().min(log.processes), tick_cell(t)))
+        .map(|t| (tick_proc(t).min(log.processes), tick_cell(t)))
         .collect();
     let mut widths = vec![4; log.processes + 1]; // "p{i}" headers; last = overflow
     for (col, cell) in &cells {

@@ -1590,8 +1590,8 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "completes"],
         expect_violation: true,
         // The stale read hides deep in the message-interleaving space: the
-        // lin-preserving reductions reach it in ~20k schedules, unreduced
-        // DFS needs ~3.1M — smoke-sized budgets are underpowered by design.
+        // lin-preserving reductions reach it in 19 schedules, unreduced DFS
+        // needs ~3.1M — smoke-sized budgets are underpowered under `off`.
         needs_schedules: 4_000_000,
         needs_trace: false,
         runner: run_abd_quorum_mutant,

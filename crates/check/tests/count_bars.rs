@@ -325,7 +325,7 @@ fn recovery_group_exhausts_in_every_mode() {
         setup,
         &wl,
         &restart,
-        all_modes([370, 36, 102]),
+        all_modes([370, 32, 102]),
     );
     assert!(
         restart_off.schedules > baseline.schedules,
@@ -359,7 +359,7 @@ fn network_group_exhausts_in_every_mode() {
         setup,
         &wl,
         &lossy,
-        all_modes([66_977, 12_524, 12_524]),
+        all_modes([66_977, 1_173, 1_173]),
     );
     assert!(
         lossy_off.schedules > baseline.schedules,

@@ -227,3 +227,106 @@ fn abd_majority_partition_wedges_as_a_designed_progress_violation() {
         }
     }
 }
+
+/// The verdict-signature set of an ABD emulation with two clients (see
+/// [`two_client_abd_reductions_have_the_full_verdict_set`]): every op's
+/// outcome, which processes crashed, and the bridge's per-schedule verdict.
+/// `workers = 1` runs the sequential engine, more the wave-parallel one.
+fn two_client_signature_set(
+    wl: &Wl,
+    config: &ExploreConfig,
+    workers: usize,
+) -> (BTreeSet<String>, u64) {
+    let set = Mutex::new(BTreeSet::new());
+    let setup = |mem: &mut SharedMemory| AbdRegister::new(mem, 2, 1, 12, 0);
+    let check = |res: &scl_sim::ExecutionResult<RegisterSpec, ()>,
+                 _mem: &SharedMemory,
+                 m: &mut LinMonitor<RegisterSpec>| {
+        let mut ops: Vec<String> = res
+            .ops
+            .iter()
+            .map(|o| format!("{}={:?}", o.req.id, o.outcome))
+            .collect();
+        ops.sort();
+        set.lock().unwrap().insert(format!(
+            "{}|crashed={:b}|lin={}",
+            ops.join(","),
+            res.crashed,
+            m.verdict().is_ok()
+        ));
+        Ok(())
+    };
+    let report = if workers == 1 {
+        let mut monitor = LinMonitor::new(RegisterSpec, CheckerMode::Incremental);
+        explore_schedules_monitored_observed_report(
+            setup,
+            wl,
+            config,
+            &mut monitor,
+            &NoObserver,
+            check,
+        )
+    } else {
+        let factory = || LinMonitor::new(RegisterSpec, CheckerMode::Incremental);
+        let config = ExploreConfig {
+            threads: workers,
+            ..config.clone()
+        };
+        explore_schedules_parallel_monitored_observed_report(
+            setup,
+            wl,
+            &config,
+            &factory,
+            &NoObserver,
+            check,
+        )
+        .0
+    };
+    let schedules = match report.outcome {
+        Ok(ExploreOutcome::Exhausted { schedules }) => schedules,
+        other => panic!("exploration must exhaust, got {other:?}"),
+    };
+    (set.into_inner().unwrap(), schedules)
+}
+
+#[test]
+fn two_client_abd_reductions_have_the_full_verdict_set() {
+    // A writer and a reader on one replica (no retries, cap 12): the two
+    // clients' messages are concurrent slot threads, so deliveries, drops
+    // and crashes of different operations race with each other and every
+    // reversal is branched from a race. Under a 1-crash budget and under a
+    // 1-drop budget (160004 and 199914 unreduced schedules), both
+    // source-DPOR modes, sequential and with two workers, reach exactly the
+    // signatures of full enumeration.
+    let wl: Wl = Workload::from_ops(vec![vec![RegisterOp::Write(5)], vec![RegisterOp::Read]]);
+    for (crashes, drops) in [(1, 0), (0, 1)] {
+        let base = ExploreConfig {
+            max_schedules: 5_000_000,
+            max_crashes: crashes,
+            max_drops: drops,
+            resume: ResumeMode::PrefixResume,
+            ..Default::default()
+        };
+        let (full, full_scheds) = two_client_signature_set(&wl, &base, 1);
+        assert!(
+            full.iter().any(|s| s.contains("=Some(Commit(5))")),
+            "the reader must be able to see the write"
+        );
+        for reduction in [Reduction::SourceDpor, Reduction::SourceDporLinPreserving] {
+            for workers in [1, 2] {
+                let config = ExploreConfig {
+                    reduction,
+                    ..base.clone()
+                };
+                let (set, scheds) = two_client_signature_set(&wl, &config, workers);
+                let at =
+                    format!("{reduction:?}, {workers} worker(s), {crashes} crash / {drops} drop");
+                assert_eq!(full, set, "{at}");
+                assert!(
+                    scheds < full_scheds,
+                    "{at}: source DPOR must prune the space: {scheds} vs {full_scheds}"
+                );
+            }
+        }
+    }
+}

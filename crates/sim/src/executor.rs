@@ -565,7 +565,10 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
         &self.enabled
     }
 
-    /// The subset of [`Self::enabled`] with an operation in progress.
+    /// The processes with an operation in progress, in ascending order:
+    /// the enabled ones and those whose operation is blocked
+    /// ([`crate::OpExecution::blocked`]), which are not in
+    /// [`Self::enabled`]. Valid after [`Executor::survey`].
     pub fn in_progress(&self) -> &[ProcessId] {
         &self.in_progress
     }

@@ -62,7 +62,7 @@ use crate::executor::{
 };
 use crate::hb::HbTracker;
 use crate::machine::{ObjectSnapshot, SimObject};
-use crate::memory::{MemMark, SharedMemory, StepLabel};
+use crate::memory::{Footprint, MemMark, RegId, SharedMemory, StepLabel};
 use crate::step::StepKind;
 use crate::telemetry::{ExploreObserver, NoObserver};
 use scl_spec::{ProcessId, SequentialSpec};
@@ -86,6 +86,17 @@ use std::sync::Mutex;
 /// step (same register, at least one write — see
 /// [`crate::memory::Footprint::dependent`]). Explored complete schedules are
 /// therefore never equivalent.
+///
+/// Network and fault transitions are race-driven too. Each in-flight
+/// message slot is its own happens-before thread, so the delivery or drop
+/// of one message races with every dependent transition of other threads
+/// and is branched only where such a race is reversed. A race whose later
+/// transition the earlier one enabled (the send and the delivery of one
+/// message, or a delivery and the read of the process it unblocked) has no
+/// reversal and seeds nothing. A crash is a thread-local alternative to its
+/// process's own step and a drop to its message's delivery: each enters a
+/// frame together with its transition, wherever that transition enters.
+/// Only restarts are queued eagerly at every node.
 ///
 /// # Soundness contract
 ///
@@ -191,9 +202,11 @@ pub struct ExploreConfig {
     /// budget left, on crashing each enabled crash-eligible process — a
     /// crash is scheduled as the pseudo-process `n + p` (see
     /// [`Executor::tick`]): the process drops out of the enabled set
-    /// forever and its in-flight operation stays pending. Under a sleep-set
-    /// reduction this doubles the mask space, so at most 32 processes are
-    /// supported when crashes are enabled.
+    /// forever and its in-flight operation stays pending. Under source DPOR
+    /// the crash of `p` is branched only beside `p`'s own step (see
+    /// [`Reduction`]). Under a sleep-set reduction this doubles the mask
+    /// space, so at most 32 processes are supported when crashes are
+    /// enabled.
     pub max_crashes: usize,
     /// Processes eligible to crash, as a bitmask over process indices
     /// (`!0` = every process). Only consulted when `max_crashes > 0`.
@@ -204,7 +217,8 @@ pub struct ExploreConfig {
     /// branches, at every decision point with budget left, on dropping each
     /// in-flight message: a drop is scheduled as the pseudo-process
     /// `2n + cap + s` (see [`Executor::tick`]), removing slot `s` from
-    /// flight and handing its owner a loss notification.
+    /// flight and handing its owner a loss notification. Under source DPOR
+    /// the drop of `s` is branched only beside the delivery of `s`.
     pub max_drops: usize,
     /// Maximum number of restart (crash-recovery) transitions injected per
     /// execution. `0` (the default) keeps crashes crash-stop. With a
@@ -561,10 +575,13 @@ impl SharedBudget {
     }
 }
 
-/// The sleep-set mask bit of process `p`. Processes beyond the 64-bit mask
-/// (only reachable with [`Reduction::Off`] — the reduced modes assert
-/// `n <= 64`) map to the empty mask: they are never put to sleep, which
-/// costs reduction, never soundness.
+/// The sleep/seed mask bit of the raw scheduled id `p`. Ids beyond the
+/// 64-bit mask map to the empty mask. Under source DPOR every id a race can
+/// seed — real steps `p < n` and deliveries `2n + s` — fits, because
+/// [`Engine::new`] asserts `2n + cap <= 64`; only drop and restart ids can
+/// fall off. Those are never put to sleep and never marked seeded, which
+/// costs reduction, not soundness: a drop enters a frame only beside its
+/// delivery, and restarts are queued eagerly at every node.
 #[inline]
 fn bit(p: ProcessId) -> u64 {
     if p.index() < 64 {
@@ -626,19 +643,16 @@ where
         TickEmission::Delivered { .. } | TickEmission::Dropped { .. } => (false, false),
         TickEmission::None => (false, false),
     };
-    // Crash transitions are scheduled as the pseudo-process `n + p`; their
-    // label belongs to the *real* process `p`, which makes a crash dependent
-    // with every step of the same process for free. Network transitions
-    // (`2n + …`) are labelled with the *owner* of the delivered/dropped
-    // message — the client whose operation the message belongs to.
-    let proc = match session.last_emission() {
-        TickEmission::Delivered { owner, .. } | TickEmission::Dropped { owner, .. } => owner,
-        _ => match StepKind::decode(chosen, n, cap) {
-            StepKind::Step(p) | StepKind::Crash(p) | StepKind::Restart(p) => p,
-            // Unreachable: a network transition always emits
-            // Delivered/Dropped, matched above.
-            StepKind::Deliver(_) | StepKind::Drop(_) => chosen,
-        },
+    // The label's `proc` is the happens-before *thread*. Crash and restart
+    // transitions (`n + p`, `2n + 2cap + p`) belong to the real process `p`,
+    // which makes them dependent with every step of `p` for free. Each
+    // in-flight slot `s` is its own single-event thread `n + s`: its
+    // delivery or drop is ordered after the transition that created the
+    // message only through the slot's item cell, so deliveries of different
+    // messages race instead of sitting in their owner's program order.
+    let proc = match StepKind::decode(chosen, n, cap) {
+        StepKind::Step(p) | StepKind::Crash(p) | StepKind::Restart(p) => p,
+        StepKind::Deliver(s) | StepKind::Drop(s) => ProcessId(n + s),
     };
     StepLabel {
         proc,
@@ -646,6 +660,117 @@ where
         invoked,
         responded,
     }
+}
+
+/// The processes whose in-flight operation is blocked at the current node
+/// (in progress but not in the enabled set of the last survey), as a mask
+/// over process indices.
+pub(crate) fn blocked_now<S, V>(session: &ExecSession<S, V>) -> u64
+where
+    S: SequentialSpec,
+    V: Clone + Eq + Hash + Debug,
+{
+    let enabled = session.enabled().iter().fold(0, |m, p| m | bit(*p));
+    session.in_progress().iter().fold(0, |m, p| m | bit(*p)) & !enabled
+}
+
+/// Whether the race between the executed transitions `earlier` and `later`
+/// (happens-before threads of `n` processes plus one per in-flight slot) is
+/// an *enabling edge*: `later` could not have run before `earlier`, so the
+/// race has no reversal and seeds nothing. Two cases:
+///
+/// * `later` consumes a message that `earlier` created: it delivers or
+///   drops slot `s`, and `earlier`'s write set holds `s`'s item cell (the
+///   send, or the delivery that enqueued the reply);
+/// * `later` reads a register that `earlier` wrote, by a process that was
+///   blocked at `earlier`'s node (`blocked_at_earlier`, see
+///   [`blocked_now`]). A blocked operation is unblocked only by a write to
+///   the register its next step reads ([`crate::OpExecution::blocked`]),
+///   and every other write to it after that node happens after `earlier`.
+///
+/// The explorer and [`crate::replay`] share this filter, so an artifact's
+/// race annotations are the races the explorer branches on.
+pub(crate) fn enabling_edge(
+    earlier: StepLabel,
+    later: StepLabel,
+    blocked_at_earlier: u64,
+    mem: &SharedMemory,
+    n: usize,
+) -> bool {
+    let writes = |r: RegId| match earlier.footprint {
+        Footprint::Write(w) => w == r,
+        Footprint::Net(w) => w.contains(r),
+        _ => false,
+    };
+    let t = later.proc.index();
+    match later.footprint {
+        Footprint::Net(_) if t >= n => writes(mem.net_slot_item_reg(t - n)),
+        Footprint::Read(r) => t < n && blocked_at_earlier & (1u64 << t) != 0 && writes(r),
+        _ => false,
+    }
+}
+
+/// Maps a race-initials mask over happens-before threads to raw scheduled
+/// ids: process threads `p < n` stay, slot thread `n + s` becomes the
+/// delivery `2n + s` (its drop enters beside it as a [`fault_twin`]).
+#[inline]
+fn initial_ids(threads: u64, n: usize) -> u64 {
+    let procs = if n >= 64 { !0 } else { (1u64 << n) - 1 };
+    let slots = threads & !procs;
+    (threads & procs) | if slots == 0 { 0 } else { slots << n }
+}
+
+/// The fault that is a thread-local alternative to the transition `id` at a
+/// node whose path holds `faults`: the crash of a stepping process, the drop
+/// of a delivered message, while the budget lasts (and, for a crash, the
+/// process is eligible). Under source DPOR a fault is never queued on its
+/// own: it enters a frame together with its transition.
+fn fault_twin(
+    id: ProcessId,
+    n: usize,
+    cap: usize,
+    config: &ExploreConfig,
+    faults: FaultCounts,
+) -> Option<ProcessId> {
+    match StepKind::decode(id, n, cap) {
+        StepKind::Step(p)
+            if faults.crashes < config.max_crashes && config.crash_eligible & bit(p) != 0 =>
+        {
+            Some(StepKind::Crash(p).encode(n, cap))
+        }
+        StepKind::Deliver(s) if faults.drops < config.max_drops => {
+            Some(StepKind::Drop(s).encode(n, cap))
+        }
+        _ => None,
+    }
+}
+
+/// The branch a race reversal adds at its node, given the raw-id `initials`
+/// of the reversal, the ids already explored, queued or asleep there
+/// (`covered`), the ids enabled there, and the processes an initial may
+/// name without being enabled there (`exempt`): the lowest enabled initial,
+/// or `None` when an initial is covered already or none is enabled.
+///
+/// Every initial a race can name is enabled at its node except a process
+/// that is not: a crashed process whose first event after the node is its
+/// restart, which is queued eagerly, and a blocked process whose first
+/// event after the node is its crash. A crash takes no shared-memory step,
+/// so happens-before does not order it after the delivery that unblocked
+/// the process; when that process is the only initial, nothing between the
+/// node and the crash unblocks it, so the reversal does not exist. Neither
+/// kind is ever explored, queued or asleep at the node, so neither hides an
+/// uncovered reversal behind `covered`.
+fn race_branch(initials: u64, covered: u64, enabled: u64, exempt: u64) -> Option<ProcessId> {
+    if initials & covered != 0 {
+        return None;
+    }
+    let avail = initials & enabled;
+    debug_assert!(
+        avail != 0 || initials & !exempt == 0,
+        "a race reversal's initials {initials:#b} are neither enabled ({enabled:#b}) nor \
+         crashed processes with a queued restart or blocked processes ({exempt:#b})"
+    );
+    (avail != 0).then(|| ProcessId(avail.trailing_zeros() as usize))
 }
 
 /// A checkpoint of a whole execution at a branch point: marks on the
@@ -668,8 +793,9 @@ struct Checkpoint {
 /// One branch point of the DFS: the decision depth, the untried siblings
 /// (under [`Reduction::Off`] every alternative, ascending, popped from the
 /// back so the visit order matches the original replay explorer; under
-/// source DPOR only the eagerly queued network and fault transitions, the
-/// rest filled lazily by race seeding), and the sleep-set bookkeeping.
+/// source DPOR the chosen transition's fault twin, the eagerly queued
+/// restarts and any fault awake beside a sleeping transition, the rest
+/// filled lazily by race seeding), and the sleep-set bookkeeping.
 struct Frame {
     depth: usize,
     alts: Vec<ProcessId>,
@@ -680,13 +806,19 @@ struct Frame {
     seeded: u64,
     /// Sleep set in force when this node was first reached.
     sleep: u64,
-    /// Mask of transitions enabled at this node. Race seeding may only
-    /// insert initials drawn from this mask: with blocking operations (the
-    /// network layer's `blocked` hook) a race initial can name a process
-    /// that was *not* enabled at the branch node — its first suffix event
-    /// is a delivery/crash/drop, and those alternatives are already queued
-    /// eagerly at every node in every mode, so the reversal is covered.
+    /// Mask of transitions enabled at this node. Race seeding inserts only
+    /// initials drawn from this mask. The happens-before threads are the
+    /// processes and the in-flight slots, so a reversal's initials are
+    /// steps and deliveries, which are enabled at the node once the
+    /// enabling edges ([`enabling_edge`]) are filtered out — except a
+    /// crashed process whose first event after the node is its restart,
+    /// which `restarts` covers.
     enabled_mask: u64,
+    /// Processes (bit `p`) whose restart is queued or chosen at this node.
+    restarts: u64,
+    /// The fault counts of the path up to this node: the budget a fault
+    /// twin seeded here later must fit.
+    faults: FaultCounts,
     /// Where this node's survey starts in [`Engine::surveys`]: its enabled
     /// set, then its in-progress set, up to the next frame's start.
     survey_start: usize,
@@ -795,8 +927,13 @@ where
     drop_alts: Vec<ProcessId>,
     restart_alts: Vec<ProcessId>,
     /// Happens-before tracking over the current schedule prefix (empty
-    /// under [`Reduction::Off`]). Truncated in lockstep with `path`.
+    /// under [`Reduction::Off`]), one thread per process and per in-flight
+    /// slot. Truncated in lockstep with `path`.
     hb: HbTracker,
+    /// `node_blocked[d]` is [`blocked_now`] at the node before decision `d`
+    /// (source DPOR only), for the [`enabling_edge`] filter. Truncated in
+    /// lockstep with `hb`.
+    node_blocked: Vec<u64>,
     /// Scratch buffer for [`HbTracker::races_of_last`].
     race_buf: Vec<usize>,
     /// Race reversals targeting nodes at or above this engine's subtree
@@ -822,22 +959,39 @@ where
     fn new(
         config: &'a ExploreConfig,
         workload: &'a Workload<S, V>,
-        setup: FSetup,
+        mut setup: FSetup,
         check: FCheck,
         monitor: M,
         obs: &'a Obs,
         take_snapshots: bool,
     ) -> Self {
-        if config.reduction.is_source_dpor() {
-            assert!(
-                workload.processes() <= 64,
-                "sleep-set reduction supports at most 64 processes"
-            );
+        let n = workload.processes();
+        let mut mem = SharedMemory::new();
+        // The happens-before threads: none under `Reduction::Off`, whose
+        // tracker is never pushed to.
+        let threads = if !config.reduction.is_source_dpor() {
+            0
+        } else {
+            assert!(n <= 64, "sleep-set reduction supports at most 64 processes");
+            // One setup call shows the network's slot count; every execution
+            // rebuilds the object (and resets this memory) from scratch.
+            drop(setup(&mut mem));
+            let cap = mem.net_cap();
+            if cap > 0 {
+                // Race seeds name deliveries `2n + s`, so every delivery id
+                // needs a sleep/seed mask bit: a reversal seeded on an id
+                // past the mask would be dropped silently.
+                assert!(
+                    2 * n + cap <= 64,
+                    "source DPOR over a network needs 2 * processes + slots <= 64 (got {n} \
+                     processes and {cap} slots)"
+                );
+            }
             if config.max_crashes > 0 {
                 // Crash transitions occupy the upper half of the sleep
                 // masks (pseudo-process `n + p`).
                 assert!(
-                    2 * workload.processes() <= 64,
+                    2 * n <= 64,
                     "crash exploration under a sleep-set reduction supports at most 32 processes"
                 );
             }
@@ -847,11 +1001,12 @@ where
                 // the sleep masks (never asleep — sound, just unreduced),
                 // but keep the cap-free geometry honest.
                 assert!(
-                    3 * workload.processes() <= 64,
+                    3 * n <= 64,
                     "recovery exploration under a sleep-set reduction supports at most 21 processes"
                 );
             }
-        }
+            n + cap
+        };
         Engine {
             executor: config.executor(),
             config,
@@ -860,7 +1015,7 @@ where
             check,
             monitor,
             obs,
-            mem: SharedMemory::new(),
+            mem,
             session: ExecSession::new(),
             object: None,
             path: Vec::new(),
@@ -874,15 +1029,8 @@ where
             crash_alts: Vec::new(),
             drop_alts: Vec::new(),
             restart_alts: Vec::new(),
-            // Unused (and never pushed to) under `Reduction::Off`.
-            hb: HbTracker::new(
-                if config.reduction.is_source_dpor() {
-                    workload.processes()
-                } else {
-                    0
-                },
-                config.reduction.preserves_lin(),
-            ),
+            hb: HbTracker::new(threads, config.reduction.preserves_lin()),
+            node_blocked: Vec::new(),
             race_buf: Vec::new(),
             escaped: Vec::new(),
             subtree_start: 0,
@@ -912,6 +1060,7 @@ where
         self.monitor.begin();
         if source_dpor {
             self.hb.clear();
+            self.node_blocked.clear();
         }
         let steps_before = self.mem.global_steps();
         let n = self.workload.processes();
@@ -921,6 +1070,9 @@ where
                 .executor
                 .survey(&mut self.session, &self.mem, self.workload);
             debug_assert_eq!(status, SurveyStatus::Choose, "prefix replay diverged");
+            if source_dpor {
+                self.node_blocked.push(blocked_now(&self.session));
+            }
             self.executor.tick(
                 &mut self.session,
                 &mut self.mem,
@@ -963,6 +1115,10 @@ where
     /// response emissions and invocations of different processes as
     /// dependent (invoke/commit barriers).
     fn exec_tick(&mut self, chosen: ProcessId) {
+        let source_dpor = self.config.reduction.is_source_dpor();
+        if source_dpor {
+            self.node_blocked.push(blocked_now(&self.session));
+        }
         let steps_before = self.mem.global_steps();
         self.executor.tick(
             &mut self.session,
@@ -1046,48 +1202,64 @@ where
             }
         }
         self.path.push(chosen);
-        if self.config.reduction.is_source_dpor() {
+        if source_dpor {
             self.hb.push(step_label(&self.session, chosen, n, cap));
             self.observe_races();
         }
     }
 
     /// Source-DPOR race processing for the transition just pushed onto
-    /// `self.path` and the happens-before tracker: detect the reversible
-    /// races it closes, and seed one weak initial into the backtrack set of
-    /// each race's branch node — unless an initial is already explored,
-    /// pending, or asleep there (then the reversal is covered). Races whose
-    /// branch node lies at or above this engine's subtree entry are
-    /// collected as [`EscapedSeed`]s for the parallel coordinator.
+    /// `self.path` and the happens-before tracker: detect the races it
+    /// closes, drop the enabling edges ([`enabling_edge`]), and seed one
+    /// weak initial into the backtrack set of each remaining race's branch
+    /// node, together with its fault twin ([`fault_twin`]) — unless an
+    /// initial is already explored, pending, or asleep there (then the
+    /// reversal is covered). Races whose branch node lies at or above this
+    /// engine's subtree entry are collected as [`EscapedSeed`]s for the
+    /// parallel coordinator. Initials are computed only for races that
+    /// reach a frame or escape.
     fn observe_races(&mut self) {
         let mut races = std::mem::take(&mut self.race_buf);
         races.clear();
         self.hb.races_of_last(&mut races);
+        let n = self.workload.processes();
+        let cap = self.mem.net_cap();
+        let last = self.hb.label(self.hb.len() - 1);
         for &i in &races {
+            if enabling_edge(self.hb.label(i), last, self.node_blocked[i], &self.mem, n) {
+                continue;
+            }
             self.stats.races += 1;
-            let initials = self.hb.race_initials(i);
-            debug_assert!(initials != 0, "a race reversal always has an initial");
             // The frame stack mirrors the current path's branch nodes, so
             // the node before event `i` is found by its depth (frames are
             // strictly depth-sorted).
             match self.frames.binary_search_by(|f| f.depth.cmp(&i)) {
                 Ok(fi) => {
+                    let initials = initial_ids(self.hb.race_initials(i), n);
                     let frame = &mut self.frames[fi];
-                    // Only initials actually enabled at the branch node may
-                    // be seeded: a blocked initial's first suffix event is a
-                    // delivery/crash/drop, and those alternatives are queued
-                    // eagerly at every node (see `Frame::enabled_mask`).
-                    let avail = initials & frame.enabled_mask;
-                    if avail != 0 && initials & (frame.seeded | frame.sleep) == 0 {
-                        let q = ProcessId(avail.trailing_zeros() as usize);
-                        frame.alts.push(q);
-                        frame.seeded |= bit(q);
-                        self.stats.race_seeds += 1;
+                    let Some(q) = race_branch(
+                        initials,
+                        frame.seeded | frame.sleep,
+                        frame.enabled_mask,
+                        frame.restarts | self.node_blocked[i],
+                    ) else {
+                        continue;
+                    };
+                    frame.alts.push(q);
+                    frame.seeded |= bit(q);
+                    if let Some(t) = fault_twin(q, n, cap, self.config, frame.faults) {
+                        if (frame.seeded | frame.sleep) & bit(t) == 0 {
+                            frame.alts.push(t);
+                            frame.seeded |= bit(t);
+                        }
                     }
+                    self.stats.race_seeds += 1;
                 }
                 Err(_) if i < self.subtree_start => {
                     // The node belongs to the forced prefix of a parallel
                     // branch ticket; hand the seed to the coordinator.
+                    let initials = initial_ids(self.hb.race_initials(i), n);
+                    debug_assert!(initials != 0, "a race reversal always has an initial");
                     let seed = EscapedSeed { depth: i, initials };
                     if !self.escaped.contains(&seed) {
                         self.escaped.push(seed);
@@ -1095,9 +1267,10 @@ where
                 }
                 Err(_) => {
                     // Inside the subtree a branch node has no frame only
-                    // when every other enabled process was asleep when it
-                    // was visited — and the initials of a race through it
-                    // are among those sleepers, so the reversal is already
+                    // when every other enabled transition was asleep when
+                    // it was visited (and the chosen one had no awake fault
+                    // twin) — and the initials of a race through it are
+                    // among those sleepers, so the reversal is already
                     // covered by the subtree that put them to sleep.
                 }
             }
@@ -1138,19 +1311,19 @@ where
 
     /// Drives the current execution forward to its next leaf, creating a
     /// branch frame at every decision point with more than one non-sleeping
-    /// choice. With a crash budget ([`ExploreConfig::max_crashes`]) the
-    /// choices at a decision point additionally include crashing each
-    /// enabled crash-eligible process (the pseudo-process `n + p`); with a
-    /// drop budget ([`ExploreConfig::max_drops`]) they include dropping
-    /// each in-flight message (the pseudo-process `2n + cap + s`); with a
-    /// recovery budget ([`ExploreConfig::max_recoveries`]) they include
-    /// restarting each currently-crashed process (the pseudo-process
-    /// `2n + 2cap + p`). The enabled set itself already contains every
-    /// in-flight *delivery* (`2n + s`) — deliveries are ordinary
-    /// transitions, not faults.
+    /// choice. The enabled set holds every real step and every in-flight
+    /// *delivery* (`2n + s`) — deliveries are ordinary transitions, not
+    /// faults. With a crash budget ([`ExploreConfig::max_crashes`]) the
+    /// choices additionally include crashing an enabled crash-eligible
+    /// process (the pseudo-process `n + p`); with a drop budget
+    /// ([`ExploreConfig::max_drops`]) dropping an in-flight message (the
+    /// pseudo-process `2n + cap + s`); with a recovery budget
+    /// ([`ExploreConfig::max_recoveries`]) restarting a currently-crashed
+    /// process (the pseudo-process `2n + 2cap + p`).
     fn drive(&mut self) -> Leaf {
         let n = self.workload.processes();
         let cap = self.mem.net_cap();
+        let source_dpor = self.config.reduction.is_source_dpor();
         loop {
             match self
                 .executor
@@ -1162,46 +1335,47 @@ where
             self.enabled_buf.clear();
             self.enabled_buf.extend_from_slice(self.session.enabled());
             let sleep = self.cur_sleep;
-            let crash_eligible = self.config.crash_eligible;
-            // Crash alternatives awake at this node. A crash of `p` is a
-            // valid alternative even while the *real* `p` is asleep: the
-            // sibling subtree that put `p` to sleep covers only the
-            // continuations in which `p`'s next step happens, not those in
-            // which `p` crashes instead.
+            // Eager fault alternatives. `Off` queues every fault at every
+            // node. Under source DPOR a crash of `p` is a thread-local choice
+            // beside `p`'s own step and a drop of `s` a choice beside the
+            // delivery of `s`: each enters a frame together with its
+            // transition (its [`fault_twin`]), here for the chosen
+            // transition and in race seeding for seeded ones. The one fault
+            // queued on its own is one that is awake while its transition
+            // sleeps: the sibling subtree that put the transition to sleep
+            // covers only the continuations in which it runs, not those in
+            // which the fault happens instead.
             self.crash_alts.clear();
             if self.faults.crashes < self.config.max_crashes {
-                for p in &self.enabled_buf {
-                    if p.index() < n && crash_eligible & bit(*p) != 0 {
-                        let c = StepKind::Crash(*p).encode(n, cap);
-                        if sleep & bit(c) == 0 {
+                for &p in &self.enabled_buf {
+                    if p.index() < n && self.config.crash_eligible & bit(p) != 0 {
+                        let c = StepKind::Crash(p).encode(n, cap);
+                        if sleep & bit(c) == 0 && (!source_dpor || sleep & bit(p) != 0) {
                             self.crash_alts.push(c);
                         }
                     }
                 }
             }
-            // Drop alternatives: one per in-flight delivery in the enabled
-            // set, while the drop budget lasts. Like deliveries and crashes,
-            // drops participate in sleep sets — their precise write sets
-            // ([`crate::memory::NetWrites`]) make the wake rule honest for
-            // network transitions.
             self.drop_alts.clear();
             if self.faults.drops < self.config.max_drops {
-                for p in &self.enabled_buf {
-                    if let StepKind::Deliver(s) = StepKind::decode(*p, n, cap) {
+                for &p in &self.enabled_buf {
+                    if let StepKind::Deliver(s) = StepKind::decode(p, n, cap) {
                         let d = StepKind::Drop(s).encode(n, cap);
-                        if sleep & bit(d) == 0 {
+                        if sleep & bit(d) == 0 && (!source_dpor || sleep & bit(p) != 0) {
                             self.drop_alts.push(d);
                         }
                     }
                 }
             }
             // Restart alternatives: one per currently-crashed recovery-
-            // eligible process, while the recovery budget lasts. Crashed
-            // processes are not in the enabled set, so these come from the
-            // session's live crash mask; a restart only branches at nodes
-            // where something else is enabled (an all-crashed execution is
-            // already complete).
+            // eligible process, while the recovery budget lasts, queued
+            // eagerly in every mode (a restart re-enables a process no race
+            // names at its node). Crashed processes are not in the enabled
+            // set, so these come from the session's live crash mask; a
+            // restart only branches at nodes where something else is enabled
+            // (an all-crashed execution is already complete).
             self.restart_alts.clear();
+            let mut restarts = 0u64;
             if self.faults.restarts < self.config.max_recoveries {
                 let mut rest = self.session.crashed_now() & self.config.recovery_eligible;
                 while rest != 0 {
@@ -1210,6 +1384,7 @@ where
                     let r = StepKind::Restart(ProcessId(i)).encode(n, cap);
                     if sleep & bit(r) == 0 {
                         self.restart_alts.push(r);
+                        restarts |= 1u64 << i;
                     }
                 }
             }
@@ -1220,10 +1395,9 @@ where
                 .find(|p| sleep & bit(*p) == 0)
             {
                 Some(p) => p,
-                // Every enabled process is asleep; a still-awake crash,
-                // drop or restart transition keeps the node alive (see
-                // above — its continuations are not covered by the sleeping
-                // siblings).
+                // Every enabled transition is asleep; a still-awake crash,
+                // drop or restart keeps the node alive (see above — its
+                // continuations are not covered by the sleeping siblings).
                 None => match self
                     .crash_alts
                     .pop()
@@ -1234,51 +1408,37 @@ where
                     None => return Leaf::SleepBlocked,
                 },
             };
-            // A branch node exists wherever some sibling transition is
-            // awake. `Off` queues every sibling up front (ascending; popped
+            // `Off` queues every awake sibling up front (ascending; popped
             // from the back, so siblings are visited in descending order —
-            // the original DFS order); source DPOR starts the backtrack set
-            // empty and lets race detection fill it — except for network
-            // deliveries, which are queued eagerly in *every* mode: race
-            // seeding targets the next step of a real process, while a
-            // delivery is a one-shot transition whose alternative orderings
-            // must be branched where they are enabled. Crash and drop
-            // alternatives are likewise queued eagerly everywhere (a crash
-            // label never participates in a shared-memory race, and a drop
-            // is a fault injection race seeding would never discover).
-            // Under source DPOR sleep sets prune on top of the eager
-            // queuing: an awake sibling is branched, a sleeping one is
-            // already covered by an explored sibling's subtree.
-            self.crash_alts.retain(|c| *c != chosen);
-            self.drop_alts.retain(|c| *c != chosen);
-            self.restart_alts.retain(|c| *c != chosen);
-            let has_awake_sibling = !self.crash_alts.is_empty()
-                || !self.drop_alts.is_empty()
-                || !self.restart_alts.is_empty()
+            // the original DFS order). Source DPOR queues only the eager
+            // faults above and the chosen transition's twin; race detection
+            // fills in the rest. A frame exists wherever some sibling is
+            // awake, since a later race may seed it.
+            let mut alts: Vec<ProcessId> = if source_dpor {
+                Vec::new()
+            } else {
+                self.enabled_buf
+                    .iter()
+                    .copied()
+                    .filter(|p| *p != chosen && sleep & bit(*p) == 0)
+                    .collect()
+            };
+            alts.extend_from_slice(&self.crash_alts);
+            alts.extend_from_slice(&self.drop_alts);
+            alts.extend_from_slice(&self.restart_alts);
+            if source_dpor {
+                if let Some(t) = fault_twin(chosen, n, cap, self.config, self.faults) {
+                    if sleep & bit(t) == 0 {
+                        alts.push(t);
+                    }
+                }
+            }
+            let has_awake_sibling = !alts.is_empty()
                 || self
                     .enabled_buf
                     .iter()
                     .any(|p| *p != chosen && sleep & bit(*p) == 0);
             if has_awake_sibling {
-                // Under source DPOR only network deliveries (ids `>= 2n`)
-                // are queued here.
-                let first_eager = if self.config.reduction.is_source_dpor() {
-                    2 * n
-                } else {
-                    0
-                };
-                let mut alts: Vec<ProcessId> = self
-                    .enabled_buf
-                    .iter()
-                    .copied()
-                    .filter(|p| p.index() >= first_eager && *p != chosen && sleep & bit(*p) == 0)
-                    .collect();
-                alts.extend_from_slice(&self.crash_alts);
-                alts.extend_from_slice(&self.drop_alts);
-                // Restarts are queued eagerly in every mode, like crashes
-                // and drops: a restart label never participates in a
-                // shared-memory race the seeding would discover.
-                alts.extend_from_slice(&self.restart_alts);
                 let seeded = alts.iter().fold(bit(chosen), |m, p| m | bit(*p));
                 let enabled_mask = self.enabled_buf.iter().fold(0u64, |m, p| m | bit(*p));
                 let snap = self.checkpoint();
@@ -1292,6 +1452,8 @@ where
                     seeded,
                     sleep,
                     enabled_mask,
+                    restarts,
+                    faults: self.faults,
                     survey_start,
                     enabled_len: self.enabled_buf.len(),
                     snap,
@@ -1338,6 +1500,7 @@ where
                     self.monitor.rewind_to(cp.monitor_mark);
                     self.truncate_path(depth);
                     self.hb.truncate(depth);
+                    self.node_blocked.truncate(depth);
                     self.stats.checkpoint_restores += 1;
                     true
                 }
@@ -1590,6 +1753,12 @@ struct RootNode {
     /// Transitions enabled at the node — the same race-seeding guard as
     /// [`Frame::enabled_mask`], applied to escaped seeds.
     enabled_mask: u64,
+    /// The processes an escaped initial may name without being enabled at
+    /// the node (see [`race_branch`]): [`Frame::restarts`] and the
+    /// processes blocked there.
+    exempt: u64,
+    /// [`Frame::faults`] of the node: the budget a twin minted here must fit.
+    faults: FaultCounts,
 }
 
 /// What one parallel worker found in its branch of the schedule tree.
@@ -1738,6 +1907,7 @@ where
     // from worker subtrees can join them in later waves.
     let root_path: Vec<ProcessId> = root_engine.path.clone();
     let source_dpor = config.reduction.is_source_dpor();
+    let (n, cap) = (workload.processes(), root_engine.mem.net_cap());
     let mut tickets: Vec<Ticket> = Vec::new();
     let mut root_nodes: Vec<RootNode> = Vec::new();
     for frame in root_engine.frames.iter().rev() {
@@ -1760,6 +1930,9 @@ where
             sleep: frame.sleep,
             explored,
             enabled_mask: frame.enabled_mask,
+            // `node_blocked` is empty under `Off`, which mints no seeds.
+            exempt: frame.restarts | root_engine.node_blocked.get(frame.depth).unwrap_or(&0),
+            faults: frame.faults,
         });
     }
     // Ascending depth, for the escaped-seed binary search.
@@ -1948,24 +2121,29 @@ where
                     continue;
                 };
                 let node = &mut root_nodes[ni];
-                if seed.initials & (node.explored | node.sleep) != 0 {
+                // Same choice as the sequential engine: the lowest enabled
+                // initial, unless the node covers the reversal already, and
+                // its fault twin beside it.
+                let Some(q) = race_branch(
+                    seed.initials,
+                    node.explored | node.sleep,
+                    node.enabled_mask,
+                    node.exempt,
+                ) else {
                     continue;
+                };
+                let twin = fault_twin(q, n, cap, config, node.faults);
+                for alt in std::iter::once(q).chain(twin) {
+                    if (node.explored | node.sleep) & bit(alt) != 0 {
+                        continue;
+                    }
+                    tickets.push(Ticket {
+                        prefix_len: node.depth,
+                        branch: alt,
+                        sleep: sibling_entry_sleep(node.sleep, node.explored, alt),
+                    });
+                    node.explored |= bit(alt);
                 }
-                // Same guard as the sequential engine: only initials
-                // enabled at the node may branch (blocked initials are
-                // covered by the eagerly queued delivery/crash/drop
-                // alternatives).
-                let avail = seed.initials & node.enabled_mask;
-                if avail == 0 {
-                    continue;
-                }
-                let q = ProcessId(avail.trailing_zeros() as usize);
-                tickets.push(Ticket {
-                    prefix_len: node.depth,
-                    branch: q,
-                    sleep: sibling_entry_sleep(node.sleep, node.explored, q),
-                });
-                node.explored |= bit(q);
             }
         }
         wave_start = wave_end;
@@ -3675,6 +3853,22 @@ mod tests {
             assert!(report.stats.delivery_steps > 0, "deliveries must branch");
             assert_eq!(report.stats.drop_steps, 0, "no drop budget configured");
             assert!(report.stats.schedules > 1);
+        }
+
+        #[test]
+        #[should_panic(expected = "2 * processes + slots <= 64")]
+        fn source_dpor_rejects_delivery_ids_past_the_seed_mask() {
+            // 2 processes and 61 slots: delivery `2n + 60 = 64` would have
+            // no sleep/seed bit, so a reversal seeded on it would vanish.
+            let wide = |mem: &mut SharedMemory| {
+                mem.net_init(2, 1, 61, &[0], echo_server);
+                EchoStore
+            };
+            let config = ExploreConfig {
+                reduction: Reduction::SourceDpor,
+                ..ExploreConfig::default()
+            };
+            let _ = explore_schedules_report(wide, &workload(), &config, |_res, _mem| Ok(()));
         }
 
         #[test]

@@ -9,22 +9,26 @@
 //! *reversible races* in it, and seeds a backtrack point only where a race
 //! reversal is realisable. This module supplies the trace-side machinery:
 //!
-//! * every executed transition is recorded as a [`StepLabel`] (process,
+//! * every executed transition is recorded as a [`StepLabel`] (thread,
 //!   exact footprint, exact invoke/response emissions — see
 //!   [`crate::executor::ExecSession::last_step_footprint`]) and stamped with
 //!   a **vector clock** over the dependence relation (program order plus
 //!   [`StepLabel::dependent`], with the invoke/commit barriers folded in
-//!   for the linearizability-preserving variant);
-//! * a pair `(i, j)` is a **reversible race** when the two transitions
-//!   belong to different processes, are dependent, and `i` happens-before
-//!   `j` *only* through their direct dependence — no intermediate event
-//!   `k` with `i → k → j`. In this simulator every enabled process stays
-//!   enabled until it moves (scheduling is the only source of blocking), so
-//!   every such race is reversible;
-//! * for a race `(i, j)` the candidate backtrack processes at the prefix
+//!   for the linearizability-preserving variant). The explorer's threads
+//!   are the processes and, over a network, one single-event thread per
+//!   in-flight message slot (its delivery or drop);
+//! * a pair `(i, j)` is a **race** when the two transitions belong to
+//!   different threads, are dependent, and `i` happens-before `j` *only*
+//!   through their direct dependence — no intermediate event `k` with
+//!   `i → k → j`. A race is reversible unless `i` enabled `j`: a message
+//!   cannot be delivered or dropped before it is sent, and an operation
+//!   blocked on an empty inbox cannot read it before a delivery fills it.
+//!   The explorer drops those enabling edges before seeding
+//!   (`crate::explore::enabling_edge`); the tracker reports every race;
+//! * for a race `(i, j)` the candidate backtrack threads at the prefix
 //!   before `i` are the **weak initials** of `v = notdep(i)·j` — the
 //!   subsequence of events after `i` that do *not* happen-after `i`,
-//!   followed by `j` itself: a process is an initial iff its first event in
+//!   followed by `j` itself: a thread is an initial iff its first event in
 //!   `v` has no happens-before predecessor inside `v`.
 //!
 //! The tracker mirrors the explorer's current schedule prefix: events are
@@ -181,8 +185,8 @@ fn fold_event(mut h: u64, label: StepLabel, row: &[u32]) -> u64 {
     row.iter().fold(h, |h, &c| fnv(h, u64::from(c)))
 }
 
-/// The bit of process `p` in an initials/backtrack mask (processes are
-/// bounded to 64 by the reduced explorer modes).
+/// The bit of thread `p` in an initials mask (threads are bounded to 64 by
+/// [`HbTracker::new`]).
 #[inline]
 fn bit(p: ProcessId) -> u64 {
     debug_assert!(p.index() < 64);
@@ -221,11 +225,12 @@ pub struct HbTracker {
 }
 
 impl HbTracker {
-    /// A fresh tracker for `procs` processes.
+    /// A fresh tracker for `procs` threads (the label's
+    /// [`StepLabel::proc`] names the thread).
     pub fn new(procs: usize, lin_barriers: bool) -> Self {
         assert!(
             procs <= 64,
-            "the race-driven reduction supports at most 64 processes"
+            "the race-driven reduction supports at most 64 threads"
         );
         HbTracker {
             procs,
@@ -359,11 +364,11 @@ impl HbTracker {
     }
 
     /// Appends to `out` (ascending) the indices `i` such that `(i, last)` is
-    /// a reversible race: different processes, dependent, and no
-    /// intermediate event `k` with `i → k → last`. The list is the one the
-    /// last [`Self::push`] built (an uncovered dependent event of another
-    /// process is exactly such an `i`), so this is a copy; it is empty after
-    /// a [`Self::truncate`] or [`Self::clear`] until the next push.
+    /// a race: different threads, dependent, and no intermediate event `k`
+    /// with `i → k → last`. The list is the one the last [`Self::push`]
+    /// built (an uncovered dependent event of another thread is exactly
+    /// such an `i`), so this is a copy; it is empty after a
+    /// [`Self::truncate`] or [`Self::clear`] until the next push.
     pub fn races_of_last(&self, out: &mut Vec<usize>) {
         out.extend_from_slice(&self.races);
     }

@@ -137,7 +137,15 @@ pub trait OpExecution<S: SequentialSpec, V> {
     /// A blocked operation is excluded from the enabled set, so the
     /// scheduler never burns steps busy-polling and the explorer never
     /// branches on them; it becomes schedulable again as soon as `blocked`
-    /// returns `false` (e.g. a delivery transition filled the inbox). If
+    /// returns `false` (e.g. a delivery transition filled the inbox).
+    ///
+    /// Contract: a blocked operation is unblocked only by a write to the
+    /// register its next step reads (its [`Self::next_footprint`] is a
+    /// `Read` of that register, such as the inbox lane of a
+    /// [`SharedMemory::net_recv`](crate::memory::SharedMemory::net_recv)),
+    /// never by any other transition. Source DPOR relies on this to
+    /// recognise the delivery that unblocked an operation as the enabler of
+    /// its next step, not a race to reverse. If
     /// every live process is blocked and nothing remains in flight, the
     /// execution completes with the blocked operations still open — which
     /// checkers report as a progress violation (a *wedged* run), not a hang.

@@ -12,7 +12,7 @@
 //! reproduces.
 
 use crate::executor::{ExecSession, ExecutionResult, SurveyStatus, TickEmission, Workload};
-use crate::explore::{step_label, ExploreConfig, ScheduleMonitor};
+use crate::explore::{blocked_now, enabling_edge, step_label, ExploreConfig, ScheduleMonitor};
 use crate::hb::HbTracker;
 use crate::machine::SimObject;
 use crate::memory::{SharedMemory, StepLabel};
@@ -44,9 +44,12 @@ pub struct ReplayLog {
     pub net_cap: usize,
     /// The replayed transitions, in schedule order.
     pub ticks: Vec<ReplayTick>,
-    /// Reversible racing pairs `(i, j)` over tick indices, as detected by
-    /// [`HbTracker::races_of_last`] with the lin barriers matching the
-    /// recorded reduction.
+    /// Reversible racing pairs `(i, j)` over tick indices: the races the
+    /// explorer branches on. They are detected by
+    /// [`HbTracker::races_of_last`] over the explorer's threads (one per
+    /// process and one per in-flight slot), with the lin barriers matching
+    /// the recorded reduction, and the explorer's enabling-edge filter
+    /// drops the pairs whose later transition the earlier one enabled.
     pub races: Vec<(usize, usize)>,
     /// Which processes ended the execution crashed.
     pub crashed: Vec<bool>,
@@ -121,8 +124,10 @@ where
     };
     executor.begin(&mut session, workload);
     monitor.begin();
-    let mut hb = HbTracker::new(n, config.reduction.preserves_lin());
+    let mut hb = HbTracker::new(n + cap, config.reduction.preserves_lin());
     let mut race_buf: Vec<usize> = Vec::new();
+    // Per tick, the processes blocked at the node before it.
+    let mut node_blocked: Vec<u64> = Vec::with_capacity(schedule.len());
     for (i, &id) in schedule.iter().enumerate() {
         let kind = StepKind::decode(id, n, cap);
         let status = executor.survey(&mut session, &mem, workload);
@@ -163,6 +168,7 @@ where
                 log,
             );
         }
+        node_blocked.push(blocked_now(&session));
         executor.tick(&mut session, &mut mem, &mut object, workload, id);
         monitor.observe(&session);
         let label = step_label(&session, id, n, cap);
@@ -170,7 +176,9 @@ where
         race_buf.clear();
         hb.races_of_last(&mut race_buf);
         for &r in &race_buf {
-            log.races.push((r, i));
+            if !enabling_edge(hb.label(r), label, node_blocked[r], &mem, n) {
+                log.races.push((r, i));
+            }
         }
         log.ticks.push(ReplayTick {
             id,

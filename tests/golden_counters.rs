@@ -47,23 +47,23 @@ const GOLDEN: [(&str, &str, [u64; 15]); 28] = [
     ("universal_register_n2", "exhausted", [605, 9986, 10700, 1589, 604, 272, 0, 4048, 604, 0, 0, 0, 0, 10700, 0]),
     ("consensus_split_n2", "exhausted", [81, 599, 610, 202, 80, 36, 0, 165, 80, 0, 0, 0, 0, 610, 0]),
     ("consensus_cas_n2", "exhausted", [8, 28, 34, 14, 7, 6, 0, 10, 7, 0, 0, 0, 0, 34, 0]),
-    ("crash_spec_tas_n2", "exhausted", [377, 903, 1759, 504, 81, 146, 525, 492, 901, 823, 0, 0, 0, 1759, 0]),
+    ("crash_spec_tas_n2", "exhausted", [377, 903, 1648, 474, 81, 146, 414, 492, 790, 712, 0, 0, 0, 1648, 0]),
     ("crash_write_behind_open_n2", "exhausted", [36, 100, 170, 73, 16, 36, 20, 39, 55, 39, 0, 0, 0, 170, 0]),
     ("crash_write_behind_strict_n2", "violation", [9, 36, 54, 20, 6, 9, 4, 9, 12, 7, 0, 0, 0, 54, 0]),
     ("crash_resettable_tas_wedge_n2", "violation", [4, 39, 44, 8, 4, 4, 0, 16, 3, 1, 0, 0, 0, 44, 0]),
-    ("crash_a1_dropped_raw_fence_n2", "violation", [36, 88, 163, 80, 13, 28, 36, 57, 71, 64, 0, 0, 0, 163, 0]),
+    ("crash_a1_dropped_raw_fence_n2", "violation", [36, 88, 155, 76, 13, 28, 28, 57, 63, 56, 0, 0, 0, 155, 0]),
     ("recovery_tas_n2", "exhausted", [102, 263, 390, 163, 56, 74, 0, 109, 101, 28, 0, 0, 30, 390, 0]),
-    ("recovery_tas_mutant_n2", "violation", [10, 12, 23, 12, 4, 10, 0, 12, 9, 7, 0, 0, 1, 23, 0]),
+    ("recovery_tas_mutant_n2", "violation", [11, 18, 34, 14, 6, 11, 0, 12, 10, 7, 0, 0, 2, 34, 0]),
     ("recovery_write_behind_flush_durable_n2", "exhausted", [442, 1678, 2070, 972, 362, 259, 0, 483, 441, 39, 0, 0, 60, 2070, 0]),
     ("recovery_write_behind_flush_strict_n2", "violation", [47, 187, 235, 100, 36, 25, 0, 60, 46, 7, 0, 0, 8, 235, 0]),
     ("recovery_write_behind_abandon_durable_n2", "exhausted", [361, 1371, 1726, 751, 281, 205, 0, 410, 360, 39, 0, 0, 60, 1726, 0]),
     ("recovery_write_behind_abandon_recoverable_n2", "violation", [26, 95, 123, 48, 18, 19, 0, 32, 25, 5, 0, 0, 7, 123, 0]),
     ("recovery_recrash_unrecovered_n2", "violation", [9, 33, 44, 16, 7, 9, 0, 12, 8, 2, 0, 0, 1, 44, 0]),
-    ("abd_partition_majority_wedge_n2", "violation", [1, 4, 12, 2, 1, 1, 0, 10, 0, 0, 4, 0, 0, 12, 0]),
-    ("abd_quorum_mutant", "violation", [19685, 24113, 52466, 0, 0, 19685, 354, 17175, 20038, 0, 28337, 0, 0, 52466, 0]),
-    ("abd_lossy_n2", "limit_reached", [2000, 1497, 4277, 173, 1, 1909, 105, 1707, 2105, 1480, 1230, 68, 0, 4277, 0]),
-    ("abd_partition_minority_n2", "limit_reached", [2000, 18911, 37194, 2783, 1, 2000, 7575, 8228, 9575, 0, 16726, 0, 0, 37194, 0]),
-    ("abd_retry_exhaustion_abort_n2", "limit_reached", [2000, 10656, 20351, 1512, 1, 1574, 4004, 4574, 6004, 0, 7662, 2031, 0, 20351, 0]),
+    ("abd_partition_majority_wedge_n2", "violation", [1, 4, 12, 2, 2, 1, 0, 10, 0, 0, 4, 0, 0, 12, 0]),
+    ("abd_quorum_mutant", "violation", [19, 90, 229, 49, 20, 19, 0, 202, 18, 0, 133, 0, 0, 229, 0]),
+    ("abd_lossy_n2", "limit_reached", [2000, 2621, 6396, 2019, 696, 1912, 182, 2290, 2182, 1380, 2259, 134, 0, 6396, 0]),
+    ("abd_partition_minority_n2", "limit_reached", [2000, 6368, 11672, 5234, 2160, 2000, 145, 4579, 2145, 0, 5158, 0, 0, 11672, 0]),
+    ("abd_retry_exhaustion_abort_n2", "limit_reached", [2000, 7235, 13882, 6502, 1728, 1322, 1844, 4177, 3844, 0, 4371, 2274, 0, 13882, 0]),
 ];
 
 const FIELDS: [&str; 15] = [
