@@ -801,7 +801,7 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
     }
 
     /// Bitmask of processes that are crashed *right now* (state
-    /// [`ProcState::Crashed`], not yet restarted) — the restart candidates
+    /// `ProcState::Crashed`, not yet restarted) — the restart candidates
     /// the explorer branches on. Unlike [`ExecutionResult::crashed`], which
     /// is historical, a bit here clears when the process restarts.
     pub fn crashed_now(&self) -> u64 {
@@ -1021,7 +1021,7 @@ impl Executor {
     ///
     /// A `chosen` with index `workload.processes() + p` is a **crash step**
     /// of process `p` (the schedule explorer's pseudo-process encoding): `p`
-    /// must be enabled, and after the tick it is [`ProcState::Crashed`] —
+    /// must be enabled, and after the tick it is `ProcState::Crashed` —
     /// never enabled again, its in-flight operation (if any) pending forever.
     /// Crash steps take no shared-memory step and emit
     /// [`TickEmission::Crashed`].
@@ -1033,7 +1033,7 @@ impl Executor {
     /// [`TickEmission::Dropped`].
     ///
     /// An index `2n + 2cap + p` is a **restart step** of a crashed process
-    /// `p`: the process becomes [`ProcState::Recovering`] running the
+    /// `p`: the process becomes `ProcState::Recovering`, running the
     /// object's [`SimObject::recover`] routine (shared registers persist,
     /// volatile state is gone) and emits [`TickEmission::Restarted`]; the
     /// recovery's completion emits [`TickEmission::Recovered`] and the

@@ -980,7 +980,8 @@ where
             if cap > 0 {
                 // Race seeds name deliveries `2n + s`, so every delivery id
                 // needs a sleep/seed mask bit: a reversal seeded on an id
-                // past the mask would be dropped silently.
+                // past the mask would be dropped silently. This also keeps
+                // the `n + cap` hb threads within `race_initials`' masks.
                 assert!(
                     2 * n + cap <= 64,
                     "source DPOR over a network needs 2 * processes + slots <= 64 (got {n} \
@@ -3686,6 +3687,7 @@ mod tests {
     mod network {
         use super::*;
         use crate::memory::{Message, NetNode};
+        use crate::replay::{replay_schedule, ReplayOutcome};
         use scl_spec::{RegisterOp, RegisterSpec};
 
         const WRITE_REQ: i64 = 0;
@@ -3869,6 +3871,52 @@ mod tests {
                 ..ExploreConfig::default()
             };
             let _ = explore_schedules_report(wide, &workload(), &config, |_res, _mem| Ok(()));
+        }
+
+        #[test]
+        fn replay_annotates_races_over_more_than_64_threads() {
+            // 2 processes and 63 slots: 65 hb threads, more than a race
+            // seed mask holds, which only the unreduced explorer allows.
+            let wide = |mem: &mut SharedMemory| {
+                mem.net_init(2, 1, 63, &[0], echo_server);
+                EchoStore
+            };
+            let check = |res: &ExecutionResult<RegisterSpec, ()>| {
+                let read_new = res.ops.iter().any(|o| {
+                    o.req.op == RegisterOp::Read && o.outcome == Some(OpOutcome::Commit(5))
+                });
+                if read_new {
+                    Err("the read saw the write (designed harvest)".to_string())
+                } else {
+                    Ok(())
+                }
+            };
+            let config = ExploreConfig {
+                reduction: Reduction::Off,
+                ..ExploreConfig::default()
+            };
+            let report =
+                explore_schedules_report(wide, &workload(), &config, |res, _mem| check(res));
+            let violation = report
+                .outcome
+                .expect_err("some schedule reads the written value")
+                .as_check()
+                .cloned()
+                .expect("sequential exploration yields check violations");
+            let (outcome, log) = replay_schedule(
+                wide,
+                &workload(),
+                &config,
+                &violation.schedule,
+                &mut NoMonitor,
+                |res: &ExecutionResult<RegisterSpec, ()>, _mem, _m: &mut NoMonitor| check(res),
+            );
+            assert_eq!(outcome, ReplayOutcome::Violation(violation.message));
+            assert_eq!(log.net_cap, 63);
+            assert!(
+                !log.races.is_empty(),
+                "the read races with the write's delivery"
+            );
         }
 
         #[test]

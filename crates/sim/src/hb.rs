@@ -1,6 +1,7 @@
-//! The happens-before layer of the source-DPOR reduction: vector clocks
-//! over the executed transition stream, reversible-race detection, and the
-//! weak-initials computation that seeds wakeup/backtrack sets.
+//! The happens-before layer of the source-DPOR reduction: per-event
+//! predecessor sets over the executed transition stream, reversible-race
+//! detection, and the weak-initials computation that seeds
+//! wakeup/backtrack sets.
 //!
 //! Sleep sets alone prune *already-covered* sibling subtrees but still
 //! branch eagerly at every decision point. Source DPOR (Abdulla, Aronis, Jonsson, Sagonas, *Optimal dynamic partial order
@@ -12,11 +13,12 @@
 //! * every executed transition is recorded as a [`StepLabel`] (thread,
 //!   exact footprint, exact invoke/response emissions — see
 //!   [`crate::executor::ExecSession::last_step_footprint`]) and stamped with
-//!   a **vector clock** over the dependence relation (program order plus
-//!   [`StepLabel::dependent`], with the invoke/commit barriers folded in
-//!   for the linearizability-preserving variant). The explorer's threads
-//!   are the processes and, over a network, one single-event thread per
-//!   in-flight message slot (its delivery or drop);
+//!   the **set of earlier events that happen-before it** under the
+//!   dependence relation (program order plus [`StepLabel::dependent`], with
+//!   the invoke/commit barriers folded in for the linearizability-preserving
+//!   variant). The explorer's threads are the processes and, over a
+//!   network, one single-event thread per in-flight message slot (its
+//!   delivery or drop);
 //! * a pair `(i, j)` is a **race** when the two transitions belong to
 //!   different threads, are dependent, and `i` happens-before `j` *only*
 //!   through their direct dependence — no intermediate event `k` with
@@ -35,57 +37,64 @@
 //! [pushed](HbTracker::push) as transitions execute and
 //! [truncated](HbTracker::truncate) when the explorer backtracks, so the
 //! wakeup state travels with prefix-resume checkpoints exactly like sleep
-//! sets do. Storage is flat (one `Vec` of labels, one stride-`n` `Vec` of
-//! clock entries) and reused across the whole exploration.
+//! sets do. Storage is flat (one `Vec` of labels, one `Vec` of predecessor
+//! rows) and reused across the whole exploration.
 //!
 //! # One pass per event
 //!
-//! [`HbTracker::push`] computes the new event `j`'s clock row and its
-//! reversible races in a single backward scan. Both rest on the
-//! **covered-prefix characterisation**: an earlier event `i` reaches `j`
-//! through some intermediate event (`i → k → j`) iff some *direct*
-//! dependent predecessor `k' > i` of `j` has `i ≤hb k'`. Scanning from
-//! `j - 1` down, the row accumulated so far is exactly the join of those
-//! `k'`, so event `i` of process `q` is *covered* iff the row's `q` entry
-//! already reaches `i`'s own per-process index. A covered event is skipped
-//! without a dependence test (it is ordered before `j` and adds nothing to
-//! the join); an uncovered dependent event is joined into the row and,
-//! when it belongs to another process, is a reversible race. Covering is
-//! downward closed per process (program order), so the scan stops as soon
-//! as every process's remaining earlier events are covered, which the
-//! per-process event counts make a counter check.
+//! Event `e`'s predecessor row is a bitset over event indices: bit `i` is
+//! set iff `i → e` (strictly). A row is `words` `u64`s wide, one word while
+//! the stream holds at most 64 events; every row widens by one word when the
+//! stream reaches `64 · words` events. A happens-before query is one bit
+//! test, and nothing in a row depends on the number of threads.
+//!
+//! [`HbTracker::push`] computes the new event `j`'s row and its reversible
+//! races in a single backward scan. Both rest on the **covered-prefix
+//! characterisation**: an earlier event `i` reaches `j` through some
+//! intermediate event (`i → k → j`) iff some *direct* dependent
+//! predecessor `k' > i` of `j` has `i → k'`. Scanning from `j - 1` down,
+//! the row accumulated so far is exactly the union of those `k'` and their
+//! rows, so event `i` is *covered* iff its bit is already set. The scan
+//! visits only uncovered events — it jumps to the highest clear bit below
+//! its position — so a covered event costs nothing; an uncovered dependent
+//! event ORs its row and its own bit into the new row and, when it belongs
+//! to another thread, is a reversible race. The scan ends when every
+//! earlier bit is set or visited.
 //!
 //! The cost per event is one dependence test per *uncovered* earlier event
-//! and one `O(n)` join per direct dependent predecessor it keeps: `O(depth)`
-//! in the worst case (a process whose steps commute with everything keeps
-//! the scan going to the root), and usually a short suffix. The former
-//! separate race pass was `O(depth²)` per event, since it searched for an
-//! intermediate event for every dependent predecessor.
+//! and one `O(depth / 64)` OR per direct dependent predecessor it keeps:
+//! `O(depth)` tests in the worst case (a thread whose steps commute with
+//! everything keeps the scan going to the root), and usually a short
+//! suffix.
 //!
 //! The dependence test itself is filtered. Beside each 64-byte
-//! [`StepLabel`] the tracker keeps a compact signature: the process, the
+//! [`StepLabel`] the tracker keeps a compact signature: the thread, the
 //! invoke/respond/unknown flags, and the read and write register sets
 //! folded into `u64` masks (register `r` sets bit `r mod 64`). Two
-//! signatures *may conflict* when they share a process, either is
+//! signatures *may conflict* when they share a thread, either is
 //! unknown, a lin barrier pairs an invocation with a response, or a write
 //! bit of one meets a read or write bit of the other. Folding only merges
 //! registers, so a pair that may not conflict is independent for certain;
 //! a pair that may conflict, aliased registers included, falls back to the
-//! exact [`StepLabel::dependent`]. Clocks and races are therefore the ones
+//! exact [`StepLabel::dependent`]. Rows and races are therefore the ones
 //! the exact test alone computes, while the scan reads a 24-byte signature
 //! per visited event and the label only on a possible conflict.
 //!
 //! # Class fingerprints, incrementally
 //!
 //! [`HbTracker::fingerprint`] names the Mazurkiewicz class of the recorded
-//! schedule. Each process keeps a running FNV-1a hash of its own events in
-//! program order — label content and final clock row — folded in by
-//! [`HbTracker::push`], with the hash before each event kept on a
-//! per-event stack so [`HbTracker::truncate`] restores it exactly. A
-//! fingerprint then folds the per-process hashes: `O(processes)` per
-//! completed schedule instead of a walk over every event.
+//! schedule. Each thread keeps a running FNV-1a hash of its own events in
+//! program order, folded in by [`HbTracker::push`]: the label content and
+//! a commutative sum over the events the scan joined, each named by its
+//! thread and per-thread index. The joined events are exactly `j`'s
+//! *maximal* dependent predecessors, a trace invariant, and their
+//! transitive closure is the happens-before order itself. The hash before
+//! each event is kept on a per-event stack so [`HbTracker::truncate`]
+//! restores it exactly. A fingerprint then folds the per-thread hashes:
+//! `O(threads)` per completed schedule instead of a walk over every event.
 
 use crate::memory::{Footprint, RegId, StepLabel};
+use crate::rng::SplitMix64;
 use scl_spec::ProcessId;
 
 /// The compact dependence signature of one event (see the
@@ -154,14 +163,21 @@ fn fnv(h: u64, v: u64) -> u64 {
 /// The FNV-1a offset basis: the hash of nothing.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// Process `p`'s class hash before its first event.
+/// Thread `p`'s class hash before its first event.
 fn class_seed(p: usize) -> u64 {
     fnv(FNV_OFFSET, 0xffff_ffff_ffff_0000 | p as u64)
 }
 
-/// Folds one event of a process — its label content and clock row — into
-/// that process's class hash.
-fn fold_event(mut h: u64, label: StepLabel, row: &[u32]) -> u64 {
+/// The class-hash contribution of a joined predecessor: event `seq`
+/// (1-based) of `thread`, well mixed so that a sum of contributions names
+/// the set.
+fn pred_key(thread: u32, seq: u32) -> u64 {
+    SplitMix64::new(u64::from(thread) << 32 | u64::from(seq)).next_u64()
+}
+
+/// Folds one event of a thread — its label content and the sum of its
+/// joined predecessors' [`pred_key`]s — into that thread's class hash.
+fn fold_event(mut h: u64, label: StepLabel, preds: u64) -> u64 {
     let (tag, detail) = match label.footprint {
         Footprint::Pure => (1, 0),
         Footprint::Read(r) => (2, r.0 as u64),
@@ -182,11 +198,12 @@ fn fold_event(mut h: u64, label: StepLabel, row: &[u32]) -> u64 {
         tag | (u64::from(label.invoked) << 8) | (u64::from(label.responded) << 9),
     );
     h = fnv(h, detail);
-    row.iter().fold(h, |h, &c| fnv(h, u64::from(c)))
+    fnv(h, preds)
 }
 
-/// The bit of thread `p` in an initials mask (threads are bounded to 64 by
-/// [`HbTracker::new`]).
+/// The bit of thread `p` in an initials mask. Only
+/// [`HbTracker::race_initials`] needs it, so the explorer bounds its
+/// `n + cap` threads (by asserting `2n + cap <= 64`) and replay does not.
 #[inline]
 fn bit(p: ProcessId) -> u64 {
     debug_assert!(p.index() < 64);
@@ -197,51 +214,45 @@ fn bit(p: ProcessId) -> u64 {
 /// [module documentation](self).
 #[derive(Debug, Clone)]
 pub struct HbTracker {
-    procs: usize,
     /// Whether the invoke/commit barrier footprints are part of the
     /// dependence relation ([`StepLabel::dependent`]'s `lin_barriers`).
     lin_barriers: bool,
     labels: Vec<StepLabel>,
     /// `sigs[e]` is the [`Sig`] of `labels[e]`.
     sigs: Vec<Sig>,
-    /// Flat per-event vector clocks, stride `procs`:
-    /// `clocks[e * procs + p]` is the number of events of process `p` that
-    /// happen-before (or are) event `e`. An event's own entry is its
-    /// 1-based per-process index.
-    clocks: Vec<u32>,
-    /// `counts[p]` is the number of recorded events of process `p`.
+    /// `seqs[e]` is event `e`'s 1-based index within its thread.
+    seqs: Vec<u32>,
+    /// The width of a predecessor row in `u64`s.
+    words: usize,
+    /// Flat per-event predecessor rows, stride `words`: bit `i` of row `e`
+    /// is set iff event `i` happens-before event `e` (`i < e`).
+    past: Vec<u64>,
+    /// `counts[p]` is the number of recorded events of thread `p`.
     counts: Vec<u32>,
     /// The reversible races closed by the most recent [`Self::push`],
     /// ascending (see [`Self::races_of_last`]).
     races: Vec<usize>,
-    /// Scratch for [`Self::push`]: per process, the events at or before the
-    /// scan position.
-    left: Vec<u32>,
-    /// Per process, the running class hash of its events (see the
+    /// Per thread, the running class hash of its events (see the
     /// [module documentation](self#class-fingerprints-incrementally)).
     class: Vec<u64>,
-    /// `prev_class[e]` is the class hash of event `e`'s process before `e`.
+    /// `prev_class[e]` is the class hash of event `e`'s thread before `e`.
     prev_class: Vec<u64>,
 }
 
 impl HbTracker {
-    /// A fresh tracker for `procs` threads (the label's
+    /// A fresh tracker for `threads` threads (the label's
     /// [`StepLabel::proc`] names the thread).
-    pub fn new(procs: usize, lin_barriers: bool) -> Self {
-        assert!(
-            procs <= 64,
-            "the race-driven reduction supports at most 64 threads"
-        );
+    pub fn new(threads: usize, lin_barriers: bool) -> Self {
         HbTracker {
-            procs,
             lin_barriers,
             labels: Vec::new(),
             sigs: Vec::new(),
-            clocks: Vec::new(),
-            counts: vec![0; procs],
+            seqs: Vec::new(),
+            words: 1,
+            past: Vec::new(),
+            counts: vec![0; threads],
             races: Vec::new(),
-            left: Vec::new(),
-            class: (0..procs).map(class_seed).collect(),
+            class: (0..threads).map(class_seed).collect(),
             prev_class: Vec::new(),
         }
     }
@@ -258,15 +269,7 @@ impl HbTracker {
 
     /// Drops every recorded event, keeping allocations.
     pub fn clear(&mut self) {
-        self.labels.clear();
-        self.sigs.clear();
-        self.clocks.clear();
-        self.counts.fill(0);
-        self.races.clear();
-        for (p, h) in self.class.iter_mut().enumerate() {
-            *h = class_seed(p);
-        }
-        self.prev_class.clear();
+        self.truncate(0);
     }
 
     /// Truncates to the first `len` events (the explorer backtracked).
@@ -279,9 +282,10 @@ impl HbTracker {
             self.prev_class.truncate(len);
             self.labels.truncate(len);
             self.sigs.truncate(len);
-            self.clocks.truncate(len * self.procs);
-            self.races.clear();
+            self.seqs.truncate(len);
+            self.past.truncate(len * self.words);
         }
+        self.races.clear();
     }
 
     /// The label of event `i`.
@@ -289,68 +293,81 @@ impl HbTracker {
         self.labels[i]
     }
 
-    /// Event `i`'s clock entry for process `p`.
-    pub fn clock(&self, i: usize, p: ProcessId) -> u32 {
-        self.clocks[i * self.procs + p.index()]
+    /// Event `e`'s predecessor row.
+    fn row(&self, e: usize) -> &[u64] {
+        &self.past[e * self.words..(e + 1) * self.words]
     }
 
-    /// Records one executed transition: computes its vector clock (the join
-    /// of every dependent predecessor's clock, program order included, plus
-    /// its own per-process tick) and its reversible races in one backward
-    /// scan — see the [module documentation](self#one-pass-per-event).
+    /// Widens every row by one zero word, in place.
+    fn widen(&mut self) {
+        let (w, len) = (self.words, self.labels.len());
+        self.past.resize(len * (w + 1), 0);
+        for e in (0..len).rev() {
+            self.past.copy_within(e * w..(e + 1) * w, e * (w + 1));
+            self.past[e * (w + 1) + w] = 0;
+        }
+        self.words = w + 1;
+    }
+
+    /// Records one executed transition: computes its predecessor row (the
+    /// union of every dependent predecessor's row and bit, program order
+    /// included) and its reversible races in one backward scan — see the
+    /// [module documentation](self#one-pass-per-event).
     pub fn push(&mut self, label: StepLabel) {
-        let n = self.procs;
         let p = label.proc.index();
-        debug_assert!(p < n);
+        debug_assert!(p < self.counts.len());
         let sig = Sig::of(label);
         // Every earlier event may conflict with an unknown one.
         let always = sig.flags & Sig::UNKNOWN != 0;
         let hit_flags = sig.barrier_flags(self.lin_barriers);
         let touched = sig.reads | sig.writes;
         let j = self.labels.len();
-        let base = j * n;
-        self.clocks.resize(base + n, 0);
-        let (head, row) = self.clocks.split_at_mut(base);
-        let left = &mut self.left;
-        left.clear();
-        left.extend_from_slice(&self.counts);
+        if j == 64 * self.words {
+            self.widen();
+        }
+        let w = self.words;
+        self.past.resize((j + 1) * w, 0);
+        let (head, row) = self.past.split_at_mut(j * w);
         self.races.clear();
-        // Processes with an uncovered earlier event: `row[q] < left[q]`.
-        let mut open = left.iter().filter(|&&c| c > 0).count();
-        let mut i = j;
-        while open > 0 {
-            // Some process has an unscanned event, so `i > 0`.
-            i -= 1;
+        // The sum of the joined predecessors' keys (the class hash's view).
+        let mut preds = 0u64;
+        // `free` holds the uncovered, unvisited events of row word `k`.
+        let mut k = j / 64;
+        let mut free = (1u64 << (j % 64)) - 1;
+        'scan: loop {
+            while free == 0 {
+                if k == 0 {
+                    break 'scan;
+                }
+                k -= 1;
+                free = !row[k];
+            }
+            let b = 63 - free.leading_zeros() as usize;
+            free &= !(1 << b);
+            let i = k * 64 + b;
             let si = self.sigs[i];
             let q = si.proc as usize;
-            // `c` is event `i`'s own per-process index.
-            let c = left[q];
-            debug_assert_eq!(c, head[i * n + q]);
-            left[q] = c - 1;
-            if row[q] >= c {
-                // Covered: ordered before `j` through a later joined event.
-                continue;
-            }
+            // Branch-free: the scan visits mostly independent events.
             let may_conflict = always
-                || q == p
-                || si.flags & hit_flags != 0
-                || (si.writes & touched) | (si.reads & sig.writes) != 0;
+                | (q == p)
+                | (si.flags & hit_flags != 0)
+                | ((si.writes & touched) | (si.reads & sig.writes) != 0);
             if may_conflict && self.labels[i].dependent(label, self.lin_barriers) {
-                for (dst, &s) in row.iter_mut().zip(&head[i * n..(i + 1) * n]) {
-                    *dst = (*dst).max(s);
+                for (dst, &s) in row.iter_mut().zip(&head[i * w..(i + 1) * w]) {
+                    *dst |= s;
                 }
+                row[k] |= 1 << b;
+                free &= !row[k];
+                preds = preds.wrapping_add(pred_key(si.proc, self.seqs[i]));
                 if q != p {
                     self.races.push(i);
                 }
-                open = row.iter().zip(left.iter()).filter(|(r, l)| r < l).count();
-            } else if row[q] == c - 1 {
-                open -= 1;
             }
         }
-        row[p] += 1;
         self.counts[p] += 1;
+        self.seqs.push(self.counts[p]);
         self.prev_class.push(self.class[p]);
-        self.class[p] = fold_event(self.class[p], label, row);
+        self.class[p] = fold_event(self.class[p], label, preds);
         self.labels.push(label);
         self.sigs.push(sig);
         self.races.reverse();
@@ -359,8 +376,7 @@ impl HbTracker {
     /// Whether event `i` happens-before event `j` (reflexive; `i <= j`).
     pub fn happens_before(&self, i: usize, j: usize) -> bool {
         debug_assert!(i <= j);
-        let p = ProcessId(self.sigs[i].proc as usize);
-        self.clock(j, p) >= self.clock(i, p)
+        i == j || self.row(j)[i / 64] & (1 << (i % 64)) != 0
     }
 
     /// Appends to `out` (ascending) the indices `i` such that `(i, last)` is
@@ -378,48 +394,57 @@ impl HbTracker {
     /// independent transitions (the same Mazurkiewicz trace) produce the
     /// same value.
     ///
-    /// Each process's events are hashed in program order, each with its
-    /// label content (footprint and invoke/response flags) and its full
-    /// vector clock row, and the per-process hashes are folded in process
-    /// order. Program order and clock rows are invariant under commuting
-    /// independent steps, and together they determine the trace's
-    /// dependence graph, so equivalent linearizations hash identically
+    /// Each thread's events are hashed in program order, each with its
+    /// label content (footprint and invoke/response flags) and a
+    /// commutative sum over its maximal dependent predecessors, each named
+    /// by thread and per-thread index; the per-thread hashes are folded in
+    /// thread order. Program order and maximal predecessors are invariant
+    /// under commuting independent steps, and together they determine the
+    /// happens-before order, so equivalent linearizations hash identically
     /// while schedules with a different dependence structure (almost
-    /// surely) do not. The per-process hashes are maintained by
-    /// [`Self::push`] and [`Self::truncate`], so this costs `O(processes)`.
+    /// surely) do not. The per-thread hashes are maintained by
+    /// [`Self::push`] and [`Self::truncate`], so this costs `O(threads)`.
     pub fn fingerprint(&self) -> u64 {
         self.class.iter().fold(FNV_OFFSET, |h, &c| fnv(h, c))
     }
 
     /// The weak initials of `v = notdep(i)·last` for a race `(i, last)`
-    /// reported by [`Self::races_of_last`], as a process bit mask: the
+    /// reported by [`Self::races_of_last`], as a thread bit mask: the
     /// events after `i` that do not happen-after `i`, followed by the last
-    /// event; a process is an initial iff its first event in `v` has no
+    /// event; a thread is an initial iff its first event in `v` has no
     /// happens-before predecessor inside `v`. Exploring any one initial
     /// from the prefix before `i` realises the race reversal.
+    ///
+    /// A running bitset holds the events of `v` seen so far, so the
+    /// predecessor test of each candidate is one AND per row word.
     pub fn race_initials(&self, i: usize) -> u64 {
-        let j = self.labels.len() - 1;
-        let in_v = |k: usize| k == j || !self.happens_before(i, k);
+        let (j, w, bi) = (self.labels.len() - 1, self.words, 1u64 << (i % 64));
+        let mut heap = Vec::new();
+        let mut stack = [0u64; 2];
+        let v: &mut [u64] = if w <= stack.len() {
+            &mut stack[..w]
+        } else {
+            heap.resize(w, 0);
+            &mut heap
+        };
+        let rows = self.past[(i + 1) * w..].chunks_exact(w);
         let mut initials = 0u64;
         let mut preceded = 0u64;
-        for m in i + 1..=j {
-            if !in_v(m) {
+        for ((m, row), sig) in (i + 1..).zip(rows).zip(&self.sigs[i + 1..]) {
+            if m != j && row[i / 64] & bi != 0 {
                 continue;
             }
-            let pm = ProcessId(self.sigs[m].proc as usize);
-            if preceded & bit(pm) != 0 {
-                continue;
+            let t = bit(ProcessId(sig.proc as usize));
+            if preceded & t == 0 {
+                // Neither a preceded event nor any later event of the same
+                // thread can be moved to the front of `v`; only the first
+                // event of a thread can qualify it.
+                if !row.iter().zip(v.iter()).any(|(r, s)| r & s != 0) {
+                    initials |= t;
+                }
+                preceded |= t;
             }
-            let has_pred = (i + 1..m).any(|l| in_v(l) && self.happens_before(l, m));
-            if has_pred {
-                // Neither this event nor any later event of the same
-                // process can be moved to the front of `v`.
-                preceded |= bit(pm);
-            } else if initials & bit(pm) == 0 {
-                initials |= bit(pm);
-                // Only the first event of a process can qualify it.
-                preceded |= bit(pm);
-            }
+            v[m / 64] |= 1 << (m % 64);
         }
         initials
     }
@@ -429,67 +454,124 @@ impl HbTracker {
 mod tests {
     use super::*;
     use crate::memory::{Footprint, NetWrites, RegId};
-    use crate::rng::SplitMix64;
 
     impl HbTracker {
-        /// The brute-force reference for [`HbTracker::push`]: the clock row
-        /// joins *every* dependent predecessor (one dependence test per
-        /// earlier event), and the races are found by searching an
-        /// intermediate event `k` with `i → k → j` for every dependent
-        /// predecessor `i` of another process — `O(depth²)` per event.
-        fn push_quadratic(&mut self, label: StepLabel) {
-            let n = self.procs;
-            let j = self.labels.len();
-            let base = j * n;
-            self.clocks.resize(base + n, 0);
-            for i in 0..j {
-                if self.labels[i].dependent(label, self.lin_barriers) {
-                    let (head, tail) = self.clocks.split_at_mut(base);
-                    for (dst, &s) in tail.iter_mut().zip(&head[i * n..(i + 1) * n]) {
-                        *dst = (*dst).max(s);
-                    }
-                }
-            }
-            self.clocks[base + label.proc.index()] += 1;
-            self.counts[label.proc.index()] += 1;
-            self.labels.push(label);
-            self.sigs.push(Sig::of(label));
-            self.prev_class.push(self.class[label.proc.index()]);
-            self.class[label.proc.index()] = fold_event(
-                self.class[label.proc.index()],
-                label,
-                &self.clocks[base..base + n],
-            );
-            self.races.clear();
-            for i in 0..j {
-                let li = self.labels[i];
-                if li.proc == label.proc || !li.dependent(label, self.lin_barriers) {
-                    continue;
-                }
-                let transitive =
-                    (i + 1..j).any(|k| self.happens_before(i, k) && self.happens_before(k, j));
-                if !transitive {
-                    self.races.push(i);
-                }
+        /// Event `i`'s vector-clock entry for thread `p`: the number of
+        /// `p`'s events that happen-before (or are) event `i`.
+        fn clock(&self, i: usize, p: ProcessId) -> u32 {
+            (0..=i)
+                .filter(|&e| self.sigs[e].proc as usize == p.index() && self.happens_before(e, i))
+                .count() as u32
+        }
+    }
+
+    /// The vector-clock reference for [`HbTracker`]. Each event's clock row
+    /// counts, per thread, the events that happen-before (or are) it, and
+    /// joins *every* dependent predecessor (one dependence test per earlier
+    /// event). An event's maximal dependent predecessors, and among them its
+    /// races, are found by searching an intermediate event `k` with
+    /// `i → k → j` for every dependent predecessor `i`: `O(depth²)` per
+    /// event. Initials are found by clock comparisons, and the fingerprint
+    /// by a full walk over every event.
+    struct VcReference {
+        threads: usize,
+        lin_barriers: bool,
+        labels: Vec<StepLabel>,
+        /// Flat clock rows, stride `threads`.
+        clocks: Vec<u32>,
+        /// Per event, the sum of its maximal dependent predecessors'
+        /// [`pred_key`]s.
+        preds: Vec<u64>,
+        races: Vec<usize>,
+    }
+
+    impl VcReference {
+        fn new(threads: usize, lin_barriers: bool) -> Self {
+            VcReference {
+                threads,
+                lin_barriers,
+                labels: Vec::new(),
+                clocks: Vec::new(),
+                preds: Vec::new(),
+                races: Vec::new(),
             }
         }
 
-        /// The full-walk reference for [`HbTracker::fingerprint`]: rehashes
-        /// every process's events from its seed, in program order, from
-        /// the labels and clock rows alone.
-        fn fingerprint_full_walk(&self) -> u64 {
-            let n = self.procs;
-            (0..n)
-                .map(|p| {
-                    self.labels
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, l)| l.proc.index() == p)
-                        .fold(class_seed(p), |h, (e, &l)| {
-                            fold_event(h, l, &self.clocks[e * n..(e + 1) * n])
-                        })
-                })
-                .fold(FNV_OFFSET, fnv)
+        fn truncate(&mut self, len: usize) {
+            self.labels.truncate(len);
+            self.clocks.truncate(len * self.threads);
+            self.preds.truncate(len);
+            self.races.clear();
+        }
+
+        fn clock(&self, i: usize, p: usize) -> u32 {
+            self.clocks[i * self.threads + p]
+        }
+
+        fn happens_before(&self, i: usize, j: usize) -> bool {
+            let p = self.labels[i].proc.index();
+            self.clock(j, p) >= self.clock(i, p)
+        }
+
+        fn push(&mut self, label: StepLabel) {
+            let n = self.threads;
+            let j = self.labels.len();
+            let base = j * n;
+            self.clocks.resize(base + n, 0);
+            let dependent: Vec<usize> = (0..j)
+                .filter(|&i| self.labels[i].dependent(label, self.lin_barriers))
+                .collect();
+            for &i in &dependent {
+                let (head, tail) = self.clocks.split_at_mut(base);
+                for (dst, &s) in tail.iter_mut().zip(&head[i * n..(i + 1) * n]) {
+                    *dst = (*dst).max(s);
+                }
+            }
+            self.clocks[base + label.proc.index()] += 1;
+            self.labels.push(label);
+            self.races.clear();
+            let mut preds = 0u64;
+            for i in dependent {
+                let transitive =
+                    (i + 1..j).any(|k| self.happens_before(i, k) && self.happens_before(k, j));
+                if transitive {
+                    continue;
+                }
+                let q = self.labels[i].proc.index();
+                preds = preds.wrapping_add(pred_key(q as u32, self.clock(i, q)));
+                if q != label.proc.index() {
+                    self.races.push(i);
+                }
+            }
+            self.preds.push(preds);
+        }
+
+        fn race_initials(&self, i: usize) -> u64 {
+            let j = self.labels.len() - 1;
+            let in_v = |k: usize| k == j || !self.happens_before(i, k);
+            let mut initials = 0u64;
+            let mut preceded = 0u64;
+            for m in (i + 1..=j).filter(|&m| in_v(m)) {
+                let pm = self.labels[m].proc;
+                if preceded & bit(pm) != 0 {
+                    continue;
+                }
+                if !(i + 1..m).any(|l| in_v(l) && self.happens_before(l, m)) {
+                    initials |= bit(pm);
+                }
+                preceded |= bit(pm);
+            }
+            initials
+        }
+
+        /// Rehashes every thread's events from its seed, in program order.
+        fn fingerprint(&self) -> u64 {
+            let mut class: Vec<u64> = (0..self.threads).map(class_seed).collect();
+            for (&label, &preds) in self.labels.iter().zip(&self.preds) {
+                let h = &mut class[label.proc.index()];
+                *h = fold_event(*h, label, preds);
+            }
+            class.into_iter().fold(FNV_OFFSET, fnv)
         }
     }
 
@@ -687,38 +769,57 @@ mod tests {
         }
     }
 
+    /// Asserts that `fast` and `slow` agree on the stream length, on
+    /// `happens_before` for every pair of events and on the fingerprint.
+    fn assert_same_order(fast: &HbTracker, slow: &VcReference, at: &str) {
+        assert_eq!(fast.len(), slow.labels.len(), "lengths differ at {at}");
+        for j in 0..fast.len() {
+            for i in 0..=j {
+                assert_eq!(
+                    fast.happens_before(i, j),
+                    slow.happens_before(i, j),
+                    "happens_before({i}, {j}) differs at {at}"
+                );
+            }
+        }
+        assert_eq!(
+            fast.fingerprint(),
+            slow.fingerprint(),
+            "fingerprint differs from the full walk at {at}"
+        );
+    }
+
     #[test]
     fn one_pass_push_matches_the_quadratic_reference() {
-        for case in 0..256u64 {
+        let mut widest = 0;
+        for case in 0..128u64 {
             let mut rng = SplitMix64::new(0x4B_1D ^ case);
             let procs = 2 + rng.next_below(3);
             let lin = rng.next_bool();
             let mut fast = HbTracker::new(procs, lin);
-            let mut slow = HbTracker::new(procs, lin);
-            let (mut fast_races, mut slow_races) = (Vec::new(), Vec::new());
-            for step in 0..96 {
-                match rng.next_below(24) {
+            let mut slow = VcReference::new(procs, lin);
+            let mut fast_races = Vec::new();
+            // Streams grow past 64 and 128 events, so rows widen and
+            // truncations cross word boundaries.
+            for step in 0..160 {
+                let at = format!("case {case} step {step} (procs {procs}, lin {lin})");
+                match rng.next_below(32) {
                     0 => {
-                        let len = rng.next_below(fast.len() + 1);
+                        let len = fast.len() - rng.next_below(fast.len().min(16) + 1);
                         fast.truncate(len);
                         slow.truncate(len);
                     }
-                    1 => {
+                    1 if rng.next_below(8) == 0 => {
                         fast.clear();
-                        slow.clear();
+                        slow.truncate(0);
                     }
                     _ => {
                         let label = arb_label(&mut rng, procs);
                         fast.push(label);
-                        slow.push_quadratic(label);
-                        let at = format!("case {case} step {step} (procs {procs}, lin {lin})");
-                        assert_eq!(fast.clocks, slow.clocks, "clock rows differ at {at}");
-                        assert_eq!(fast.counts, slow.counts, "event counts differ at {at}");
+                        slow.push(label);
                         fast_races.clear();
-                        slow_races.clear();
                         fast.races_of_last(&mut fast_races);
-                        slow.races_of_last(&mut slow_races);
-                        assert_eq!(fast_races, slow_races, "race lists differ at {at}");
+                        assert_eq!(fast_races, slow.races, "race lists differ at {at}");
                         for &i in &fast_races {
                             assert_eq!(
                                 fast.race_initials(i),
@@ -728,15 +829,12 @@ mod tests {
                         }
                     }
                 }
-                // The maintained class hashes agree with a full walk after
-                // every push, truncate and clear.
-                assert_eq!(
-                    fast.fingerprint(),
-                    fast.fingerprint_full_walk(),
-                    "fingerprint differs from the full walk at case {case} step {step}"
-                );
-                assert_eq!(slow.fingerprint(), fast.fingerprint());
+                // Every pair and the maintained class hashes agree with the
+                // reference after every push, truncate and clear.
+                assert_same_order(&fast, &slow, &at);
+                widest = widest.max(fast.len());
             }
         }
+        assert!(widest > 128, "streams must cross two word boundaries");
     }
 }

@@ -1,7 +1,7 @@
 //! Per-operation and per-execution measurements: step counts, fences,
 //! read-modify-write counts, and contention.
 //!
-//! The paper distinguishes two notions of contention (§3, after [2] and [6]):
+//! The paper distinguishes two notions of contention (§3, after \[2\] and \[6\]):
 //!
 //! * **interval contention** — another operation's interval (invocation to
 //!   response) overlaps the current operation's interval;

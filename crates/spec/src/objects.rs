@@ -22,7 +22,7 @@ pub enum TasOp {
     /// Atomically read the value and set it to 1. The unique process that
     /// reads 0 is the *winner*; all others are *losers*.
     TestAndSet,
-    /// Reset the object to 0. Well-formedness (§6.3, [1]) requires that only
+    /// Reset the object to 0. Well-formedness (§6.3, \[1\]) requires that only
     /// the current winner calls reset; the sequential spec itself simply
     /// resets the bit.
     Reset,

@@ -2,14 +2,16 @@
 //! to enumerate fully, source-DPOR exploration must reach exactly the final
 //! states full enumeration reaches, prefix-resume must enumerate exactly the
 //! same schedules as full replay, and a seeded bug (module A1 with its final
-//! RAW-fenced read dropped) must be caught in every mode.
+//! RAW-fenced read dropped) must be caught in every mode. A register
+//! workload whose schedules exceed 64 events holds the reduction to the same
+//! final states past the happens-before rows' first word.
 
-use scl::core::{new_speculative_tas, A1Tas, A1Variant, A2Tas, Composed};
+use scl::core::{new_speculative_tas, A1Tas, A1Variant, A2Tas, Composed, WriteBehindRegister};
 use scl::sim::{
     explore_schedules, explore_schedules_report, ExploreConfig, ExploreOutcome, ExploreViolation,
-    Reduction, ResumeMode, SharedMemory, Workload,
+    Reduction, RegId, ResumeMode, SharedMemory, Workload,
 };
-use scl::spec::{TasOp, TasResp, TasSpec, TasSwitch};
+use scl::spec::{check_linearizable, RegisterOp, RegisterSpec, TasOp, TasResp, TasSpec, TasSwitch};
 use std::collections::BTreeSet;
 
 type Wl = Workload<TasSpec, TasSwitch>;
@@ -261,5 +263,57 @@ fn correct_tas_passes_the_single_winner_check_in_every_mode() {
     for config in all_modes() {
         explore_schedules(new_speculative_tas, &wl, &config, single_winner_check)
             .unwrap_or_else(|v| panic!("config {config:?}: spurious violation {v}"));
+    }
+}
+
+/// One process runs 20 two-step writes and a read (63 or 64 ticks with their
+/// invocations) beside a single write of another (3 ticks): every schedule
+/// is deeper than 64 ticks, so the happens-before rows span two words and
+/// races and backtracks cross the word boundary (46k schedules unreduced).
+/// Returns the schedule count, the final states (register file plus
+/// outcomes) and the verdict signatures (outcomes plus the
+/// linearizability verdict).
+fn deep_register_sets(reduction: Reduction) -> (u64, BTreeSet<String>, BTreeSet<String>) {
+    let mut writer: Vec<_> = (1..=20).map(RegisterOp::Write).collect();
+    writer.push(RegisterOp::Read);
+    let wl = Workload::from_ops(vec![writer, vec![RegisterOp::Write(100)]]);
+    let (mut states, mut verdicts) = (BTreeSet::new(), BTreeSet::new());
+    let outcome = explore_schedules(
+        WriteBehindRegister::new,
+        &wl,
+        &mode(reduction, ResumeMode::PrefixResume),
+        |res, mem| {
+            assert!(res.completed && res.ticks > 64, "{} ticks", res.ticks);
+            let regs: Vec<_> = (0..mem.register_count())
+                .map(|i| mem.peek(RegId(i)))
+                .collect();
+            let mut outs: Vec<_> = res
+                .ops
+                .iter()
+                .map(|o| format!("{}={:?}", o.req.id, o.outcome))
+                .collect();
+            outs.sort();
+            let lin =
+                check_linearizable(&RegisterSpec, &res.trace.commit_projection()).is_linearizable();
+            states.insert(format!("{regs:?}|{outs:?}"));
+            verdicts.insert(format!("{outs:?}|lin={lin}"));
+            Ok(())
+        },
+    )
+    .expect("the write-behind register is linearizable without crashes");
+    assert!(matches!(outcome, ExploreOutcome::Exhausted { .. }));
+    (outcome.schedules(), states, verdicts)
+}
+
+/// Both source modes reach exactly full enumeration's final states and
+/// verdict signatures on schedules deeper than 64 events.
+#[test]
+fn source_modes_match_full_enumeration_past_64_events() {
+    let (full, full_states, full_verdicts) = deep_register_sets(Reduction::Off);
+    for reduction in [Reduction::SourceDpor, Reduction::SourceDporLinPreserving] {
+        let (schedules, states, verdicts) = deep_register_sets(reduction);
+        assert!(schedules < full, "{reduction:?}: {schedules} vs {full}");
+        assert_eq!(states, full_states, "{reduction:?} final states");
+        assert_eq!(verdicts, full_verdicts, "{reduction:?} verdict signatures");
     }
 }
