@@ -10,7 +10,7 @@
 
 use scl_bench::print_table;
 use scl_core::{SplitConsensus, UniversalConstruction};
-use scl_sim::{Executor, OnAbort, RoundRobinAdversary, SharedMemory, SoloAdversary, Workload};
+use scl_sim::{Executor, RoundRobinAdversary, SharedMemory, SoloAdversary, Workload};
 use scl_spec::{CounterOp, CounterSpec, History, QueueOp, QueueSpec, SequentialSpec};
 
 fn counter_run(k: usize) -> (usize, u64, usize) {
@@ -27,12 +27,7 @@ fn counter_run(k: usize) -> (usize, u64, usize) {
     // Phase 2: both processes contend; the register-only instance aborts.
     let wl2: Workload<CounterSpec, History<CounterSpec>> =
         Workload::single_op_each(2, CounterOp::Increment);
-    let res2 = Executor::new().on_abort(OnAbort::Stop).run(
-        &mut mem,
-        &mut uc,
-        &wl2,
-        &mut RoundRobinAdversary::default(),
-    );
+    let res2 = Executor::new().run(&mut mem, &mut uc, &wl2, &mut RoundRobinAdversary::default());
     assert!(res2.completed);
     let log = uc.recorded_abstract_trace();
     let abort_len = log

@@ -15,7 +15,6 @@
 //! ([`parse_json`]) — also used by the test-suite to guard the
 //! well-formedness of every document the tool emits.
 
-use crate::bridge::{CheckerMode, CrashedPending};
 use crate::scenarios::{
     checker_values, crashed_pending_values, parse_checker, parse_crashed_pending, parse_reduction,
     parse_resume, reduction_values, resume_values, CheckConfig,
@@ -249,23 +248,13 @@ pub struct Artifact {
     pub message: String,
     /// The violating schedule (raw pseudo-process ids).
     pub schedule: Vec<ProcessId>,
-    /// Reduction the schedule was found under (its lin barriers shape the
-    /// race relation the replay reports).
-    pub reduction: scl_sim::Reduction,
-    /// Resume mode of the original run.
-    pub resume: scl_sim::ResumeMode,
-    /// Checker mode of the original run.
-    pub checker: CheckerMode,
-    /// Crash-closure mode of the original run.
-    pub crashed_pending: CrashedPending,
-    /// Schedule budget of the original run.
-    pub max_schedules: u64,
-    /// Tick limit of the original run.
-    pub max_ticks: u64,
-    /// Message-drop budget of the original run.
-    pub max_drops: usize,
-    /// Restart budget of the original run.
-    pub max_recoveries: usize,
+    /// The configuration of the original run, as far as the artifact
+    /// records it: reduction (its lin barriers shape the race relation the
+    /// replay reports), resume mode, checker, crash closure, schedule
+    /// budget, tick limit, drop and restart budgets. Replays run
+    /// sequentially and without an observer; scenario runners re-apply
+    /// their own overrides on top.
+    pub config: CheckConfig,
 }
 
 impl Artifact {
@@ -304,39 +293,28 @@ impl Artifact {
         let resume_text = cfg_str("resume")?;
         let checker_text = cfg_str("checker")?;
         let crashed_text = cfg_str("crashed_pending")?;
-        Ok(Artifact {
-            scenario: str_field("scenario")?.to_string(),
-            message: str_field("message")?.to_string(),
-            schedule,
-            reduction: parse_reduction(reduction_text)
-                .ok_or(format!("unknown reduction `{reduction_text}`"))?,
-            resume: parse_resume(resume_text).ok_or(format!("unknown resume `{resume_text}`"))?,
+        let mut run = CheckConfig {
             checker: parse_checker(checker_text)
                 .ok_or(format!("unknown checker `{checker_text}`"))?,
             crashed_pending: parse_crashed_pending(crashed_text)
                 .ok_or(format!("unknown crashed_pending `{crashed_text}`"))?,
-            max_schedules: cfg_num("max_schedules")?,
-            max_ticks: cfg_num("max_ticks")?,
-            max_drops: cfg_num("max_drops")? as usize,
-            max_recoveries: cfg_num("max_recoveries")? as usize,
-        })
-    }
-
-    /// Rebuilds the [`CheckConfig`] the recorded run used (sequential, no
-    /// observer; scenario runners re-apply their own overrides on top).
-    pub fn check_config(&self) -> CheckConfig {
-        CheckConfig {
-            reduction: self.reduction,
-            resume: self.resume,
-            checker: self.checker,
-            crashed_pending: self.crashed_pending,
-            max_schedules: self.max_schedules,
-            max_ticks: self.max_ticks,
-            max_drops: self.max_drops,
-            max_recoveries: self.max_recoveries,
-            workers: 1,
             ..CheckConfig::default()
-        }
+        };
+        let explore = &mut run.explore;
+        explore.reduction = parse_reduction(reduction_text)
+            .ok_or(format!("unknown reduction `{reduction_text}`"))?;
+        explore.resume =
+            parse_resume(resume_text).ok_or(format!("unknown resume `{resume_text}`"))?;
+        explore.max_schedules = cfg_num("max_schedules")?;
+        explore.max_ticks = cfg_num("max_ticks")?;
+        explore.max_drops = cfg_num("max_drops")? as usize;
+        explore.max_recoveries = cfg_num("max_recoveries")? as usize;
+        Ok(Artifact {
+            scenario: str_field("scenario")?.to_string(),
+            message: str_field("message")?.to_string(),
+            schedule,
+            config: run,
+        })
     }
 }
 
@@ -394,14 +372,14 @@ pub fn artifact_json(
         crate::json_string(scenario),
         crate::json_string(message),
         sched.join(", "),
-        cli_name(reduction_values(), config.reduction),
-        cli_name(resume_values(), config.resume),
+        cli_name(reduction_values(), config.explore.reduction),
+        cli_name(resume_values(), config.explore.resume),
         cli_name(checker_values(), config.checker),
         cli_name(crashed_pending_values(), config.crashed_pending),
-        config.max_schedules,
-        config.max_ticks,
-        config.max_drops,
-        config.max_recoveries,
+        config.explore.max_schedules,
+        config.explore.max_ticks,
+        config.explore.max_drops,
+        config.explore.max_recoveries,
         log.processes,
         log.net_cap,
         log.completed,
@@ -616,12 +594,12 @@ mod tests {
             vec![ProcessId(0), ProcessId(1), ProcessId(1), ProcessId(0)]
         );
         assert_eq!(
-            artifact.reduction,
+            artifact.config.explore.reduction,
             scl_sim::Reduction::SourceDporLinPreserving
         );
-        assert_eq!(artifact.max_schedules, 200_000);
-        let config = artifact.check_config();
-        assert_eq!(config.workers, 1);
+        assert_eq!(artifact.config.explore.max_schedules, 200_000);
+        let config = &artifact.config;
+        assert_eq!(config.explore.threads, 1);
         assert!(config.observer.is_none());
     }
 

@@ -123,16 +123,16 @@ pub fn reports_to_json_partial(
          \"max_ticks\": {}, \"max_drops\": {}, \"max_recoveries\": {}, \"metrics_only\": {}, \
          \"workers\": {}}},\n  \"host\": {{\"available_parallelism\": {}}},\n  \"exhausted\": \
          {},\n  \"scenarios\": {{\n{}\n  }},\n  \"all_as_expected\": {}\n}}\n",
-        reduction_name(config.reduction),
-        resume_name(config.resume),
+        reduction_name(config.explore.reduction),
+        resume_name(config.explore.resume),
         config.checker.name(),
         config.crashed_pending.name(),
-        config.max_schedules,
-        config.max_ticks,
-        config.max_drops,
-        config.max_recoveries,
-        config.metrics_only,
-        config.workers,
+        config.explore.max_schedules,
+        config.explore.max_ticks,
+        config.explore.max_drops,
+        config.explore.max_recoveries,
+        config.explore.metrics_only,
+        config.explore.threads,
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(0),

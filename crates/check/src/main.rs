@@ -54,8 +54,8 @@ fn value_list<T: PartialEq>(values: &[(&str, T)], default: &T) -> String {
 fn flag_values() -> (String, String, String, String) {
     let defaults = CheckConfig::default();
     (
-        value_list(reduction_values(), &defaults.reduction),
-        value_list(resume_values(), &defaults.resume),
+        value_list(reduction_values(), &defaults.explore.reduction),
+        value_list(resume_values(), &defaults.explore.resume),
         value_list(checker_values(), &defaults.checker),
         value_list(crashed_pending_values(), &defaults.crashed_pending),
     )
@@ -160,7 +160,7 @@ fn replay_main(args: &[String]) -> ! {
         )
     });
     let capture = Arc::new(ReplayCapture::new(artifact.schedule.clone()));
-    let mut config = artifact.check_config();
+    let mut config = artifact.config.clone();
     config.replay = Some(capture.clone());
     let report = scenario.run(&config);
     let Some((outcome, log)) = capture.take() else {
@@ -279,10 +279,10 @@ fn main() {
             }
             "--all" => all = true,
             "--smoke" => smoke = true,
-            "--metrics-only" => config.metrics_only = true,
+            "--metrics-only" => config.explore.metrics_only = true,
             "--reduction" => {
                 let v = value(&mut i);
-                config.reduction = parse_reduction(&v).unwrap_or_else(|| {
+                config.explore.reduction = parse_reduction(&v).unwrap_or_else(|| {
                     die_unknown(
                         "--reduction value",
                         &v,
@@ -292,7 +292,7 @@ fn main() {
             }
             "--resume" => {
                 let v = value(&mut i);
-                config.resume = parse_resume(&v).unwrap_or_else(|| {
+                config.explore.resume = parse_resume(&v).unwrap_or_else(|| {
                     die_unknown(
                         "--resume value",
                         &v,
@@ -326,23 +326,23 @@ fn main() {
             }
             "--max-schedules" => {
                 let v = value(&mut i);
-                config.max_schedules = v.parse().unwrap_or_else(|_| usage());
+                config.explore.max_schedules = v.parse().unwrap_or_else(|_| usage());
             }
             "--max-ticks" => {
                 let v = value(&mut i);
-                config.max_ticks = v.parse().unwrap_or_else(|_| usage());
+                config.explore.max_ticks = v.parse().unwrap_or_else(|_| usage());
             }
             "--max-drops" => {
                 let v = value(&mut i);
-                config.max_drops = v.parse().unwrap_or_else(|_| usage());
+                config.explore.max_drops = v.parse().unwrap_or_else(|_| usage());
             }
             "--max-recoveries" => {
                 let v = value(&mut i);
-                config.max_recoveries = v.parse().unwrap_or_else(|_| usage());
+                config.explore.max_recoveries = v.parse().unwrap_or_else(|_| usage());
             }
             "--workers" => {
                 let v = value(&mut i);
-                config.workers = v.parse().unwrap_or_else(|_| usage());
+                config.explore.threads = v.parse().unwrap_or_else(|_| usage());
             }
             "--json" => json_path = Some(value(&mut i)),
             "--artifacts" => artifacts_dir = Some(value(&mut i)),
@@ -358,9 +358,10 @@ fn main() {
     }
 
     if smoke {
-        let smoke_defaults = CheckConfig::smoke();
-        config.max_schedules = config.max_schedules.min(smoke_defaults.max_schedules);
-        config.max_ticks = config.max_ticks.min(smoke_defaults.max_ticks);
+        let smoke = CheckConfig::smoke().explore;
+        let explore = &mut config.explore;
+        explore.max_schedules = explore.max_schedules.min(smoke.max_schedules);
+        explore.max_ticks = explore.max_ticks.min(smoke.max_ticks);
         all = true;
     }
     let scenarios: Vec<&'static Scenario> = if all {
@@ -380,7 +381,7 @@ fn main() {
 
     // Reject --metrics-only against trace-consuming scenarios *now*, at
     // arg-parse time — not as a ConfigError halfway through the run.
-    if config.metrics_only {
+    if config.explore.metrics_only {
         if let Some(msg) = metrics_only_conflict(scenarios.iter().copied()) {
             eprintln!("{msg}");
             std::process::exit(2);
@@ -395,7 +396,7 @@ fn main() {
     // budget — graceful degradation, not a mid-write death.
     let deadline =
         time_budget_ms.map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
-    config.deadline = deadline;
+    config.explore.deadline = deadline;
     let mut skipped: Vec<&str> = Vec::new();
     let mut reports: Vec<ScenarioReport> = Vec::new();
     for (idx, s) in scenarios.iter().enumerate() {
@@ -419,7 +420,7 @@ fn main() {
         let mut run_config = config.clone();
         run_config.observer = Some(Arc::new(TelemetryObserver::new(
             heartbeat,
-            config.max_schedules,
+            config.explore.max_schedules,
         )));
         let report = s.run(&run_config);
         let secs = report.secs;

@@ -36,67 +36,32 @@ use std::time::Instant;
 /// Configuration of one scenario run (the CLI flags).
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
-    /// Partial-order reduction mode. The default is the
-    /// linearizability-preserving *source-DPOR* reduction: its pruning
+    /// The explorer's configuration. The CLI sets the reduction, resume
+    /// mode, budgets, tick limit, trace mode, worker threads and deadline;
+    /// scenarios set their own crash budget and eligibility (an arbitrary
+    /// crash budget would invalidate outcome checks such as "exactly one
+    /// winner") and partition mask (meaningful only against their own
+    /// topology). The restart and drop budgets are safe to raise globally:
+    /// restarts need a crash and drops need a network, so scenarios
+    /// without them are unaffected. The defaults differ from
+    /// [`ExploreConfig::default`] in three places: the
+    /// linearizability-preserving source-DPOR reduction (its pruning
     /// provably cannot change the commit projection, so per-schedule
-    /// linearizability verdicts lose nothing.
-    pub reduction: Reduction,
-    /// Backtracking strategy.
-    pub resume: ResumeMode,
+    /// verdicts lose nothing), prefix-resume backtracking, and one worker
+    /// thread. `threads` selects the driver: `1` drives the exploration
+    /// sequentially; any other value uses the parallel engine, one DFS
+    /// worker (with its own [`LinMonitor`]) per thread, `0` meaning "use
+    /// the available parallelism". `metrics_only` is valid only for
+    /// scenarios whose checks never read the trace
+    /// ([`Scenario::needs_trace`] is `false`).
+    pub explore: ExploreConfig,
     /// How per-schedule verdicts are computed.
     pub checker: CheckerMode,
-    /// Schedule budget.
-    pub max_schedules: u64,
-    /// Tick limit per execution.
-    pub max_ticks: u64,
-    /// Skip event-trace recording. Valid only for scenarios whose checks
-    /// never read the trace ([`Scenario::needs_trace`] is `false`); the
-    /// history bridge itself works fine without traces.
-    pub metrics_only: bool,
-    /// Engine worker threads: `1` (the default) drives the exploration
-    /// sequentially; any other value uses the parallel engine — one DFS
-    /// worker (with its own [`LinMonitor`]) per thread, `0` meaning "use the
-    /// available parallelism". Verdict-signature sets are identical either
-    /// way (the parallel merge is deterministic); see the parallel oracle
-    /// tests.
-    pub workers: usize,
     /// How crashed-pending operations enter the completion closure
     /// (`--crashed-pending`): [`CrashedPending::Open`] is plain
     /// linearizability, [`CrashedPending::Strict`] is strict
     /// linearizability. Only observable for scenarios that explore crashes.
     pub crashed_pending: CrashedPending,
-    /// Crash budget per explored schedule (0 = fault-free exploration).
-    /// Crash scenarios set this themselves; it is not a CLI flag because an
-    /// arbitrary crash budget invalidates outcome checks (e.g. "exactly one
-    /// winner") that fault-free scenarios rely on.
-    pub max_crashes: usize,
-    /// Which processes may crash (bitmask over process indices).
-    pub crash_eligible: u64,
-    /// Restart budget per explored schedule (`--max-recoveries`; 0 = crashed
-    /// processes stay down forever, the PR-6 semantics). Each restart wipes
-    /// the process's volatile state, runs the object's recovery routine and
-    /// re-enables it; the flag is safe to set globally because restarting is
-    /// only *possible* after a crash, and scenarios own their crash budgets.
-    pub max_recoveries: usize,
-    /// Which crashed processes may restart (bitmask over process indices).
-    /// Recovery scenarios narrow this themselves when the workload only
-    /// makes sense with a specific process recovering.
-    pub recovery_eligible: u64,
-    /// Message-drop budget per explored schedule (`--max-drops`; 0 = no
-    /// message loss). Only observable for scenarios whose object uses the
-    /// simulated network — shared-memory scenarios have no messages to
-    /// drop, so the flag is safe to set globally.
-    pub max_drops: usize,
-    /// Network endpoints severed for the whole run (bit `i` = client `i`,
-    /// bit `clients + j` = server `j`). Partition scenarios set this
-    /// themselves; it is not a CLI flag because a mask is only meaningful
-    /// against a specific scenario's topology.
-    pub partition: u64,
-    /// Wall-clock deadline threaded into the explorer's budget gate
-    /// (`--time-budget-ms`): when it passes mid-exploration the scenario
-    /// degrades to a partial `LimitReached` result instead of blowing the
-    /// whole run's budget.
-    pub deadline: Option<std::time::Instant>,
     /// Telemetry observer attached to the exploration (`None` — the default
     /// — runs the [`NoObserver`] path, whose empty hooks monomorphise away).
     /// The CLI attaches one fresh observer per scenario run; its snapshot
@@ -144,21 +109,14 @@ impl ReplayCapture {
 impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
-            reduction: Reduction::SourceDporLinPreserving,
-            resume: ResumeMode::PrefixResume,
+            explore: ExploreConfig {
+                reduction: Reduction::SourceDporLinPreserving,
+                resume: ResumeMode::PrefixResume,
+                threads: 1,
+                ..ExploreConfig::default()
+            },
             checker: CheckerMode::Incremental,
-            max_schedules: 200_000,
-            max_ticks: 10_000,
-            metrics_only: false,
-            workers: 1,
             crashed_pending: CrashedPending::Open,
-            max_crashes: 0,
-            crash_eligible: !0,
-            max_recoveries: 0,
-            recovery_eligible: !0,
-            max_drops: 0,
-            partition: 0,
-            deadline: None,
             observer: None,
             replay: None,
         }
@@ -168,29 +126,10 @@ impl Default for CheckConfig {
 impl CheckConfig {
     /// The tiny-bounds configuration used by `scl-check --smoke` and CI.
     pub fn smoke() -> Self {
-        CheckConfig {
-            max_schedules: 2_000,
-            max_ticks: 2_000,
-            ..Default::default()
-        }
-    }
-
-    fn explore_config(&self) -> ExploreConfig {
-        ExploreConfig {
-            max_schedules: self.max_schedules,
-            max_ticks: self.max_ticks,
-            metrics_only: self.metrics_only,
-            threads: self.workers,
-            reduction: self.reduction,
-            resume: self.resume,
-            max_crashes: self.max_crashes,
-            crash_eligible: self.crash_eligible,
-            max_recoveries: self.max_recoveries,
-            recovery_eligible: self.recovery_eligible,
-            max_drops: self.max_drops,
-            partition: self.partition,
-            deadline: self.deadline,
-        }
+        let mut config = CheckConfig::default();
+        config.explore.max_schedules = 2_000;
+        config.explore.max_ticks = 2_000;
+        config
     }
 }
 
@@ -312,7 +251,7 @@ pub struct Scenario {
 impl Scenario {
     /// Runs the scenario under `config` and reports.
     pub fn run(&self, config: &CheckConfig) -> ScenarioReport {
-        if config.metrics_only && self.needs_trace {
+        if config.explore.metrics_only && self.needs_trace {
             return ScenarioReport {
                 name: self.name,
                 outcome: Outcome::ConfigError(format!(
@@ -352,7 +291,7 @@ impl Scenario {
             explore: report.stats,
             checker_states,
             expect_violation: self.expect_violation,
-            underpowered: config.max_schedules < self.needs_schedules,
+            underpowered: config.explore.max_schedules < self.needs_schedules,
             secs,
             telemetry: config.observer.as_ref().map(|o| o.snapshot()),
         }
@@ -363,7 +302,7 @@ impl Scenario {
 /// linearizability bridge attached; `extra` adds scenario-specific
 /// per-schedule checks on top of the (optional) linearizability verdict.
 ///
-/// [`CheckConfig::workers`] selects the driver: `1` runs the sequential
+/// `config.explore.threads` selects the driver: `1` runs the sequential
 /// engine with one borrowed [`LinMonitor`]; anything else runs the parallel
 /// engine, building one monitor per DFS worker through a factory and summing
 /// their checker-state counts. Both drivers execute the same engine code and
@@ -439,13 +378,13 @@ where
     FCheck:
         Fn(&ExecutionResult<S, V>, &SharedMemory, &mut LinMonitor<S>) -> Result<(), String> + Sync,
 {
-    if config.workers == 1 {
+    if config.explore.threads == 1 {
         let mut monitor =
             LinMonitor::new(spec, config.checker).with_crashed_pending(config.crashed_pending);
         let report = explore_schedules_monitored_observed_report(
             setup,
             workload,
-            &config.explore_config(),
+            &config.explore,
             &mut monitor,
             obs,
             check,
@@ -459,7 +398,7 @@ where
         let (report, monitors) = explore_schedules_parallel_monitored_observed_report(
             setup,
             workload,
-            &config.explore_config(),
+            &config.explore,
             &factory,
             obs,
             check,
@@ -496,7 +435,7 @@ where
     let (outcome, log) = replay_schedule(
         setup,
         workload,
-        &config.explore_config(),
+        &config.explore,
         &capture.schedule,
         &mut monitor,
         check,
@@ -826,11 +765,7 @@ fn run_crash_spec_tas_n2(config: &CheckConfig) -> RunnerOutput {
     // crashed operation either linearizes first (as the winner) or is
     // dropped, both of which the strict closure permits, so `open` and
     // `strict` both pass — the axis separates on `crash_write_behind_*`.
-    let config = CheckConfig {
-        max_crashes: 1,
-        crash_eligible: !0,
-        ..config.clone()
-    };
+    let config = crash_config(config, !0);
     let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(2, TasOp::TestAndSet);
     explore_with_lin(&config, TasSpec, new_speculative_tas, &wl, tas_crash_safe)
 }
@@ -847,12 +782,8 @@ fn write_behind_workload() -> Workload<RegisterSpec, ()> {
 }
 
 fn run_crash_write_behind(config: &CheckConfig, crashed_pending: CrashedPending) -> RunnerOutput {
-    let config = CheckConfig {
-        max_crashes: 1,
-        crash_eligible: 0b01, // only the writer crashes
-        crashed_pending,
-        ..config.clone()
-    };
+    let mut config = crash_config(config, 0b01); // only the writer crashes
+    config.crashed_pending = crashed_pending;
     explore_with_lin(
         &config,
         RegisterSpec,
@@ -884,11 +815,7 @@ fn run_crash_resettable_tas_wedge_n2(config: &CheckConfig) -> RunnerOutput {
     // reported by a progress monitor, not found as a hang. Linearizability
     // is gated off (a crashed losing p0 makes reset ill-formed for the
     // plain TasSpec, as in `resettable_tas_n2`).
-    let config = CheckConfig {
-        max_crashes: 1,
-        crash_eligible: 0b01, // only p0 (the resetter) crashes
-        ..config.clone()
-    };
+    let config = crash_config(config, 0b01); // only p0 (the resetter) crashes
     let wl: Workload<TasSpec, TasSwitch> = Workload::from_ops(vec![
         vec![TasOp::TestAndSet, TasOp::Reset],
         vec![TasOp::TestAndSet],
@@ -927,11 +854,7 @@ fn run_crash_a1_dropped_raw_fence_n2(config: &CheckConfig) -> RunnerOutput {
     // The seeded fault-free bug under a crash budget: the 0-crash schedules
     // are a subspace of the crash-aware exploration, so the two-winner
     // mutant must still be reported — crash branching may not mask bugs.
-    let config = CheckConfig {
-        max_crashes: 1,
-        crash_eligible: !0,
-        ..config.clone()
-    };
+    let config = crash_config(config, !0);
     let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(2, TasOp::TestAndSet);
     explore_with_lin(
         &config,
@@ -947,6 +870,15 @@ fn run_crash_a1_dropped_raw_fence_n2(config: &CheckConfig) -> RunnerOutput {
     )
 }
 
+/// A 1-crash budget on top of `config`, for the processes in `eligible`.
+/// The shared preamble of every crash scenario.
+fn crash_config(config: &CheckConfig, eligible: u64) -> CheckConfig {
+    let mut config = config.clone();
+    config.explore.max_crashes = 1;
+    config.explore.crash_eligible = eligible;
+    config
+}
+
 /// A 1-crash + 1-restart budget on top of `config` (the restart budget
 /// honours a larger `--max-recoveries`), optionally narrowed to specific
 /// processes. The shared preamble of every crash-recovery scenario.
@@ -955,13 +887,10 @@ fn recovery_config(
     crash_eligible: u64,
     recovery_eligible: u64,
 ) -> CheckConfig {
-    CheckConfig {
-        max_crashes: 1,
-        crash_eligible,
-        max_recoveries: config.max_recoveries.max(1),
-        recovery_eligible,
-        ..config.clone()
-    }
+    let mut config = crash_config(config, crash_eligible);
+    config.explore.max_recoveries = config.explore.max_recoveries.max(1);
+    config.explore.recovery_eligible = recovery_eligible;
+    config
 }
 
 fn run_recovery_tas(config: &CheckConfig, mutant: bool) -> RunnerOutput {
@@ -1019,10 +948,8 @@ fn run_recovery_write_behind(
     //   abandon × recoverable — the same histories with the op *required*
     //                           to take effect by recovery completion
     //                           (violation — the separating pair).
-    let config = CheckConfig {
-        crashed_pending,
-        ..recovery_config(config, 0b01, 0b01) // only the writer crashes/restarts
-    };
+    let mut config = recovery_config(config, 0b01, 0b01); // only the writer crashes/restarts
+    config.crashed_pending = crashed_pending;
     explore_with_lin(
         &config,
         RegisterSpec,
@@ -1061,10 +988,8 @@ fn run_recovery_recrash_unrecovered_n2(config: &CheckConfig) -> RunnerOutput {
     // reported through the op records rather than found as a hang.
     // Linearizability is gated off so the designed message is *the*
     // violation (the open closure would pass these histories anyway).
-    let config = CheckConfig {
-        max_crashes: 2,
-        ..recovery_config(config, 0b01, 0b01)
-    };
+    let mut config = recovery_config(config, 0b01, 0b01);
+    config.explore.max_crashes = 2;
     explore_with_lin_opt(
         &config,
         RegisterSpec,
@@ -1118,12 +1043,8 @@ fn run_abd_lossy_n2(config: &CheckConfig) -> RunnerOutput {
     // linearizable — ABD under minority faults. `--max-drops` can raise the
     // loss budget; past the retry budget operations degrade to designed
     // aborts, which the lin gate excludes (see [`abd_aborted`]).
-    let config = CheckConfig {
-        max_drops: config.max_drops.max(1),
-        max_crashes: 1,
-        crash_eligible: !0,
-        ..config.clone()
-    };
+    let mut config = crash_config(config, !0);
+    config.explore.max_drops = config.explore.max_drops.max(1);
     explore_with_lin_opt(
         &config,
         RegisterSpec,
@@ -1143,11 +1064,9 @@ fn run_abd_partition_minority_n2(config: &CheckConfig) -> RunnerOutput {
     // 3 replicas, quorum 2, replica 2 severed for the whole run: sends to
     // it vanish, yet every operation reaches a live majority and commits —
     // the partition-tolerance half of the quorum theorem.
-    let config = CheckConfig {
-        // Endpoint bit 2 + 2 = server 2 (after the two clients).
-        partition: 1 << 4,
-        ..config.clone()
-    };
+    let mut config = config.clone();
+    // Endpoint bit 2 + 2 = server 2 (after the two clients).
+    config.explore.partition = 1 << 4;
     explore_with_lin_opt(
         &config,
         RegisterSpec,
@@ -1173,11 +1092,9 @@ fn run_abd_partition_majority_wedge_n2(config: &CheckConfig) -> RunnerOutput {
     // this is not a tick-limit hang): the wedge is a designed progress
     // violation, reported through the op records. Linearizability is gated
     // off — no operation ever commits, so there is nothing to check.
-    let config = CheckConfig {
-        // Endpoint bit 2 + 1 = server 1.
-        partition: 1 << 3,
-        ..config.clone()
-    };
+    let mut config = config.clone();
+    // Endpoint bit 2 + 1 = server 1.
+    config.explore.partition = 1 << 3;
     explore_with_lin_opt(
         &config,
         RegisterSpec,
@@ -1231,10 +1148,8 @@ fn run_abd_retry_exhaustion_abort_n2(config: &CheckConfig) -> RunnerOutput {
     // abort* — never a silent hang, never a bogus commit. Committed
     // operations in abort-free schedules stay linearizable, and the runner
     // verifies aborts actually occur when the space is exhausted.
-    let config = CheckConfig {
-        max_drops: config.max_drops.max(1),
-        ..config.clone()
-    };
+    let mut config = config.clone();
+    config.explore.max_drops = config.explore.max_drops.max(1);
     let abort_schedules = std::sync::atomic::AtomicU64::new(0);
     let (report, states) = explore_with_lin_opt(
         &config,

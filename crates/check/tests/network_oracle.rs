@@ -184,8 +184,11 @@ fn abd_quorum_mutant_is_caught_in_every_lin_preserving_mode() {
     let scenario = find("abd_quorum_mutant").expect("registered");
     for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
         let config = CheckConfig {
-            reduction: Reduction::SourceDporLinPreserving,
-            resume,
+            explore: ExploreConfig {
+                reduction: Reduction::SourceDporLinPreserving,
+                resume,
+                ..CheckConfig::default().explore
+            },
             ..Default::default()
         };
         let report = scenario.run(&config);
@@ -210,8 +213,11 @@ fn abd_majority_partition_wedges_as_a_designed_progress_violation() {
     for reduction in [Reduction::Off, Reduction::SourceDporLinPreserving] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             let config = CheckConfig {
-                reduction,
-                resume,
+                explore: ExploreConfig {
+                    reduction,
+                    resume,
+                    ..CheckConfig::default().explore
+                },
                 ..Default::default()
             };
             let report = scenario.run(&config);

@@ -165,10 +165,13 @@ fn dropped_raw_fence_mutant_is_detected_in_every_mode() {
             for checker in [CheckerMode::Incremental, CheckerMode::FromScratch] {
                 for metrics_only in [false, true] {
                     let config = CheckConfig {
-                        reduction,
-                        resume,
+                        explore: ExploreConfig {
+                            reduction,
+                            resume,
+                            metrics_only,
+                            ..CheckConfig::default().explore
+                        },
                         checker,
-                        metrics_only,
                         ..Default::default()
                     };
                     let report = scenario.run(&config);
@@ -194,8 +197,11 @@ fn n3_realtime_inversion_is_detected_by_the_lin_preserving_reduction() {
     let scenario = find("spec_tas_n3_realtime").expect("registered");
     for reduction in [Reduction::Off, Reduction::SourceDporLinPreserving] {
         let config = CheckConfig {
-            reduction,
-            max_schedules: 5_000_000,
+            explore: ExploreConfig {
+                reduction,
+                max_schedules: 5_000_000,
+                ..CheckConfig::default().explore
+            },
             ..Default::default()
         };
         let report = scenario.run(&config);
@@ -211,7 +217,10 @@ fn n3_realtime_inversion_is_detected_by_the_lin_preserving_reduction() {
 fn metrics_only_with_trace_consuming_checks_is_a_config_error() {
     let scenario = find("a1_n2").expect("registered");
     let config = CheckConfig {
-        metrics_only: true,
+        explore: ExploreConfig {
+            metrics_only: true,
+            ..CheckConfig::default().explore
+        },
         ..Default::default()
     };
     let report = scenario.run(&config);
@@ -235,7 +244,10 @@ fn every_registered_scenario_matches_its_expectation_under_smoke_bounds() {
     // Sequentially and with the parallel monitor-carrying driver.
     for workers in [1, 2] {
         let config = CheckConfig {
-            workers,
+            explore: ExploreConfig {
+                threads: workers,
+                ..CheckConfig::smoke().explore
+            },
             ..CheckConfig::smoke()
         };
         for scenario in scl_check::registry() {
@@ -389,8 +401,11 @@ fn wedged_resettable_tas_is_reported_within_budget_in_every_lin_preserving_mode(
     for reduction in [Reduction::Off, Reduction::SourceDporLinPreserving] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             let config = CheckConfig {
-                reduction,
-                resume,
+                explore: ExploreConfig {
+                    reduction,
+                    resume,
+                    ..CheckConfig::default().explore
+                },
                 ..Default::default()
             };
             let report = scenario.run(&config);
@@ -525,8 +540,11 @@ fn recovery_mutant_is_detected_in_every_mode() {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             for checker in [CheckerMode::Incremental, CheckerMode::FromScratch] {
                 let config = CheckConfig {
-                    reduction,
-                    resume,
+                    explore: ExploreConfig {
+                        reduction,
+                        resume,
+                        ..CheckConfig::default().explore
+                    },
                     checker,
                     ..Default::default()
                 };

@@ -7,7 +7,7 @@
 //! --artifacts` writes is exactly what `scl-check replay` must reproduce.
 
 use scl_check::{artifact_json, Artifact, CheckConfig, Outcome, ReplayCapture, Scenario};
-use scl_sim::{Reduction, ReplayOutcome, ResumeMode};
+use scl_sim::{ExploreConfig, Reduction, ReplayOutcome, ResumeMode};
 use std::sync::Arc;
 
 /// The reduction × resume grid the oracle sweeps. Only the lin-preserving
@@ -31,7 +31,7 @@ fn violate_and_replay(
     let Outcome::Violation { schedule, message } = report.outcome else {
         panic!(
             "scenario `{}` must violate under {:?}/{:?}, got {:?}",
-            scenario.name, config.reduction, config.resume, report.outcome
+            scenario.name, config.explore.reduction, config.explore.resume, report.outcome
         );
     };
     assert!(
@@ -55,7 +55,7 @@ fn violate_and_replay(
             assert_eq!(
                 replayed_message, &message,
                 "scenario `{}`: replay verdict diverged under {:?}/{:?}",
-                scenario.name, config.reduction, config.resume
+                scenario.name, config.explore.reduction, config.explore.resume
             );
             assert_eq!(
                 replayed_schedule, &schedule,
@@ -101,8 +101,11 @@ fn every_expected_violation_replays_bit_identically_across_modes() {
     for scenario in violating {
         for (reduction, resume) in mode_grid() {
             let config = CheckConfig {
-                reduction,
-                resume,
+                explore: ExploreConfig {
+                    reduction,
+                    resume,
+                    ..CheckConfig::default().explore
+                },
                 ..CheckConfig::default()
             };
             violate_and_replay(scenario, &config);
@@ -142,9 +145,9 @@ fn artifact_round_trip_reproduces_the_verdict() {
         assert_eq!(artifact.schedule, schedule);
 
         // Replay purely from the parsed artifact, the way the CLI does.
-        let rebuilt = artifact.check_config();
-        assert_eq!(rebuilt.reduction, config.reduction);
-        assert_eq!(rebuilt.resume, config.resume);
+        let rebuilt = artifact.config.clone();
+        assert_eq!(rebuilt.explore.reduction, config.explore.reduction);
+        assert_eq!(rebuilt.explore.resume, config.explore.resume);
         let capture = Arc::new(ReplayCapture::new(artifact.schedule.clone()));
         let mut replay_config = rebuilt;
         replay_config.replay = Some(capture.clone());

@@ -533,9 +533,7 @@ pub fn consensus_via_abstract(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scl_sim::{
-        Executor, OnAbort, RandomAdversary, RoundRobinAdversary, SoloAdversary, Workload,
-    };
+    use scl_sim::{Executor, RandomAdversary, RoundRobinAdversary, SoloAdversary, Workload};
     use scl_spec::{check_linearizable, QueueOp, QueueSpec, RegisterOp, RegisterSpec};
 
     #[test]
@@ -601,12 +599,7 @@ mod tests {
                 UniversalConstruction::<CounterSpec, SplitConsensus>::new(&mut mem, 3, CounterSpec);
             let wl: Workload<CounterSpec, History<CounterSpec>> =
                 Workload::single_op_each(3, CounterOp::Increment);
-            let res = Executor::new().on_abort(OnAbort::Stop).run(
-                &mut mem,
-                &mut uc,
-                &wl,
-                &mut RandomAdversary::new(seed),
-            );
+            let res = Executor::new().run(&mut mem, &mut uc, &wl, &mut RandomAdversary::new(seed));
             assert!(res.completed, "seed {seed}");
             if res.metrics.aborted_count() > 0 {
                 found_abort = true;
@@ -715,12 +708,8 @@ mod tests {
             assert!(res.completed);
             let wl2: Workload<CounterSpec, History<CounterSpec>> =
                 Workload::single_op_each(2, CounterOp::Increment);
-            let res2 = Executor::new().on_abort(OnAbort::Stop).run(
-                &mut mem,
-                &mut uc,
-                &wl2,
-                &mut RoundRobinAdversary::default(),
-            );
+            let res2 =
+                Executor::new().run(&mut mem, &mut uc, &wl2, &mut RoundRobinAdversary::default());
             assert!(res2.completed);
             let log = uc.recorded_abstract_trace();
             if let Some((_, h)) = log.abort_histories().first() {

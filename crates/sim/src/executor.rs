@@ -11,9 +11,9 @@
 //! * when an operation finishes, its commit or abort event is recorded and
 //!   the process becomes idle again (ready to invoke its next operation).
 //!
-//! The executor also records, for every tick, which processes were enabled
-//! and which was chosen, so that [`crate::explore`] can enumerate alternative
-//! schedules.
+//! The executor also records, for every tick, which transition was chosen:
+//! the schedule that [`crate::explore`] reports and [`crate::replay`]
+//! re-executes.
 //!
 //! # Hot-path structure
 //!
@@ -25,9 +25,8 @@
 //!   enabled/in-progress sets); [`Executor::run_in`] rewinds and refills it,
 //!   so a warm session executes a schedule without allocating beyond what
 //!   the object itself boxes per operation;
-//! * scheduling decisions are stored in a flat [`DecisionLog`] (one chosen
-//!   vector plus a flattened enabled-set pool) instead of one heap-allocated
-//!   `Vec` per tick;
+//! * scheduling decisions are stored in a flat [`DecisionLog`] (the chosen
+//!   ids only);
 //! * a [`TraceMode::MetricsOnly`] run skips all per-event trace pushes for
 //!   exploration checks that only consume metrics and memory state.
 //!
@@ -58,8 +57,9 @@
 
 use crate::adversary::{Adversary, SchedView};
 use crate::machine::{OpExecution, OpOutcome, SimObject, StepOutcome};
-use crate::memory::{Footprint, SharedMemory};
+use crate::memory::{Footprint, SharedMemory, StepLabel};
 use crate::metrics::{ExecutionMetrics, OpMetrics};
+use crate::step::StepKind;
 use scl_spec::{ProcessId, Request, RequestId, SequentialSpec, Trace};
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -121,19 +121,6 @@ impl<S: SequentialSpec, V: Clone> Workload<S, V> {
     }
 }
 
-/// What a process does after one of its operations aborts at the level of the
-/// driven object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OnAbort {
-    /// The process stops (its remaining workload is dropped). Appropriate
-    /// when driving a bare module: in the composition model the process
-    /// would switch to the next module rather than retry.
-    #[default]
-    Stop,
-    /// The process moves on to its next workload operation.
-    ContinueNextOp,
-}
-
 /// Whether the executor records the full event trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
@@ -145,26 +132,11 @@ pub enum TraceMode {
     MetricsOnly,
 }
 
-/// One scheduling decision, viewed out of a [`DecisionLog`]: which processes
-/// were enabled and which was chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Decision<'a> {
-    /// Enabled processes at this tick, in ascending order.
-    pub enabled: &'a [ProcessId],
-    /// The process that was scheduled.
-    pub chosen: ProcessId,
-}
-
-/// The scheduling decisions of an execution in flat storage: the chosen
-/// process per tick, plus all enabled sets concatenated into one pool. This
-/// avoids the per-tick `Vec` the old `Vec<Decision>` layout allocated.
+/// The scheduling decisions of an execution: the raw id chosen at each tick
+/// (see [`crate::step::StepKind`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DecisionLog {
     chosen: Vec<ProcessId>,
-    enabled_pool: Vec<ProcessId>,
-    /// `ends[i]` is the end offset of decision `i`'s enabled set in
-    /// `enabled_pool`; its start is `ends[i - 1]` (or 0).
-    ends: Vec<usize>,
 }
 
 impl DecisionLog {
@@ -188,44 +160,20 @@ impl DecisionLog {
         self.chosen[i]
     }
 
-    /// The processes enabled at tick `i`, in ascending order.
-    pub fn enabled_at(&self, i: usize) -> &[ProcessId] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] };
-        &self.enabled_pool[start..self.ends[i]]
-    }
-
     /// Appends a decision.
-    pub fn push(&mut self, enabled: &[ProcessId], chosen: ProcessId) {
+    pub fn push(&mut self, chosen: ProcessId) {
         self.chosen.push(chosen);
-        self.enabled_pool.extend_from_slice(enabled);
-        self.ends.push(self.enabled_pool.len());
     }
 
-    /// Clears the log, keeping its allocations.
+    /// Clears the log, keeping its allocation.
     pub fn clear(&mut self) {
         self.chosen.clear();
-        self.enabled_pool.clear();
-        self.ends.clear();
     }
 
     /// Truncates the log to its first `len` decisions (used when rewinding a
     /// session to an earlier point of the same run).
     pub fn truncate(&mut self, len: usize) {
-        if len >= self.len() {
-            return;
-        }
-        self.enabled_pool
-            .truncate(if len == 0 { 0 } else { self.ends[len - 1] });
         self.chosen.truncate(len);
-        self.ends.truncate(len);
-    }
-
-    /// Iterates over the decisions.
-    pub fn iter(&self) -> impl Iterator<Item = Decision<'_>> + '_ {
-        (0..self.len()).map(|i| Decision {
-            enabled: self.enabled_at(i),
-            chosen: self.chosen_at(i),
-        })
     }
 }
 
@@ -321,13 +269,12 @@ pub struct ExecutionResult<S: SequentialSpec, V> {
     pub metrics: ExecutionMetrics,
     /// Operation records in invocation order.
     pub ops: Vec<OpRecord<S, V>>,
-    /// The scheduling decisions, one per tick.
+    /// The scheduling decisions, one per tick (their count is the number
+    /// of ticks consumed).
     pub decisions: DecisionLog,
     /// Whether every workload operation ran to a response before the tick
     /// limit.
     pub completed: bool,
-    /// Number of ticks consumed.
-    pub ticks: u64,
     /// Bitmask of processes that crashed during the execution (bit `p` set
     /// when [`Executor::tick`] executed a crash of process `p`). Historical:
     /// the bit stays set even after the process restarts.
@@ -345,7 +292,6 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> Default for ExecutionResul
             ops: Vec::new(),
             decisions: DecisionLog::default(),
             completed: false,
-            ticks: 0,
             crashed: 0,
             restarted: 0,
         }
@@ -578,37 +524,29 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
         self.result.decisions.len()
     }
 
-    /// The shared-memory access process `p`'s next transition would perform:
-    /// [`Footprint::Pure`] for an invocation (invocations take no
-    /// shared-memory step), the in-flight operation's
-    /// [`OpExecution::next_footprint`] otherwise.
-    pub fn next_footprint(&self, p: ProcessId) -> Footprint {
-        match self.states.get(p.index()) {
-            Some(ProcState::Running { exec, .. }) => exec.next_footprint(),
-            Some(ProcState::Recovering { exec: Some(e), .. }) => e.next_footprint(),
-            _ => Footprint::Pure,
-        }
-    }
-
-    /// Whether process `p`'s next transition would be an invocation (emit an
-    /// invoke/init event).
-    pub fn next_is_invocation(&self, p: ProcessId) -> bool {
-        matches!(self.states.get(p.index()), Some(ProcState::Idle { .. }))
-    }
-
-    /// Whether process `p`'s next transition could emit a response event
-    /// (commit or abort): it has an operation in flight whose next step may
-    /// finish ([`OpExecution::may_respond_next`]).
-    pub fn next_may_respond(&self, p: ProcessId) -> bool {
-        match self.states.get(p.index()) {
-            Some(ProcState::Running { exec, .. }) => exec.may_respond_next(),
-            // A recovery's completion is a response-like event (it may
-            // resolve the interrupted operation); the trivial recovery
-            // completes on its very next tick.
-            Some(ProcState::Recovering { exec, .. }) => {
-                exec.as_ref().is_none_or(|e| e.may_respond_next())
-            }
-            _ => false,
+    /// The predicted label of process `p`'s next step: an invocation with no
+    /// shared-memory access if `p` is idle; otherwise the access its
+    /// in-flight operation or recovery routine reports
+    /// ([`OpExecution::next_footprint`]), responding if that step may finish
+    /// ([`OpExecution::may_respond_next`]). A recovery's completion is a
+    /// response-like event (it may resolve the interrupted operation), and
+    /// the trivial recovery completes on its very next tick. The explorer's
+    /// [`crate::explore::pending_label`] for a step.
+    pub fn next_label(&self, p: ProcessId) -> StepLabel {
+        let (footprint, invoked, responded) = match self.states.get(p.index()) {
+            Some(ProcState::Idle { .. }) => (Footprint::Pure, true, false),
+            Some(ProcState::Running { exec, .. })
+            | Some(ProcState::Recovering {
+                exec: Some(exec), ..
+            }) => (exec.next_footprint(), false, exec.may_respond_next()),
+            Some(ProcState::Recovering { exec: None, .. }) => (Footprint::Pure, false, true),
+            _ => (Footprint::Pure, false, false),
+        };
+        StepLabel {
+            proc: p,
+            footprint,
+            invoked,
+            responded,
         }
     }
 
@@ -700,7 +638,6 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
         self.op_log.stamps.truncate(mark.ops_len);
         result.decisions.truncate(mark.decisions_len);
         result.completed = false;
-        result.ticks = mark.decisions_len as u64;
         result.crashed = mark.crashed;
         result.restarted = mark.restarted;
         self.epoch = mark.epoch;
@@ -795,9 +732,26 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
         self.result.ops.clear();
         self.result.decisions.clear();
         self.result.completed = false;
-        self.result.ticks = 0;
         self.result.crashed = 0;
         self.result.restarted = 0;
+    }
+
+    /// Whether the transition with raw id `id` can be scheduled at the
+    /// current decision point, over a network of `cap` slots: a step or a
+    /// delivery iff it is in the enabled set, a crash iff its process's step
+    /// is, a drop iff its message's delivery is, and a restart iff its
+    /// process is crashed right now (crashed processes are never enabled).
+    /// Valid after [`Executor::survey`] returned [`SurveyStatus::Choose`].
+    pub fn schedulable(&self, id: ProcessId, cap: usize) -> bool {
+        let n = self.states.len();
+        match StepKind::decode(id, n, cap) {
+            StepKind::Step(_) | StepKind::Deliver(_) => self.enabled.contains(&id),
+            StepKind::Crash(p) => self.enabled.contains(&p),
+            StepKind::Drop(s) => self.enabled.contains(&StepKind::Deliver(s).encode(n, cap)),
+            StepKind::Restart(p) => {
+                matches!(self.states.get(p.index()), Some(ProcState::Crashed { .. }))
+            }
+        }
     }
 
     /// Bitmask of processes that are crashed *right now* (state
@@ -835,8 +789,6 @@ pub enum SurveyStatus {
 pub struct Executor {
     /// Maximum number of ticks before the execution is cut off.
     pub max_ticks: u64,
-    /// Behaviour after an operation aborts.
-    pub on_abort: OnAbort,
     /// Whether to record the full event trace.
     pub trace_mode: TraceMode,
 }
@@ -845,22 +797,15 @@ impl Default for Executor {
     fn default() -> Self {
         Executor {
             max_ticks: 1_000_000,
-            on_abort: OnAbort::Stop,
             trace_mode: TraceMode::Full,
         }
     }
 }
 
 impl Executor {
-    /// An executor with the default tick limit and [`OnAbort::Stop`].
+    /// An executor with the default tick limit.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Sets the abort behaviour.
-    pub fn on_abort(mut self, on_abort: OnAbort) -> Self {
-        self.on_abort = on_abort;
-        self
     }
 
     /// Sets the tick limit.
@@ -944,7 +889,7 @@ impl Executor {
     /// operations reporting [`OpExecution::blocked`] are excluded from the
     /// enabled set (they cannot make progress until a delivery fills their
     /// inbox), and every occupied in-flight slot `s` contributes a
-    /// *delivery pseudo-process* `ProcessId(2n + s)` — scheduling it
+    /// *delivery pseudo-process* ([`StepKind::Deliver`]) — scheduling it
     /// delivers that message. If every live process is blocked and nothing
     /// is in flight, the enabled set is empty and the run completes with
     /// the blocked operations still open: a *wedged* execution, visible to
@@ -992,22 +937,20 @@ impl Executor {
         // affect the observable history, so draining them would only
         // multiply equivalent schedules.
         if live {
-            let n = workload.processes();
+            let (n, cap) = (workload.processes(), mem.net_cap());
             let mut occupied = mem.net_occupied();
             while occupied != 0 {
                 let s = occupied.trailing_zeros() as usize;
                 occupied &= occupied - 1;
-                session.enabled.push(ProcessId(2 * n + s));
+                session.enabled.push(StepKind::Deliver(s).encode(n, cap));
             }
         }
         let tick = session.result.decisions.len() as u64;
         if session.enabled.is_empty() {
             session.result.completed = true;
-            session.result.ticks = tick;
             SurveyStatus::Complete
         } else if tick >= self.max_ticks {
             session.result.completed = false;
-            session.result.ticks = tick;
             SurveyStatus::Cutoff
         } else {
             SurveyStatus::Choose
@@ -1016,28 +959,21 @@ impl Executor {
 
     /// Executes one scheduling decision: invokes `chosen`'s next operation if
     /// it is idle, or lets its in-flight operation take at most one
-    /// shared-memory step. `chosen` must be a member of the enabled set
-    /// computed by the immediately preceding [`Self::survey`].
-    ///
-    /// A `chosen` with index `workload.processes() + p` is a **crash step**
-    /// of process `p` (the schedule explorer's pseudo-process encoding): `p`
-    /// must be enabled, and after the tick it is `ProcState::Crashed` —
-    /// never enabled again, its in-flight operation (if any) pending forever.
-    /// Crash steps take no shared-memory step and emit
-    /// [`TickEmission::Crashed`].
-    ///
-    /// When the memory has a network configured (capacity `cap`), indices
-    /// `2n + s` **deliver** and `2n + cap + s` **drop** the in-flight
-    /// message in slot `s` — scheduled network transitions that charge no
-    /// process counters and emit [`TickEmission::Delivered`] /
-    /// [`TickEmission::Dropped`].
-    ///
-    /// An index `2n + 2cap + p` is a **restart step** of a crashed process
-    /// `p`: the process becomes `ProcState::Recovering`, running the
-    /// object's [`SimObject::recover`] routine (shared registers persist,
-    /// volatile state is gone) and emits [`TickEmission::Restarted`]; the
-    /// recovery's completion emits [`TickEmission::Recovered`] and the
-    /// process resumes its remaining workload.
+    /// shared-memory step. `chosen` is a raw scheduled id (see
+    /// [`crate::step`]) that the immediately preceding [`Self::survey`]
+    /// admits ([`ExecSession::schedulable`]). A [`StepKind::Crash`] of `p` takes no
+    /// shared-memory step and emits [`TickEmission::Crashed`]: after the
+    /// tick `p` is `ProcState::Crashed` — never enabled again unless
+    /// restarted, its in-flight operation (if any) pending. A
+    /// [`StepKind::Deliver`] or [`StepKind::Drop`] delivers or drops the
+    /// in-flight message in its slot — a network transition that charges no
+    /// process counters and emits [`TickEmission::Delivered`] /
+    /// [`TickEmission::Dropped`]. A [`StepKind::Restart`] of a crashed `p`
+    /// makes it `ProcState::Recovering`, running the object's
+    /// [`SimObject::recover`] routine (shared registers persist, volatile
+    /// state is gone), and emits [`TickEmission::Restarted`]; the recovery's
+    /// completion emits [`TickEmission::Recovered`] and the process resumes
+    /// its remaining workload.
     pub fn tick<S, V, O>(
         &self,
         session: &mut ExecSession<S, V>,
@@ -1053,21 +989,7 @@ impl Executor {
         let n = workload.processes();
         let cap = mem.net_cap();
         debug_assert!(
-            if chosen.index() < n {
-                session.enabled.contains(&chosen)
-            } else if chosen.index() < 2 * n {
-                session.enabled.contains(&ProcessId(chosen.index() - n))
-            } else if chosen.index() < 2 * n + cap {
-                session.enabled.contains(&chosen)
-            } else if chosen.index() < 2 * n + 2 * cap {
-                mem.net_occupied() & (1u64 << (chosen.index() - 2 * n - cap)) != 0
-            } else {
-                chosen.index() < 2 * n + 2 * cap + n
-                    && matches!(
-                        session.states[chosen.index() - 2 * n - 2 * cap],
-                        ProcState::Crashed { .. }
-                    )
-            },
+            session.schedulable(chosen, cap),
             "tick({chosen:?}) without a preceding survey enabling it \
              (enabled {:?}, path {:?})",
             session.enabled,
@@ -1075,103 +997,102 @@ impl Executor {
         );
         let full_trace = self.trace_mode == TraceMode::Full;
         let tick = session.result.decisions.len() as u64;
-        session.result.decisions.push(&session.enabled, chosen);
+        session.result.decisions.push(chosen);
         session.last_emission = TickEmission::None;
         session.last_footprint = Footprint::Pure;
-        if chosen.index() >= 2 * n + 2 * cap {
-            // Restart step: the crashed process comes back. Its volatile
-            // state (the interrupted OpExecution) was already lost at the
-            // crash; shared registers persist. The object's recovery routine
-            // takes over — like `invoke`, `recover` itself must not take
-            // shared-memory steps (it only allocates the routine).
-            let ri = chosen.index() - 2 * n - 2 * cap;
-            let (interrupted, next_op) = match &session.states[ri] {
-                ProcState::Crashed {
-                    interrupted,
-                    next_op,
-                } => (*interrupted, *next_op),
-                _ => unreachable!("restart of a process that is not crashed"),
-            };
-            let p = ProcessId(ri);
-            let steps_before = mem.global_steps();
-            let exec = {
-                let req = interrupted.map(|oi| &session.result.ops[oi].req);
-                object.recover(mem, p, req)
-            };
-            debug_assert_eq!(
-                mem.global_steps(),
-                steps_before,
-                "SimObject::recover must not take shared-memory steps \
-                 (allocate lazily, access in OpExecution::step)"
-            );
-            session.set_state(
-                ri,
-                ProcState::Recovering {
-                    exec,
+        let p = match StepKind::decode(chosen, n, cap) {
+            StepKind::Step(p) => p,
+            StepKind::Restart(p) => {
+                // The crashed process comes back. Its volatile state (the
+                // interrupted OpExecution) was already lost at the crash;
+                // shared registers persist. The object's recovery routine
+                // takes over — like `invoke`, `recover` itself must not take
+                // shared-memory steps (it only allocates the routine).
+                let ri = p.index();
+                let (interrupted, next_op) = match &session.states[ri] {
+                    ProcState::Crashed {
+                        interrupted,
+                        next_op,
+                    } => (*interrupted, *next_op),
+                    _ => unreachable!("restart of a process that is not crashed"),
+                };
+                let steps_before = mem.global_steps();
+                let exec = {
+                    let req = interrupted.map(|oi| &session.result.ops[oi].req);
+                    object.recover(mem, p, req)
+                };
+                debug_assert_eq!(
+                    mem.global_steps(),
+                    steps_before,
+                    "SimObject::recover must not take shared-memory steps \
+                     (allocate lazily, access in OpExecution::step)"
+                );
+                session.set_state(
+                    ri,
+                    ProcState::Recovering {
+                        exec,
+                        op_index: interrupted,
+                        next_op,
+                    },
+                );
+                session.result.restarted |= 1u64 << ri;
+                session.last_emission = TickEmission::Restarted {
                     op_index: interrupted,
-                    next_op,
-                },
-            );
-            session.result.restarted |= 1u64 << ri;
-            session.last_emission = TickEmission::Restarted {
-                op_index: interrupted,
-            };
-            return;
-        }
-        if chosen.index() >= 2 * n && cap > 0 {
-            // Network transition: deliver or drop the message in one
+                };
+                return;
+            }
+            // Network transitions: deliver or drop the message in one
             // in-flight slot. Not a process step — no counters are charged;
             // the footprint comes from the network layer (inbox / replica /
             // slot-buffer registers) so the partial-order reduction sees
             // honest conflicts.
-            let idx = chosen.index() - 2 * n;
-            let (emission, footprint) = if idx < cap {
-                let (owner, fp) = mem.net_deliver(idx);
-                (TickEmission::Delivered { slot: idx, owner }, fp)
-            } else {
-                let slot = idx - cap;
+            StepKind::Deliver(slot) => {
+                let (owner, fp) = mem.net_deliver(slot);
+                session.last_emission = TickEmission::Delivered { slot, owner };
+                session.last_footprint = fp;
+                return;
+            }
+            StepKind::Drop(slot) => {
                 let (owner, fp) = mem.net_drop(slot);
-                (TickEmission::Dropped { slot, owner }, fp)
-            };
-            session.last_emission = emission;
-            session.last_footprint = footprint;
-            return;
-        }
-        if chosen.index() >= n {
-            // Crash step: the crashed process drops out of the enabled set
-            // until (and unless) a restart is scheduled; its in-flight
-            // operation stays open in the history sense (no response is
-            // ever recorded unless a later recovery resolves it) but stops
-            // participating in metrics charging. A crash may also hit a
-            // process mid-recovery: the recovery routine is lost and the
-            // original interrupted operation stays unresolved.
-            let ri = chosen.index() - n;
-            let (op_index, next_op) = match &session.states[ri] {
-                ProcState::Running {
-                    metrics_idx,
-                    op_cursor,
-                    ..
-                } => (Some(*metrics_idx), *op_cursor + 1),
-                ProcState::Idle { next_op } => (None, *next_op),
-                ProcState::Recovering {
-                    op_index, next_op, ..
-                } => (*op_index, *next_op),
-                // Done / already-crashed processes are never enabled, so a
-                // crash step cannot reach them (debug-asserted above).
-                ProcState::Done | ProcState::Crashed { .. } => (None, workload.ops[ri].len()),
-            };
-            session.set_state(
-                ri,
-                ProcState::Crashed {
-                    interrupted: op_index,
-                    next_op,
-                },
-            );
-            session.result.crashed |= 1u64 << ri;
-            session.last_emission = TickEmission::Crashed { op_index };
-            return;
-        }
-        let p = chosen;
+                session.last_emission = TickEmission::Dropped { slot, owner };
+                session.last_footprint = fp;
+                return;
+            }
+            StepKind::Crash(p) => {
+                // The crashed process drops out of the enabled set until
+                // (and unless) a restart is scheduled; its in-flight
+                // operation stays open in the history sense (no response is
+                // ever recorded unless a later recovery resolves it) but
+                // stops participating in metrics charging. A crash may also
+                // hit a process mid-recovery: the recovery routine is lost
+                // and the original interrupted operation stays unresolved.
+                let ri = p.index();
+                let (op_index, next_op) = match &session.states[ri] {
+                    ProcState::Running {
+                        metrics_idx,
+                        op_cursor,
+                        ..
+                    } => (Some(*metrics_idx), *op_cursor + 1),
+                    ProcState::Idle { next_op } => (None, *next_op),
+                    ProcState::Recovering {
+                        op_index, next_op, ..
+                    } => (*op_index, *next_op),
+                    // Done / already-crashed processes are never enabled, so
+                    // a crash step cannot reach them (debug-asserted above).
+                    ProcState::Done | ProcState::Crashed { .. } => (None, workload.ops[ri].len()),
+                };
+                session.set_state(
+                    ri,
+                    ProcState::Crashed {
+                        interrupted: op_index,
+                        next_op,
+                    },
+                );
+                session.result.crashed |= 1u64 << ri;
+                session.last_emission = TickEmission::Crashed { op_index };
+                return;
+            }
+        };
         let pi = p.index();
         match &session.states[pi] {
             ProcState::Idle { next_op } => {
@@ -1293,15 +1214,15 @@ impl Executor {
                     } else {
                         TickEmission::Committed { op_index: midx }
                     };
-                    let has_more = cursor + 1 < workload.ops[pi].len();
-                    let next = if aborted && self.on_abort == OnAbort::Stop {
+                    // An aborted process stops (its remaining workload is
+                    // dropped): in the composition model it would switch to
+                    // the next module rather than retry.
+                    let next = if aborted || cursor + 1 >= workload.ops[pi].len() {
                         ProcState::Done
-                    } else if has_more {
+                    } else {
                         ProcState::Idle {
                             next_op: cursor + 1,
                         }
-                    } else {
-                        ProcState::Done
                     };
                     session.set_state(pi, next);
                 }
@@ -1540,14 +1461,14 @@ mod tests {
         let mut obj = SwapTas::new(&mut mem);
         let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(2, TasOp::TestAndSet);
         let res = Executor::new().run(&mut mem, &mut obj, &wl, &mut SoloAdversary);
-        assert_eq!(res.decisions.len() as u64, res.ticks);
-        // 2 invocations + 2 steps = 4 ticks.
-        assert_eq!(res.ticks, 4);
-        // The log's iterator view matches the accessors.
-        for (i, d) in res.decisions.iter().enumerate() {
-            assert_eq!(d.chosen, res.decisions.chosen_at(i));
-            assert_eq!(d.enabled, res.decisions.enabled_at(i));
-            assert!(d.enabled.contains(&d.chosen));
+        // 2 invocations + 2 steps = 4 ticks, each process chosen twice.
+        assert_eq!(res.decisions.len(), 4);
+        for (i, &p) in res.decisions.chosen().iter().enumerate() {
+            assert_eq!(p, res.decisions.chosen_at(i));
+            assert_eq!(
+                res.decisions.chosen().iter().filter(|&&q| q == p).count(),
+                2
+            );
         }
     }
 
@@ -1560,7 +1481,7 @@ mod tests {
             .max_ticks(3)
             .run(&mut mem, &mut obj, &wl, &mut SoloAdversary);
         assert!(!res.completed);
-        assert_eq!(res.ticks, 3);
+        assert_eq!(res.decisions.len(), 3);
     }
 
     #[test]
@@ -1589,7 +1510,7 @@ mod tests {
         assert!(res.trace.is_empty());
         assert_eq!(res.metrics.committed_count(), 3);
         assert_eq!(res.ops.len(), 3);
-        assert_eq!(res.decisions.len() as u64, res.ticks);
+        assert_eq!(res.decisions.len(), 6);
         // Op records still carry the outcomes.
         let winners = res
             .ops
@@ -1896,7 +1817,6 @@ mod tests {
         assert_eq!(res1.metrics, res2.metrics);
         assert_eq!(res1.decisions, res2.decisions);
         assert_eq!(res1.ops, res2.ops);
-        assert_eq!(res1.ticks, res2.ticks);
         assert_eq!(mem1.global_steps(), mem2.global_steps());
         assert_eq!(mem1.audit(), mem2.audit());
     }

@@ -83,9 +83,10 @@ use std::sync::Mutex;
 /// "every enabled process". Sleep sets run on top: after the subtree in
 /// which process `p` moves first at a node is explored, sibling subtrees put
 /// `p` to sleep until some executed step is *dependent* with `p`'s pending
-/// step (same register, at least one write — see
-/// [`crate::memory::Footprint::dependent`]). Explored complete schedules are
-/// therefore never equivalent.
+/// step ([`pending_label`]) under the same relation that defines races
+/// ([`StepLabel::dependent`]: same thread, or same register with at least
+/// one write). Explored complete schedules are therefore never
+/// equivalent.
 ///
 /// Network and fault transitions are race-driven too. Each in-flight
 /// message slot is its own happens-before thread, so the delivery or drop
@@ -577,11 +578,11 @@ impl SharedBudget {
 
 /// The sleep/seed mask bit of the raw scheduled id `p`. Ids beyond the
 /// 64-bit mask map to the empty mask. Under source DPOR every id a race can
-/// seed — real steps `p < n` and deliveries `2n + s` — fits, because
-/// [`Engine::new`] asserts `2n + cap <= 64`; only drop and restart ids can
-/// fall off. Those are never put to sleep and never marked seeded, which
-/// costs reduction, not soundness: a drop enters a frame only beside its
-/// delivery, and restarts are queued eagerly at every node.
+/// seed — steps and deliveries — fits, because [`Engine::new`] asserts that
+/// the delivery band ends within 64; only drop and restart ids can fall off.
+/// Those are never put to sleep and never marked seeded, which costs
+/// reduction, not soundness: a drop enters a frame only beside its delivery,
+/// and restarts are queued eagerly at every node.
 #[inline]
 fn bit(p: ProcessId) -> u64 {
     if p.index() < 64 {
@@ -589,16 +590,6 @@ fn bit(p: ProcessId) -> u64 {
     } else {
         0
     }
-}
-
-/// The sleep set a sibling branch `alt` starts with: everything asleep at
-/// the node plus every already-explored sibling, minus `alt` itself. Used
-/// identically by the sequential backtracker and the parallel ticket
-/// harvest — they must agree for the parallel reduced tree to equal the
-/// sequential one.
-#[inline]
-fn sibling_entry_sleep(frame_sleep: u64, explored: u64, alt: ProcessId) -> u64 {
-    (frame_sleep | explored) & !bit(alt)
 }
 
 /// Whether the exploration's wall-clock deadline (if any) has not passed.
@@ -614,7 +605,7 @@ fn deadline_ok(config: &ExploreConfig) -> bool {
 /// the raw id `chosen` in a workload of `n` processes over a network of `cap`
 /// slots. The happens-before layer of the explorer and of
 /// [`crate::replay`] both see transitions through this one decoding.
-pub(crate) fn step_label<S, V>(
+pub fn step_label<S, V>(
     session: &ExecSession<S, V>,
     chosen: ProcessId,
     n: usize,
@@ -643,23 +634,58 @@ where
         TickEmission::Delivered { .. } | TickEmission::Dropped { .. } => (false, false),
         TickEmission::None => (false, false),
     };
-    // The label's `proc` is the happens-before *thread*. Crash and restart
-    // transitions (`n + p`, `2n + 2cap + p`) belong to the real process `p`,
-    // which makes them dependent with every step of `p` for free. Each
-    // in-flight slot `s` is its own single-event thread `n + s`: its
-    // delivery or drop is ordered after the transition that created the
-    // message only through the slot's item cell, so deliveries of different
-    // messages race instead of sitting in their owner's program order.
-    let proc = match StepKind::decode(chosen, n, cap) {
-        StepKind::Step(p) | StepKind::Crash(p) | StepKind::Restart(p) => p,
-        StepKind::Deliver(s) | StepKind::Drop(s) => ProcessId(n + s),
-    };
+    // The label's `proc` is the happens-before thread (`StepKind::thread`):
+    // a crash or restart sits in its process's program order, which makes
+    // it dependent with every step of that process for free, and deliveries
+    // of different messages race instead of sitting in their owner's.
     StepLabel {
-        proc,
+        proc: StepKind::decode(chosen, n, cap).thread(n),
         footprint: session.last_step_footprint(),
         invoked,
         responded,
     }
+}
+
+/// The predicted label of the transition `id` if it ran next, in a workload
+/// of `n` processes: what [`step_label`] would report after it, as far as
+/// the current state tells. `None` for a restart, whose recovery routine's
+/// behaviour is unknown before [`SimObject::recover`] builds it.
+///
+/// The prediction over-approximates the executed label on the same thread:
+/// a step predicts what [`ExecSession::next_label`] reports (its operation's
+/// next footprint, an invocation if the process is idle, a response if its
+/// next step may finish); a crash is a response-like
+/// barrier with no memory access, exactly like its executed label; a
+/// delivery or drop predicts the network layer's write set
+/// ([`SharedMemory::net_deliver_footprint`],
+/// [`SharedMemory::net_drop_footprint`]). So whatever the transition turns
+/// out to be dependent with, its prediction is dependent with too, and the
+/// sleep-set wake rule can ask [`StepLabel::dependent`] — the race relation
+/// itself — whether an executed transition wakes a sleeping one.
+pub fn pending_label<S, V>(
+    session: &ExecSession<S, V>,
+    mem: &SharedMemory,
+    id: ProcessId,
+    n: usize,
+) -> Option<StepLabel>
+where
+    S: SequentialSpec,
+    V: Clone + Eq + Hash + Debug,
+{
+    let kind = StepKind::decode(id, n, mem.net_cap());
+    let (footprint, responded) = match kind {
+        StepKind::Step(p) => return Some(session.next_label(p)),
+        StepKind::Crash(_) => (Footprint::Pure, true),
+        StepKind::Deliver(s) => (mem.net_deliver_footprint(s), false),
+        StepKind::Drop(s) => (mem.net_drop_footprint(s), false),
+        StepKind::Restart(_) => return None,
+    };
+    Some(StepLabel {
+        proc: kind.thread(n),
+        footprint,
+        invoked: false,
+        responded,
+    })
 }
 
 /// The processes whose in-flight operation is blocked at the current node
@@ -749,7 +775,9 @@ fn fault_twin(
 /// of the reversal, the ids already explored, queued or asleep there
 /// (`covered`), the ids enabled there, and the processes an initial may
 /// name without being enabled there (`exempt`): the lowest enabled initial,
-/// or `None` when an initial is covered already or none is enabled.
+/// or `None` when an initial is covered already or none is enabled. Only
+/// [`Frame::seed`] calls it, for the sequential engine's frames and the
+/// parallel coordinator's escaped seeds alike.
 ///
 /// Every initial a race can name is enabled at its node except a process
 /// that is not: a crashed process whose first event after the node is its
@@ -849,6 +877,58 @@ impl FaultCounts {
             StepKind::Restart(_) => Some(&mut self.restarts),
             StepKind::Step(_) | StepKind::Deliver(_) => None,
         }
+    }
+}
+
+impl Frame {
+    /// Adds the branch of a race reversal whose raw-id initials are
+    /// `initials` to this node's backtrack set ([`race_branch`]), together
+    /// with its fault twin ([`fault_twin`]) unless that is seeded or asleep
+    /// already. `blocked` is [`blocked_now`] at the node. Returns whether a
+    /// branch was added. The sequential engine seeds its own frames here and
+    /// the parallel coordinator the root frames that escaped seeds target.
+    fn seed(
+        &mut self,
+        initials: u64,
+        blocked: u64,
+        n: usize,
+        cap: usize,
+        config: &ExploreConfig,
+    ) -> bool {
+        let Some(q) = race_branch(
+            initials,
+            self.seeded | self.sleep,
+            self.enabled_mask,
+            self.restarts | blocked,
+        ) else {
+            return false;
+        };
+        self.alts.push(q);
+        self.seeded |= bit(q);
+        if let Some(t) = fault_twin(q, n, cap, config, self.faults) {
+            if (self.seeded | self.sleep) & bit(t) == 0 {
+                self.alts.push(t);
+                self.seeded |= bit(t);
+            }
+        }
+        true
+    }
+
+    /// Takes the untried sibling `alts[i]` for exploration: returns it with
+    /// the sleep set its subtree starts with and marks it explored. Under
+    /// sleep sets that is everything asleep at the node plus every sibling
+    /// explored before it, minus itself; otherwise 0. The sequential
+    /// backtracker takes the last sibling; the parallel coordinator takes
+    /// every sibling of the root path as a branch ticket.
+    fn take_sibling(&mut self, i: usize, sleep_sets: bool) -> (ProcessId, u64) {
+        let alt = self.alts.remove(i);
+        let sleep = if sleep_sets {
+            (self.sleep | self.explored) & !bit(alt)
+        } else {
+            0
+        };
+        self.explored |= bit(alt);
+        (alt, sleep)
     }
 }
 
@@ -1110,11 +1190,10 @@ where
     }
 
     /// Executes one scheduling decision and applies the sleep-set wake rule:
-    /// any sleeping process whose pending step is dependent with the step
-    /// just executed is woken. Under
-    /// [`Reduction::SourceDporLinPreserving`] the rule additionally treats
-    /// response emissions and invocations of different processes as
-    /// dependent (invoke/commit barriers).
+    /// a sleeping transition wakes when the executed transition's label is
+    /// [dependent](StepLabel::dependent) with its [`pending_label`] — the
+    /// race relation, invoke/commit barriers included under
+    /// [`Reduction::SourceDporLinPreserving`].
     fn exec_tick(&mut self, chosen: ProcessId) {
         let source_dpor = self.config.reduction.is_source_dpor();
         if source_dpor {
@@ -1139,7 +1218,6 @@ where
             *c += 1;
         }
         if self.cur_sleep != 0 {
-            let fp = self.session.last_step_footprint();
             let label = step_label(&self.session, chosen, n, cap);
             let lin = self.config.reduction.preserves_lin();
             // An executed *restart* wakes every sleeper. A restart re-enables
@@ -1148,56 +1226,17 @@ where
             // tree at all: once every live process is done the execution is
             // complete and no restart can be scheduled behind it. Waking
             // everything over-approximates that non-commutativity soundly
-            // (it only costs reduction on restart branches), mirroring the
-            // wake-on-everything rule for *sleeping* restarts below.
-            let executed_restart = chosen.index() >= 2 * n + 2 * cap;
+            // (it only costs reduction on restart branches). A sleeping
+            // restart has no predicted label and always wakes too.
+            let executed_restart = matches!(kind, StepKind::Restart(_));
             let mut rest = self.cur_sleep;
             while rest != 0 {
                 let i = rest.trailing_zeros() as usize;
                 rest &= rest - 1;
-                let wake = if executed_restart || i >= 2 * n + 2 * cap {
-                    // A sleeping *restart* transition: its recovery
-                    // routine's behaviour depends on shared state the
-                    // explorer cannot predict before `recover` is called,
-                    // so restarts never stay asleep — sound (wake-on-
-                    // everything over-approximates dependence), it merely
-                    // costs reduction on restart branches.
-                    true
-                } else if cap > 0 && i >= 2 * n {
-                    // A sleeping *network* transition: wake on dependence
-                    // between its predicted write set and the executed
-                    // step's footprint. The predictions over-approximate
-                    // (see [`SharedMemory::net_deliver_footprint`]), so a
-                    // sleeping delivery/drop can only over-wake, never stay
-                    // wrongly asleep. A consumed slot predicts `Unknown`,
-                    // which wakes unconditionally — the transition is
-                    // disabled by then, so the wake is cost-free.
-                    let predicted = if i < 2 * n + cap {
-                        self.mem.net_deliver_footprint(i - 2 * n)
-                    } else {
-                        self.mem.net_drop_footprint(i - 2 * n - cap)
-                    };
-                    predicted.dependent(fp)
-                } else if i >= n {
-                    // A sleeping *crash* transition of process `i - n`: a
-                    // crash is dependent with every step of its own
-                    // process, and — under the lin-preserving mode — with
-                    // other processes' invocations (the strict
-                    // crashed-pending verdict orders crashes against
-                    // invocations; see [`StepLabel`] above).
-                    i - n == label.proc.index() || (lin && label.invoked)
-                } else {
-                    let q = ProcessId(i);
-                    // `label.proc` is the decoded real process, so an
-                    // executed crash of `q` wakes the sleeping real `q`
-                    // through the first disjunct (its footprint is Pure and
-                    // would never wake anyone).
-                    (chosen.index() >= n && label.proc == q)
-                        || self.session.next_footprint(q).dependent(fp)
-                        || (lin && label.responded && self.session.next_is_invocation(q))
-                        || (lin && label.invoked && self.session.next_may_respond(q))
-                };
-                if wake {
+                if executed_restart
+                    || pending_label(&self.session, &self.mem, ProcessId(i), n)
+                        .is_none_or(|pending| label.dependent(pending, lin))
+                {
                     self.cur_sleep &= !(1u64 << i);
                 }
             }
@@ -1237,24 +1276,10 @@ where
             match self.frames.binary_search_by(|f| f.depth.cmp(&i)) {
                 Ok(fi) => {
                     let initials = initial_ids(self.hb.race_initials(i), n);
-                    let frame = &mut self.frames[fi];
-                    let Some(q) = race_branch(
-                        initials,
-                        frame.seeded | frame.sleep,
-                        frame.enabled_mask,
-                        frame.restarts | self.node_blocked[i],
-                    ) else {
-                        continue;
-                    };
-                    frame.alts.push(q);
-                    frame.seeded |= bit(q);
-                    if let Some(t) = fault_twin(q, n, cap, self.config, frame.faults) {
-                        if (frame.seeded | frame.sleep) & bit(t) == 0 {
-                            frame.alts.push(t);
-                            frame.seeded |= bit(t);
-                        }
+                    let blocked = self.node_blocked[i];
+                    if self.frames[fi].seed(initials, blocked, n, cap, self.config) {
+                        self.stats.race_seeds += 1;
                     }
-                    self.stats.race_seeds += 1;
                 }
                 Err(_) if i < self.subtree_start => {
                     // The node belongs to the forced prefix of a parallel
@@ -1347,23 +1372,20 @@ where
             // covers only the continuations in which it runs, not those in
             // which the fault happens instead.
             self.crash_alts.clear();
-            if self.faults.crashes < self.config.max_crashes {
-                for &p in &self.enabled_buf {
-                    if p.index() < n && self.config.crash_eligible & bit(p) != 0 {
-                        let c = StepKind::Crash(p).encode(n, cap);
-                        if sleep & bit(c) == 0 && (!source_dpor || sleep & bit(p) != 0) {
-                            self.crash_alts.push(c);
-                        }
-                    }
-                }
-            }
             self.drop_alts.clear();
-            if self.faults.drops < self.config.max_drops {
+            // No twin exists once both budgets are spent: fault-free runs
+            // skip the scan.
+            if self.faults.crashes < self.config.max_crashes
+                || self.faults.drops < self.config.max_drops
+            {
                 for &p in &self.enabled_buf {
-                    if let StepKind::Deliver(s) = StepKind::decode(p, n, cap) {
-                        let d = StepKind::Drop(s).encode(n, cap);
-                        if sleep & bit(d) == 0 && (!source_dpor || sleep & bit(p) != 0) {
-                            self.drop_alts.push(d);
+                    let Some(t) = fault_twin(p, n, cap, self.config, self.faults) else {
+                        continue;
+                    };
+                    if sleep & bit(t) == 0 && (!source_dpor || sleep & bit(p) != 0) {
+                        match StepKind::decode(t, n, cap) {
+                            StepKind::Crash(_) => self.crash_alts.push(t),
+                            _ => self.drop_alts.push(t),
                         }
                     }
                 }
@@ -1473,18 +1495,13 @@ where
             let Some(frame) = self.frames.last_mut() else {
                 return false;
             };
-            let Some(alt) = frame.alts.pop() else {
+            let Some(last) = frame.alts.len().checked_sub(1) else {
                 let done = self.frames.pop().expect("frame checked above");
                 self.surveys.truncate(done.survey_start);
                 continue;
             };
+            let (alt, entry_sleep) = frame.take_sibling(last, sleep_sets);
             let depth = frame.depth;
-            let entry_sleep = if sleep_sets {
-                sibling_entry_sleep(frame.sleep, frame.explored, alt)
-            } else {
-                0
-            };
-            frame.explored |= bit(alt);
             let (survey_start, enabled_len) = (frame.survey_start, frame.enabled_len);
             let restored = match &self.frames.last().expect("frame exists").snap {
                 // A checkpoint from an older object generation predates a
@@ -1742,26 +1759,6 @@ struct Ticket {
     sleep: u64,
 }
 
-/// Coordinator-side state of one branch node on the root path (source-DPOR
-/// parallel runs): escaped race seeds are filtered against `explored` and
-/// `sleep` exactly like the sequential engine filters against a frame, and
-/// accepted seeds become new tickets with the matching sibling-entry sleep
-/// set.
-struct RootNode {
-    depth: usize,
-    sleep: u64,
-    explored: u64,
-    /// Transitions enabled at the node — the same race-seeding guard as
-    /// [`Frame::enabled_mask`], applied to escaped seeds.
-    enabled_mask: u64,
-    /// The processes an escaped initial may name without being enabled at
-    /// the node (see [`race_branch`]): [`Frame::restarts`] and the
-    /// processes blocked there.
-    exempt: u64,
-    /// [`Frame::faults`] of the node: the budget a twin minted here must fit.
-    faults: FaultCounts,
-}
-
 /// What one parallel worker found in its branch of the schedule tree.
 struct BranchReport {
     stats: ExploreStats,
@@ -1808,9 +1805,10 @@ struct BranchReport {
 /// its branch point, the harvested tickets are the wakeup entries race
 /// detection seeded along the root schedule, and the
 /// exploration proceeds in **waves**: a race whose branch node lies inside
-/// a worker's forced prefix escapes to the coordinator, which filters the
-/// seed against the node's explored/sleep state and mints a new ticket for
-/// the next wave, until no seed survives. Every wave is a pure function of
+/// a worker's forced prefix escapes to the coordinator, which seeds it into
+/// the root discovery engine's frame for that node exactly as the
+/// sequential engine seeds its own frames, and mints the branches it adds
+/// as tickets for the next wave, until no seed adds one. Every wave is a pure function of
 /// the ticket list, so the explored tree and the reported violation are
 /// deterministic — but the tree is a (deterministic) sibling-ordering
 /// refinement of the sequential one, so under these two modes the parallel
@@ -1901,43 +1899,28 @@ where
     }
 
     // Harvest branch tickets in sequential DFS visit order: deepest decision
-    // first, siblings in descending order, with sleep sets accumulating over
-    // earlier-visited siblings. Under the source-DPOR modes the harvested
-    // alts are the wakeup entries race detection seeded along the root
-    // schedule, and per-node coordinator state is kept so seeds escaping
-    // from worker subtrees can join them in later waves.
-    let root_path: Vec<ProcessId> = root_engine.path.clone();
+    // first, each frame's siblings taken as `backtrack` takes them, with
+    // sleep sets accumulating over earlier-visited siblings. Under the
+    // source-DPOR modes the harvested alts are the wakeup entries race
+    // detection seeded along the root schedule, and the root frames stay
+    // the per-node state that seeds escaping from worker subtrees are
+    // filtered against in later waves.
     let source_dpor = config.reduction.is_source_dpor();
     let (n, cap) = (workload.processes(), root_engine.mem.net_cap());
+    let root_path = std::mem::take(&mut root_engine.path);
+    let root_blocked = std::mem::take(&mut root_engine.node_blocked);
+    let mut root_frames = std::mem::take(&mut root_engine.frames);
     let mut tickets: Vec<Ticket> = Vec::new();
-    let mut root_nodes: Vec<RootNode> = Vec::new();
-    for frame in root_engine.frames.iter().rev() {
-        let mut explored = frame.explored;
-        for &alt in frame.alts.iter().rev() {
-            let sleep = if source_dpor {
-                sibling_entry_sleep(frame.sleep, explored, alt)
-            } else {
-                0
-            };
+    for frame in root_frames.iter_mut().rev() {
+        while let Some(last) = frame.alts.len().checked_sub(1) {
+            let (branch, sleep) = frame.take_sibling(last, source_dpor);
             tickets.push(Ticket {
                 prefix_len: frame.depth,
-                branch: alt,
+                branch,
                 sleep,
             });
-            explored |= bit(alt);
         }
-        root_nodes.push(RootNode {
-            depth: frame.depth,
-            sleep: frame.sleep,
-            explored,
-            enabled_mask: frame.enabled_mask,
-            // `node_blocked` is empty under `Off`, which mints no seeds.
-            exempt: frame.restarts | root_engine.node_blocked.get(frame.depth).unwrap_or(&0),
-            faults: frame.faults,
-        });
     }
-    // Ascending depth, for the escaped-seed binary search.
-    root_nodes.reverse();
     let root_monitor = root_engine.into_monitor();
     if tickets.is_empty() {
         return (
@@ -2111,39 +2094,26 @@ where
         if source_dpor && !escapes.is_empty() {
             // Deterministic coordination: the merged escape set does not
             // depend on thread timing (each subtree's escapes are a pure
-            // function of its ticket), and seeds are filtered in sorted
-            // order against per-node state, mirroring the sequential
-            // engine's seeded/sleep filter.
+            // function of its ticket), and seeds enter the root frames in
+            // sorted order.
             escapes.sort();
             escapes.dedup();
             for seed in escapes.drain(..) {
-                let Ok(ni) = root_nodes.binary_search_by(|n| n.depth.cmp(&seed.depth)) else {
+                let Ok(fi) = root_frames.binary_search_by(|f| f.depth.cmp(&seed.depth)) else {
                     debug_assert!(false, "escaped seed targets a non-branch root node");
                     continue;
                 };
-                let node = &mut root_nodes[ni];
-                // Same choice as the sequential engine: the lowest enabled
-                // initial, unless the node covers the reversal already, and
-                // its fault twin beside it.
-                let Some(q) = race_branch(
-                    seed.initials,
-                    node.explored | node.sleep,
-                    node.enabled_mask,
-                    node.exempt,
-                ) else {
-                    continue;
-                };
-                let twin = fault_twin(q, n, cap, config, node.faults);
-                for alt in std::iter::once(q).chain(twin) {
-                    if (node.explored | node.sleep) & bit(alt) != 0 {
-                        continue;
-                    }
+                // The sequential engine's seeding; the branches it queues
+                // become tickets in the order it queued them.
+                let frame = &mut root_frames[fi];
+                frame.seed(seed.initials, root_blocked[seed.depth], n, cap, config);
+                while !frame.alts.is_empty() {
+                    let (branch, sleep) = frame.take_sibling(0, true);
                     tickets.push(Ticket {
-                        prefix_len: node.depth,
-                        branch: alt,
-                        sleep: sibling_entry_sleep(node.sleep, node.explored, alt),
+                        prefix_len: frame.depth,
+                        branch,
+                        sleep,
                     });
-                    node.explored |= bit(alt);
                 }
             }
         }

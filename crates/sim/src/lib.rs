@@ -55,8 +55,8 @@ pub use adversary::{
     SoloAdversary,
 };
 pub use executor::{
-    Decision, DecisionLog, ExecSession, ExecutionResult, Executor, OnAbort, OpRecord, SessionMark,
-    SurveyStatus, TickEmission, TraceMode, Workload,
+    DecisionLog, ExecSession, ExecutionResult, Executor, OpRecord, SessionMark, SurveyStatus,
+    TickEmission, TraceMode, Workload,
 };
 pub use explore::{
     explore_schedules, explore_schedules_monitored_observed_report, explore_schedules_parallel,

@@ -286,14 +286,16 @@ impl Footprint {
     }
 }
 
-/// The full label of one *executed* scheduling transition: which process
+/// The label of one scheduling transition: which happens-before thread
 /// moved, what shared-memory access it performed, and which trace events it
-/// emitted. This is the per-step record the source-DPOR race detection in
-/// [`crate::explore`] consumes (via the happens-before layer in
-/// [`crate::hb`]): unlike the *predicted* [`Footprint`] of a pending step,
-/// a label describes what a transition actually did, so the race relation
-/// built from labels is exact where the sleep-set wake rule has to
-/// over-approximate (e.g. a step that *may* respond but did not).
+/// emitted. The source-DPOR engine in [`crate::explore`] decides both of
+/// its dependence questions with [`StepLabel::dependent`]: races between
+/// *executed* transitions (via the happens-before layer in [`crate::hb`]),
+/// whose labels say exactly what each transition did, and sleep-set wakes,
+/// which compare an executed label with a sleeping transition's *predicted*
+/// one ([`crate::explore::pending_label`]). A prediction over-approximates
+/// — a step that *may* respond is labelled as responding — so a wake
+/// never comes too late.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepLabel {
     /// The process that took the transition.
@@ -402,7 +404,11 @@ impl RegisterAudit {
     }
 }
 
-/// A point-in-time copy of a [`SharedMemory`], restorable in `O(state)`.
+/// A point-in-time copy of a [`SharedMemory`], restorable in `O(state)`:
+/// the full-copy checkpoint ([`SharedMemory::snapshot_into`],
+/// [`SharedMemory::restore`]). The explorer checkpoints by undo-log marks
+/// ([`SharedMemory::mark`]); this copy serves perfbench's per-layer timing
+/// and the tests' reference.
 ///
 /// What is copied: the live register values, the per-process counters and
 /// RAW-fence flags, the global step count, and the whole network state
@@ -638,10 +644,11 @@ impl SharedMemory {
 
     /// Captures the memory state into `snap`, reusing its buffers.
     ///
-    /// Together with [`Self::restore`] this implements the prefix-resume
-    /// backtracking of the schedule explorer: snapshot before a scheduling
-    /// decision, execute one branch, restore, execute the next branch —
-    /// without replaying the prefix. Only allocations performed *after* the
+    /// Together with [`Self::restore`] this is the full-copy checkpoint API.
+    /// The explorer's prefix-resume backtracking uses the undo-log marks
+    /// instead ([`Self::mark`], [`Self::undo_to`]); the copy stays for
+    /// perfbench's per-layer timing and as the tests' reference for what a
+    /// rewind must reproduce. Only allocations performed *after* the
     /// snapshot are rolled back (by truncating the live range); registers
     /// allocated before it keep their identity.
     ///

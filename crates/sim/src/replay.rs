@@ -143,23 +143,7 @@ where
                 log,
             );
         }
-        // A recorded decision is schedulable iff its *underlying* transition
-        // is in the enabled set: the transition itself for real steps and
-        // deliveries, the real process for a crash, the delivery for a drop.
-        // Restart targets are never in the enabled set (crashed processes
-        // are disabled by definition) — a restart is schedulable iff the
-        // process is currently crashed.
-        let schedulable = match kind {
-            StepKind::Step(_) | StepKind::Deliver(_) => session.enabled().contains(&id),
-            StepKind::Crash(p) => session.enabled().contains(&p),
-            StepKind::Drop(s) => session
-                .enabled()
-                .contains(&StepKind::Deliver(s).encode(n, cap)),
-            StepKind::Restart(p) => {
-                p.index() < n && session.crashed_now() & (1u64 << p.index()) != 0
-            }
-        };
-        if !schedulable {
+        if !session.schedulable(id, cap) {
             return (
                 ReplayOutcome::Diverged {
                     tick: i,

@@ -15,9 +15,11 @@
 //! | `2n + 2cap + p`    | restart of the crashed process `p`    |
 //!
 //! [`StepKind`] is the single decoder/encoder for this layout. Every place
-//! that needs to interpret a scheduled id — the engine's statistics, the
-//! sleep-set wake rules, counterexample artifacts, replay, error messages —
-//! goes through [`StepKind::decode`] instead of repeating the arithmetic.
+//! that needs to interpret a scheduled id — the executor's dispatch and its
+//! schedulability check, the survey's delivery ids, the engine's statistics,
+//! the transition labels behind races and sleep-set wakes, counterexample
+//! artifacts, replay, error messages — goes through [`StepKind::decode`] and
+//! [`StepKind::encode`] instead of repeating the arithmetic.
 
 use scl_spec::ProcessId;
 
@@ -84,6 +86,19 @@ impl StepKind {
         match self {
             StepKind::Step(p) | StepKind::Crash(p) | StepKind::Restart(p) => Some(p),
             StepKind::Deliver(_) | StepKind::Drop(_) => None,
+        }
+    }
+
+    /// The happens-before thread of this transition in a workload of `n`
+    /// processes: its process for a step, crash or restart (so all of them
+    /// sit in that process's program order), and `n + s` for the delivery
+    /// or drop of the message in slot `s` (each in-flight message is its
+    /// own thread, ordered after its send only through the slot's cell).
+    #[inline]
+    pub fn thread(self, n: usize) -> ProcessId {
+        match self {
+            StepKind::Step(p) | StepKind::Crash(p) | StepKind::Restart(p) => p,
+            StepKind::Deliver(s) | StepKind::Drop(s) => ProcessId(n + s),
         }
     }
 

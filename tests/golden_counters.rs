@@ -102,15 +102,13 @@ fn exploration_counters_match_the_golden_table() {
     for (name, tag, expected) in GOLDEN {
         let scenario = scl::check::find(name).expect("golden scenario is registered");
         let observer = Arc::new(TelemetryObserver::new(0, 0));
-        let config = CheckConfig {
-            max_schedules: if BOUNDED.contains(&name) {
-                ABD_CAP
-            } else {
-                CheckConfig::default().max_schedules
-            },
+        let mut config = CheckConfig {
             observer: Some(observer.clone()),
             ..Default::default()
         };
+        if BOUNDED.contains(&name) {
+            config.explore.max_schedules = ABD_CAP;
+        }
         let report = scenario.run(&config);
         assert!(
             !matches!(

@@ -283,7 +283,11 @@ fn deep_register_sets(reduction: Reduction) -> (u64, BTreeSet<String>, BTreeSet<
         &wl,
         &mode(reduction, ResumeMode::PrefixResume),
         |res, mem| {
-            assert!(res.completed && res.ticks > 64, "{} ticks", res.ticks);
+            assert!(
+                res.completed && res.decisions.len() > 64,
+                "{} ticks",
+                res.decisions.len()
+            );
             let regs: Vec<_> = (0..mem.register_count())
                 .map(|i| mem.peek(RegId(i)))
                 .collect();

@@ -261,7 +261,6 @@ fn assert_roundtrip_bit_identical<S, V, O>(
     assert_eq!(r.metrics, c.metrics, "metrics diverged");
     assert_eq!(r.ops, c.ops, "op records diverged");
     assert_eq!(r.decisions, c.decisions, "decision log diverged");
-    assert_eq!(r.ticks, c.ticks);
     assert_eq!(r.completed, c.completed);
     assert_eq!(r.crashed, c.crashed, "crash mask diverged");
     assert_eq!(r.restarted, c.restarted, "restart mask diverged");

@@ -6,7 +6,7 @@ use scl::core::{
     SplitConsensus, UniversalConstruction,
 };
 use scl::sim::{
-    Executor, OnAbort, RandomAdversary, RoundRobinAdversary, SharedMemory, SoloAdversary, Workload,
+    Executor, RandomAdversary, RoundRobinAdversary, SharedMemory, SoloAdversary, Workload,
 };
 use scl::spec::{
     check_linearizable, CounterOp, CounterSpec, FetchIncOp, FetchIncSpec, History, QueueOp,
@@ -81,12 +81,7 @@ fn abstract_properties_hold_on_recorded_traces() {
             UniversalConstruction::<CounterSpec, SplitConsensus>::new(&mut mem, 3, CounterSpec);
         let wl: Workload<CounterSpec, History<CounterSpec>> =
             Workload::single_op_each(3, CounterOp::Increment);
-        let res = Executor::new().on_abort(OnAbort::Stop).run(
-            &mut mem,
-            &mut uc,
-            &wl,
-            &mut RandomAdversary::new(seed),
-        );
+        let res = Executor::new().run(&mut mem, &mut uc, &wl, &mut RandomAdversary::new(seed));
         assert!(res.completed);
         assert_eq!(uc.recorded_abstract_trace().check(), Ok(()), "seed {seed}");
     }
