@@ -359,7 +359,7 @@ fn network_group_exhausts_in_every_mode() {
         setup,
         &wl,
         &lossy,
-        all_modes([66_977, 1_173, 1_173]),
+        all_modes([66_977, 1_052, 1_052]),
     );
     assert!(
         lossy_off.schedules > baseline.schedules,

@@ -300,12 +300,15 @@ fn two_client_abd_reductions_have_the_full_verdict_set() {
     // A writer and a reader on one replica (no retries, cap 12): the two
     // clients' messages are concurrent slot threads, so deliveries, drops
     // and crashes of different operations race with each other and every
-    // reversal is branched from a race. Under a 1-crash budget and under a
-    // 1-drop budget (160004 and 199914 unreduced schedules), both
+    // reversal is branched from a race. Under a 1-crash budget, a 1-drop
+    // budget and both (160004, 199914 and 638912 unreduced schedules), both
     // source-DPOR modes, sequential and with two workers, reach exactly the
-    // signatures of full enumeration.
+    // signatures of full enumeration. With both budgets, faults go first at
+    // some nodes of one tree: a crash awake beside its sleeping step, and
+    // the drop of an awake delivery. (A drop awake beside its sleeping
+    // delivery goes first in the one-writer test above.)
     let wl: Wl = Workload::from_ops(vec![vec![RegisterOp::Write(5)], vec![RegisterOp::Read]]);
-    for (crashes, drops) in [(1, 0), (0, 1)] {
+    for (crashes, drops) in [(1, 0), (0, 1), (1, 1)] {
         let base = ExploreConfig {
             max_schedules: 5_000_000,
             max_crashes: crashes,

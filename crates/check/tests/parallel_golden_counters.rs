@@ -32,11 +32,11 @@ const EXHAUSTED: [(&str, [u64; 5]); 14] = [
     ("universal_register_n2", [605, 10027, 10749, 1589, 596]),
     ("consensus_split_n2", [81, 623, 641, 202, 73]),
     ("consensus_cas_n2", [8, 29, 37, 14, 5]),
-    ("crash_spec_tas_n2", [377, 1039, 1816, 474, 72]),
-    ("crash_write_behind_open_n2", [36, 102, 176, 73, 14]),
-    ("recovery_tas_n2", [102, 273, 411, 163, 54]),
-    ("recovery_write_behind_flush_durable_n2", [442, 1680, 2076, 972, 360]),
-    ("recovery_write_behind_abandon_durable_n2", [361, 1373, 1732, 751, 279]),
+    ("crash_spec_tas_n2", [377, 1184, 1816, 428, 72]),
+    ("crash_write_behind_open_n2", [36, 115, 176, 62, 14]),
+    ("recovery_tas_n2", [102, 278, 411, 160, 54]),
+    ("recovery_write_behind_flush_durable_n2", [442, 1693, 2076, 961, 360]),
+    ("recovery_write_behind_abandon_durable_n2", [361, 1386, 1732, 740, 279]),
 ];
 
 /// Per violating scenario: the raw ids of the reported schedule under
@@ -51,7 +51,7 @@ const VIOLATIONS: [(&str, &[u64]); 11] = [
     ("recovery_tas_mutant_n2", &[0, 0, 1, 3, 5, 0, 1]),
     ("recovery_write_behind_flush_strict_n2", &[0, 0, 2, 1, 1, 1, 1, 1, 1, 1]),
     ("recovery_write_behind_abandon_recoverable_n2", &[0, 0, 1, 1, 2, 4, 0, 0, 1, 1, 1, 1]),
-    ("recovery_recrash_unrecovered_n2", &[0, 0, 1, 1, 1, 1, 1, 1, 2, 4, 0, 2, 1]),
+    ("recovery_recrash_unrecovered_n2", &[0, 0, 1, 1, 1, 2, 1, 1, 1, 4, 0, 2, 1]),
     ("abd_partition_majority_wedge_n2", &[0, 0, 0, 1, 1, 1, 4, 5, 14, 1, 15, 0]),
     ("abd_quorum_mutant", &[0, 0, 0, 3, 24, 0, 0, 0, 5, 22, 0, 0, 0, 0, 6, 4, 2, 21, 0, 0, 0, 8, 9, 7, 18, 0]),
 ];

@@ -378,10 +378,15 @@ impl OpExecution<RegisterSpec, ()> for AbdOp {
 
     fn next_footprint(&self) -> Footprint {
         match self.pc {
-            // Sends (and queued resends) allocate an in-flight slot: every
-            // pair of sends races on the slot sequence, and a send races
-            // with every delivery/drop (which may free the slot a reply
-            // will take) — the shared slot register captures both.
+            // Sends (and queued resends) allocate an in-flight slot, so
+            // every pair of sends races on the slot-allocation register.
+            // The send also writes its new slot's item cell, which this
+            // prediction leaves out. Slots are never reused, and send slots
+            // and reply slots are disjoint regions of the network, so only
+            // the send that creates a message touches its item cell before
+            // that message exists: no transition that can run while the
+            // send sleeps writes or reads the cell, and leaving it out loses
+            // no dependence.
             Pc::SendQuery | Pc::SendUpdate => Footprint::Write(self.slot_reg),
             Pc::CollectQuery | Pc::CollectUpdate => {
                 if self.resend_to.is_some() {

@@ -96,8 +96,19 @@ use std::sync::Mutex;
 /// message, or a delivery and the read of the process it unblocked) has no
 /// reversal and seeds nothing. A crash is a thread-local alternative to its
 /// process's own step and a drop to its message's delivery: each enters a
-/// frame together with its transition, wherever that transition enters.
-/// Only restarts are queued eagerly at every node.
+/// frame together with its transition, wherever that transition enters, or
+/// on its own where it is awake while its transition sleeps. Only restarts
+/// are queued eagerly at every node.
+///
+/// The order within a node does not change the set explored there, only
+/// the sleep sets: a fault goes first, before the transition it displaces.
+/// That is a crash or drop awake beside its sleeping transition, else the
+/// drop of the message the node's first awake transition delivers (a
+/// race-seeded delivery's drop is popped before the delivery too), so the
+/// sibling subtrees start with the fault asleep instead of queuing it again
+/// at each of their nodes. A step's crash twin stays behind the step:
+/// crashing first would reach the early-crash schedules first and find the
+/// crash-window violations later.
 ///
 /// # Soundness contract
 ///
@@ -749,8 +760,9 @@ fn initial_ids(threads: u64, n: usize) -> u64 {
 /// The fault that is a thread-local alternative to the transition `id` at a
 /// node whose path holds `faults`: the crash of a stepping process, the drop
 /// of a delivered message, while the budget lasts (and, for a crash, the
-/// process is eligible). Under source DPOR a fault is never queued on its
-/// own: it enters a frame together with its transition.
+/// process is eligible). Under source DPOR a fault enters a frame together
+/// with its transition, or on its own where it is awake while its
+/// transition sleeps ([`Engine::drive`]).
 fn fault_twin(
     id: ProcessId,
     n: usize,
@@ -821,9 +833,11 @@ struct Checkpoint {
 /// One branch point of the DFS: the decision depth, the untried siblings
 /// (under [`Reduction::Off`] every alternative, ascending, popped from the
 /// back so the visit order matches the original replay explorer; under
-/// source DPOR the chosen transition's fault twin, the eagerly queued
-/// restarts and any fault awake beside a sleeping transition, the rest
-/// filled lazily by race seeding), and the sleep-set bookkeeping.
+/// source DPOR the awake transition's fault twin unless it was chosen, the
+/// eagerly queued restarts, the other faults awake beside a sleeping
+/// transition and, if a fault went first in its place, the awake
+/// transition (see [`Reduction`]), popped in that order; race seeding adds
+/// the rest later, and those pop first), and the sleep-set bookkeeping.
 struct Frame {
     depth: usize,
     alts: Vec<ProcessId>,
@@ -1337,11 +1351,15 @@ where
 
     /// Drives the current execution forward to its next leaf, creating a
     /// branch frame at every decision point with more than one non-sleeping
-    /// choice. The enabled set holds every real step and every in-flight
-    /// *delivery* (`2n + s`) — deliveries are ordinary transitions, not
-    /// faults. With a crash budget ([`ExploreConfig::max_crashes`]) the
-    /// choices additionally include crashing an enabled crash-eligible
-    /// process (the pseudo-process `n + p`); with a drop budget
+    /// choice. At each node it runs the first awake transition, except that
+    /// under source DPOR a fault goes first in its place: a crash, then a
+    /// drop, awake while its own transition sleeps, else the drop of the
+    /// message that transition delivers (see [`Reduction`]). The enabled
+    /// set holds every real step and every in-flight *delivery* (`2n + s`)
+    /// — deliveries are ordinary transitions, not faults. With a crash
+    /// budget ([`ExploreConfig::max_crashes`]) the choices additionally
+    /// include crashing an enabled crash-eligible process (the
+    /// pseudo-process `n + p`); with a drop budget
     /// ([`ExploreConfig::max_drops`]) dropping an in-flight message (the
     /// pseudo-process `2n + cap + s`); with a recovery budget
     /// ([`ExploreConfig::max_recoveries`]) restarting a currently-crashed
@@ -1411,32 +1429,50 @@ where
                     }
                 }
             }
-            let chosen = match self
+            let awake = self
                 .enabled_buf
                 .iter()
                 .copied()
-                .find(|p| sleep & bit(*p) == 0)
-            {
-                Some(p) => p,
-                // Every enabled transition is asleep; a still-awake crash,
-                // drop or restart keeps the node alive (see above — its
-                // continuations are not covered by the sleeping siblings).
-                None => match self
-                    .crash_alts
+                .find(|p| sleep & bit(*p) == 0);
+            // The awake transition's own fault, queued beside it under
+            // source DPOR.
+            let twin = awake
+                .filter(|_| source_dpor)
+                .and_then(|c| fault_twin(c, n, cap, self.config, self.faults))
+                .filter(|t| sleep & bit(*t) == 0);
+            // Under source DPOR a fault goes first, displacing the awake
+            // transition (see [`Reduction`] for why): a crash, then a drop,
+            // awake while its own transition sleeps, else the drop of the
+            // message the awake transition delivers. A crash twin stays
+            // behind its step. Without an awake transition a fault or
+            // restart keeps the node alive (see above: its continuations are
+            // not covered by the sleeping siblings).
+            let fault_first = if source_dpor || awake.is_none() {
+                self.crash_alts
                     .pop()
                     .or_else(|| self.drop_alts.pop())
-                    .or_else(|| self.restart_alts.pop())
-                {
-                    Some(c) => c,
+                    .or_else(|| {
+                        twin.filter(|t| matches!(StepKind::decode(*t, n, cap), StepKind::Drop(_)))
+                    })
+            } else {
+                None
+            };
+            let (chosen, displaced) = match (fault_first, awake) {
+                (Some(f), c) => (f, c),
+                (None, Some(c)) => (c, None),
+                (None, None) => match self.restart_alts.pop() {
+                    Some(r) => (r, None),
                     None => return Leaf::SleepBlocked,
                 },
             };
             // `Off` queues every awake sibling up front (ascending; popped
             // from the back, so siblings are visited in descending order —
             // the original DFS order). Source DPOR queues only the eager
-            // faults above and the chosen transition's twin; race detection
-            // fills in the rest. A frame exists wherever some sibling is
-            // awake, since a later race may seed it.
+            // faults above, the awake transition if a fault displaced it,
+            // and its twin; race detection fills in the rest. Siblings pop
+            // from the back: the twin comes next, then restarts, the other
+            // awake faults and last the displaced transition. A frame exists
+            // wherever some sibling is awake, since a later race may seed it.
             let mut alts: Vec<ProcessId> = if source_dpor {
                 Vec::new()
             } else {
@@ -1446,16 +1482,11 @@ where
                     .filter(|p| *p != chosen && sleep & bit(*p) == 0)
                     .collect()
             };
+            alts.extend(displaced);
             alts.extend_from_slice(&self.crash_alts);
             alts.extend_from_slice(&self.drop_alts);
             alts.extend_from_slice(&self.restart_alts);
-            if source_dpor {
-                if let Some(t) = fault_twin(chosen, n, cap, self.config, self.faults) {
-                    if sleep & bit(t) == 0 {
-                        alts.push(t);
-                    }
-                }
-            }
+            alts.extend(twin.filter(|t| *t != chosen));
             let has_awake_sibling = !alts.is_empty()
                 || self
                     .enabled_buf

@@ -16,7 +16,6 @@
 //! N completed schedules. All state is shared-reference friendly so one
 //! observer can be handed to every worker of a parallel exploration.
 
-use scl_spec::FxHashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -76,9 +75,11 @@ pub struct TelemetryObserver {
     heartbeat_count: AtomicU64,
     checker_nanos: AtomicU64,
     depth_hist: [AtomicU64; DEPTH_BUCKETS + 1],
-    /// Distinct class fingerprints. Fingerprints are already well-mixed
-    /// hashes, so the cheap Fx hasher spreads them as well as SipHash.
-    hb_classes: Mutex<FxHashSet<u64>>,
+    /// Class fingerprints, appended per schedule and deduplicated only
+    /// when counted ([`Self::snapshot`]) or when the vector is full: a push
+    /// is cheaper than a hash-set insert, and the vector holds at most
+    /// about twice the distinct fingerprints.
+    hb_classes: Mutex<Vec<u64>>,
 }
 
 /// A point-in-time copy of what a [`TelemetryObserver`] recorded, suitable
@@ -109,7 +110,7 @@ impl TelemetryObserver {
             heartbeat_count: AtomicU64::new(0),
             checker_nanos: AtomicU64::new(0),
             depth_hist: std::array::from_fn(|_| AtomicU64::new(0)),
-            hb_classes: Mutex::new(FxHashSet::default()),
+            hb_classes: Mutex::new(Vec::new()),
         }
     }
 
@@ -128,7 +129,10 @@ impl TelemetryObserver {
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect(),
-            hb_classes: self.hb_classes.lock().map_or(0, |s| s.len() as u64),
+            hb_classes: self.hb_classes.lock().map_or(0, |mut v| {
+                compact(&mut v);
+                v.len() as u64
+            }),
         }
     }
 }
@@ -161,10 +165,23 @@ impl ExploreObserver for TelemetryObserver {
     }
 
     fn hb_class(&self, fingerprint: u64) {
-        if let Ok(mut set) = self.hb_classes.lock() {
-            set.insert(fingerprint);
+        if let Ok(mut v) = self.hb_classes.lock() {
+            if v.len() == v.capacity() {
+                // Room for as many pushes as distinct fingerprints remain
+                // before the next compaction: amortised `O(log n)` a push.
+                compact(&mut v);
+                let distinct = v.len();
+                v.reserve(distinct.max(1024));
+            }
+            v.push(fingerprint);
         }
     }
+}
+
+/// Sorts `fingerprints` and removes duplicates in place.
+fn compact(fingerprints: &mut Vec<u64>) {
+    fingerprints.sort_unstable();
+    fingerprints.dedup();
 }
 
 #[cfg(test)]
@@ -189,6 +206,21 @@ mod tests {
         assert_eq!(s.depth_hist[DEPTH_BUCKETS], 1);
         assert_eq!(s.depth_hist.iter().sum::<u64>(), 3);
         assert_eq!(s.hb_classes, 2);
+    }
+
+    #[test]
+    fn class_count_survives_compactions() {
+        // Enough pushes to fill and compact the fingerprint vector several
+        // times, with repeats spread across compactions.
+        let t = TelemetryObserver::new(0, 0);
+        for i in 0..20_000u64 {
+            t.hb_class(i % 3_000);
+            if i % 7_000 == 0 {
+                assert_eq!(t.snapshot().hb_classes, (i + 1).min(3_000));
+            }
+        }
+        t.hb_class(u64::MAX);
+        assert_eq!(t.snapshot().hb_classes, 3_001);
     }
 
     #[test]

@@ -307,10 +307,12 @@ struct Config {
 }
 
 /// A saved checker position: the frontier (and failure state) at a mark.
+/// The frontier itself lives in [`IncrementalLinChecker::mark_frontiers`]
+/// from `frontier_start` up to the next mark's start.
 struct MarkEntry {
     token: u64,
     log_len: usize,
-    frontier: Vec<Config>,
+    frontier_start: usize,
     failure: Option<RequestId>,
     too_large: bool,
 }
@@ -332,6 +334,10 @@ pub struct IncrementalLinChecker<S: SequentialSpec> {
     stack: Vec<Config>,
     log: Vec<LogEntry>,
     marks: Vec<MarkEntry>,
+    /// The frontiers of all live marks, one flat stack in mark order
+    /// ([`MarkEntry::frontier_start`]), so a mark allocates nothing once
+    /// the stack has grown to the deepest branch's size.
+    mark_frontiers: Vec<Config>,
     next_token: u64,
     failure: Option<RequestId>,
     too_large: bool,
@@ -352,6 +358,7 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
             stack: Vec::new(),
             log: Vec::new(),
             marks: Vec::new(),
+            mark_frontiers: Vec::new(),
             next_token: 0,
             failure: None,
             too_large: false,
@@ -377,6 +384,7 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
         });
         self.log.clear();
         self.marks.clear();
+        self.mark_frontiers.clear();
         self.failure = None;
         self.too_large = false;
     }
@@ -662,10 +670,11 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
         self.marks.push(MarkEntry {
             token,
             log_len: self.log.len(),
-            frontier: self.frontier.clone(),
+            frontier_start: self.mark_frontiers.len(),
             failure: self.failure,
             too_large: self.too_large,
         });
+        self.mark_frontiers.extend_from_slice(&self.frontier);
         token
     }
 
@@ -677,6 +686,8 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
     pub fn rewind_to(&mut self, token: u64) {
         while let Some(top) = self.marks.last() {
             if top.token > token {
+                // A deeper mark's frontier sits on top of this one's.
+                self.mark_frontiers.truncate(top.frontier_start);
                 self.marks.pop();
             } else {
                 break;
@@ -705,7 +716,8 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
         self.frontier.clear();
         // The store is append-only between `begin`s, so the ids in the
         // mark's frontier are still valid.
-        self.frontier.extend_from_slice(&entry.frontier);
+        self.frontier
+            .extend_from_slice(&self.mark_frontiers[entry.frontier_start..]);
         self.failure = entry.failure;
         self.too_large = entry.too_large;
     }

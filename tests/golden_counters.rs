@@ -47,23 +47,23 @@ const GOLDEN: [(&str, &str, [u64; 15]); 28] = [
     ("universal_register_n2", "exhausted", [605, 9986, 10700, 1589, 604, 272, 0, 4048, 604, 0, 0, 0, 0, 10700, 0]),
     ("consensus_split_n2", "exhausted", [81, 599, 610, 202, 80, 36, 0, 165, 80, 0, 0, 0, 0, 610, 0]),
     ("consensus_cas_n2", "exhausted", [8, 28, 34, 14, 7, 6, 0, 10, 7, 0, 0, 0, 0, 34, 0]),
-    ("crash_spec_tas_n2", "exhausted", [377, 903, 1648, 474, 81, 146, 414, 492, 790, 712, 0, 0, 0, 1648, 0]),
-    ("crash_write_behind_open_n2", "exhausted", [36, 100, 170, 73, 16, 36, 20, 39, 55, 39, 0, 0, 0, 170, 0]),
-    ("crash_write_behind_strict_n2", "violation", [9, 36, 54, 20, 6, 9, 4, 9, 12, 7, 0, 0, 0, 54, 0]),
+    ("crash_spec_tas_n2", "exhausted", [377, 1048, 1648, 428, 81, 146, 272, 479, 648, 567, 0, 0, 0, 1648, 0]),
+    ("crash_write_behind_open_n2", "exhausted", [36, 113, 170, 62, 16, 36, 7, 29, 42, 26, 0, 0, 0, 170, 0]),
+    ("crash_write_behind_strict_n2", "violation", [9, 37, 54, 19, 6, 9, 3, 9, 11, 6, 0, 0, 0, 54, 0]),
     ("crash_resettable_tas_wedge_n2", "violation", [4, 39, 44, 8, 4, 4, 0, 16, 3, 1, 0, 0, 0, 44, 0]),
-    ("crash_a1_dropped_raw_fence_n2", "violation", [36, 88, 155, 76, 13, 28, 28, 57, 63, 56, 0, 0, 0, 155, 0]),
-    ("recovery_tas_n2", "exhausted", [102, 263, 390, 163, 56, 74, 0, 109, 101, 28, 0, 0, 30, 390, 0]),
+    ("crash_a1_dropped_raw_fence_n2", "violation", [38, 108, 171, 74, 15, 30, 24, 57, 61, 52, 0, 0, 0, 171, 0]),
+    ("recovery_tas_n2", "exhausted", [102, 268, 390, 160, 56, 74, 1, 112, 102, 23, 0, 0, 30, 390, 0]),
     ("recovery_tas_mutant_n2", "violation", [11, 18, 34, 14, 6, 11, 0, 12, 10, 7, 0, 0, 2, 34, 0]),
-    ("recovery_write_behind_flush_durable_n2", "exhausted", [442, 1678, 2070, 972, 362, 259, 0, 483, 441, 39, 0, 0, 60, 2070, 0]),
-    ("recovery_write_behind_flush_strict_n2", "violation", [47, 187, 235, 100, 36, 25, 0, 60, 46, 7, 0, 0, 8, 235, 0]),
-    ("recovery_write_behind_abandon_durable_n2", "exhausted", [361, 1371, 1726, 751, 281, 205, 0, 410, 360, 39, 0, 0, 60, 1726, 0]),
-    ("recovery_write_behind_abandon_recoverable_n2", "violation", [26, 95, 123, 48, 18, 19, 0, 32, 25, 5, 0, 0, 7, 123, 0]),
-    ("recovery_recrash_unrecovered_n2", "violation", [9, 33, 44, 16, 7, 9, 0, 12, 8, 2, 0, 0, 1, 44, 0]),
+    ("recovery_write_behind_flush_durable_n2", "exhausted", [442, 1691, 2070, 961, 362, 259, 0, 486, 441, 26, 0, 0, 60, 2070, 0]),
+    ("recovery_write_behind_flush_strict_n2", "violation", [47, 188, 235, 99, 36, 25, 0, 61, 46, 6, 0, 0, 8, 235, 0]),
+    ("recovery_write_behind_abandon_durable_n2", "exhausted", [361, 1384, 1726, 740, 281, 205, 0, 413, 360, 26, 0, 0, 60, 1726, 0]),
+    ("recovery_write_behind_abandon_recoverable_n2", "violation", [26, 96, 123, 47, 18, 19, 0, 33, 25, 4, 0, 0, 7, 123, 0]),
+    ("recovery_recrash_unrecovered_n2", "violation", [6, 25, 35, 13, 5, 6, 0, 12, 5, 2, 0, 0, 1, 35, 0]),
     ("abd_partition_majority_wedge_n2", "violation", [1, 4, 12, 2, 2, 1, 0, 10, 0, 0, 4, 0, 0, 12, 0]),
     ("abd_quorum_mutant", "violation", [19, 90, 229, 49, 20, 19, 0, 202, 18, 0, 133, 0, 0, 229, 0]),
-    ("abd_lossy_n2", "limit_reached", [2000, 2621, 6396, 2019, 696, 1912, 182, 2290, 2182, 1380, 2259, 134, 0, 6396, 0]),
+    ("abd_lossy_n2", "limit_reached", [2000, 2999, 6673, 2464, 1013, 2000, 244, 2265, 2244, 1244, 2427, 1, 0, 6673, 0]),
     ("abd_partition_minority_n2", "limit_reached", [2000, 6368, 11672, 5234, 2160, 2000, 145, 4579, 2145, 0, 5158, 0, 0, 11672, 0]),
-    ("abd_retry_exhaustion_abort_n2", "limit_reached", [2000, 7235, 13882, 6502, 1728, 1322, 1844, 4177, 3844, 0, 4371, 2274, 0, 13882, 0]),
+    ("abd_retry_exhaustion_abort_n2", "limit_reached", [2000, 5121, 9525, 4271, 1516, 1424, 258, 3486, 2258, 0, 3624, 778, 0, 9525, 0]),
 ];
 
 const FIELDS: [&str; 15] = [

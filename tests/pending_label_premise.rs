@@ -124,6 +124,9 @@ where
     }
     let cap = mem.net_cap();
     let ids = candidates(&session, n, cap, budgets);
+    // Empty slots' item cells are not probed: only the send that creates a
+    // slot's message writes its cell (slots are never reused), the argument
+    // stated at `AbdOp::next_footprint` in `scl_core::network`.
     let unborn_or_spent: Vec<RegId> = (0..cap)
         .filter(|&s| mem.net_slot(s).is_none())
         .map(|s| mem.net_slot_item_reg(s))
