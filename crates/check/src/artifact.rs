@@ -16,8 +16,8 @@
 //! well-formedness of every document the tool emits.
 
 use crate::scenarios::{
-    checker_values, crashed_pending_values, parse_checker, parse_crashed_pending, parse_reduction,
-    parse_resume, reduction_values, resume_values, CheckConfig,
+    checker_values, cli_name, crashed_pending_values, parse_checker, parse_crashed_pending,
+    parse_reduction, parse_resume, reduction_values, resume_values, CheckConfig,
 };
 use scl_sim::{Footprint, ReplayLog, ReplayTick, StepKind, TickEmission};
 use scl_spec::ProcessId;
@@ -318,18 +318,9 @@ impl Artifact {
     }
 }
 
-/// The CLI name of a mode, resolved through its value table — artifacts
-/// record CLI names (not the underscored report names) so the reader's
+/// Renders a counterexample as a self-contained artifact document. It
+/// records CLI names (not the underscored report names), so the reader's
 /// `parse_*` calls round-trip them.
-fn cli_name<T: PartialEq + Copy>(values: &[(&'static str, T)], v: T) -> &'static str {
-    values
-        .iter()
-        .find(|(_, x)| *x == v)
-        .map(|(n, _)| *n)
-        .expect("every mode has a CLI value-table entry")
-}
-
-/// Renders a counterexample as a self-contained artifact document.
 pub fn artifact_json(
     scenario: &str,
     config: &CheckConfig,

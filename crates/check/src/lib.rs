@@ -44,10 +44,10 @@ pub mod scenarios;
 pub use artifact::{artifact_json, parse_json, render_interleaving, Artifact, Json};
 pub use bridge::{CheckerMode, CrashedPending, LinMonitor};
 pub use scenarios::{
-    checker_values, crashed_pending_values, find, metrics_only_conflict, nearest, parse_checker,
-    parse_crashed_pending, parse_reduction, parse_resume, reduction_name, reduction_values,
-    registry, resume_name, resume_values, unknown_value_message, CheckConfig, Outcome,
-    ReplayCapture, Scenario, ScenarioReport,
+    checker_values, cli_name, crashed_pending_values, find, metrics_only_conflict, nearest,
+    parse_checker, parse_crashed_pending, parse_reduction, parse_resume, reduction_name,
+    reduction_values, registry, resume_name, resume_values, unknown_value_message, CheckConfig,
+    Outcome, ReplayCapture, Scenario, ScenarioReport,
 };
 
 /// Renders a set of scenario reports (plus the configuration that produced
@@ -93,12 +93,13 @@ pub fn reports_to_json_partial(
             ),
         };
         entries.push(format!(
-            "    \"{}\": {{\"outcome\": \"{}\", \"schedules\": {}, \"executed_steps\": {}, \
-             \"executed_ticks\": {}, \"checker_states\": {}, \"expect_violation\": {}, \
-             \"underpowered\": {}, \"as_expected\": {}, \"secs\": {:.6}, \"violation\": {}, \
-             \"telemetry\": {}}}",
+            "    \"{}\": {{\"outcome\": \"{}\", \"reduction\": \"{}\", \"schedules\": {}, \
+             \"executed_steps\": {}, \"executed_ticks\": {}, \"checker_states\": {}, \
+             \"expect_violation\": {}, \"underpowered\": {}, \"as_expected\": {}, \
+             \"secs\": {:.6}, \"violation\": {}, \"telemetry\": {}}}",
             r.name,
             r.outcome.tag(),
+            cli_name(reduction_values(), r.reduction),
             schedules,
             r.explore.executed_steps,
             r.explore.executed_ticks,

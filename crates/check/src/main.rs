@@ -16,7 +16,7 @@
 //! when `--json -` is given), so `scl-check --json - | jq` just works.
 
 use scl_check::{
-    artifact_json, checker_values, crashed_pending_values, find, metrics_only_conflict,
+    artifact_json, checker_values, cli_name, crashed_pending_values, find, metrics_only_conflict,
     parse_checker, parse_crashed_pending, parse_reduction, parse_resume, reduction_values,
     registry, render_interleaving, reports_to_json_partial, resume_values, unknown_value_message,
     Artifact, CheckConfig, Outcome, ReplayCapture, Scenario, ScenarioReport,
@@ -81,6 +81,10 @@ fn usage() -> ! {
          \n\
          Options:\n\
          \x20  --reduction MODE        {reductions}\n\
+         \x20                          (source-dpor-lin keeps its lin barriers\n\
+         \x20                          only where a verdict reads real-time\n\
+         \x20                          order; outcome-only scenarios run it as\n\
+         \x20                          source-dpor)\n\
          \x20  --resume MODE           {resumes}\n\
          \x20  --checker MODE          {checkers}\n\
          \x20  --crashed-pending MODE  {crashed}\n\
@@ -442,8 +446,12 @@ fn main() {
             (_, false) => "EXPECTED A VIOLATION, none found".to_string(),
         };
         eprintln!(
-            "{:<26} {status} [steps={} checker_states={} {:.3}s]",
-            s.name, report.explore.executed_steps, report.checker_states, secs
+            "{:<26} {status} [steps={} checker_states={} reduction={} {:.3}s]",
+            s.name,
+            report.explore.executed_steps,
+            report.checker_states,
+            cli_name(reduction_values(), report.reduction),
+            secs
         );
         if let (Some(dir), Outcome::Violation { schedule, message }) =
             (&artifacts_dir, &report.outcome)

@@ -6,10 +6,15 @@
 //! operation sequences, the named checks applied to every explored schedule
 //! and the expected outcome (the `a1_dropped_raw_fence_n2` mutant *must*
 //! violate). Every scenario runs the same pipeline: the explorer enumerates
-//! schedules under the configured [`Reduction`]/[`ResumeMode`], the
-//! [`LinMonitor`] bridge records the invoke/commit projection incrementally,
-//! and the check asks it for a per-schedule linearizability verdict plus any
-//! scenario-specific outcome predicates.
+//! schedules under the configured [`Reduction`]/[`ResumeMode`] and the check
+//! runs on every complete execution. A scenario whose checks include a
+//! linearizability verdict attaches the [`LinMonitor`] bridge, which records
+//! the invoke/commit projection incrementally and answers the per-schedule
+//! verdict. An *outcome-only* scenario reads nothing a linearization
+//! orders — only per-operation outcomes and steps, completion and the crash
+//! and restart masks, which every schedule of one Mazurkiewicz trace shares —
+//! so it attaches no monitor and runs the lin-preserving reduction as plain
+//! source DPOR (see [`ScenarioReport::reduction`]).
 
 use crate::bridge::{CheckerMode, CrashedPending, LinMonitor};
 use scl_core::{
@@ -21,8 +26,9 @@ use scl_sim::{
     explore_schedules_monitored_observed_report,
     explore_schedules_parallel_monitored_observed_report, replay_schedule, ExecutionResult,
     ExploreConfig, ExploreError, ExploreObserver, ExploreOutcome, ExploreReport, ExploreStats,
-    ExploreViolation, NoObserver, OpOutcome, Reduction, ReplayLog, ReplayOutcome, ResumeMode,
-    SharedMemory, SimObject, StepKind, TelemetryObserver, TelemetrySnapshot, Workload,
+    ExploreViolation, MonitorFactory, NoMonitor, NoObserver, OpOutcome, Reduction, ReplayLog,
+    ReplayOutcome, ResumeMode, ScheduleMonitor, SharedMemory, SimObject, StepKind,
+    TelemetryObserver, TelemetrySnapshot, Workload,
 };
 use scl_spec::{
     ConsensusOp, ConsensusSpec, History, ProcessId, QueueOp, QueueSpec, RegisterOp, RegisterSpec,
@@ -47,10 +53,11 @@ pub struct CheckConfig {
     /// [`ExploreConfig::default`] in three places: the
     /// linearizability-preserving source-DPOR reduction (its pruning
     /// provably cannot change the commit projection, so per-schedule
-    /// verdicts lose nothing), prefix-resume backtracking, and one worker
-    /// thread. `threads` selects the driver: `1` drives the exploration
-    /// sequentially; any other value uses the parallel engine, one DFS
-    /// worker (with its own [`LinMonitor`]) per thread, `0` meaning "use
+    /// verdicts lose nothing; outcome-only scenarios run it as plain source
+    /// DPOR, see [`ScenarioReport::reduction`]), prefix-resume backtracking,
+    /// and one worker thread. `threads` selects the driver: `1` drives the
+    /// exploration sequentially; any other value uses the parallel engine,
+    /// one DFS worker (with its own monitor) per thread, `0` meaning "use
     /// the available parallelism". `metrics_only` is valid only for
     /// scenarios whose checks never read the trace
     /// ([`Scenario::needs_trace`] is `false`).
@@ -186,8 +193,17 @@ pub struct ScenarioReport {
     pub outcome: Outcome,
     /// Explorer work accounting.
     pub explore: ExploreStats,
+    /// The reduction the exploration actually ran. This is the configured
+    /// one, except that an outcome-only scenario (no linearizability
+    /// variant among its `checks`) runs
+    /// [`Reduction::SourceDporLinPreserving`] as plain
+    /// [`Reduction::SourceDpor`]: no verdict of it reads real-time order,
+    /// and plain source DPOR explores every Mazurkiewicz trace, so every
+    /// final state and every per-process step sequence is still reached.
+    pub reduction: Reduction,
     /// Checker states expanded across the whole run (see
-    /// [`LinMonitor::checker_states`]).
+    /// [`LinMonitor::checker_states`]; 0 for outcome-only scenarios, which
+    /// attach no monitor).
     pub checker_states: u64,
     /// Whether the scenario expected a violation.
     pub expect_violation: bool,
@@ -220,7 +236,13 @@ impl ScenarioReport {
     }
 }
 
-type RunnerOutput = (ExploreReport, u64);
+/// What a scenario runner hands back to [`Scenario::run`].
+struct RunnerOutput {
+    report: ExploreReport,
+    checker_states: u64,
+    /// The reduction the exploration ran (see [`ScenarioReport::reduction`]).
+    reduction: Reduction,
+}
 
 /// A registered model-checking scenario.
 pub struct Scenario {
@@ -261,6 +283,7 @@ impl Scenario {
                     self.checks.join(", ")
                 )),
                 explore: ExploreStats::default(),
+                reduction: config.explore.reduction,
                 checker_states: 0,
                 expect_violation: self.expect_violation,
                 underpowered: false,
@@ -269,7 +292,11 @@ impl Scenario {
             };
         }
         let start = Instant::now();
-        let (report, checker_states) = (self.runner)(config);
+        let RunnerOutput {
+            report,
+            checker_states,
+            reduction,
+        } = (self.runner)(config);
         let secs = start.elapsed().as_secs_f64();
         let outcome = match report.outcome {
             Ok(ExploreOutcome::Exhausted { schedules }) => Outcome::Exhausted { schedules },
@@ -289,6 +316,7 @@ impl Scenario {
             name: self.name,
             outcome,
             explore: report.stats,
+            reduction,
             checker_states,
             expect_violation: self.expect_violation,
             underpowered: config.explore.max_schedules < self.needs_schedules,
@@ -301,13 +329,6 @@ impl Scenario {
 /// Runs a workload through the unified exploration engine with the
 /// linearizability bridge attached; `extra` adds scenario-specific
 /// per-schedule checks on top of the (optional) linearizability verdict.
-///
-/// `config.explore.threads` selects the driver: `1` runs the sequential
-/// engine with one borrowed [`LinMonitor`]; anything else runs the parallel
-/// engine, building one monitor per DFS worker through a factory and summing
-/// their checker-state counts. Both drivers execute the same engine code and
-/// the same check closure, so verdicts (and the deterministic
-/// first-in-DFS-order violation) are identical.
 fn explore_with_lin_opt<S, V, O, FSetup, FExtra, FGate>(
     config: &CheckConfig,
     spec: S,
@@ -346,25 +367,24 @@ where
             None => m.verdict(),
         }
     };
-    if let Some(capture) = &config.replay {
-        return replay_with_lin(config, spec, setup, workload, capture, check);
-    }
-    match &config.observer {
-        Some(obs) => drive(config, spec, setup, workload, check, obs.as_ref()),
-        None => drive(config, spec, setup, workload, check, &NoObserver),
+    let (checker, crashed_pending) = (config.checker, config.crashed_pending);
+    let factory =
+        move || LinMonitor::new(spec.clone(), checker).with_crashed_pending(crashed_pending);
+    let (report, monitors) = run_checked(config, setup, workload, factory, check);
+    RunnerOutput {
+        report,
+        checker_states: monitors.iter().map(LinMonitor::checker_states).sum(),
+        reduction: config.explore.reduction,
     }
 }
 
-/// The exploration driver behind [`explore_with_lin_opt`], generic over the
-/// observer so the `None` arm monomorphises to the zero-cost [`NoObserver`]
-/// engine (the same machine code as before the hooks existed).
-fn drive<S, V, O, Obs, FSetup, FCheck>(
+/// [`explore_with_lin_opt`] with the verdict always applied.
+fn explore_with_lin<S, V, O, FSetup, FExtra>(
     config: &CheckConfig,
     spec: S,
     setup: FSetup,
     workload: &Workload<S, V>,
-    check: FCheck,
-    obs: &Obs,
+    extra: FExtra,
 ) -> RunnerOutput
 where
     S: SequentialSpec + Send + Sync,
@@ -373,14 +393,108 @@ where
     S::Resp: Send,
     V: Clone + Eq + Hash + Debug + Sync,
     O: SimObject<S, V>,
+    FSetup: Fn(&mut SharedMemory) -> O + Sync,
+    FExtra: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String> + Sync,
+{
+    explore_with_lin_opt(config, spec, setup, workload, extra, |_res| true)
+}
+
+/// Runs a workload of an outcome-only scenario: `check` reads only what
+/// every schedule of one Mazurkiewicz trace shares (each operation's outcome
+/// and steps, completion, the crash and restart masks), never real-time
+/// order. The lin-preserving barriers would only multiply the schedules, so
+/// [`Reduction::SourceDporLinPreserving`] runs as plain
+/// [`Reduction::SourceDpor`], and no monitor records the history.
+fn explore_outcomes<S, V, O, FSetup, FCheck>(
+    config: &CheckConfig,
+    setup: FSetup,
+    workload: &Workload<S, V>,
+    check: FCheck,
+) -> RunnerOutput
+where
+    S: SequentialSpec,
+    S::Op: Sync,
+    V: Clone + Eq + Hash + Debug + Sync,
+    O: SimObject<S, V>,
+    FSetup: Fn(&mut SharedMemory) -> O + Sync,
+    FCheck: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String> + Sync,
+{
+    let mut config = config.clone();
+    if config.explore.reduction.preserves_lin() {
+        config.explore.reduction = Reduction::SourceDpor;
+    }
+    let check =
+        move |res: &ExecutionResult<S, V>, mem: &SharedMemory, _m: &mut NoMonitor| check(res, mem);
+    let (report, _) = run_checked(&config, setup, workload, || NoMonitor, check);
+    RunnerOutput {
+        report,
+        checker_states: 0,
+        reduction: config.explore.reduction,
+    }
+}
+
+/// Explores the workload with one monitor per engine from `factory` (or
+/// replays [`CheckConfig::replay`]'s schedule with one), and returns the
+/// report with the monitors.
+fn run_checked<S, V, O, MF, FSetup, FCheck>(
+    config: &CheckConfig,
+    setup: FSetup,
+    workload: &Workload<S, V>,
+    factory: MF,
+    check: FCheck,
+) -> (ExploreReport, Vec<MF::Monitor>)
+where
+    S: SequentialSpec,
+    S::Op: Sync,
+    V: Clone + Eq + Hash + Debug + Sync,
+    O: SimObject<S, V>,
+    MF: MonitorFactory<S, V> + Sync,
+    MF::Monitor: Send,
+    FSetup: Fn(&mut SharedMemory) -> O + Sync,
+    FCheck:
+        Fn(&ExecutionResult<S, V>, &SharedMemory, &mut MF::Monitor) -> Result<(), String> + Sync,
+{
+    if let Some(capture) = &config.replay {
+        let mut monitor = factory.monitor();
+        let report = replay(config, setup, workload, capture, &mut monitor, check);
+        return (report, vec![monitor]);
+    }
+    match &config.observer {
+        Some(obs) => drive(config, setup, workload, &factory, check, obs.as_ref()),
+        None => drive(config, setup, workload, &factory, check, &NoObserver),
+    }
+}
+
+/// The exploration driver behind [`run_checked`], generic over the observer
+/// so the `None` arm monomorphises to the zero-cost [`NoObserver`] engine.
+///
+/// `config.explore.threads` selects the driver: `1` runs the sequential
+/// engine with one monitor; anything else runs the parallel engine, one
+/// monitor per DFS worker. Both drivers execute the same engine code and the
+/// same check closure, so verdicts (and the deterministic first-in-DFS-order
+/// violation) are identical.
+fn drive<S, V, O, MF, Obs, FSetup, FCheck>(
+    config: &CheckConfig,
+    setup: FSetup,
+    workload: &Workload<S, V>,
+    factory: &MF,
+    check: FCheck,
+    obs: &Obs,
+) -> (ExploreReport, Vec<MF::Monitor>)
+where
+    S: SequentialSpec,
+    S::Op: Sync,
+    V: Clone + Eq + Hash + Debug + Sync,
+    O: SimObject<S, V>,
+    MF: MonitorFactory<S, V> + Sync,
+    MF::Monitor: Send,
     Obs: ExploreObserver,
     FSetup: Fn(&mut SharedMemory) -> O + Sync,
     FCheck:
-        Fn(&ExecutionResult<S, V>, &SharedMemory, &mut LinMonitor<S>) -> Result<(), String> + Sync,
+        Fn(&ExecutionResult<S, V>, &SharedMemory, &mut MF::Monitor) -> Result<(), String> + Sync,
 {
     if config.explore.threads == 1 {
-        let mut monitor =
-            LinMonitor::new(spec, config.checker).with_crashed_pending(config.crashed_pending);
+        let mut monitor = factory.monitor();
         let report = explore_schedules_monitored_observed_report(
             setup,
             workload,
@@ -389,55 +503,48 @@ where
             obs,
             check,
         );
-        (report, monitor.checker_states())
+        (report, vec![monitor])
     } else {
-        let checker = config.checker;
-        let crashed_pending = config.crashed_pending;
-        let factory =
-            move || LinMonitor::new(spec.clone(), checker).with_crashed_pending(crashed_pending);
-        let (report, monitors) = explore_schedules_parallel_monitored_observed_report(
+        explore_schedules_parallel_monitored_observed_report(
             setup,
             workload,
             &config.explore,
-            &factory,
+            factory,
             obs,
             check,
-        );
-        let states = monitors.iter().map(|m| m.checker_states()).sum();
-        (report, states)
+        )
     }
 }
 
-/// The replay driver behind [`explore_with_lin_opt`]: re-executes the
-/// capture's recorded schedule through [`replay_schedule`] with a fresh
-/// [`LinMonitor`] and the *same* check closure the exploration ran,
-/// deposits the decoded log in the capture, and synthesises an
-/// [`ExploreReport`] so [`Scenario::run`] classifies the replay exactly like
-/// an exploration — a reproduced violation is `Outcome::Violation` with the
-/// recorded schedule, a divergence is a violation naming the failing tick.
-fn replay_with_lin<S, V, O, FSetup, FCheck>(
+/// The replay driver behind [`run_checked`]: re-executes the capture's
+/// recorded schedule through [`replay_schedule`] with `monitor` and the
+/// *same* check closure the exploration ran, deposits the decoded log in the
+/// capture, and synthesises an [`ExploreReport`] so [`Scenario::run`]
+/// classifies the replay exactly like an exploration — a reproduced
+/// violation is `Outcome::Violation` with the recorded schedule, a
+/// divergence is a violation naming the failing tick.
+fn replay<S, V, O, M, FSetup, FCheck>(
     config: &CheckConfig,
-    spec: S,
     setup: FSetup,
     workload: &Workload<S, V>,
     capture: &ReplayCapture,
+    monitor: &mut M,
     check: FCheck,
-) -> RunnerOutput
+) -> ExploreReport
 where
     S: SequentialSpec,
     V: Clone + Eq + Hash + Debug,
     O: SimObject<S, V>,
+    M: ScheduleMonitor<S, V>,
     FSetup: FnMut(&mut SharedMemory) -> O,
-    FCheck: FnOnce(&ExecutionResult<S, V>, &SharedMemory, &mut LinMonitor<S>) -> Result<(), String>,
+    FCheck: FnOnce(&ExecutionResult<S, V>, &SharedMemory, &mut M) -> Result<(), String>,
 {
-    let mut monitor =
-        LinMonitor::new(spec, config.checker).with_crashed_pending(config.crashed_pending);
     let (outcome, log) = replay_schedule(
         setup,
         workload,
         &config.explore,
         &capture.schedule,
-        &mut monitor,
+        monitor,
         check,
     );
     let stats = ExploreStats {
@@ -461,38 +568,13 @@ where
             message: format!("replay diverged at tick {tick}: {reason}"),
         })),
     };
-    let states = monitor.checker_states();
     if let Ok(mut slot) = capture.result.lock() {
         *slot = Some((outcome, log));
     }
-    (
-        ExploreReport {
-            outcome: report_outcome,
-            stats,
-        },
-        states,
-    )
-}
-
-/// [`explore_with_lin_opt`] with the verdict always applied.
-fn explore_with_lin<S, V, O, FSetup, FExtra>(
-    config: &CheckConfig,
-    spec: S,
-    setup: FSetup,
-    workload: &Workload<S, V>,
-    extra: FExtra,
-) -> RunnerOutput
-where
-    S: SequentialSpec + Send + Sync,
-    S::State: Send,
-    S::Op: Send + Sync,
-    S::Resp: Send,
-    V: Clone + Eq + Hash + Debug + Sync,
-    O: SimObject<S, V>,
-    FSetup: Fn(&mut SharedMemory) -> O + Sync,
-    FExtra: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String> + Sync,
-{
-    explore_with_lin_opt(config, spec, setup, workload, extra, |_res| true)
+    ExploreReport {
+        outcome: report_outcome,
+        stats,
+    }
 }
 
 /// Counts committed `Winner` responses from the op records (works in
@@ -539,21 +621,13 @@ fn run_spec_tas_n3(config: &CheckConfig) -> RunnerOutput {
     // composition is genuinely not linearizable in real time (see
     // `spec_tas_n3_realtime`), so this scenario verifies what the object
     // does guarantee under every interleaving — wait-freedom and a single
-    // winner. The monitor runs in FromScratch mode so only recording
-    // happens: with the verdict gated off, feeding the incremental
-    // checker's frontier search would be pure waste.
-    let config = CheckConfig {
-        checker: CheckerMode::FromScratch,
-        ..config.clone()
-    };
+    // winner.
     let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(3, TasOp::TestAndSet);
-    explore_with_lin_opt(
-        &config,
-        TasSpec,
+    explore_outcomes(
+        config,
         new_speculative_tas,
         &wl,
         tas_wait_free_single_winner,
-        |_res| false,
     )
 }
 
@@ -812,17 +886,16 @@ fn run_crash_resettable_tas_wedge_n2(config: &CheckConfig) -> RunnerOutput {
     // reset commits, the object is wedged — every surviving test-and-set
     // loses forever. Survivors still *complete* (each round is wait-free),
     // so this is invisible to safety checks and to termination: it must be
-    // reported by a progress monitor, not found as a hang. Linearizability
-    // is gated off (a crashed losing p0 makes reset ill-formed for the
-    // plain TasSpec, as in `resettable_tas_n2`).
+    // reported by a progress monitor, not found as a hang. Outcome checks
+    // only (a crashed losing p0 makes reset ill-formed for the plain
+    // TasSpec, as in `resettable_tas_n2`).
     let config = crash_config(config, 0b01); // only p0 (the resetter) crashes
     let wl: Workload<TasSpec, TasSwitch> = Workload::from_ops(vec![
         vec![TasOp::TestAndSet, TasOp::Reset],
         vec![TasOp::TestAndSet],
     ]);
-    explore_with_lin_opt(
+    explore_outcomes(
         &config,
-        TasSpec,
         |mem| ResettableTas::new(mem, 2),
         &wl,
         |res, _mem| {
@@ -846,7 +919,6 @@ fn run_crash_resettable_tas_wedge_n2(config: &CheckConfig) -> RunnerOutput {
             }
             Ok(())
         },
-        |_res| false,
     )
 }
 
@@ -986,13 +1058,12 @@ fn run_recovery_recrash_unrecovered_n2(config: &CheckConfig) -> RunnerOutput {
     // before it commits leaves the interrupted write unresolved with the
     // restart budget spent — a designed recovery-crash-safety violation,
     // reported through the op records rather than found as a hang.
-    // Linearizability is gated off so the designed message is *the*
-    // violation (the open closure would pass these histories anyway).
+    // Outcome checks only, so the designed message is *the* violation (the
+    // open closure would pass these histories anyway).
     let mut config = recovery_config(config, 0b01, 0b01);
     config.explore.max_crashes = 2;
-    explore_with_lin_opt(
+    explore_outcomes(
         &config,
-        RegisterSpec,
         |mem| WriteBehindRegister::with_recovery(mem, WbRecovery::Flush),
         &write_behind_workload(),
         |res, _mem| {
@@ -1014,7 +1085,6 @@ fn run_recovery_recrash_unrecovered_n2(config: &CheckConfig) -> RunnerOutput {
             }
             Ok(())
         },
-        |_res| false,
     )
 }
 
@@ -1090,14 +1160,13 @@ fn run_abd_partition_majority_wedge_n2(config: &CheckConfig) -> RunnerOutput {
     // every operation wedges open — each client collects one reply and
     // blocks forever. The execution still *completes* (nothing is enabled;
     // this is not a tick-limit hang): the wedge is a designed progress
-    // violation, reported through the op records. Linearizability is gated
-    // off — no operation ever commits, so there is nothing to check.
+    // violation, reported through the op records. Outcome checks only —
+    // no operation ever commits, so there is no history to linearize.
     let mut config = config.clone();
     // Endpoint bit 2 + 1 = server 1.
     config.explore.partition = 1 << 3;
-    explore_with_lin_opt(
+    explore_outcomes(
         &config,
-        RegisterSpec,
         |mem| AbdRegister::new(mem, 2, 2, 12, 2),
         &abd_workload(),
         |res, _mem| {
@@ -1113,7 +1182,6 @@ fn run_abd_partition_majority_wedge_n2(config: &CheckConfig) -> RunnerOutput {
             }
             Ok(())
         },
-        |_res| false,
     )
 }
 
@@ -1151,7 +1219,7 @@ fn run_abd_retry_exhaustion_abort_n2(config: &CheckConfig) -> RunnerOutput {
     let mut config = config.clone();
     config.explore.max_drops = config.explore.max_drops.max(1);
     let abort_schedules = std::sync::atomic::AtomicU64::new(0);
-    let (report, states) = explore_with_lin_opt(
+    let run = explore_with_lin_opt(
         &config,
         RegisterSpec,
         |mem| AbdRegister::new(mem, 2, 2, 16, 0),
@@ -1171,25 +1239,24 @@ fn run_abd_retry_exhaustion_abort_n2(config: &CheckConfig) -> RunnerOutput {
         |res| !abd_aborted(res),
     );
     let aborts = abort_schedules.load(std::sync::atomic::Ordering::Relaxed);
-    if aborts == 0 && matches!(report.outcome, Ok(ExploreOutcome::Exhausted { .. })) {
+    if aborts == 0 && matches!(run.report.outcome, Ok(ExploreOutcome::Exhausted { .. })) {
         // The whole space ran and no drop ever forced an abort: the
         // retry-exhaustion path is dead code — fail the scenario rather
         // than report a vacuous pass.
-        let stats = report.stats;
-        return (
-            ExploreReport {
+        return RunnerOutput {
+            report: ExploreReport {
                 outcome: Err(ExploreError::Check(ExploreViolation {
                     schedule: Vec::new(),
                     message: "retry exhaustion never occurred: no explored schedule degraded an \
                               operation to the designed abort"
                         .into(),
                 })),
-                stats,
+                stats: run.report.stats,
             },
-            states,
-        );
+            ..run
+        };
     }
-    (report, states)
+    run
 }
 
 /// Every registered scenario.
@@ -1596,6 +1663,16 @@ pub fn crashed_pending_values() -> &'static [(&'static str, CrashedPending)] {
         ("durable", CrashedPending::Durable),
         ("recoverable", CrashedPending::Recoverable),
     ]
+}
+
+/// The CLI name of a mode, resolved through its value table (the inverse
+/// of the `parse_*` functions).
+pub fn cli_name<T: PartialEq + Copy>(values: &[(&'static str, T)], v: T) -> &'static str {
+    values
+        .iter()
+        .find(|(_, x)| *x == v)
+        .map(|(n, _)| *n)
+        .expect("every mode has a CLI value-table entry")
 }
 
 /// Reduction modes by CLI name.

@@ -210,7 +210,11 @@ fn abd_majority_partition_wedges_as_a_designed_progress_violation() {
     // (the writer wedges with its quorum unreachable), never a hang or a
     // silent pass — in every lin-preserving mode × resume mode.
     let scenario = find("abd_partition_majority_wedge_n2").expect("registered");
-    for reduction in [Reduction::Off, Reduction::SourceDporLinPreserving] {
+    for reduction in [
+        Reduction::Off,
+        Reduction::SourceDpor,
+        Reduction::SourceDporLinPreserving,
+    ] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             let config = CheckConfig {
                 explore: ExploreConfig {

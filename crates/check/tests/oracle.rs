@@ -398,7 +398,11 @@ fn wedged_resettable_tas_is_reported_within_budget_in_every_lin_preserving_mode(
     // The progress-violation scenario must be *found* (as a violation, not a
     // hang or a budget exhaustion) under every reduction × resume mode.
     let scenario = find("crash_resettable_tas_wedge_n2").expect("registered");
-    for reduction in [Reduction::Off, Reduction::SourceDporLinPreserving] {
+    for reduction in [
+        Reduction::Off,
+        Reduction::SourceDpor,
+        Reduction::SourceDporLinPreserving,
+    ] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             let config = CheckConfig {
                 explore: ExploreConfig {
@@ -624,6 +628,46 @@ fn strict_and_open_closures_separate_on_the_write_behind_register() {
             strict_report.outcome
         );
     }
+}
+
+/// The check names whose verdict reads real-time order.
+const LIN_CHECKS: [&str; 4] = [
+    "linearizable",
+    "strictly_linearizable",
+    "durably_linearizable",
+    "recoverably_linearizable",
+];
+
+#[test]
+fn only_scenarios_with_a_linearizability_check_keep_the_lin_barriers() {
+    // The default configuration with a smaller budget: the reduction a
+    // scenario runs does not depend on the budget.
+    let mut config = CheckConfig::default();
+    config.explore.max_schedules = 2_000;
+    let mut outcome_only = Vec::new();
+    for scenario in scl_check::registry() {
+        let reads_real_time = scenario.checks.iter().any(|c| LIN_CHECKS.contains(c));
+        let report = scenario.run(&config);
+        let expected = if reads_real_time {
+            Reduction::SourceDporLinPreserving
+        } else {
+            outcome_only.push(scenario.name);
+            Reduction::SourceDpor
+        };
+        assert_eq!(report.reduction, expected, "{}", scenario.name);
+        if !reads_real_time {
+            assert_eq!(report.checker_states, 0, "{}", scenario.name);
+        }
+    }
+    assert_eq!(
+        outcome_only,
+        [
+            "spec_tas_n3",
+            "crash_resettable_tas_wedge_n2",
+            "recovery_recrash_unrecovered_n2",
+            "abd_partition_majority_wedge_n2",
+        ]
+    );
 }
 
 #[test]

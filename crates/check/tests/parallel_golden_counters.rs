@@ -4,9 +4,10 @@
 //! violates.
 //!
 //! Under source DPOR the two-worker engine explores a deterministic
-//! refinement of the sequential tree (`spec_tas_n3`: 26374 schedules against
-//! 11923), so `golden_counters.rs`, which runs the sequential engine, does
-//! not fix its shape. For an exhausting scenario the tree is a pure
+//! refinement of the sequential tree (on the full n=3 speculative-TAS space
+//! under the lin-preserving relation: 26374 schedules against 11923), so
+//! `golden_counters.rs`, which runs the sequential engine, does not fix its
+//! shape. For an exhausting scenario the tree is a pure
 //! function of the branch tickets, so its schedules, executed steps and
 //! ticks, races and race seeds are pinned exactly. A violating scenario
 //! reports the first violation in ticket order, which is deterministic too,
@@ -24,7 +25,7 @@ use std::process::Command;
 #[rustfmt::skip]
 const EXHAUSTED: [(&str, [u64; 5]); 14] = [
     ("spec_tas_n2", [77, 554, 568, 179, 71]),
-    ("spec_tas_n3", [26374, 164849, 166365, 90880, 27293]),
+    ("spec_tas_n3", [1956, 12469, 12585, 6701, 2040]),
     ("solo_fast_tas_n2", [77, 533, 547, 179, 71]),
     ("a1_n2", [65, 467, 481, 146, 59]),
     ("resettable_tas_n2", [392, 3989, 4460, 965, 378]),
@@ -46,12 +47,12 @@ const VIOLATIONS: [(&str, &[u64]); 11] = [
     ("spec_tas_n3_realtime", &[0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 2, 2, 2, 2, 0]),
     ("a1_dropped_raw_fence_n2", &[0, 0, 0, 0, 1, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1]),
     ("crash_write_behind_strict_n2", &[0, 0, 2, 1, 1, 1, 1, 1, 1, 1]),
-    ("crash_resettable_tas_wedge_n2", &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2, 1, 1]),
+    ("crash_resettable_tas_wedge_n2", &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1, 1, 1]),
     ("crash_a1_dropped_raw_fence_n2", &[0, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 1]),
     ("recovery_tas_mutant_n2", &[0, 0, 1, 3, 5, 0, 1]),
     ("recovery_write_behind_flush_strict_n2", &[0, 0, 2, 1, 1, 1, 1, 1, 1, 1]),
     ("recovery_write_behind_abandon_recoverable_n2", &[0, 0, 1, 1, 2, 4, 0, 0, 1, 1, 1, 1]),
-    ("recovery_recrash_unrecovered_n2", &[0, 0, 1, 1, 1, 2, 1, 1, 1, 4, 0, 2, 1]),
+    ("recovery_recrash_unrecovered_n2", &[0, 0, 1, 2, 1, 1, 1, 1, 1, 4, 0, 2, 1]),
     ("abd_partition_majority_wedge_n2", &[0, 0, 0, 1, 1, 1, 4, 5, 14, 1, 15, 0]),
     ("abd_quorum_mutant", &[0, 0, 0, 3, 24, 0, 0, 0, 5, 22, 0, 0, 0, 0, 6, 4, 2, 21, 0, 0, 0, 8, 9, 7, 18, 0]),
 ];

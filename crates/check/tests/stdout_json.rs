@@ -69,6 +69,43 @@ fn json_to_stdout_is_pure_and_well_formed() {
 }
 
 #[test]
+fn each_scenario_entry_names_the_reduction_it_ran() {
+    // Under the default lin-preserving config, an outcome-only scenario
+    // reports plain source DPOR, in the JSON entry and the status line.
+    let out = scl_check()
+        .args([
+            "spec_tas_n2",
+            "abd_partition_majority_wedge_n2",
+            "--json",
+            "-",
+        ])
+        .output()
+        .expect("scl-check runs");
+    assert!(out.status.success(), "exit: {:?}", out.status);
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    let doc = parse_json(&stdout).unwrap_or_else(|e| panic!("not JSON ({e}):\n{stdout}"));
+    let scenarios = doc.get("scenarios").expect("scenarios object");
+    for (name, reduction) in [
+        ("spec_tas_n2", "source-dpor-lin"),
+        ("abd_partition_majority_wedge_n2", "source-dpor"),
+    ] {
+        let entry = scenarios.get(name).expect("scenario entry");
+        assert_eq!(
+            entry.get("reduction").and_then(Json::as_str),
+            Some(reduction),
+            "{name}"
+        );
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with(name) && l.contains(&format!("reduction={reduction} "))),
+            "{name}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn artifact_emission_and_replay_work_through_the_binary() {
     let dir = std::env::temp_dir().join(format!("scl-artifacts-{}", std::process::id()));
     let out = scl_check()
