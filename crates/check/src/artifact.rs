@@ -16,8 +16,8 @@
 //! well-formedness of every document the tool emits.
 
 use crate::scenarios::{
-    checker_values, cli_name, crashed_pending_values, parse_checker, parse_crashed_pending,
-    parse_reduction, parse_resume, reduction_values, resume_values, CheckConfig,
+    cli_name, crashed_pending_values, parse_crashed_pending, parse_reduction, reduction_values,
+    CheckConfig,
 };
 use scl_sim::{Footprint, ReplayLog, ReplayTick, StepKind, TickEmission};
 use scl_spec::ProcessId;
@@ -289,13 +289,11 @@ impl Artifact {
             .map(|v| v.as_u64().map(|id| ProcessId(id as usize)))
             .collect::<Option<Vec<ProcessId>>>()
             .ok_or("artifact schedule must be an array of integers".to_string())?;
+        // Artifacts written before the checker and resume knobs were removed
+        // also carry `checker` and `resume`; a replay ignores both.
         let reduction_text = cfg_str("reduction")?;
-        let resume_text = cfg_str("resume")?;
-        let checker_text = cfg_str("checker")?;
         let crashed_text = cfg_str("crashed_pending")?;
         let mut run = CheckConfig {
-            checker: parse_checker(checker_text)
-                .ok_or(format!("unknown checker `{checker_text}`"))?,
             crashed_pending: parse_crashed_pending(crashed_text)
                 .ok_or(format!("unknown crashed_pending `{crashed_text}`"))?,
             ..CheckConfig::default()
@@ -303,8 +301,6 @@ impl Artifact {
         let explore = &mut run.explore;
         explore.reduction = parse_reduction(reduction_text)
             .ok_or(format!("unknown reduction `{reduction_text}`"))?;
-        explore.resume =
-            parse_resume(resume_text).ok_or(format!("unknown resume `{resume_text}`"))?;
         explore.max_schedules = cfg_num("max_schedules")?;
         explore.max_ticks = cfg_num("max_ticks")?;
         explore.max_drops = cfg_num("max_drops")? as usize;
@@ -356,16 +352,13 @@ pub fn artifact_json(
     format!(
         "{{\n  \"tool\": \"scl-check\",\n  \"kind\": \"counterexample\",\n  \"scenario\": {},\n  \
          \"message\": {},\n  \"schedule\": [{}],\n  \"config\": {{\"reduction\": \"{}\", \
-         \"resume\": \"{}\", \"checker\": \"{}\", \"crashed_pending\": \"{}\", \
-         \"max_schedules\": {}, \"max_ticks\": {}, \"max_drops\": {}, \"max_recoveries\": \
-         {}}},\n  \"processes\": {},\n  \"net_cap\": {},\n  \"completed\": {},\n  \"crashed\": \
+         \"crashed_pending\": \"{}\", \"max_schedules\": {}, \"max_ticks\": {}, \"max_drops\": \
+         {}, \"max_recoveries\": {}}},\n  \"processes\": {},\n  \"net_cap\": {},\n  \"completed\": {},\n  \"crashed\": \
          [{}],\n  \"restarted\": [{}],\n  \"races\": [{}],\n  \"ticks\": [\n{}\n  ]\n}}\n",
         crate::json_string(scenario),
         crate::json_string(message),
         sched.join(", "),
         cli_name(reduction_values(), config.explore.reduction),
-        cli_name(resume_values(), config.explore.resume),
-        cli_name(checker_values(), config.checker),
         cli_name(crashed_pending_values(), config.crashed_pending),
         config.explore.max_schedules,
         config.explore.max_ticks,
@@ -592,6 +585,24 @@ mod tests {
         let config = &artifact.config;
         assert_eq!(config.explore.threads, 1);
         assert!(config.observer.is_none());
+    }
+
+    #[test]
+    fn parser_reads_artifacts_without_checker_and_resume_keys() {
+        let doc = r#"{"scenario": "crash_write_behind_strict_n2", "message": "m",
+  "schedule": [0, 2],
+  "config": {"reduction": "source-dpor", "crashed_pending": "strict",
+             "max_schedules": 7, "max_ticks": 9, "max_drops": 1, "max_recoveries": 2}}"#;
+        let config = Artifact::from_json(doc)
+            .expect("well-formed artifact")
+            .config;
+        assert_eq!(config.explore.reduction, scl_sim::Reduction::SourceDpor);
+        assert_eq!(config.explore.resume, scl_sim::ResumeMode::PrefixResume);
+        assert_eq!(config.crashed_pending, crate::CrashedPending::Strict);
+        assert_eq!(
+            (config.explore.max_drops, config.explore.max_recoveries),
+            (1, 2)
+        );
     }
 
     #[test]

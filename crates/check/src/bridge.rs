@@ -7,8 +7,7 @@
 //! verdict per schedule called `res.trace.commit_projection()` in its check
 //! — allocating a fresh history and re-running the Wing–Gong search from
 //! scratch for every explored schedule, and requiring full trace recording.
-//! The bridge instead keeps **one** checker per worker for the whole
-//! exploration, rewound whenever the explorer restores a checkpoint, and
+//! The bridge instead keeps **one** checker for the whole exploration, rewound whenever the explorer restores a checkpoint, and
 //! works under [`TraceMode::MetricsOnly`](scl_sim::TraceMode) — events are
 //! taken from the executor's [`TickEmission`] stream, not from the trace.
 //! Which checker depends on the [`CheckerMode`]:
@@ -41,18 +40,9 @@ pub enum CheckerMode {
     /// Re-run the from-scratch Wing–Gong search on the (incrementally
     /// maintained, allocation-reusing) history at every leaf. The baseline
     /// whose checker states the incremental mode must undercut (the
-    /// `count_bars` test).
+    /// `count_bars` test) and an oracle for it; `scl-check` itself always
+    /// runs [`CheckerMode::Incremental`].
     FromScratch,
-}
-
-impl CheckerMode {
-    /// The CLI/report name of the mode.
-    pub fn name(self) -> &'static str {
-        match self {
-            CheckerMode::Incremental => "incremental",
-            CheckerMode::FromScratch => "from_scratch",
-        }
-    }
 }
 
 /// How crashed-pending operations enter the completion closure — the axis
@@ -140,10 +130,21 @@ impl<S: SequentialSpec> Checker<S> {
         }
     }
 
-    /// A deadline: the operation may take effect only before this point.
+    /// A deadline: the operation may take effect only before this point,
+    /// unless it still commits.
     fn crash(&mut self, id: RequestId) {
         match self {
             Checker::Incremental(inc) => inc.crash(id),
+            Checker::FromScratch { hist, .. } => hist.record_crash(hist.event_count(), id),
+        }
+    }
+
+    /// A final deadline: the operation may take effect only before this
+    /// point, and never commits.
+    fn abandon(&mut self, id: RequestId) {
+        match self {
+            Checker::Incremental(inc) => inc.abandon(id),
+            // A history op that never commits keeps its gate anyway.
             Checker::FromScratch { hist, .. } => hist.record_crash(hist.event_count(), id),
         }
     }
@@ -314,7 +315,7 @@ where
                     // Durable: the op may be lost, but not take effect after
                     // its owner recovered — a strict-style deadline at the
                     // recovery completion.
-                    CrashedPending::Durable => self.checker.crash(id),
+                    CrashedPending::Durable => self.checker.abandon(id),
                     // Recoverable: the op must have taken effect by now.
                     CrashedPending::Recoverable => self.checker.crash_required(id),
                 }

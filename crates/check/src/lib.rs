@@ -22,9 +22,10 @@
 //!   and its seeded `DroppedRawFence` mutant, the composable universal
 //!   construction (queue and register) and the consensus objects, each with
 //!   its checks and expected outcome;
-//! * the `scl-check` binary — runs any scenario by name with
-//!   reduction/resume/checker/budget flags and emits a JSON report
-//!   (`--smoke` runs the whole registry under tiny bounds in CI).
+//! * the `scl-check` binary — runs any scenario by name with reduction and
+//!   budget flags, several scenarios at once with `--workers N`
+//!   ([`run_selection`]), and emits a JSON report (`--smoke` runs the whole
+//!   registry under tiny bounds in CI).
 //!
 //! The reduced modes matter here: [`scl_sim::Reduction::SourceDpor`]
 //! explicitly does *not* preserve real-time order, so it may miss (or,
@@ -44,10 +45,9 @@ pub mod scenarios;
 pub use artifact::{artifact_json, parse_json, render_interleaving, Artifact, Json};
 pub use bridge::{CheckerMode, CrashedPending, LinMonitor};
 pub use scenarios::{
-    checker_values, cli_name, crashed_pending_values, find, metrics_only_conflict, nearest,
-    parse_checker, parse_crashed_pending, parse_reduction, parse_resume, reduction_name,
-    reduction_values, registry, resume_name, resume_values, unknown_value_message, CheckConfig,
-    Outcome, ReplayCapture, Scenario, ScenarioReport,
+    cli_name, crashed_pending_values, find, metrics_only_conflict, nearest, parse_crashed_pending,
+    parse_reduction, reduction_name, reduction_values, registry, run_selection,
+    unknown_value_message, CheckConfig, Outcome, ReplayCapture, Scenario, ScenarioReport,
 };
 
 /// Renders a set of scenario reports (plus the configuration that produced
@@ -119,14 +119,11 @@ pub fn reports_to_json_partial(
     }
     let all_as_expected = reports.iter().all(|r| r.as_expected());
     format!(
-        "{{\n  \"tool\": \"scl-check\",\n  \"config\": {{\"reduction\": \"{}\", \"resume\": \
-         \"{}\", \"checker\": \"{}\", \"crashed_pending\": \"{}\", \"max_schedules\": {}, \
-         \"max_ticks\": {}, \"max_drops\": {}, \"max_recoveries\": {}, \"metrics_only\": {}, \
-         \"workers\": {}}},\n  \"host\": {{\"available_parallelism\": {}}},\n  \"exhausted\": \
+        "{{\n  \"tool\": \"scl-check\",\n  \"config\": {{\"reduction\": \"{}\", \
+         \"crashed_pending\": \"{}\", \"max_schedules\": {}, \"max_ticks\": {}, \"max_drops\": \
+         {}, \"max_recoveries\": {}, \"metrics_only\": {}, \"workers\": {}}},\n  \"host\": {{\"available_parallelism\": {}}},\n  \"exhausted\": \
          {},\n  \"scenarios\": {{\n{}\n  }},\n  \"all_as_expected\": {}\n}}\n",
         reduction_name(config.explore.reduction),
-        resume_name(config.explore.resume),
-        config.checker.name(),
         config.crashed_pending.name(),
         config.explore.max_schedules,
         config.explore.max_ticks,

@@ -3,7 +3,7 @@
 //! ```text
 //! scl-check --list
 //! scl-check spec_tas_n2 a1_dropped_raw_fence_n2
-//! scl-check --all --reduction source-dpor --resume full-replay
+//! scl-check --all --reduction source-dpor --workers 2
 //! scl-check --smoke --json SCL_CHECK_SMOKE.json        # the CI entry point
 //! scl-check --smoke --artifacts traces/               # counterexample dumps
 //! scl-check replay traces/a1_dropped_raw_fence_n2.trace.json
@@ -14,12 +14,16 @@
 //! heartbeats and every other diagnostic go to **stderr**; stdout carries
 //! only requested output (`--list`, the replay diagram, and the JSON report
 //! when `--json -` is given), so `scl-check --json - | jq` just works.
+//!
+//! `--workers N` runs up to N scenarios at once, each on one thread with its
+//! own monitor and telemetry observer; the report lists them in selection
+//! order and does not depend on N.
 
 use scl_check::{
-    artifact_json, checker_values, cli_name, crashed_pending_values, find, metrics_only_conflict,
-    parse_checker, parse_crashed_pending, parse_reduction, parse_resume, reduction_values,
-    registry, render_interleaving, reports_to_json_partial, resume_values, unknown_value_message,
-    Artifact, CheckConfig, Outcome, ReplayCapture, Scenario, ScenarioReport,
+    artifact_json, cli_name, crashed_pending_values, find, metrics_only_conflict,
+    parse_crashed_pending, parse_reduction, reduction_values, registry, render_interleaving,
+    reports_to_json_partial, run_selection, unknown_value_message, Artifact, CheckConfig, Outcome,
+    ReplayCapture, Scenario,
 };
 use scl_sim::{ReplayOutcome, TelemetryObserver};
 use std::sync::Arc;
@@ -51,18 +55,16 @@ fn value_list<T: PartialEq>(values: &[(&str, T)], default: &T) -> String {
         .join(" | ")
 }
 
-fn flag_values() -> (String, String, String, String) {
+fn flag_values() -> (String, String) {
     let defaults = CheckConfig::default();
     (
         value_list(reduction_values(), &defaults.explore.reduction),
-        value_list(resume_values(), &defaults.explore.resume),
-        value_list(checker_values(), &defaults.checker),
         value_list(crashed_pending_values(), &defaults.crashed_pending),
     )
 }
 
 fn usage() -> ! {
-    let (reductions, resumes, checkers, crashed) = flag_values();
+    let (reductions, crashed) = flag_values();
     eprintln!(
         "usage: scl-check [SCENARIO...] [options]\n\
          \x20      scl-check replay TRACE.json\n\
@@ -85,8 +87,6 @@ fn usage() -> ! {
          \x20                          only where a verdict reads real-time\n\
          \x20                          order; outcome-only scenarios run it as\n\
          \x20                          source-dpor)\n\
-         \x20  --resume MODE           {resumes}\n\
-         \x20  --checker MODE          {checkers}\n\
          \x20  --crashed-pending MODE  {crashed}\n\
          \x20                          (strict = strict linearizability for\n\
          \x20                          crash-exploring scenarios)\n\
@@ -98,15 +98,18 @@ fn usage() -> ! {
          \x20  --max-recoveries N      restart budget per schedule (default 0 =\n\
          \x20                          crashed processes stay down; restarts only\n\
          \x20                          arise in scenarios with a crash budget)\n\
-         \x20  --workers N             engine worker threads: 1 = sequential\n\
-         \x20                          (default), 0 = available parallelism\n\
+         \x20  --workers N             scenarios run at once, each on one thread:\n\
+         \x20                          1 = one after another (default), 0 =\n\
+         \x20                          available parallelism; the report does\n\
+         \x20                          not depend on N\n\
          \x20  --time-budget-ms N      stop starting scenarios once N ms have\n\
          \x20                          elapsed; the JSON report stays well-formed\n\
          \x20                          and marks the remainder \"skipped\"\n\
          \x20  --metrics-only          skip event-trace recording (rejected for\n\
          \x20                          scenarios with trace-consuming checks)\n\
-         \x20  --heartbeat N           print an exploration progress line to\n\
-         \x20                          stderr every N completed schedules\n\
+         \x20  --heartbeat N           print a progress line, prefixed with the\n\
+         \x20                          scenario name, to stderr every N\n\
+         \x20                          completed schedules\n\
          \x20  --artifacts DIR         on violation, write a self-contained\n\
          \x20                          counterexample artifact to\n\
          \x20                          DIR/<scenario>.trace.json\n\
@@ -135,10 +138,8 @@ fn list() {
             },
         );
     }
-    let (reductions, resumes, checkers, crashed) = flag_values();
+    let (reductions, crashed) = flag_values();
     println!("\naccepted --reduction values: {reductions}");
-    println!("accepted --resume values:    {resumes}");
-    println!("accepted --checker values:   {checkers}");
     println!("accepted --crashed-pending values: {crashed}");
 }
 
@@ -294,26 +295,6 @@ fn main() {
                     )
                 });
             }
-            "--resume" => {
-                let v = value(&mut i);
-                config.explore.resume = parse_resume(&v).unwrap_or_else(|| {
-                    die_unknown(
-                        "--resume value",
-                        &v,
-                        resume_values().iter().map(|(n, _)| *n),
-                    )
-                });
-            }
-            "--checker" => {
-                let v = value(&mut i);
-                config.checker = parse_checker(&v).unwrap_or_else(|| {
-                    die_unknown(
-                        "--checker value",
-                        &v,
-                        checker_values().iter().map(|(n, _)| *n),
-                    )
-                });
-            }
             "--crashed-pending" => {
                 let v = value(&mut i);
                 config.crashed_pending = parse_crashed_pending(&v).unwrap_or_else(|| {
@@ -401,33 +382,19 @@ fn main() {
     let deadline =
         time_budget_ms.map(|ms| std::time::Instant::now() + std::time::Duration::from_millis(ms));
     config.explore.deadline = deadline;
-    let mut skipped: Vec<&str> = Vec::new();
-    let mut reports: Vec<ScenarioReport> = Vec::new();
-    for (idx, s) in scenarios.iter().enumerate() {
-        if let Some(d) = deadline {
-            if std::time::Instant::now() >= d {
-                skipped = scenarios[idx..].iter().map(|s| s.name).collect();
-                eprintln!(
-                    "time budget exhausted; skipping {} scenario(s): {}",
-                    skipped.len(),
-                    skipped.join(", ")
-                );
-                break;
-            }
-        }
+    let run = |s: &'static Scenario| {
         // One fresh observer per scenario: what it records lands in this
-        // scenario's JSON entry and nothing else's. The observer is called
-        // once per completed schedule (a depth-histogram bump and an
-        // hb-class fingerprint), never per tick, so the CLI always attaches
-        // it; the zero-cost NoObserver path is for library/bench callers
-        // that leave `observer` unset.
+        // scenario's JSON entry and nothing else's, and its heartbeats carry
+        // the scenario's name. The observer is called once per completed
+        // schedule (a depth-histogram bump and an hb-class fingerprint),
+        // never per tick, so the CLI always attaches it; the zero-cost
+        // NoObserver path is for library/bench callers that leave
+        // `observer` unset.
         let mut run_config = config.clone();
-        run_config.observer = Some(Arc::new(TelemetryObserver::new(
-            heartbeat,
-            config.explore.max_schedules,
-        )));
+        run_config.observer = Some(Arc::new(
+            TelemetryObserver::new(heartbeat, config.explore.max_schedules).labelled(s.name),
+        ));
         let report = s.run(&run_config);
-        let secs = report.secs;
         let status = match (&report.outcome, report.as_expected()) {
             (Outcome::ConfigError(msg), _) => format!("CONFIG ERROR: {msg}"),
             (Outcome::HarnessFailure { message }, _) => format!("HARNESS FAILURE: {message}"),
@@ -451,14 +418,22 @@ fn main() {
             report.explore.executed_steps,
             report.checker_states,
             cli_name(reduction_values(), report.reduction),
-            secs
+            report.secs
         );
         if let (Some(dir), Outcome::Violation { schedule, message }) =
             (&artifacts_dir, &report.outcome)
         {
             emit_artifact(dir, s, &config, schedule, message);
         }
-        reports.push(report);
+        report
+    };
+    let (reports, skipped) = run_selection(&scenarios, config.explore.threads, deadline, run);
+    if !skipped.is_empty() {
+        eprintln!(
+            "time budget exhausted; skipping {} scenario(s): {}",
+            skipped.len(),
+            skipped.join(", ")
+        );
     }
 
     let json = reports_to_json_partial(&config, &reports, &skipped, skipped.is_empty());

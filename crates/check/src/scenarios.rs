@@ -23,12 +23,10 @@ use scl_core::{
     ResettableTas, SplitConsensus, WbRecovery, WriteBehindRegister,
 };
 use scl_sim::{
-    explore_schedules_monitored_observed_report,
-    explore_schedules_parallel_monitored_observed_report, replay_schedule, ExecutionResult,
-    ExploreConfig, ExploreError, ExploreObserver, ExploreOutcome, ExploreReport, ExploreStats,
-    ExploreViolation, MonitorFactory, NoMonitor, NoObserver, OpOutcome, Reduction, ReplayLog,
-    ReplayOutcome, ResumeMode, ScheduleMonitor, SharedMemory, SimObject, StepKind,
-    TelemetryObserver, TelemetrySnapshot, Workload,
+    explore_schedules_monitored_observed_report, replay_schedule, ExecutionResult, ExploreConfig,
+    ExploreError, ExploreOutcome, ExploreReport, ExploreStats, ExploreViolation, NoMonitor,
+    NoObserver, OpOutcome, Reduction, ReplayLog, ReplayOutcome, ResumeMode, ScheduleMonitor,
+    SharedMemory, SimObject, StepKind, TelemetryObserver, TelemetrySnapshot, Workload,
 };
 use scl_spec::{
     ConsensusOp, ConsensusSpec, History, ProcessId, QueueOp, QueueSpec, RegisterOp, RegisterSpec,
@@ -42,8 +40,8 @@ use std::time::Instant;
 /// Configuration of one scenario run (the CLI flags).
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
-    /// The explorer's configuration. The CLI sets the reduction, resume
-    /// mode, budgets, tick limit, trace mode, worker threads and deadline;
+    /// The explorer's configuration. The CLI sets the reduction, budgets,
+    /// tick limit, trace mode, worker count and deadline;
     /// scenarios set their own crash budget and eligibility (an arbitrary
     /// crash budget would invalidate outcome checks such as "exactly one
     /// winner") and partition mask (meaningful only against their own
@@ -55,15 +53,13 @@ pub struct CheckConfig {
     /// provably cannot change the commit projection, so per-schedule
     /// verdicts lose nothing; outcome-only scenarios run it as plain source
     /// DPOR, see [`ScenarioReport::reduction`]), prefix-resume backtracking,
-    /// and one worker thread. `threads` selects the driver: `1` drives the
-    /// exploration sequentially; any other value uses the parallel engine,
-    /// one DFS worker (with its own monitor) per thread, `0` meaning "use
-    /// the available parallelism". `metrics_only` is valid only for
-    /// scenarios whose checks never read the trace
-    /// ([`Scenario::needs_trace`] is `false`).
+    /// and one worker. A scenario always explores on one thread; `threads`
+    /// is how many scenarios [`run_selection`] runs at once (`0` = the
+    /// available parallelism). `metrics_only` is valid only for scenarios
+    /// whose checks never read the trace ([`Scenario::needs_trace`] is
+    /// `false`). Verdicts always come from the incremental checker
+    /// ([`CheckerMode::Incremental`]).
     pub explore: ExploreConfig,
-    /// How per-schedule verdicts are computed.
-    pub checker: CheckerMode,
     /// How crashed-pending operations enter the completion closure
     /// (`--crashed-pending`): [`CrashedPending::Open`] is plain
     /// linearizability, [`CrashedPending::Strict`] is strict
@@ -122,7 +118,6 @@ impl Default for CheckConfig {
                 threads: 1,
                 ..ExploreConfig::default()
             },
-            checker: CheckerMode::Incremental,
             crashed_pending: CrashedPending::Open,
             observer: None,
             replay: None,
@@ -162,11 +157,11 @@ pub enum Outcome {
     },
     /// The configuration is invalid for this scenario.
     ConfigError(String),
-    /// The harness itself failed (a worker panicked): not a verdict about
-    /// the object at all, and never "as expected" — even for scenarios that
-    /// expect a violation.
+    /// The harness itself failed (the scenario's run panicked): not a
+    /// verdict about the object at all, and never "as expected" — even for
+    /// scenarios that expect a violation.
     HarnessFailure {
-        /// The diagnostic (worker index and schedule prefix).
+        /// The diagnostic: the scenario name and the panic message.
         message: String,
     },
 }
@@ -271,7 +266,9 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Runs the scenario under `config` and reports.
+    /// Runs the scenario under `config` and reports. A panic inside the run
+    /// (in the object, a check or the monitor) is caught and reported as
+    /// [`Outcome::HarnessFailure`] naming the scenario.
     pub fn run(&self, config: &CheckConfig) -> ScenarioReport {
         if config.explore.metrics_only && self.needs_trace {
             return ScenarioReport {
@@ -292,30 +289,51 @@ impl Scenario {
             };
         }
         let start = Instant::now();
-        let RunnerOutput {
-            report,
-            checker_states,
-            reduction,
-        } = (self.runner)(config);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.runner)(config)));
         let secs = start.elapsed().as_secs_f64();
-        let outcome = match report.outcome {
-            Ok(ExploreOutcome::Exhausted { schedules }) => Outcome::Exhausted { schedules },
-            Ok(ExploreOutcome::LimitReached { schedules }) => Outcome::LimitReached { schedules },
-            Err(ExploreError::Check(v)) => Outcome::Violation {
-                schedule: v.schedule,
-                message: v.message,
-            },
-            Err(e @ ExploreError::WorkerPanic { .. }) => Outcome::HarnessFailure {
-                // Name the scenario: a panic surfaces far from the run loop
-                // (CI logs, JSON reports), where "worker 3 panicked" alone
-                // is undebuggable.
-                message: format!("scenario `{}`: {e}", self.name),
-            },
+        let (outcome, stats, checker_states, reduction) = match run {
+            Ok(RunnerOutput {
+                report,
+                checker_states,
+                reduction,
+            }) => {
+                let outcome = match report.outcome {
+                    Ok(ExploreOutcome::Exhausted { schedules }) => Outcome::Exhausted { schedules },
+                    Ok(ExploreOutcome::LimitReached { schedules }) => {
+                        Outcome::LimitReached { schedules }
+                    }
+                    Err(ExploreError::Check(v)) => Outcome::Violation {
+                        schedule: v.schedule,
+                        message: v.message,
+                    },
+                    Err(e @ ExploreError::WorkerPanic { .. }) => {
+                        unreachable!("the engine never reports {e}")
+                    }
+                };
+                (outcome, report.stats, checker_states, reduction)
+            }
+            Err(payload) => {
+                let what = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("a non-string payload");
+                // Name the scenario: the report entry may be read far from
+                // the panic's own stderr line.
+                let message = format!("scenario `{}` panicked: {what}", self.name);
+                let outcome = Outcome::HarnessFailure { message };
+                (
+                    outcome,
+                    ExploreStats::default(),
+                    0,
+                    config.explore.reduction,
+                )
+            }
         };
         ScenarioReport {
             name: self.name,
             outcome,
-            explore: report.stats,
+            explore: stats,
             reduction,
             checker_states,
             expect_violation: self.expect_violation,
@@ -324,6 +342,63 @@ impl Scenario {
             telemetry: config.observer.as_ref().map(|o| o.snapshot()),
         }
     }
+}
+
+/// Runs `selection` on up to `workers` threads (`0` = the available
+/// parallelism) and returns the reports of the scenarios that ran, in
+/// selection order, with the names of those that did not.
+///
+/// Each worker claims the next unclaimed scenario of the selection and runs
+/// it with `run` (typically [`Scenario::run`] under a config carrying the
+/// scenario's own observer), one scenario per thread at a time. Once
+/// `deadline` has passed no scenario starts; claims are serialised, so the
+/// scenarios that ran are a prefix of the selection and the skipped ones the
+/// rest. Every scenario explores on one thread, so the reports do not
+/// depend on the worker count.
+pub fn run_selection<F>(
+    selection: &[&'static Scenario],
+    workers: usize,
+    deadline: Option<Instant>,
+    run: F,
+) -> (Vec<ScenarioReport>, Vec<&'static str>)
+where
+    F: Fn(&'static Scenario) -> ScenarioReport + Sync,
+{
+    // Past the deadline nothing starts, so no thread is spawned either.
+    let workers = match workers {
+        _ if deadline.is_some_and(|d| Instant::now() >= d) => 1,
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        w => w,
+    }
+    .min(selection.len())
+    .max(1);
+    let next = Mutex::new(0usize);
+    let slots: Vec<Mutex<Option<ScenarioReport>>> =
+        selection.iter().map(|_| Mutex::new(None)).collect();
+    let work = || loop {
+        let i = {
+            let mut next = next.lock().expect("claims never panic");
+            if *next == selection.len() || deadline.is_some_and(|d| Instant::now() >= d) {
+                return;
+            }
+            *next += 1;
+            *next - 1
+        };
+        let report = run(selection[i]);
+        *slots[i].lock().expect("slots are written once") = Some(report);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
+    let reports: Vec<ScenarioReport> = slots
+        .into_iter()
+        .map_while(|slot| slot.into_inner().expect("slots are written once"))
+        .collect();
+    let skipped = selection[reports.len()..].iter().map(|s| s.name).collect();
+    (reports, skipped)
 }
 
 /// Runs a workload through the unified exploration engine with the
@@ -338,15 +413,12 @@ fn explore_with_lin_opt<S, V, O, FSetup, FExtra, FGate>(
     lin_applies: FGate,
 ) -> RunnerOutput
 where
-    S: SequentialSpec + Send + Sync,
-    S::State: Send,
-    S::Op: Send + Sync,
-    S::Resp: Send,
-    V: Clone + Eq + Hash + Debug + Sync,
+    S: SequentialSpec,
+    V: Clone + Eq + Hash + Debug,
     O: SimObject<S, V>,
-    FSetup: Fn(&mut SharedMemory) -> O + Sync,
-    FExtra: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String> + Sync,
-    FGate: Fn(&ExecutionResult<S, V>) -> bool + Sync,
+    FSetup: FnMut(&mut SharedMemory) -> O,
+    FExtra: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String>,
+    FGate: Fn(&ExecutionResult<S, V>) -> bool,
 {
     // When an observer is attached, every verdict call is timed into its
     // checker-wall counter, so reports can split total wall time into
@@ -367,13 +439,12 @@ where
             None => m.verdict(),
         }
     };
-    let (checker, crashed_pending) = (config.checker, config.crashed_pending);
-    let factory =
-        move || LinMonitor::new(spec.clone(), checker).with_crashed_pending(crashed_pending);
-    let (report, monitors) = run_checked(config, setup, workload, factory, check);
+    let monitor = LinMonitor::new(spec, CheckerMode::Incremental)
+        .with_crashed_pending(config.crashed_pending);
+    let (report, monitor) = run_checked(config, setup, workload, monitor, check);
     RunnerOutput {
         report,
-        checker_states: monitors.iter().map(LinMonitor::checker_states).sum(),
+        checker_states: monitor.checker_states(),
         reduction: config.explore.reduction,
     }
 }
@@ -387,14 +458,11 @@ fn explore_with_lin<S, V, O, FSetup, FExtra>(
     extra: FExtra,
 ) -> RunnerOutput
 where
-    S: SequentialSpec + Send + Sync,
-    S::State: Send,
-    S::Op: Send + Sync,
-    S::Resp: Send,
-    V: Clone + Eq + Hash + Debug + Sync,
+    S: SequentialSpec,
+    V: Clone + Eq + Hash + Debug,
     O: SimObject<S, V>,
-    FSetup: Fn(&mut SharedMemory) -> O + Sync,
-    FExtra: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String> + Sync,
+    FSetup: FnMut(&mut SharedMemory) -> O,
+    FExtra: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String>,
 {
     explore_with_lin_opt(config, spec, setup, workload, extra, |_res| true)
 }
@@ -413,11 +481,10 @@ fn explore_outcomes<S, V, O, FSetup, FCheck>(
 ) -> RunnerOutput
 where
     S: SequentialSpec,
-    S::Op: Sync,
-    V: Clone + Eq + Hash + Debug + Sync,
+    V: Clone + Eq + Hash + Debug,
     O: SimObject<S, V>,
-    FSetup: Fn(&mut SharedMemory) -> O + Sync,
-    FCheck: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String> + Sync,
+    FSetup: FnMut(&mut SharedMemory) -> O,
+    FCheck: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String>,
 {
     let mut config = config.clone();
     if config.explore.reduction.preserves_lin() {
@@ -425,7 +492,7 @@ where
     }
     let check =
         move |res: &ExecutionResult<S, V>, mem: &SharedMemory, _m: &mut NoMonitor| check(res, mem);
-    let (report, _) = run_checked(&config, setup, workload, || NoMonitor, check);
+    let (report, _) = run_checked(&config, setup, workload, NoMonitor, check);
     RunnerOutput {
         report,
         checker_states: 0,
@@ -433,87 +500,46 @@ where
     }
 }
 
-/// Explores the workload with one monitor per engine from `factory` (or
-/// replays [`CheckConfig::replay`]'s schedule with one), and returns the
-/// report with the monitors.
-fn run_checked<S, V, O, MF, FSetup, FCheck>(
+/// Explores the workload with `monitor` attached (or replays
+/// [`CheckConfig::replay`]'s schedule with it), and returns the report with
+/// the monitor.
+fn run_checked<S, V, O, M, FSetup, FCheck>(
     config: &CheckConfig,
     setup: FSetup,
     workload: &Workload<S, V>,
-    factory: MF,
+    mut monitor: M,
     check: FCheck,
-) -> (ExploreReport, Vec<MF::Monitor>)
+) -> (ExploreReport, M)
 where
     S: SequentialSpec,
-    S::Op: Sync,
-    V: Clone + Eq + Hash + Debug + Sync,
+    V: Clone + Eq + Hash + Debug,
     O: SimObject<S, V>,
-    MF: MonitorFactory<S, V> + Sync,
-    MF::Monitor: Send,
-    FSetup: Fn(&mut SharedMemory) -> O + Sync,
-    FCheck:
-        Fn(&ExecutionResult<S, V>, &SharedMemory, &mut MF::Monitor) -> Result<(), String> + Sync,
+    M: ScheduleMonitor<S, V>,
+    FSetup: FnMut(&mut SharedMemory) -> O,
+    FCheck: FnMut(&ExecutionResult<S, V>, &SharedMemory, &mut M) -> Result<(), String>,
 {
-    if let Some(capture) = &config.replay {
-        let mut monitor = factory.monitor();
-        let report = replay(config, setup, workload, capture, &mut monitor, check);
-        return (report, vec![monitor]);
-    }
-    match &config.observer {
-        Some(obs) => drive(config, setup, workload, &factory, check, obs.as_ref()),
-        None => drive(config, setup, workload, &factory, check, &NoObserver),
-    }
-}
-
-/// The exploration driver behind [`run_checked`], generic over the observer
-/// so the `None` arm monomorphises to the zero-cost [`NoObserver`] engine.
-///
-/// `config.explore.threads` selects the driver: `1` runs the sequential
-/// engine with one monitor; anything else runs the parallel engine, one
-/// monitor per DFS worker. Both drivers execute the same engine code and the
-/// same check closure, so verdicts (and the deterministic first-in-DFS-order
-/// violation) are identical.
-fn drive<S, V, O, MF, Obs, FSetup, FCheck>(
-    config: &CheckConfig,
-    setup: FSetup,
-    workload: &Workload<S, V>,
-    factory: &MF,
-    check: FCheck,
-    obs: &Obs,
-) -> (ExploreReport, Vec<MF::Monitor>)
-where
-    S: SequentialSpec,
-    S::Op: Sync,
-    V: Clone + Eq + Hash + Debug + Sync,
-    O: SimObject<S, V>,
-    MF: MonitorFactory<S, V> + Sync,
-    MF::Monitor: Send,
-    Obs: ExploreObserver,
-    FSetup: Fn(&mut SharedMemory) -> O + Sync,
-    FCheck:
-        Fn(&ExecutionResult<S, V>, &SharedMemory, &mut MF::Monitor) -> Result<(), String> + Sync,
-{
-    if config.explore.threads == 1 {
-        let mut monitor = factory.monitor();
-        let report = explore_schedules_monitored_observed_report(
+    let explore = &config.explore;
+    let report = match (&config.replay, &config.observer) {
+        (Some(capture), _) => replay(config, setup, workload, capture, &mut monitor, check),
+        (None, Some(obs)) => explore_schedules_monitored_observed_report(
             setup,
             workload,
-            &config.explore,
+            explore,
             &mut monitor,
-            obs,
+            obs.as_ref(),
             check,
-        );
-        (report, vec![monitor])
-    } else {
-        explore_schedules_parallel_monitored_observed_report(
+        ),
+        // No observer: the engine monomorphises the zero-cost `NoObserver`.
+        (None, None) => explore_schedules_monitored_observed_report(
             setup,
             workload,
-            &config.explore,
-            factory,
-            obs,
+            explore,
+            &mut monitor,
+            &NoObserver,
             check,
-        )
-    }
+        ),
+    };
+    (report, monitor)
 }
 
 /// The replay driver behind [`run_checked`]: re-executes the capture's
@@ -1639,22 +1665,6 @@ pub fn reduction_values() -> &'static [(&'static str, Reduction)] {
     ]
 }
 
-/// The accepted `--resume` CLI values (see [`reduction_values`]).
-pub fn resume_values() -> &'static [(&'static str, ResumeMode)] {
-    &[
-        ("full-replay", ResumeMode::FullReplay),
-        ("prefix-resume", ResumeMode::PrefixResume),
-    ]
-}
-
-/// The accepted `--checker` CLI values (see [`reduction_values`]).
-pub fn checker_values() -> &'static [(&'static str, CheckerMode)] {
-    &[
-        ("incremental", CheckerMode::Incremental),
-        ("from-scratch", CheckerMode::FromScratch),
-    ]
-}
-
 /// The accepted `--crashed-pending` CLI values (see [`reduction_values`]).
 pub fn crashed_pending_values() -> &'static [(&'static str, CrashedPending)] {
     &[
@@ -1681,22 +1691,6 @@ pub fn parse_reduction(s: &str) -> Option<Reduction> {
         .iter()
         .find(|(name, _)| *name == s)
         .map(|(_, r)| *r)
-}
-
-/// Resume modes by CLI name.
-pub fn parse_resume(s: &str) -> Option<ResumeMode> {
-    resume_values()
-        .iter()
-        .find(|(name, _)| *name == s)
-        .map(|(_, r)| *r)
-}
-
-/// Checker modes by CLI name.
-pub fn parse_checker(s: &str) -> Option<CheckerMode> {
-    checker_values()
-        .iter()
-        .find(|(name, _)| *name == s)
-        .map(|(_, c)| *c)
 }
 
 /// Crashed-pending closure modes by CLI name.
@@ -1762,14 +1756,6 @@ pub fn reduction_name(r: Reduction) -> &'static str {
     }
 }
 
-/// The CLI/report name of a resume mode.
-pub fn resume_name(r: ResumeMode) -> &'static str {
-    match r {
-        ResumeMode::FullReplay => "full_replay",
-        ResumeMode::PrefixResume => "prefix_resume",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1802,19 +1788,11 @@ mod tests {
             assert_eq!(parse_reduction(name), Some(*r));
             assert!(!reduction_name(*r).is_empty());
         }
-        for (name, r) in resume_values() {
-            assert_eq!(parse_resume(name), Some(*r));
-        }
-        for (name, c) in checker_values() {
-            assert_eq!(parse_checker(name), Some(*c));
-        }
         for (name, c) in crashed_pending_values() {
             assert_eq!(parse_crashed_pending(name), Some(*c));
             assert_eq!(c.name(), *name);
         }
         assert_eq!(parse_reduction("bogus"), None);
-        assert_eq!(parse_resume("bogus"), None);
-        assert_eq!(parse_checker("bogus"), None);
         assert_eq!(parse_crashed_pending("bogus"), None);
     }
 
@@ -1859,6 +1837,58 @@ mod tests {
                 unknown_value_message("--reduction value", removed, names.iter().copied()),
                 format!("unknown --reduction value `{removed}` (see scl-check --list)")
             );
+        }
+    }
+
+    fn panicking_runner(_config: &CheckConfig) -> RunnerOutput {
+        panic!("injected runner panic");
+    }
+
+    /// A scenario whose runner panics before exploring anything.
+    static PANICS: Scenario = Scenario {
+        name: "panicking_runner_n2",
+        object: "none",
+        processes: 2,
+        description: "a runner that panics",
+        checks: &[],
+        expect_violation: false,
+        needs_schedules: 0,
+        needs_trace: false,
+        runner: panicking_runner,
+    };
+
+    #[test]
+    fn a_panicking_scenario_is_a_harness_failure_while_the_others_report() {
+        let config = CheckConfig::smoke();
+        let (first, last) = (find("spec_tas_n2").unwrap(), find("a1_n2").unwrap());
+        let selection = [first, &PANICS, last];
+        for workers in [1, 2] {
+            let (reports, skipped) = run_selection(&selection, workers, None, |s| s.run(&config));
+            assert!(skipped.is_empty());
+            let names: Vec<&str> = reports.iter().map(|r| r.name).collect();
+            assert_eq!(
+                names,
+                [first.name, PANICS.name, last.name],
+                "workers={workers}"
+            );
+            match &reports[1].outcome {
+                Outcome::HarnessFailure { message } => assert!(
+                    message.contains("panicking_runner_n2")
+                        && message.contains("injected runner panic"),
+                    "{message}"
+                ),
+                other => panic!("workers={workers}: expected a harness failure, got {other:?}"),
+            }
+            assert!(!reports[1].as_expected());
+            for i in [0, 2] {
+                assert!(
+                    matches!(reports[i].outcome, Outcome::Exhausted { .. }),
+                    "workers={workers}: {:?}",
+                    reports[i].outcome
+                );
+            }
+            let json = crate::reports_to_json(&config, &reports);
+            assert!(json.contains("\"panicking_runner_n2\": {\"outcome\": \"harness_failure\""));
         }
     }
 

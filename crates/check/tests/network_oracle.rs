@@ -120,10 +120,9 @@ fn abd_reductions_have_the_full_verdict_set_under_crash_and_drop_budgets() {
 
 #[test]
 fn parallel_engine_matches_sequential_on_the_abd_network_space() {
-    // The parallel driver must reproduce the sequential verdict-signature
-    // set on a space where deliveries, drops and crashes are scheduled
-    // transitions — network pseudo-process tickets (and their sleep bits)
-    // cross worker boundaries here.
+    // The benchmark harness's parallel-named entry point (a shim over the
+    // engine) must reproduce the sequential verdict-signature set on a space
+    // where deliveries, drops and crashes are scheduled transitions.
     let wl: Wl = Workload::from_ops(vec![vec![RegisterOp::Write(5)]]);
     let cap = 12;
     let reduction = Reduction::SourceDporLinPreserving;
@@ -167,8 +166,6 @@ fn parallel_engine_matches_sequential_on_the_abd_network_space() {
             "parallel exploration must exhaust, got {:?}",
             report.outcome
         );
-        // Wave-parallel source DPOR guarantees coverage, not
-        // representative counts.
         assert_eq!(seq, set.into_inner().unwrap(), "{resume:?}");
     }
 }
@@ -241,7 +238,8 @@ fn abd_majority_partition_wedges_as_a_designed_progress_violation() {
 /// The verdict-signature set of an ABD emulation with two clients (see
 /// [`two_client_abd_reductions_have_the_full_verdict_set`]): every op's
 /// outcome, which processes crashed, and the bridge's per-schedule verdict.
-/// `workers = 1` runs the sequential engine, more the wave-parallel one.
+/// `workers = 1` runs the sequential engine, more goes through the benchmark
+/// harness's `explore_schedules_parallel_monitored_observed_report` shim.
 fn two_client_signature_set(
     wl: &Wl,
     config: &ExploreConfig,
@@ -306,7 +304,7 @@ fn two_client_abd_reductions_have_the_full_verdict_set() {
     // and crashes of different operations race with each other and every
     // reversal is branched from a race. Under a 1-crash budget, a 1-drop
     // budget and both (160004, 199914 and 638912 unreduced schedules), both
-    // source-DPOR modes, sequential and with two workers, reach exactly the
+    // source-DPOR modes, sequential and through the shim, reach exactly the
     // signatures of full enumeration. With both budgets, faults go first at
     // some nodes of one tree: a crash awake beside its sleeping step, and
     // the drop of an awake delivery. (A drop awake beside its sleeping

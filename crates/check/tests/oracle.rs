@@ -2,14 +2,24 @@
 //! incremental checker: everything is validated against unreduced full
 //! enumeration and the from-scratch Wing–Gong checker.
 
-use scl_check::{find, CheckConfig, CheckerMode, CrashedPending, LinMonitor, Outcome};
-use scl_core::{new_speculative_tas, A1Tas, A1Variant, A2Tas, Composed};
+use scl_check::{
+    find, run_selection, CheckConfig, CheckerMode, CrashedPending, LinMonitor, Outcome, Scenario,
+};
+use scl_core::{
+    new_speculative_tas, A1Tas, A1Variant, A2Tas, Composed, RecoverableTas, WbRecovery,
+    WriteBehindRegister,
+};
 use scl_sim::{
     explore_schedules_monitored_observed_report, explore_schedules_report, ExecutionResult,
-    ExploreConfig, ExploreOutcome, NoObserver, Reduction, ResumeMode, SharedMemory, Workload,
+    ExploreConfig, ExploreError, ExploreOutcome, NoObserver, Reduction, ResumeMode, SharedMemory,
+    SimObject, Workload,
 };
-use scl_spec::{check_linearizable, TasOp, TasSpec, TasSwitch};
+use scl_spec::{
+    check_linearizable, RegisterOp, RegisterSpec, SequentialSpec, TasOp, TasSpec, TasSwitch,
+};
 use std::collections::BTreeSet;
+use std::fmt::Debug;
+use std::hash::Hash;
 
 type Wl = Workload<TasSpec, TasSwitch>;
 
@@ -61,6 +71,71 @@ where
     (set, schedules)
 }
 
+/// Explores `wl` with a from-scratch [`LinMonitor`] under `crashed_pending`
+/// and stops at the first schedule whose commit projection it rejects: a
+/// linearizability scenario's verdict with the reference checker in place
+/// of the incremental one `scl-check` runs. Returns whether a schedule was
+/// rejected; panics if the space is not exhausted otherwise.
+fn from_scratch_violates<S, V, O, F>(
+    spec: S,
+    setup: F,
+    wl: &Workload<S, V>,
+    explore: &ExploreConfig,
+    crashed_pending: CrashedPending,
+) -> bool
+where
+    S: SequentialSpec,
+    V: Clone + Eq + Hash + Debug,
+    O: SimObject<S, V>,
+    F: FnMut(&mut SharedMemory) -> O,
+{
+    let mut monitor =
+        LinMonitor::new(spec, CheckerMode::FromScratch).with_crashed_pending(crashed_pending);
+    let report = explore_schedules_monitored_observed_report(
+        setup,
+        wl,
+        explore,
+        &mut monitor,
+        &NoObserver,
+        |_res, _mem, m: &mut LinMonitor<S>| m.verdict(),
+    );
+    match report.outcome {
+        Ok(ExploreOutcome::Exhausted { .. }) => false,
+        Err(ExploreError::Check(_)) => true,
+        other => panic!("the from-scratch run must exhaust or reject a schedule: {other:?}"),
+    }
+}
+
+/// The `a1_dropped_raw_fence_n2` object: A1 without its raw fence, composed
+/// with A2.
+fn dropped_raw_fence_mutant(mem: &mut SharedMemory) -> Composed<A1Tas, A2Tas> {
+    Composed::new(
+        A1Tas::with_variant(mem, A1Variant::DroppedRawFence),
+        A2Tas::new(mem),
+    )
+}
+
+/// The write-behind workload of the `crash_write_behind_*` and
+/// `recovery_write_behind_*` scenarios: p0 writes 5, p1 reads twice.
+fn write_behind_workload() -> Workload<RegisterSpec, ()> {
+    Workload::from_ops(vec![
+        vec![RegisterOp::Write(5)],
+        vec![RegisterOp::Read, RegisterOp::Read],
+    ])
+}
+
+/// The explorer budget of the write-behind scenarios: one crash of the
+/// writer and, with `restarts`, one restart of it.
+fn write_behind_explore(base: ExploreConfig, restarts: bool) -> ExploreConfig {
+    ExploreConfig {
+        max_crashes: 1,
+        crash_eligible: 0b01,
+        max_recoveries: usize::from(restarts),
+        recovery_eligible: 0b01,
+        ..base
+    }
+}
+
 #[test]
 fn lin_preserving_reductions_have_the_full_verdict_set_on_n2_speculative_tas() {
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
@@ -93,12 +168,7 @@ fn lin_preserving_reduction_keeps_the_mutants_violating_signatures() {
     // Same oracle on the seeded DroppedRawFence mutant: the violating
     // signatures (two winners, not linearizable) must survive the reduction.
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
-    let mk = |mem: &mut SharedMemory| {
-        Composed::new(
-            A1Tas::with_variant(mem, A1Variant::DroppedRawFence),
-            A2Tas::new(mem),
-        )
-    };
+    let mk = dropped_raw_fence_mutant;
     let (full, _) = signature_set(mk, &wl, Reduction::Off);
     let (source, _) = signature_set(mk, &wl, Reduction::SourceDporLinPreserving);
     assert_eq!(full, source);
@@ -155,34 +225,46 @@ fn incremental_checker_agrees_with_from_scratch_on_every_explored_schedule() {
 
 #[test]
 fn dropped_raw_fence_mutant_is_detected_in_every_mode() {
+    // The scenario (incremental checker) and the same workload under the
+    // from-scratch checker.
     let scenario = find("a1_dropped_raw_fence_n2").expect("registered");
+    let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
     for reduction in [
         Reduction::Off,
         Reduction::SourceDpor,
         Reduction::SourceDporLinPreserving,
     ] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-            for checker in [CheckerMode::Incremental, CheckerMode::FromScratch] {
-                for metrics_only in [false, true] {
-                    let config = CheckConfig {
-                        explore: ExploreConfig {
-                            reduction,
-                            resume,
-                            metrics_only,
-                            ..CheckConfig::default().explore
-                        },
-                        checker,
-                        ..Default::default()
-                    };
-                    let report = scenario.run(&config);
-                    assert!(
-                        matches!(report.outcome, Outcome::Violation { .. }),
-                        "mutant not detected under {reduction:?}/{resume:?}/{checker:?}/\
-                         metrics_only={metrics_only}: {:?}",
-                        report.outcome
-                    );
-                    assert!(report.as_expected());
-                }
+            for metrics_only in [false, true] {
+                let explore = ExploreConfig {
+                    reduction,
+                    resume,
+                    metrics_only,
+                    ..CheckConfig::default().explore
+                };
+                let config = CheckConfig {
+                    explore: explore.clone(),
+                    ..Default::default()
+                };
+                let report = scenario.run(&config);
+                assert!(
+                    matches!(report.outcome, Outcome::Violation { .. }),
+                    "mutant not detected under {reduction:?}/{resume:?}/\
+                     metrics_only={metrics_only}: {:?}",
+                    report.outcome
+                );
+                assert!(report.as_expected());
+                assert!(
+                    from_scratch_violates(
+                        TasSpec,
+                        dropped_raw_fence_mutant,
+                        &wl,
+                        &explore,
+                        CrashedPending::Open
+                    ),
+                    "mutant not detected by the from-scratch checker under \
+                     {reduction:?}/{resume:?}/metrics_only={metrics_only}"
+                );
             }
         }
     }
@@ -241,21 +323,19 @@ fn metrics_only_with_trace_consuming_checks_is_a_config_error() {
 
 #[test]
 fn every_registered_scenario_matches_its_expectation_under_smoke_bounds() {
-    // Sequentially and with the parallel monitor-carrying driver.
+    // One scenario at a time and two at once, as `scl-check --workers`
+    // runs them.
+    let config = CheckConfig::smoke();
+    let selection: Vec<&Scenario> = scl_check::registry().iter().collect();
     for workers in [1, 2] {
-        let config = CheckConfig {
-            explore: ExploreConfig {
-                threads: workers,
-                ..CheckConfig::smoke().explore
-            },
-            ..CheckConfig::smoke()
-        };
-        for scenario in scl_check::registry() {
-            let report = scenario.run(&config);
+        let (reports, skipped) = run_selection(&selection, workers, None, |s| s.run(&config));
+        assert!(skipped.is_empty(), "no deadline, nothing skipped");
+        assert_eq!(reports.len(), selection.len());
+        for report in reports {
             assert!(
                 report.as_expected(),
                 "scenario {} (workers={workers}): {:?}",
-                scenario.name,
+                report.name,
                 report.outcome
             );
         }
@@ -535,32 +615,48 @@ fn recovery_mutant_is_detected_in_every_mode() {
     // The blind-winner recovery bug is a *final-state* violation (two
     // committed winners), so even the non-lin-preserving reductions must
     // find it — they preserve reachable final states.
+    // Checked through the scenario (incremental checker) and, on the same
+    // 1-crash + 1-restart space, by the from-scratch checker.
     let scenario = find("recovery_tas_mutant_n2").expect("registered");
+    let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
     for reduction in [
         Reduction::Off,
         Reduction::SourceDpor,
         Reduction::SourceDporLinPreserving,
     ] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-            for checker in [CheckerMode::Incremental, CheckerMode::FromScratch] {
-                let config = CheckConfig {
-                    explore: ExploreConfig {
-                        reduction,
-                        resume,
-                        ..CheckConfig::default().explore
-                    },
-                    checker,
-                    ..Default::default()
-                };
-                let report = scenario.run(&config);
-                assert!(
-                    matches!(report.outcome, Outcome::Violation { .. }),
-                    "recovery mutant not detected under {reduction:?}/{resume:?}/{checker:?}: \
-                     {:?}",
-                    report.outcome
-                );
-                assert!(report.as_expected());
-            }
+            let explore = ExploreConfig {
+                reduction,
+                resume,
+                ..CheckConfig::default().explore
+            };
+            let config = CheckConfig {
+                explore: explore.clone(),
+                ..Default::default()
+            };
+            let report = scenario.run(&config);
+            assert!(
+                matches!(report.outcome, Outcome::Violation { .. }),
+                "recovery mutant not detected under {reduction:?}/{resume:?}: {:?}",
+                report.outcome
+            );
+            assert!(report.as_expected());
+            let explore = ExploreConfig {
+                max_crashes: 1,
+                max_recoveries: 1,
+                ..explore
+            };
+            assert!(
+                from_scratch_violates(
+                    TasSpec,
+                    |mem: &mut SharedMemory| RecoverableTas::new_mutant(mem, 2),
+                    &wl,
+                    &explore,
+                    CrashedPending::Open
+                ),
+                "recovery mutant not detected by the from-scratch checker under \
+                 {reduction:?}/{resume:?}"
+            );
         }
     }
 }
@@ -573,34 +669,58 @@ fn durable_and_recoverable_closures_separate_on_the_write_behind_register() {
     // commit satisfies `durable` while the never-restarted subspace still
     // breaks `strict`. Both checker modes agree.
     let cases = [
-        ("recovery_write_behind_flush_durable_n2", false),
-        ("recovery_write_behind_flush_strict_n2", true),
-        ("recovery_write_behind_abandon_durable_n2", false),
-        ("recovery_write_behind_abandon_recoverable_n2", true),
+        (
+            "recovery_write_behind_flush_durable_n2",
+            WbRecovery::Flush,
+            CrashedPending::Durable,
+            false,
+        ),
+        (
+            "recovery_write_behind_flush_strict_n2",
+            WbRecovery::Flush,
+            CrashedPending::Strict,
+            true,
+        ),
+        (
+            "recovery_write_behind_abandon_durable_n2",
+            WbRecovery::Abandon,
+            CrashedPending::Durable,
+            false,
+        ),
+        (
+            "recovery_write_behind_abandon_recoverable_n2",
+            WbRecovery::Abandon,
+            CrashedPending::Recoverable,
+            true,
+        ),
     ];
-    for (name, violates) in cases {
-        let scenario = find(name).expect("registered");
-        for checker in [CheckerMode::Incremental, CheckerMode::FromScratch] {
-            let config = CheckConfig {
-                checker,
-                ..Default::default()
-            };
-            let report = scenario.run(&config);
-            if violates {
-                assert!(
-                    matches!(report.outcome, Outcome::Violation { .. }),
-                    "{name}/{checker:?}: {:?}",
-                    report.outcome
-                );
-            } else {
-                assert!(
-                    matches!(report.outcome, Outcome::Exhausted { .. }),
-                    "{name}/{checker:?}: {:?}",
-                    report.outcome
-                );
-            }
-            assert!(report.as_expected());
+    for (name, recovery, crashed_pending, violates) in cases {
+        assert_eq!(
+            from_scratch_violates(
+                RegisterSpec,
+                |mem: &mut SharedMemory| WriteBehindRegister::with_recovery(mem, recovery),
+                &write_behind_workload(),
+                &write_behind_explore(CheckConfig::default().explore, true),
+                crashed_pending,
+            ),
+            violates,
+            "{name}/FromScratch"
+        );
+        let report = find(name).expect("registered").run(&CheckConfig::default());
+        if violates {
+            assert!(
+                matches!(report.outcome, Outcome::Violation { .. }),
+                "{name}: {:?}",
+                report.outcome
+            );
+        } else {
+            assert!(
+                matches!(report.outcome, Outcome::Exhausted { .. }),
+                "{name}: {:?}",
+                report.outcome
+            );
         }
+        assert!(report.as_expected());
     }
 }
 
@@ -608,25 +728,100 @@ fn durable_and_recoverable_closures_separate_on_the_write_behind_register() {
 fn strict_and_open_closures_separate_on_the_write_behind_register() {
     // The crashed-pending axis is observable: identical histories, opposite
     // verdicts, under both checker modes.
+    let explore = write_behind_explore(CheckConfig::default().explore, false);
+    for (crashed_pending, violates) in [
+        (CrashedPending::Open, false),
+        (CrashedPending::Strict, true),
+    ] {
+        assert_eq!(
+            from_scratch_violates(
+                RegisterSpec,
+                WriteBehindRegister::new,
+                &write_behind_workload(),
+                &explore,
+                crashed_pending,
+            ),
+            violates,
+            "{crashed_pending:?}/FromScratch"
+        );
+    }
     let open = find("crash_write_behind_open_n2").expect("registered");
     let strict = find("crash_write_behind_strict_n2").expect("registered");
-    for checker in [CheckerMode::Incremental, CheckerMode::FromScratch] {
-        let config = CheckConfig {
-            checker,
-            ..Default::default()
-        };
-        let open_report = open.run(&config);
-        assert!(
-            matches!(open_report.outcome, Outcome::Exhausted { .. }),
-            "{checker:?}: {:?}",
-            open_report.outcome
-        );
-        let strict_report = strict.run(&config);
-        assert!(
-            matches!(strict_report.outcome, Outcome::Violation { .. }),
-            "{checker:?}: {:?}",
-            strict_report.outcome
-        );
+    let config = CheckConfig::default();
+    let open_report = open.run(&config);
+    assert!(
+        matches!(open_report.outcome, Outcome::Exhausted { .. }),
+        "{:?}",
+        open_report.outcome
+    );
+    let strict_report = strict.run(&config);
+    assert!(
+        matches!(strict_report.outcome, Outcome::Violation { .. }),
+        "{:?}",
+        strict_report.outcome
+    );
+}
+
+/// Every schedule's verdict, in exploration order, from a `mode` monitor
+/// under `crashed_pending`, keyed by the schedule's decisions.
+fn write_behind_verdicts(
+    mode: CheckerMode,
+    recovery: WbRecovery,
+    crashed_pending: CrashedPending,
+) -> Vec<(String, bool)> {
+    let mut verdicts = Vec::new();
+    let mut monitor = LinMonitor::new(RegisterSpec, mode).with_crashed_pending(crashed_pending);
+    let explore = ExploreConfig {
+        reduction: Reduction::Off,
+        ..write_behind_explore(CheckConfig::default().explore, true)
+    };
+    let report = explore_schedules_monitored_observed_report(
+        |mem: &mut SharedMemory| WriteBehindRegister::with_recovery(mem, recovery),
+        &write_behind_workload(),
+        &explore,
+        &mut monitor,
+        &NoObserver,
+        |res, _mem, m: &mut LinMonitor<RegisterSpec>| {
+            verdicts.push((format!("{:?}", res.decisions), m.verdict().is_ok()));
+            Ok(())
+        },
+    );
+    assert!(
+        matches!(report.outcome, Ok(ExploreOutcome::Exhausted { .. })),
+        "{:?}",
+        report.outcome
+    );
+    verdicts
+}
+
+#[test]
+fn incremental_and_from_scratch_checkers_agree_on_every_write_behind_schedule() {
+    // Side by side on the unreduced 1-crash + 1-restart write-behind space,
+    // for every recovery routine × crashed-pending closure: both checkers
+    // give every schedule the same verdict. The strict × flush pair holds
+    // late commits — a recovery resolving the crashed write after reads
+    // invoked past its crash point — whose crash gate dissolves.
+    for recovery in [WbRecovery::None, WbRecovery::Flush, WbRecovery::Abandon] {
+        for crashed_pending in [
+            CrashedPending::Open,
+            CrashedPending::Strict,
+            CrashedPending::Durable,
+            CrashedPending::Recoverable,
+        ] {
+            let incremental =
+                write_behind_verdicts(CheckerMode::Incremental, recovery, crashed_pending);
+            let scratch =
+                write_behind_verdicts(CheckerMode::FromScratch, recovery, crashed_pending);
+            assert_eq!(incremental.len(), scratch.len());
+            for ((schedule, inc), (scratch_schedule, fs)) in incremental.iter().zip(&scratch) {
+                assert_eq!(schedule, scratch_schedule, "enumeration order must match");
+                assert_eq!(
+                    inc, fs,
+                    "{recovery:?}/{crashed_pending:?}: incremental={inc}, from-scratch={fs} on \
+                     {schedule}"
+                );
+            }
+        }
     }
 }
 

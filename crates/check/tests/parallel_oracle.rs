@@ -1,19 +1,17 @@
-//! Determinism oracle for the parallel monitor-carrying engine: on the full
-//! n=2 schedule spaces, the verdict-signature set produced by
-//! [`explore_schedules_parallel_monitored_observed_report`] must be
-//! bit-identical to
-//! the sequential engine's, for every reduction × resume × checker mode —
-//! including on the seeded `DroppedRawFence` mutant, whose non-linearizable
-//! signatures must survive the partitioned exploration.
+//! Oracle for the benchmark harness's entry point
+//! [`explore_schedules_parallel_monitored_observed_report`]: on the full n=2
+//! schedule spaces, the verdict-signature set it produces must be
+//! bit-identical to the sequential engine's, for every reduction × resume ×
+//! checker mode — including on the seeded `DroppedRawFence` mutant. The
+//! entry point once named a multi-threaded driver; it is now a shim that
+//! runs the same engine with one factory-built monitor, whatever thread
+//! count the config names, and `perfbench` compares its traced replicas
+//! with `scl-check` reports on that premise.
 //!
-//! Under `Reduction::Off` the parallel engine explores the *identical*
-//! tree, so schedule counts are compared too. The wave-parallel source-DPOR
-//! driver explores a deterministic sibling-ordering refinement of the
-//! sequential tree — identical equivalence-class coverage, possibly
-//! different representatives — so there the comparison is on exactly what
-//! each mode preserves: outcome signatures under `SourceDpor`, full
-//! outcome+verdict signatures under `SourceDporLinPreserving` (where the
-//! verdict is class-invariant).
+//! Under `Reduction::Off` schedule counts are compared too. Under the
+//! source-DPOR modes the comparison is on exactly what each mode preserves:
+//! outcome signatures under `SourceDpor`, full outcome+verdict signatures
+//! under `SourceDporLinPreserving` (where the verdict is class-invariant).
 
 use scl_check::{CheckerMode, LinMonitor};
 use scl_core::{new_speculative_tas, A1Tas, A1Variant, A2Tas, Composed};
@@ -139,7 +137,7 @@ where
 }
 
 /// Runs the oracle for one object over every reduction × resume × checker
-/// mode, asserting the parallel engine reproduces the sequential engine's
+/// mode, asserting the shim reproduces the sequential engine's
 /// verdict-signature set and schedule count exactly.
 fn assert_parallel_matches_sequential<O, F>(setup: F, expect_violating_signatures: bool)
 where
@@ -171,9 +169,8 @@ where
                     seq_set, par_set,
                     "verdict-signature sets diverge under {reduction:?}/{resume:?}/{checker:?}"
                 );
-                // `Off` partitions the *identical* tree across workers; the
-                // wave-parallel source-DPOR driver guarantees identical
-                // coverage, not identical representative counts.
+                // Under `Off` the counts are compared too (see the module
+                // doc).
                 if !reduction.is_source_dpor() {
                     assert_eq!(
                         seq_schedules, par_schedules,

@@ -443,7 +443,7 @@ impl OpLog {
 
 /// A reusable execution context: owns the result buffers and the executor's
 /// scratch state so repeated runs (one per explored schedule) reuse all
-/// allocations. Create once per worker, pass to [`Executor::run_in`].
+/// allocations. Create once per exploration, pass to [`Executor::run_in`].
 pub struct ExecSession<S: SequentialSpec, V> {
     states: Vec<ProcState<S, V>>,
     enabled: Vec<ProcessId>,

@@ -47,14 +47,13 @@
 //!
 //! # Throughput
 //!
-//! Each worker owns one [`SharedMemory`] and one [`ExecSession`] and reuses
+//! The engine owns one [`SharedMemory`] and one [`ExecSession`] and reuses
 //! them across the whole exploration; only the object under test is rebuilt
 //! on replays via `setup`. Checks that never look at the event trace can set
-//! [`ExploreConfig::metrics_only`] to skip all trace recording.
-//! [`explore_schedules_parallel`] partitions the depth-first search across
-//! OS threads — one branch per alternative scheduling decision discovered
-//! along the root schedule — with a deterministic merge; checkpoints are
-//! per-worker and sleep sets travel with each branch ticket.
+//! [`ExploreConfig::metrics_only`] to skip all trace recording. An
+//! exploration runs on one thread; callers with many independent
+//! explorations (such as `scl-check` over its scenario registry) run them
+//! concurrently, one engine each.
 
 use crate::executor::{
     ExecSession, ExecutionResult, Executor, SessionMark, SurveyStatus, TickEmission, TraceMode,
@@ -68,8 +67,6 @@ use crate::telemetry::{ExploreObserver, NoObserver};
 use scl_spec::{ProcessId, SequentialSpec};
 use std::fmt::Debug;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// How the explorer prunes the scheduling tree.
 ///
@@ -184,7 +181,9 @@ impl Reduction {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ResumeMode {
     /// Rebuild the object and replay the schedule prefix from tick 0 on
-    /// every backtrack (always available).
+    /// every backtrack (always available). The oracle the tests hold
+    /// prefix-resume to; `scl-check` always runs
+    /// [`ResumeMode::PrefixResume`].
     #[default]
     FullReplay,
     /// Checkpoint at branch points and restore the checkpoint, re-executing
@@ -208,9 +207,10 @@ pub struct ExploreConfig {
     /// Skip all event-trace recording ([`TraceMode::MetricsOnly`]). Only
     /// valid for checks that never read `result.trace`.
     pub metrics_only: bool,
-    /// Worker threads for [`explore_schedules_parallel`]; `0` means "use the
-    /// available parallelism". Ignored by the sequential
-    /// [`explore_schedules`].
+    /// Not read by the engine, which always explores on one thread.
+    /// `scl-check` reads it as its scenario-worker count (`--workers`, `0` =
+    /// the available parallelism); the field stays because the benchmark
+    /// harness sets it.
     pub threads: usize,
     /// Partial-order reduction mode.
     pub reduction: Reduction,
@@ -346,31 +346,25 @@ impl std::fmt::Display for ExploreViolation {
     }
 }
 
-/// An exploration-level error: either a check violation, or — in the
-/// parallel driver — a worker thread that panicked while exploring a
-/// branch. Worker panics are caught per branch ticket (`catch_unwind`), so
-/// a panicking check or monitor produces a deterministic structured report
-/// and a clean error return instead of a poisoned or hung exploration.
+/// An exploration-level error. The engine only ever reports
+/// [`ExploreError::Check`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExploreError {
     /// The user check rejected an execution.
     Check(ExploreViolation),
-    /// A parallel worker panicked while exploring the branch that starts
-    /// with `schedule_prefix`. The merge is deterministic in branch issue
-    /// order (like violations); `worker` identifies the thread for
-    /// diagnostics only and may vary between runs.
+    /// Never constructed; the variant stays because the benchmark harness
+    /// matches on it. A panicking check or monitor unwinds out of the
+    /// exploration, and `scl-check` reports it as a `harness_failure`.
     WorkerPanic {
-        /// Spawn index of the panicking worker thread.
+        /// A worker thread index.
         worker: usize,
-        /// The forced schedule prefix (root-path prefix plus the branch
-        /// decision) of the ticket whose exploration panicked.
+        /// A schedule prefix.
         schedule_prefix: Vec<ProcessId>,
     },
 }
 
 impl ExploreError {
-    /// The check violation, for errors produced by the check (`None` for
-    /// worker panics).
+    /// The check violation (`None` for [`ExploreError::WorkerPanic`]).
     pub fn as_check(&self) -> Option<&ExploreViolation> {
         match self {
             ExploreError::Check(v) => Some(v),
@@ -456,30 +450,12 @@ impl ExploreStats {
             StepKind::Restart(_) => self.restart_steps += 1,
         }
     }
-
-    fn absorb(&mut self, other: &ExploreStats) {
-        self.schedules += other.schedules;
-        self.executed_ticks += other.executed_ticks;
-        self.executed_steps += other.executed_steps;
-        self.replayed_ticks += other.replayed_ticks;
-        self.sleep_blocked += other.sleep_blocked;
-        self.snapshots += other.snapshots;
-        self.checkpoint_restores += other.checkpoint_restores;
-        self.snapshot_fallbacks += other.snapshot_fallbacks;
-        self.races += other.races;
-        self.race_seeds += other.race_seeds;
-        self.crash_steps += other.crash_steps;
-        self.delivery_steps += other.delivery_steps;
-        self.drop_steps += other.drop_steps;
-        self.restart_steps += other.restart_steps;
-    }
 }
 
 /// An exploration result together with its work accounting.
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
-    /// The outcome (or first error — check violation or worker panic — in
-    /// DFS/branch order).
+    /// The outcome, or the first violation in DFS order.
     pub outcome: Result<ExploreOutcome, ExploreError>,
     /// Work performed to produce it.
     pub stats: ExploreStats,
@@ -546,12 +522,10 @@ impl<S: SequentialSpec, V> ScheduleMonitor<S, V> for NoMonitor {
     fn rewind_to(&mut self, _mark: u64) {}
 }
 
-/// Builds one [`ScheduleMonitor`] per engine of an exploration.
-///
-/// The parallel driver owns one DFS engine per worker thread, and each
-/// engine needs its own monitor (monitors are stateful and follow their
-/// engine's checkpoints). Any `Fn() -> M` closure is a factory; the trait
-/// exists so the monitor type is nameable in return positions.
+/// Builds a [`ScheduleMonitor`] for
+/// [`explore_schedules_parallel_monitored_observed_report`]. Any `Fn() -> M`
+/// closure is a factory; the trait exists so the monitor type is nameable in
+/// return positions.
 pub trait MonitorFactory<S: SequentialSpec, V> {
     /// The monitor type produced.
     type Monitor: ScheduleMonitor<S, V>;
@@ -569,29 +543,6 @@ where
     type Monitor = M;
     fn monitor(&self) -> M {
         self()
-    }
-}
-
-/// The schedule budget shared by every engine of one exploration (trivially
-/// so for the sequential driver): each complete execution is admitted by one
-/// `fetch_add` ticket, so the admitted total is exactly
-/// `min(tree size, max)` no matter how many workers draw from it.
-struct SharedBudget {
-    max: u64,
-    used: AtomicU64,
-}
-
-impl SharedBudget {
-    fn new(max: u64) -> Self {
-        SharedBudget {
-            max,
-            used: AtomicU64::new(0),
-        }
-    }
-
-    /// Draws one ticket; `false` once the budget is exhausted.
-    fn admit(&self) -> bool {
-        self.used.fetch_add(1, Ordering::Relaxed) < self.max
     }
 }
 
@@ -796,8 +747,7 @@ fn fault_twin(
 /// (`covered`), the ids enabled there, and the processes an initial may
 /// name without being enabled there (`exempt`): the lowest enabled initial,
 /// or `None` when an initial is covered already or none is enabled. Only
-/// [`Frame::seed`] calls it, for the sequential engine's frames and the
-/// parallel coordinator's escaped seeds alike.
+/// [`Frame::seed`] calls it.
 ///
 /// Every initial a race can name is enabled at its node except a process
 /// that is not: a crashed process whose first event after the node is its
@@ -907,8 +857,7 @@ impl Frame {
     /// `initials` to this node's backtrack set ([`race_branch`]), together
     /// with its fault twin ([`fault_twin`]) unless that is seeded or asleep
     /// already. `blocked` is [`blocked_now`] at the node. Returns whether a
-    /// branch was added. The sequential engine seeds its own frames here and
-    /// the parallel coordinator the root frames that escaped seeds target.
+    /// branch was added.
     fn seed(
         &mut self,
         initials: u64,
@@ -936,32 +885,20 @@ impl Frame {
         true
     }
 
-    /// Takes the untried sibling `alts[i]` for exploration: returns it with
-    /// the sleep set its subtree starts with and marks it explored. Under
-    /// sleep sets that is everything asleep at the node plus every sibling
-    /// explored before it, minus itself; otherwise 0. The sequential
-    /// backtracker takes the last sibling; the parallel coordinator takes
-    /// every sibling of the root path as a branch ticket.
-    fn take_sibling(&mut self, i: usize, sleep_sets: bool) -> (ProcessId, u64) {
-        let alt = self.alts.remove(i);
+    /// Takes the last untried sibling for exploration, if any: returns it
+    /// with the sleep set its subtree starts with and marks it explored.
+    /// Under sleep sets that is everything asleep at the node plus every
+    /// sibling explored before it, minus itself; otherwise 0.
+    fn take_sibling(&mut self, sleep_sets: bool) -> Option<(ProcessId, u64)> {
+        let alt = self.alts.pop()?;
         let sleep = if sleep_sets {
             (self.sleep | self.explored) & !bit(alt)
         } else {
             0
         };
         self.explored |= bit(alt);
-        (alt, sleep)
+        Some((alt, sleep))
     }
-}
-
-/// A race reversal whose branch node lies *outside* the engine's subtree
-/// (at or above a parallel worker's forced prefix): the node depth on the
-/// shared root path, and the weak-initials mask of candidate processes.
-/// The parallel driver turns these into new branch tickets between waves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct EscapedSeed {
-    depth: usize,
-    initials: u64,
 }
 
 enum Leaf {
@@ -978,8 +915,8 @@ enum Subtree {
     Stopped,
 }
 
-/// The sequential DFS engine. One engine per worker; memory, session and all
-/// scratch buffers persist across the whole exploration.
+/// The DFS engine. Memory, session and all scratch buffers persist across
+/// the whole exploration.
 struct Engine<'a, S, V, O, M, Obs, FSetup, FCheck>
 where
     S: SequentialSpec,
@@ -1011,9 +948,6 @@ where
     /// Sleep set in force at the current point of the drive (always 0 under
     /// [`Reduction::Off`]).
     cur_sleep: u64,
-    /// Whether this engine takes checkpoints (PrefixResume and not the
-    /// root-branch discovery pass).
-    take_snapshots: bool,
     /// The surveys of the frames' nodes, one flat stack in frame order (see
     /// [`Frame::survey_start`]): a checkpoint restore reinstates the node's
     /// enabled and in-progress sets from here instead of surveying again.
@@ -1038,13 +972,6 @@ where
     node_blocked: Vec<u64>,
     /// Scratch buffer for [`HbTracker::races_of_last`].
     race_buf: Vec<usize>,
-    /// Race reversals targeting nodes at or above this engine's subtree
-    /// entry (see [`EscapedSeed`]); always empty for whole-tree engines.
-    escaped: Vec<EscapedSeed>,
-    /// First depth that belongs to this engine's own subtree: race targets
-    /// below it have a frame on this engine's stack (or are sleep-covered),
-    /// race targets at or above it escape to the parallel coordinator.
-    subtree_start: usize,
     stats: ExploreStats,
 }
 
@@ -1065,7 +992,6 @@ where
         check: FCheck,
         monitor: M,
         obs: &'a Obs,
-        take_snapshots: bool,
     ) -> Self {
         let n = workload.processes();
         let mut mem = SharedMemory::new();
@@ -1125,7 +1051,6 @@ where
             faults: FaultCounts::default(),
             frames: Vec::new(),
             cur_sleep: 0,
-            take_snapshots: take_snapshots && config.resume == ResumeMode::PrefixResume,
             surveys: Vec::new(),
             object_gen: 0,
             enabled_buf: Vec::new(),
@@ -1135,8 +1060,6 @@ where
             hb: HbTracker::new(threads, config.reduction.preserves_lin()),
             node_blocked: Vec::new(),
             race_buf: Vec::new(),
-            escaped: Vec::new(),
-            subtree_start: 0,
             stats: ExploreStats::default(),
         }
     }
@@ -1276,10 +1199,8 @@ where
     /// weak initial into the backtrack set of each remaining race's branch
     /// node, together with its fault twin ([`fault_twin`]) — unless an
     /// initial is already explored, pending, or asleep there (then the
-    /// reversal is covered). Races whose branch node lies at or above this
-    /// engine's subtree entry are collected as [`EscapedSeed`]s for the
-    /// parallel coordinator. Initials are computed only for races that
-    /// reach a frame or escape.
+    /// reversal is covered). Initials are computed only for races that
+    /// reach a frame.
     fn observe_races(&mut self) {
         let mut races = std::mem::take(&mut self.race_buf);
         races.clear();
@@ -1303,23 +1224,13 @@ where
                         self.stats.race_seeds += 1;
                     }
                 }
-                Err(_) if i < self.subtree_start => {
-                    // The node belongs to the forced prefix of a parallel
-                    // branch ticket; hand the seed to the coordinator.
-                    let initials = initial_ids(self.hb.race_initials(i), n);
-                    debug_assert!(initials != 0, "a race reversal always has an initial");
-                    let seed = EscapedSeed { depth: i, initials };
-                    if !self.escaped.contains(&seed) {
-                        self.escaped.push(seed);
-                    }
-                }
                 Err(_) => {
-                    // Inside the subtree a branch node has no frame only
-                    // when every other enabled transition was asleep when
-                    // it was visited (and the chosen one had no awake fault
-                    // twin) — and the initials of a race through it are
-                    // among those sleepers, so the reversal is already
-                    // covered by the subtree that put them to sleep.
+                    // A branch node has no frame only when every other
+                    // enabled transition was asleep when it was visited (and
+                    // the chosen one had no awake fault twin) — and the
+                    // initials of a race through it are among those
+                    // sleepers, so the reversal is already covered by the
+                    // subtree that put them to sleep.
                 }
             }
         }
@@ -1328,7 +1239,7 @@ where
 
     /// Takes a checkpoint of the current execution state, if supported.
     fn checkpoint(&mut self) -> Option<Checkpoint> {
-        if !self.take_snapshots {
+        if self.config.resume != ResumeMode::PrefixResume {
             return None;
         }
         // Session first: its mark checks that the in-flight operations fork,
@@ -1534,12 +1445,11 @@ where
             let Some(frame) = self.frames.last_mut() else {
                 return false;
             };
-            let Some(last) = frame.alts.len().checked_sub(1) else {
+            let Some((alt, entry_sleep)) = frame.take_sibling(sleep_sets) else {
                 let done = self.frames.pop().expect("frame checked above");
                 self.surveys.truncate(done.survey_start);
                 continue;
             };
-            let (alt, entry_sleep) = frame.take_sibling(last, sleep_sets);
             let depth = frame.depth;
             let (survey_start, enabled_len) = (frame.survey_start, frame.enabled_len);
             let restored = match &self.frames.last().expect("frame exists").snap {
@@ -1591,42 +1501,17 @@ where
         }
     }
 
-    /// Explores the subtree reached by replaying `forced` and then (if
-    /// given) taking `branch` with sleep set `entry_sleep`. `gate` is
-    /// consulted once per complete execution *before* it is counted;
-    /// returning `false` stops the exploration (budget exhausted or branch
-    /// abandoned). `root_only` stops after the first leaf, leaving the
-    /// discovered frames in place for branch harvesting.
-    fn explore_subtree(
-        &mut self,
-        forced: &[ProcessId],
-        branch: Option<ProcessId>,
-        entry_sleep: u64,
-        gate: &mut dyn FnMut() -> bool,
-        root_only: bool,
-    ) -> Result<Subtree, ExploreViolation> {
-        self.frames.clear();
-        self.surveys.clear();
-        self.escaped.clear();
-        self.subtree_start = forced.len() + usize::from(branch.is_some());
-        self.path.clear();
-        self.path.extend_from_slice(forced);
-        self.replay_prefix(forced.len());
-        // Replayed prefix ticks of the entry are forced, not backtracking
-        // overhead; count them as plain executed work.
-        self.stats.replayed_ticks -= forced.len() as u64;
-        self.cur_sleep = entry_sleep;
-        if let Some(b) = branch {
-            let status = self
-                .executor
-                .survey(&mut self.session, &self.mem, self.workload);
-            debug_assert_eq!(status, SurveyStatus::Choose, "ticket branch point gone");
-            self.exec_tick(b);
-        }
+    /// Explores the whole tree. The schedule budget and the deadline are
+    /// consulted once per complete execution *before* it is counted; either
+    /// running out stops the exploration.
+    fn explore(&mut self) -> Result<Subtree, ExploreViolation> {
+        self.replay_prefix(0);
         loop {
             match self.drive() {
                 Leaf::Complete => {
-                    if !gate() {
+                    if self.stats.schedules >= self.config.max_schedules
+                        || !deadline_ok(self.config)
+                    {
                         return Ok(Subtree::Stopped);
                     }
                     self.stats.schedules += 1;
@@ -1645,9 +1530,6 @@ where
                             message,
                         });
                     }
-                    if root_only {
-                        return Ok(Subtree::Exhausted);
-                    }
                 }
                 Leaf::SleepBlocked => self.stats.sleep_blocked += 1,
             }
@@ -1656,26 +1538,6 @@ where
             }
         }
     }
-
-    /// Consumes the engine, returning its monitor (with whatever aggregate
-    /// state — e.g. checker statistics — it accumulated).
-    fn into_monitor(self) -> M {
-        self.monitor
-    }
-}
-
-/// Converts an engine's subtree result into an exploration report.
-fn subtree_report(result: Result<Subtree, ExploreViolation>, stats: ExploreStats) -> ExploreReport {
-    let outcome = match result {
-        Err(v) => Err(ExploreError::Check(v)),
-        Ok(Subtree::Exhausted) => Ok(ExploreOutcome::Exhausted {
-            schedules: stats.schedules,
-        }),
-        Ok(Subtree::Stopped) => Ok(ExploreOutcome::LimitReached {
-            schedules: stats.schedules,
-        }),
-    };
-    ExploreReport { outcome, stats }
 }
 
 /// Explores all schedules of the executions generated by `setup` and
@@ -1726,7 +1588,7 @@ pub fn explore_schedules_monitored_observed_report<S, V, O, M, Obs, FSetup, FChe
     config: &ExploreConfig,
     monitor: &mut M,
     obs: &Obs,
-    check: FCheck,
+    mut check: FCheck,
 ) -> ExploreReport
 where
     S: SequentialSpec,
@@ -1737,8 +1599,6 @@ where
     FSetup: FnMut(&mut SharedMemory) -> O,
     FCheck: FnMut(&ExecutionResult<S, V>, &SharedMemory, &mut M) -> Result<(), String>,
 {
-    let mut check = check;
-    let budget = SharedBudget::new(config.max_schedules);
     let mut engine = Engine::new(
         config,
         workload,
@@ -1749,20 +1609,18 @@ where
         move |res: &ExecutionResult<S, V>, mem: &SharedMemory, m: &mut &mut M| check(res, mem, m),
         monitor,
         obs,
-        true,
     );
-    let result = engine.explore_subtree(
-        &[],
-        None,
-        0,
-        &mut || deadline_ok(config) && budget.admit(),
-        false,
-    );
-    debug_assert!(
-        engine.escaped.is_empty(),
-        "a whole-tree engine has a frame for every race target"
-    );
-    subtree_report(result, engine.stats)
+    let result = engine.explore();
+    let schedules = engine.stats.schedules;
+    let outcome = match result {
+        Err(v) => Err(ExploreError::Check(v)),
+        Ok(Subtree::Exhausted) => Ok(ExploreOutcome::Exhausted { schedules }),
+        Ok(Subtree::Stopped) => Ok(ExploreOutcome::LimitReached { schedules }),
+    };
+    ExploreReport {
+        outcome,
+        stats: engine.stats,
+    }
 }
 
 /// Explores all schedules of the executions generated by `setup` and
@@ -1784,91 +1642,17 @@ where
         .outcome
         .map_err(|e| match e {
             ExploreError::Check(v) => v,
-            ExploreError::WorkerPanic { .. } => {
-                unreachable!("sequential exploration has no worker threads")
-            }
+            ExploreError::WorkerPanic { .. } => unreachable!("the engine reports only violations"),
         })
 }
 
-/// A unit of parallel work: replay the first `prefix_len` decisions of the
-/// root path, take `branch` with sleep set `sleep`, explore the subtree.
-struct Ticket {
-    prefix_len: usize,
-    branch: ProcessId,
-    sleep: u64,
-}
-
-/// What one parallel worker found in its branch of the schedule tree.
-struct BranchReport {
-    stats: ExploreStats,
-    exhausted: bool,
-    violation: Option<ExploreError>,
-}
-
-/// Explores all schedules like
-/// [`explore_schedules_monitored_observed_report`], but partitions the
-/// depth-first search across OS threads, with one factory-built
-/// [`ScheduleMonitor`] per engine. Returns the report together
-/// with every engine's monitor (the root discovery engine's first, then the
-/// workers' in spawn order) so callers can aggregate monitor state — e.g.
-/// checker statistics — across the exploration.
+/// [`explore_schedules_monitored_observed_report`] with a monitor built by
+/// `factory`, returned in a one-element vector next to the report.
 ///
-/// The root schedule is run once, the alternatives along it become
-/// *branches*, and the branches are handed to `config.threads` workers (each
-/// with its own reusable memory + session + checkpoints + monitor). A worker
-/// entering a branch replays the ticket's prefix, which restarts its monitor
-/// and re-observes the prefix tick by tick — exactly the prefix-resume
-/// fallback path — so monitors see each explored schedule's events once per
-/// branch point, never torn across engines. The merge is deterministic:
-///
-/// * branches are ordered exactly as the sequential DFS would visit them,
-///   and the reported violation — including any monitor-derived verdict the
-///   check turns into an error — is the first one in that order; a worker
-///   abandons its branch early only when a strictly earlier branch has
-///   already produced a violation;
-/// * the schedule budget is a shared atomic ticket counter: when the tree
-///   fits the budget every branch runs to exhaustion, so the outcome, the
-///   total and the reported violation are fully deterministic and the
-///   total equals the sequential explorer's count exactly. When the budget
-///   *binds*, the total is exactly `max_schedules` but the split across
-///   branches depends on thread timing — like the sequential explorer, a
-///   budget-limited run may then miss violations, and (unlike the
-///   sequential explorer) *which* violation is reported may vary from run
-///   to run. Size `max_schedules` to cover the tree when determinism of
-///   the violation matters.
-///
-/// Under [`Reduction::Off`] the union of the workers' subtrees is exactly
-/// the sequential tree.
-///
-/// Under source DPOR each branch ticket carries the sleep set in force at
-/// its branch point, the harvested tickets are the wakeup entries race
-/// detection seeded along the root schedule, and the
-/// exploration proceeds in **waves**: a race whose branch node lies inside
-/// a worker's forced prefix escapes to the coordinator, which seeds it into
-/// the root discovery engine's frame for that node exactly as the
-/// sequential engine seeds its own frames, and mints the branches it adds
-/// as tickets for the next wave, until no seed adds one. Every wave is a pure function of
-/// the ticket list, so the explored tree and the reported violation are
-/// deterministic — but the tree is a (deterministic) sibling-ordering
-/// refinement of the sequential one, so under these two modes the parallel
-/// engine guarantees identical *equivalence-class coverage* (final states,
-/// outcomes — and invoke/commit precedence under
-/// [`Reduction::SourceDporLinPreserving`]) rather than an identical
-/// representative list, and its deterministic violation may be a different
-/// — equally real — representative than the sequential engine's. The
-/// refined tree can also be larger: every wave's extra schedules detect
-/// extra races, which mint extra tickets (observed: identical counts on
-/// the n=2 spaces and the plain n=3 space, ~2.2× on the full n=3
-/// lin-preserving space). Prefer the sequential engine for representative
-/// counting; the parallel engine buys wall-clock on multi-core hosts.
-///
-/// One observer is shared by the root-discovery engine and every worker
-/// engine (the [`ExploreObserver`] hooks take `&self` and the trait requires
-/// `Sync` for exactly this), so what it records aggregates across the whole
-/// exploration. Passing [`NoObserver`] monomorphises every hook away.
-///
-/// Because the check runs concurrently it must be `Fn + Sync` (the
-/// sequential API accepts `FnMut`).
+/// It runs the same single-threaded engine and never reads
+/// [`ExploreConfig::threads`]; it stays, under this name, because the
+/// benchmark harness calls it. Independent explorations run concurrently
+/// side by side instead, as `scl-check --workers` runs whole scenarios.
 pub fn explore_schedules_parallel_monitored_observed_report<S, V, O, MF, Obs, FSetup, FCheck>(
     setup: FSetup,
     workload: &Workload<S, V>,
@@ -1879,341 +1663,23 @@ pub fn explore_schedules_parallel_monitored_observed_report<S, V, O, MF, Obs, FS
 ) -> (ExploreReport, Vec<MF::Monitor>)
 where
     S: SequentialSpec,
-    S::Op: Sync,
-    V: Clone + Eq + Hash + Debug + Sync,
+    V: Clone + Eq + Hash + Debug,
     O: SimObject<S, V>,
-    MF: MonitorFactory<S, V> + Sync,
-    MF::Monitor: Send,
+    MF: MonitorFactory<S, V>,
     Obs: ExploreObserver,
-    FSetup: Fn(&mut SharedMemory) -> O + Sync,
-    FCheck:
-        Fn(&ExecutionResult<S, V>, &SharedMemory, &mut MF::Monitor) -> Result<(), String> + Sync,
+    FSetup: FnMut(&mut SharedMemory) -> O,
+    FCheck: FnMut(&ExecutionResult<S, V>, &SharedMemory, &mut MF::Monitor) -> Result<(), String>,
 {
-    let mut stats = ExploreStats::default();
-    let budget = SharedBudget::new(config.max_schedules);
-
-    // Run the root schedule once to discover the first-level branches. The
-    // discovery pass never snapshots: its frames are converted into tickets
-    // that the workers replay themselves.
-    let mut root_engine = Engine::new(
-        config,
-        workload,
-        |mem: &mut SharedMemory| setup(mem),
-        |res: &ExecutionResult<S, V>, mem: &SharedMemory, m: &mut MF::Monitor| check(res, mem, m),
-        factory.monitor(),
-        obs,
-        false,
-    );
-    let root_result = root_engine.explore_subtree(
-        &[],
-        None,
-        0,
-        &mut || deadline_ok(config) && budget.admit(),
-        true,
-    );
-    stats.absorb(&root_engine.stats);
-    match root_result {
-        Err(v) => {
-            return (
-                ExploreReport {
-                    outcome: Err(ExploreError::Check(v)),
-                    stats,
-                },
-                vec![root_engine.into_monitor()],
-            );
-        }
-        // Budget exhausted on the very first schedule (max_schedules == 0).
-        Ok(Subtree::Stopped) => {
-            return (
-                ExploreReport {
-                    outcome: Ok(ExploreOutcome::LimitReached {
-                        schedules: stats.schedules,
-                    }),
-                    stats,
-                },
-                vec![root_engine.into_monitor()],
-            );
-        }
-        Ok(Subtree::Exhausted) => {}
-    }
-
-    // Harvest branch tickets in sequential DFS visit order: deepest decision
-    // first, each frame's siblings taken as `backtrack` takes them, with
-    // sleep sets accumulating over earlier-visited siblings. Under the
-    // source-DPOR modes the harvested alts are the wakeup entries race
-    // detection seeded along the root schedule, and the root frames stay
-    // the per-node state that seeds escaping from worker subtrees are
-    // filtered against in later waves.
-    let source_dpor = config.reduction.is_source_dpor();
-    let (n, cap) = (workload.processes(), root_engine.mem.net_cap());
-    let root_path = std::mem::take(&mut root_engine.path);
-    let root_blocked = std::mem::take(&mut root_engine.node_blocked);
-    let mut root_frames = std::mem::take(&mut root_engine.frames);
-    let mut tickets: Vec<Ticket> = Vec::new();
-    for frame in root_frames.iter_mut().rev() {
-        while let Some(last) = frame.alts.len().checked_sub(1) {
-            let (branch, sleep) = frame.take_sibling(last, source_dpor);
-            tickets.push(Ticket {
-                prefix_len: frame.depth,
-                branch,
-                sleep,
-            });
-        }
-    }
-    let root_monitor = root_engine.into_monitor();
-    if tickets.is_empty() {
-        return (
-            ExploreReport {
-                outcome: Ok(ExploreOutcome::Exhausted {
-                    schedules: stats.schedules,
-                }),
-                stats,
-            },
-            vec![root_monitor],
-        );
-    }
-
-    let threads_for = |wave_len: usize| {
-        if config.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            config.threads
-        }
-        .min(wave_len)
-        .max(1)
-    };
-
-    // Tickets are processed in waves: the harvested root branches first,
-    // then — in the source-DPOR modes — the tickets minted from the race
-    // seeds that escaped the previous wave's subtrees, until no new seed
-    // survives the per-node explored/sleep filter. `Off` never escapes a
-    // seed, so it runs exactly one wave.
-    let best_violating_branch = AtomicUsize::new(usize::MAX);
-    let mut monitors = vec![root_monitor];
-    let mut branch_reports: Vec<BranchReport> = Vec::new();
-    let mut escapes: Vec<EscapedSeed> = Vec::new();
-    let mut wave_start = 0usize;
-    while wave_start < tickets.len() {
-        let wave_end = tickets.len();
-        let wave_tickets = &tickets[wave_start..wave_end];
-        let cells: Vec<Mutex<Option<BranchReport>>> =
-            wave_tickets.iter().map(|_| Mutex::new(None)).collect();
-        let next_ticket = AtomicUsize::new(0);
-        let root_path_ref = &root_path;
-        let wave_results: Vec<(MF::Monitor, Vec<EscapedSeed>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads_for(wave_tickets.len()))
-                .map(|widx| {
-                    let budget = &budget;
-                    let next_ticket = &next_ticket;
-                    let best_violating_branch = &best_violating_branch;
-                    let cells = &cells;
-                    let setup = &setup;
-                    let check = &check;
-                    scope.spawn(move || {
-                        let mut engine = Engine::new(
-                            config,
-                            workload,
-                            |mem: &mut SharedMemory| setup(mem),
-                            |res: &ExecutionResult<S, V>,
-                             mem: &SharedMemory,
-                             m: &mut MF::Monitor| {
-                                check(res, mem, m)
-                            },
-                            factory.monitor(),
-                            obs,
-                            true,
-                        );
-                        let mut worker_escapes: Vec<EscapedSeed> = Vec::new();
-                        loop {
-                            let wi = next_ticket.fetch_add(1, Ordering::Relaxed);
-                            if wi >= wave_tickets.len() {
-                                return (engine.into_monitor(), worker_escapes);
-                            }
-                            // Global issue-order index; the violation merge
-                            // is keyed on it.
-                            let bi = wave_start + wi;
-                            let ticket = &wave_tickets[wi];
-                            engine.stats = ExploreStats::default();
-                            let mut gate = || {
-                                deadline_ok(config)
-                                    && budget.admit()
-                                    && best_violating_branch.load(Ordering::Relaxed) >= bi
-                            };
-                            // A panicking check or monitor is confined to
-                            // its branch ticket: the branch reports a
-                            // structured `WorkerPanic` (merged exactly like
-                            // a violation) and this worker retires — its
-                            // engine state is unspecified after the unwind.
-                            // Remaining tickets are claimed by the other
-                            // workers or reported as abandoned.
-                            let caught =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    engine.explore_subtree(
-                                        &root_path_ref[..ticket.prefix_len],
-                                        Some(ticket.branch),
-                                        ticket.sleep,
-                                        &mut gate,
-                                        false,
-                                    )
-                                }));
-                            let result = match caught {
-                                Ok(result) => result,
-                                Err(_panic) => {
-                                    best_violating_branch.fetch_min(bi, Ordering::Relaxed);
-                                    let mut prefix = root_path_ref[..ticket.prefix_len].to_vec();
-                                    prefix.push(ticket.branch);
-                                    *cells[wi].lock().unwrap() = Some(BranchReport {
-                                        stats: engine.stats,
-                                        exhausted: false,
-                                        violation: Some(ExploreError::WorkerPanic {
-                                            worker: widx,
-                                            schedule_prefix: prefix,
-                                        }),
-                                    });
-                                    return (engine.into_monitor(), worker_escapes);
-                                }
-                            };
-                            worker_escapes.append(&mut engine.escaped);
-                            let delta = engine.stats;
-                            let report = match result {
-                                Err(violation) => {
-                                    best_violating_branch.fetch_min(bi, Ordering::Relaxed);
-                                    BranchReport {
-                                        stats: delta,
-                                        exhausted: false,
-                                        violation: Some(ExploreError::Check(violation)),
-                                    }
-                                }
-                                Ok(Subtree::Exhausted) => BranchReport {
-                                    stats: delta,
-                                    exhausted: true,
-                                    violation: None,
-                                },
-                                Ok(Subtree::Stopped) => BranchReport {
-                                    stats: delta,
-                                    exhausted: false,
-                                    violation: None,
-                                },
-                            };
-                            *cells[wi].lock().unwrap() = Some(report);
-                        }
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .expect("explorer worker panicked outside a branch ticket")
-                })
-                .collect()
-        });
-        for (monitor, worker_escapes) in wave_results {
-            monitors.push(monitor);
-            escapes.extend(worker_escapes);
-        }
-        branch_reports.extend(cells.into_iter().map(|cell| {
-            // A ticket's cell can be empty only when every worker that
-            // could have claimed it retired after a panic; the branch is
-            // then abandoned (the merged outcome is the panic error).
-            cell.into_inner().unwrap().unwrap_or(BranchReport {
-                stats: ExploreStats::default(),
-                exhausted: false,
-                violation: None,
-            })
-        }));
-        // A violation aborts the exploration exactly like the sequential
-        // DFS; seeds from the violating wave belong to subtrees that will
-        // never run.
-        if best_violating_branch.load(Ordering::Relaxed) != usize::MAX {
-            break;
-        }
-        if source_dpor && !escapes.is_empty() {
-            // Deterministic coordination: the merged escape set does not
-            // depend on thread timing (each subtree's escapes are a pure
-            // function of its ticket), and seeds enter the root frames in
-            // sorted order.
-            escapes.sort();
-            escapes.dedup();
-            for seed in escapes.drain(..) {
-                let Ok(fi) = root_frames.binary_search_by(|f| f.depth.cmp(&seed.depth)) else {
-                    debug_assert!(false, "escaped seed targets a non-branch root node");
-                    continue;
-                };
-                // The sequential engine's seeding; the branches it queues
-                // become tickets in the order it queued them.
-                let frame = &mut root_frames[fi];
-                frame.seed(seed.initials, root_blocked[seed.depth], n, cap, config);
-                while !frame.alts.is_empty() {
-                    let (branch, sleep) = frame.take_sibling(0, true);
-                    tickets.push(Ticket {
-                        prefix_len: frame.depth,
-                        branch,
-                        sleep,
-                    });
-                }
-            }
-        }
-        wave_start = wave_end;
-    }
-
-    // Deterministic merge: first violating branch in ticket issue order
-    // wins (under `Off` that order is exactly the sequential DFS visit
-    // order; the source-DPOR waves are a deterministic refinement of it). Every ticket of every executed wave yields a report (abandoned
-    // branches report `violation: None, exhausted: false`).
-    let mut exhausted = true;
-    let mut first_violation = None;
-    for r in branch_reports {
-        stats.absorb(&r.stats);
-        if first_violation.is_none() {
-            if let Some(v) = r.violation {
-                first_violation = Some(v);
-            }
-        }
-        exhausted &= r.exhausted;
-    }
-    let outcome = match first_violation {
-        Some(v) => Err(v),
-        None if exhausted => Ok(ExploreOutcome::Exhausted {
-            schedules: stats.schedules,
-        }),
-        None => Ok(ExploreOutcome::LimitReached {
-            schedules: stats.schedules,
-        }),
-    };
-    (ExploreReport { outcome, stats }, monitors)
-}
-
-/// Explores all schedules like [`explore_schedules`], but partitions the
-/// depth-first search across OS threads. A thin monitor-less wrapper over
-/// [`explore_schedules_parallel_monitored_observed_report`], which documents
-/// the partitioning and merge semantics.
-pub fn explore_schedules_parallel<S, V, O, FSetup, FCheck>(
-    setup: FSetup,
-    workload: &Workload<S, V>,
-    config: &ExploreConfig,
-    check: FCheck,
-) -> Result<ExploreOutcome, ExploreError>
-where
-    S: SequentialSpec,
-    S::Op: Sync,
-    V: Clone + Eq + Hash + Debug + Sync,
-    O: SimObject<S, V>,
-    FSetup: Fn(&mut SharedMemory) -> O + Sync,
-    FCheck: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String> + Sync,
-{
-    let factory = || NoMonitor;
-    let (report, _monitors) = explore_schedules_parallel_monitored_observed_report(
+    let mut monitor = factory.monitor();
+    let report = explore_schedules_monitored_observed_report(
         setup,
         workload,
         config,
-        &factory,
-        &NoObserver,
-        |res: &ExecutionResult<S, V>, mem: &SharedMemory, _m: &mut NoMonitor| check(res, mem),
+        &mut monitor,
+        obs,
+        check,
     );
-    report.outcome
+    (report, vec![monitor])
 }
 
 #[cfg(test)]
@@ -2338,6 +1804,28 @@ mod tests {
         } else {
             Err("not linearizable".into())
         }
+    }
+
+    /// The outcome of the benchmark harness's
+    /// [`explore_schedules_parallel_monitored_observed_report`] shim without
+    /// a monitor. The shim must report exactly what the engine reports,
+    /// whatever [`ExploreConfig::threads`] says.
+    fn via_shim<O: SimObject<TasSpec, TasSwitch>>(
+        setup: impl FnMut(&mut SharedMemory) -> O,
+        wl: &Workload<TasSpec, TasSwitch>,
+        config: &ExploreConfig,
+        mut check: impl FnMut(&ExecutionResult<TasSpec, TasSwitch>, &SharedMemory) -> Result<(), String>,
+    ) -> Result<ExploreOutcome, ExploreError> {
+        let (report, monitors) = explore_schedules_parallel_monitored_observed_report(
+            setup,
+            wl,
+            config,
+            &|| NoMonitor,
+            &NoObserver,
+            |res, mem, _m: &mut NoMonitor| check(res, mem),
+        );
+        assert_eq!(monitors.len(), 1, "the shim builds one monitor");
+        report.outcome
     }
 
     fn all_mode_configs() -> Vec<ExploreConfig> {
@@ -2730,10 +2218,9 @@ mod tests {
 
     #[test]
     fn parallel_schedule_budget_is_respected_exactly() {
-        // The n=3 tree is far larger than the budget, so the shared ticket
-        // counter must bind — and the documented guarantee is that the
-        // reported total then equals max_schedules exactly, for any thread
-        // count.
+        // The n=3 tree is far larger than the budget, so the budget binds
+        // and the benchmark shim reports exactly max_schedules, whatever
+        // thread count the config names.
         let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(3, TasOp::TestAndSet);
         for threads in [1usize, 2, 4] {
             let config = ExploreConfig {
@@ -2742,7 +2229,7 @@ mod tests {
                 threads,
                 ..Default::default()
             };
-            let outcome = explore_schedules_parallel(
+            let outcome = via_shim(
                 |mem| SwapTas {
                     flag: mem.alloc("flag", Value::FALSE),
                 },
@@ -2761,16 +2248,10 @@ mod tests {
 
     #[test]
     fn parallel_explorer_exhausts_the_same_schedule_count_in_every_mode() {
-        // The source-DPOR modes are excluded here: their wave-parallel
-        // driver explores a deterministic tree that covers the same
-        // equivalence classes as the sequential one but may pick different
-        // representatives (see
-        // `parallel_source_dpor_covers_the_sequential_final_states`).
+        // The benchmark shim runs the engine itself, so under every mode and
+        // any configured thread count it exhausts the same tree.
         let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(3, TasOp::TestAndSet);
-        for base in all_mode_configs()
-            .into_iter()
-            .filter(|c| !c.reduction.is_source_dpor())
-        {
+        for base in all_mode_configs() {
             let sequential = explore_schedules(
                 |mem| SwapTas {
                     flag: mem.alloc("flag", Value::FALSE),
@@ -2785,7 +2266,7 @@ mod tests {
                     threads,
                     ..base.clone()
                 };
-                let parallel = explore_schedules_parallel(
+                let parallel = via_shim(
                     |mem| SwapTas {
                         flag: mem.alloc("flag", Value::FALSE),
                     },
@@ -2816,7 +2297,7 @@ mod tests {
                 ..base.clone()
             };
             let find = || {
-                explore_schedules_parallel(
+                via_shim(
                     |mem| BrokenTas {
                         flag: mem.alloc("flag", Value::FALSE),
                     },
@@ -2934,11 +2415,9 @@ mod tests {
 
     #[test]
     fn parallel_source_dpor_covers_the_sequential_final_states() {
-        // The wave-parallel source-DPOR driver explores a deterministic
-        // tree that may differ from the sequential engine's in its choice
-        // of representatives, but must cover exactly the same equivalence
-        // classes — compared here on the class-invariant final-state
-        // fingerprints.
+        // The benchmark shim must reach exactly the engine's equivalence
+        // classes under both source-DPOR modes — compared here on the
+        // class-invariant final-state fingerprints.
         let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(3, TasOp::TestAndSet);
         for reduction in [Reduction::SourceDpor, Reduction::SourceDporLinPreserving] {
             for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
@@ -2965,15 +2444,15 @@ mod tests {
                         threads,
                         ..base.clone()
                     };
-                    let par_states = Mutex::new(std::collections::BTreeSet::new());
-                    let par = explore_schedules_parallel(
+                    let mut par_states = std::collections::BTreeSet::new();
+                    let par = via_shim(
                         |mem: &mut SharedMemory| SwapTas {
                             flag: mem.alloc("flag", Value::FALSE),
                         },
                         &wl,
                         &config,
                         |res, mem| {
-                            par_states.lock().unwrap().insert(fingerprint(res, mem));
+                            par_states.insert(fingerprint(res, mem));
                             Ok(())
                         },
                     );
@@ -2982,8 +2461,7 @@ mod tests {
                         "threads={threads} {reduction:?}/{resume:?}: {par:?}"
                     );
                     assert_eq!(
-                        seq_states,
-                        par_states.into_inner().unwrap(),
+                        seq_states, par_states,
                         "threads={threads} {reduction:?}/{resume:?}"
                     );
                 }
@@ -3570,79 +3048,6 @@ mod tests {
     }
 
     #[test]
-    fn worker_panic_is_isolated_and_reported_deterministically() {
-        /// Panics on any schedule whose first decision is process 1 — the
-        /// root discovery pass (which starts with process 0) survives, and
-        /// a worker ticket hits the panic.
-        #[derive(Default)]
-        struct PanicMonitor;
-        impl ScheduleMonitor<TasSpec, TasSwitch> for PanicMonitor {
-            fn begin(&mut self) {}
-            fn observe(&mut self, session: &ExecSession<TasSpec, TasSwitch>) {
-                if session.result().decisions.chosen().first() == Some(&ProcessId(1)) {
-                    panic!("injected monitor panic");
-                }
-            }
-            fn mark(&mut self) -> u64 {
-                0
-            }
-            fn rewind_to(&mut self, _mark: u64) {}
-        }
-
-        let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(2, TasOp::TestAndSet);
-        let run = || {
-            let factory = PanicMonitor::default;
-            let (report, monitors) = explore_schedules_parallel_monitored_observed_report(
-                |mem: &mut SharedMemory| SwapTas {
-                    flag: mem.alloc("flag", Value::FALSE),
-                },
-                &wl,
-                &ExploreConfig {
-                    threads: 2,
-                    ..Default::default()
-                },
-                &factory,
-                &NoObserver,
-                |_res, _mem, _m: &mut PanicMonitor| Ok(()),
-            );
-            assert!(!monitors.is_empty(), "monitors survive a worker panic");
-            report
-        };
-        let first = run();
-        let err = first.outcome.clone().expect_err("the monitor panics");
-        match &err {
-            ExploreError::WorkerPanic {
-                schedule_prefix, ..
-            } => {
-                assert_eq!(
-                    schedule_prefix,
-                    &vec![ProcessId(1)],
-                    "the earliest panicking branch in issue order wins"
-                );
-            }
-            other => panic!("expected WorkerPanic, got {other:?}"),
-        }
-        assert!(err.as_check().is_none());
-        assert!(err.to_string().contains("panicked"));
-        // The merge is deterministic in branch order: repeated runs report
-        // the same schedule prefix (the worker index is diagnostic only).
-        for _ in 0..3 {
-            let again = run().outcome.expect_err("the monitor panics");
-            match (&err, &again) {
-                (
-                    ExploreError::WorkerPanic {
-                        schedule_prefix: a, ..
-                    },
-                    ExploreError::WorkerPanic {
-                        schedule_prefix: b, ..
-                    },
-                ) => assert_eq!(a, b),
-                other => panic!("expected two WorkerPanics, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn metrics_only_exploration_runs_without_traces() {
         let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(2, TasOp::TestAndSet);
         let config = ExploreConfig {
@@ -4068,6 +3473,8 @@ mod tests {
                 threads: 2,
                 ..Default::default()
             };
+            // The benchmark shim ignores `threads` and runs the engine: the
+            // same outcome and the same work, counter for counter.
             let factory = || NoMonitor;
             let (report, _) = explore_schedules_parallel_monitored_observed_report(
                 setup,
@@ -4083,6 +3490,9 @@ mod tests {
                 report.outcome
             );
             assert!(report.stats.delivery_steps > 0);
+            let sequential = explore_schedules_report(setup, &wl, &config, |_, _| Ok(()));
+            assert_eq!(report.outcome, sequential.outcome);
+            assert_eq!(report.stats, sequential.stats);
         }
 
         #[test]

@@ -32,7 +32,8 @@
 //!   [`hb`], under sleep sets driven by per-step access footprints. Used by
 //!   the test-suites to verify linearizability and safe composability over
 //!   *every* interleaving of small configurations, including the full n=3
-//!   speculative-TAS space.
+//!   speculative-TAS space. One exploration runs on one thread; `scl-check`
+//!   runs independent scenarios concurrently.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -59,7 +60,7 @@ pub use executor::{
     TickEmission, TraceMode, Workload,
 };
 pub use explore::{
-    explore_schedules, explore_schedules_monitored_observed_report, explore_schedules_parallel,
+    explore_schedules, explore_schedules_monitored_observed_report,
     explore_schedules_parallel_monitored_observed_report, explore_schedules_report, ExploreConfig,
     ExploreError, ExploreOutcome, ExploreReport, ExploreStats, ExploreViolation, MonitorFactory,
     NoMonitor, Reduction, ResumeMode, ScheduleMonitor,

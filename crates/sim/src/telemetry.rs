@@ -13,8 +13,10 @@
 //! [`TelemetryObserver`] is the shipped implementation: a schedule-depth
 //! histogram, distinct happens-before-class coverage, the checker's share of
 //! wall time, and an optional progress heartbeat printed to **stderr** every
-//! N completed schedules. All state is shared-reference friendly so one
-//! observer can be handed to every worker of a parallel exploration.
+//! N completed schedules, prefixed with the observer's label (`scl-check`
+//! labels each scenario's observer with the scenario name, so the heartbeats
+//! of concurrently running scenarios stay apart). All state sits behind
+//! atomics and a mutex, so an observer can be shared across threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -22,9 +24,9 @@ use std::time::Instant;
 
 /// Hooks the exploration engine calls once per completed schedule.
 ///
-/// All methods take `&self` (one observer may be shared across worker
-/// threads) and default to empty inline bodies, so an observer only pays for
-/// the events it overrides and [`NoObserver`] pays for nothing.
+/// All methods take `&self` (an observer may be shared across threads) and
+/// default to empty inline bodies, so an observer only pays for the events
+/// it overrides and [`NoObserver`] pays for nothing.
 pub trait ExploreObserver: Sync {
     /// One complete schedule finished at the given depth (tick count).
     #[inline]
@@ -64,11 +66,13 @@ impl ExploreObserver for NoObserver {}
 const DEPTH_BUCKETS: usize = 64;
 
 /// A recording [`ExploreObserver`]: relaxed atomics throughout, safe to
-/// share across the parallel explorer's workers, snapshot at any time with
+/// share across threads, snapshot at any time with
 /// [`TelemetryObserver::snapshot`].
 #[derive(Debug)]
 pub struct TelemetryObserver {
     start: Instant,
+    /// Prefix of every heartbeat line: the label and a space, or empty.
+    prefix: String,
     heartbeat_every: u64,
     max_schedules: u64,
     /// Completed schedules, counted only while the heartbeat is on.
@@ -105,6 +109,7 @@ impl TelemetryObserver {
     pub fn new(heartbeat_every: u64, max_schedules: u64) -> Self {
         TelemetryObserver {
             start: Instant::now(),
+            prefix: String::new(),
             heartbeat_every,
             max_schedules,
             heartbeat_count: AtomicU64::new(0),
@@ -112,6 +117,30 @@ impl TelemetryObserver {
             depth_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             hb_classes: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Names the exploration this observer watches: every heartbeat line
+    /// starts with `label`.
+    pub fn labelled(mut self, label: &str) -> Self {
+        self.prefix = format!("{label} ");
+        self
+    }
+
+    /// The heartbeat line after `done` completed schedules, the last one at
+    /// `depth`.
+    fn heartbeat_line(&self, done: u64, depth: usize) -> String {
+        let secs = self.start.elapsed().as_secs_f64().max(1e-9);
+        let rate = done as f64 / secs;
+        let frac = if self.max_schedules > 0 {
+            done as f64 / self.max_schedules as f64
+        } else {
+            0.0
+        };
+        format!(
+            "{}heartbeat: {done} schedules ({rate:.0}/s, {:.1}% of budget, depth {depth})",
+            self.prefix,
+            frac * 100.0
+        )
     }
 
     /// Adds wall time spent inside a checker (used by harnesses that wrap
@@ -146,17 +175,7 @@ impl ExploreObserver for TelemetryObserver {
         }
         let done = self.heartbeat_count.fetch_add(1, Ordering::Relaxed) + 1;
         if done.is_multiple_of(self.heartbeat_every) {
-            let secs = self.start.elapsed().as_secs_f64().max(1e-9);
-            let rate = done as f64 / secs;
-            let frac = if self.max_schedules > 0 {
-                done as f64 / self.max_schedules as f64
-            } else {
-                0.0
-            };
-            eprintln!(
-                "heartbeat: {done} schedules ({rate:.0}/s, {:.1}% of budget, depth {depth})",
-                frac * 100.0
-            );
+            eprintln!("{}", self.heartbeat_line(done, depth));
         }
     }
 
@@ -221,6 +240,21 @@ mod tests {
         }
         t.hb_class(u64::MAX);
         assert_eq!(t.snapshot().hb_classes, 3_001);
+    }
+
+    #[test]
+    fn heartbeats_name_their_exploration() {
+        let anonymous = TelemetryObserver::new(1, 10);
+        assert!(anonymous
+            .heartbeat_line(1, 4)
+            .starts_with("heartbeat: 1 schedules"));
+        let named = TelemetryObserver::new(1, 10).labelled("spec_tas_n2");
+        let line = named.heartbeat_line(5, 4);
+        assert!(
+            line.starts_with("spec_tas_n2 heartbeat: 5 schedules")
+                && line.contains("50.0% of budget"),
+            "{line}"
+        );
     }
 
     #[test]

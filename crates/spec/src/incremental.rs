@@ -79,7 +79,9 @@ pub enum IncVerdict {
     Linearizable,
     /// Some commit admits no linearization order; the offending request is
     /// reported. Once reached, every extension of the history stays
-    /// non-linearizable.
+    /// non-linearizable — except where the only orders left place a crashed
+    /// operation past its crash gate ([`IncrementalLinChecker::crash`]):
+    /// those stand if that operation still commits.
     NotLinearizable(RequestId),
     /// More than 128 concurrently tracked operations (the same bound as
     /// [`crate::check_linearizable`]).
@@ -105,6 +107,10 @@ struct IncOp<S: SequentialSpec> {
     /// the strict completion closure the operation may only be linearized
     /// while no such later-invoked operation is linearized yet.
     crashed_seq: Option<usize>,
+    /// Whether the crash gate dissolves if the operation commits after all
+    /// (a recovery may still resolve it): a configuration may then
+    /// linearize it past the gate, but owes its commit (see [`OWED`]).
+    may_commit: bool,
 }
 
 /// Undo log entries for [`IncrementalLinChecker::rewind_to`].
@@ -174,6 +180,12 @@ fn entry_resp(entry: AssignedEntry) -> u32 {
     entry as u32
 }
 
+/// Set on the response id of an assigned entry whose operation was
+/// linearized past its crash gate: the configuration stands only if that
+/// operation still commits (which removes the entry). Response ids are
+/// arena indices, far below this bit.
+const OWED: u32 = 1 << 31;
+
 /// How many assigned-response entries a [`Config`] stores inline. Lists
 /// longer than this (more than `ASSIGNED_INLINE` operations linearized while
 /// still pending — rare) are hash-consed into the spill arena.
@@ -227,7 +239,18 @@ impl<S: SequentialSpec> ConfigStore<S> {
         self.spill.clear();
     }
 
-    /// The response id assigned to `slot`, if any.
+    /// Whether `assigned` linearized a crashed operation past its crash gate
+    /// that has not committed since.
+    fn owes_commit(&self, assigned: Assigned) -> bool {
+        let entries: &[AssignedEntry] = match &assigned {
+            Assigned::Inline { len, entries } => &entries[..*len as usize],
+            Assigned::Spilled(id) => self.spill.get(*id),
+        };
+        entries.iter().any(|&e| entry_resp(e) & OWED != 0)
+    }
+
+    /// The response id assigned to `slot` (with [`OWED`] set if it was
+    /// linearized past its crash gate), if any.
     fn assigned_find(&self, assigned: Assigned, slot: usize) -> Option<u32> {
         let entries: &[AssignedEntry] = match &assigned {
             Assigned::Inline { len, entries } => &entries[..*len as usize],
@@ -314,6 +337,7 @@ struct MarkEntry {
     log_len: usize,
     frontier_start: usize,
     failure: Option<RequestId>,
+    owing: Option<RequestId>,
     too_large: bool,
 }
 
@@ -340,6 +364,9 @@ pub struct IncrementalLinChecker<S: SequentialSpec> {
     mark_frontiers: Vec<Config>,
     next_token: u64,
     failure: Option<RequestId>,
+    /// The commit after which every frontier configuration owes some crashed
+    /// operation's late commit: the verdict unless one arrives.
+    owing: Option<RequestId>,
     too_large: bool,
     stats: IncCheckStats,
 }
@@ -361,6 +388,7 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
             mark_frontiers: Vec::new(),
             next_token: 0,
             failure: None,
+            owing: None,
             too_large: false,
             stats: IncCheckStats::default(),
         };
@@ -386,6 +414,7 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
         self.marks.clear();
         self.mark_frontiers.clear();
         self.failure = None;
+        self.owing = None;
         self.too_large = false;
     }
 
@@ -421,6 +450,7 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
             op: req.op.clone(),
             committed: false,
             crashed_seq: None,
+            may_commit: false,
         });
         self.log.push(LogEntry::Invoked(slot));
     }
@@ -430,21 +460,70 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
     /// closure this checker implements for crashes, the operation may only
     /// take effect before its crash point — once any operation invoked after
     /// the crash is linearized, the crashed operation can no longer be
-    /// linearized on demand (it can still be dropped). Callers wanting the
-    /// plain (open) closure simply never report crashes. Crashes of unknown,
-    /// committed or already-crashed requests are ignored.
+    /// linearized on demand (it can still be dropped) — unless it commits
+    /// after all: a recovery that resolves the operation dissolves the gate,
+    /// and the operation is then an ordinary one whose response came late.
+    /// Callers wanting the plain (open) closure simply never report crashes.
+    /// Crashes of unknown, committed or already-crashed requests are
+    /// ignored.
     pub fn crash(&mut self, id: RequestId) {
+        self.gate(id, true);
+    }
+
+    /// Consumes an abandonment under the *durable* closure: the owner of
+    /// operation `id` recovered without resolving it, so it may not take
+    /// effect after this point and never commits. The same gate as
+    /// [`Self::crash`], except that no later commit can dissolve it.
+    pub fn abandon(&mut self, id: RequestId) {
+        self.gate(id, false);
+    }
+
+    /// Records the crash gate of `id` at the current invocation count; see
+    /// [`Self::crash`]. Returns the operation's slot, or `None` when the
+    /// event is ignored.
+    fn gate(&mut self, id: RequestId, may_commit: bool) -> Option<usize> {
         if self.too_large {
-            return;
+            return None;
         }
-        let Some(&slot) = self.index.get(&id) else {
-            return;
-        };
+        let &slot = self.index.get(&id)?;
         if self.ops[slot].committed || self.ops[slot].crashed_seq.is_some() {
-            return;
+            return None;
         }
         self.ops[slot].crashed_seq = Some(self.ops.len());
+        self.ops[slot].may_commit = may_commit;
         self.log.push(LogEntry::Crashed(slot));
+        Some(slot)
+    }
+
+    /// The [`OWED`] marker for linearizing operation `op` from a
+    /// configuration with linearized set `mask`: `Some(0)` before its crash
+    /// gate (or if it never crashed), `Some(OWED)` past a gate its commit
+    /// may still dissolve, `None` past a gate that stays.
+    #[inline]
+    fn gate_marker(op: &IncOp<S>, mask: u128) -> Option<u32> {
+        match op.crashed_seq {
+            Some(seq) if seq < 128 && mask & (!0u128 << seq) != 0 => op.may_commit.then_some(OWED),
+            _ => Some(0),
+        }
+    }
+
+    /// Replaces the frontier with the one `id`'s event produced, and
+    /// updates the verdict: an empty frontier fails for good; a frontier in
+    /// which every configuration owes a crashed operation's late commit
+    /// fails unless that commit arrives.
+    fn install_frontier(&mut self, id: RequestId) {
+        std::mem::swap(&mut self.frontier, &mut self.next_frontier);
+        if self.frontier.is_empty() {
+            self.failure = Some(id);
+        } else if self
+            .frontier
+            .iter()
+            .any(|cfg| !self.store.owes_commit(cfg.assigned))
+        {
+            self.owing = None;
+        } else if self.owing.is_none() {
+            self.owing = Some(id);
+        }
     }
 
     /// Consumes a recovery-completion event under the *recoverable*
@@ -468,17 +547,9 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
     /// events consumed afterwards. Events for unknown, committed or
     /// already-crashed requests are ignored.
     pub fn recovered_required(&mut self, id: RequestId) {
-        if self.too_large {
-            return;
-        }
-        let Some(&slot) = self.index.get(&id) else {
+        let Some(slot) = self.gate(id, false) else {
             return;
         };
-        if self.ops[slot].committed || self.ops[slot].crashed_seq.is_some() {
-            return;
-        }
-        self.ops[slot].crashed_seq = Some(self.ops.len());
-        self.log.push(LogEntry::Crashed(slot));
         if self.failure.is_some() {
             return;
         }
@@ -521,28 +592,23 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
                 if i == slot || cfg.mask & bit != 0 || op.committed {
                     continue;
                 }
-                if let Some(seq) = op.crashed_seq {
-                    if seq < 128 && cfg.mask & (!0u128 << seq) != 0 {
-                        continue;
-                    }
-                }
+                let Some(owed) = Self::gate_marker(op, cfg.mask) else {
+                    continue;
+                };
                 let (next_state, assigned_resp) =
                     self.spec.apply(self.store.states.get(cfg.state), &op.op);
                 let resp_id = self.store.resps.intern(assigned_resp);
                 let next = Config {
                     mask: cfg.mask | bit,
                     state: self.store.states.intern(next_state),
-                    assigned: self.store.assigned_insert(cfg.assigned, i, resp_id),
+                    assigned: self.store.assigned_insert(cfg.assigned, i, resp_id | owed),
                 };
                 if self.visited.insert(next) {
                     self.stack.push(next);
                 }
             }
         }
-        std::mem::swap(&mut self.frontier, &mut self.next_frontier);
-        if self.frontier.is_empty() {
-            self.failure = Some(id);
-        }
+        self.install_frontier(id);
     }
 
     /// Consumes a commit event: operation `id` responded with `resp`.
@@ -589,8 +655,13 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
             self.stats.states += 1;
             if cfg.mask & target_bit != 0 {
                 // The operation was linearized while pending; the commit only
-                // validates its assigned response.
-                if self.store.assigned_find(cfg.assigned, slot) == Some(observed) {
+                // validates its assigned response (and pays what a
+                // linearization past its crash gate owed).
+                if self
+                    .store
+                    .assigned_find(cfg.assigned, slot)
+                    .is_some_and(|r| r & !OWED == observed)
+                {
                     let survivor = Config {
                         assigned: self.store.assigned_remove(cfg.assigned, slot),
                         ..cfg
@@ -622,31 +693,27 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
                 if i == slot || cfg.mask & bit != 0 || op.committed {
                     continue;
                 }
-                if let Some(seq) = op.crashed_seq {
-                    // Strict closure: the crashed op may only take effect
-                    // before its crash point, so it is blocked once any
-                    // operation invoked after the crash is linearized.
-                    if seq < 128 && cfg.mask & (!0u128 << seq) != 0 {
-                        continue;
-                    }
-                }
+                // Strict closure: the crashed op may only take effect
+                // before its crash point, so it is blocked once any
+                // operation invoked after the crash is linearized — unless
+                // it may still commit, which this configuration then owes.
+                let Some(owed) = Self::gate_marker(op, cfg.mask) else {
+                    continue;
+                };
                 let (next_state, assigned_resp) =
                     self.spec.apply(self.store.states.get(cfg.state), &op.op);
                 let resp_id = self.store.resps.intern(assigned_resp);
                 let next = Config {
                     mask: cfg.mask | bit,
                     state: self.store.states.intern(next_state),
-                    assigned: self.store.assigned_insert(cfg.assigned, i, resp_id),
+                    assigned: self.store.assigned_insert(cfg.assigned, i, resp_id | owed),
                 };
                 if self.visited.insert(next) {
                     self.stack.push(next);
                 }
             }
         }
-        std::mem::swap(&mut self.frontier, &mut self.next_frontier);
-        if self.frontier.is_empty() {
-            self.failure = Some(id);
-        }
+        self.install_frontier(id);
     }
 
     /// The verdict for the events consumed so far.
@@ -654,7 +721,9 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
         if self.too_large {
             IncVerdict::TooLarge
         } else {
-            match self.failure {
+            // An owing frontier precedes any later empty one: report the
+            // first commit no gate-respecting order admits.
+            match self.owing.or(self.failure) {
                 Some(id) => IncVerdict::NotLinearizable(id),
                 None => IncVerdict::Linearizable,
             }
@@ -672,6 +741,7 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
             log_len: self.log.len(),
             frontier_start: self.mark_frontiers.len(),
             failure: self.failure,
+            owing: self.owing,
             too_large: self.too_large,
         });
         self.mark_frontiers.extend_from_slice(&self.frontier);
@@ -719,6 +789,7 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
         self.frontier
             .extend_from_slice(&self.mark_frontiers[entry.frontier_start..]);
         self.failure = entry.failure;
+        self.owing = entry.owing;
         self.too_large = entry.too_large;
     }
 }
@@ -950,6 +1021,29 @@ mod tests {
         // W before everything (5, 5) or dropped (0, 0): strictly fine.
         assert!(crashed_write_then_reads(5, 5).verdict().is_linearizable());
         assert!(crashed_write_then_reads(0, 0).verdict().is_linearizable());
+    }
+
+    #[test]
+    fn a_late_commit_dissolves_the_crash_gate() {
+        // 0 then 5 with W between the post-crash reads, then a recovery
+        // resolves W: W's interval now spans both reads, so the order
+        // r1, W, r2 stands — as in the from-scratch checker, which sees W
+        // as an ordinary op that responded late.
+        let mut inc = crashed_write_then_reads(0, 5);
+        assert_eq!(inc.verdict(), IncVerdict::NotLinearizable(RequestId(3)));
+        inc.commit(RequestId(1), &5);
+        assert!(inc.verdict().is_linearizable());
+        // A gate that no commit can dissolve stays.
+        let mut inc = IncrementalLinChecker::new(RegisterSpec);
+        let w: Request<RegisterSpec> = Request::new(1u64, 0usize, RegisterOp::Write(5));
+        inc.invoke(&w);
+        inc.abandon(RequestId(1));
+        for (id, sees) in [(2u64, 0u64), (3, 5)] {
+            let r: Request<RegisterSpec> = Request::new(id, 1usize, RegisterOp::Read);
+            inc.invoke(&r);
+            inc.commit(RequestId(id), &sees);
+        }
+        assert_eq!(inc.verdict(), IncVerdict::NotLinearizable(RequestId(3)));
     }
 
     #[test]

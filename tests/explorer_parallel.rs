@@ -1,13 +1,15 @@
 //! Integration regression tests for the reworked simulator hot path: the
 //! reusable executor must replay deterministically after `reset()`, and the
-//! parallel explorer must find the same counterexample as the sequential one
-//! on a seeded violation.
+//! benchmark harness's `explore_schedules_parallel_monitored_observed_report`
+//! shim must report exactly what `explore_schedules` reports, whatever
+//! thread count its config names.
 
 use scl::core::{new_speculative_tas, A1Tas};
 use scl::sim::{
-    explore_schedules, explore_schedules_parallel, ExecSession, Executor, ExploreConfig,
-    ExploreError, OpExecution, OpOutcome, RegId, ScriptedAdversary, SharedMemory, SimObject,
-    SplitMix64, StepOutcome, Value, Workload,
+    explore_schedules, explore_schedules_parallel_monitored_observed_report, ExecSession,
+    ExecutionResult, Executor, ExploreConfig, ExploreError, ExploreOutcome, NoMonitor, NoObserver,
+    OpExecution, OpOutcome, RegId, ScriptedAdversary, SharedMemory, SimObject, SplitMix64,
+    StepOutcome, Value, Workload,
 };
 use scl::spec::{check_linearizable, ProcessId, Request, TasOp, TasResp, TasSpec, TasSwitch};
 
@@ -58,6 +60,24 @@ impl SimObject<TasSpec, TasSwitch> for BrokenTas {
     }
 }
 
+/// The shim's outcome without a monitor.
+fn via_shim<O: SimObject<TasSpec, TasSwitch>>(
+    setup: impl FnMut(&mut SharedMemory) -> O,
+    wl: &Workload<TasSpec, TasSwitch>,
+    config: &ExploreConfig,
+    mut check: impl FnMut(&ExecutionResult<TasSpec, TasSwitch>, &SharedMemory) -> Result<(), String>,
+) -> Result<ExploreOutcome, ExploreError> {
+    let (report, _) = explore_schedules_parallel_monitored_observed_report(
+        setup,
+        wl,
+        config,
+        &|| NoMonitor,
+        &NoObserver,
+        |res, mem, _m: &mut NoMonitor| check(res, mem),
+    );
+    report.outcome
+}
+
 fn single_winner_check(
     res: &scl::sim::ExecutionResult<TasSpec, TasSwitch>,
     _mem: &SharedMemory,
@@ -77,8 +97,8 @@ fn single_winner_check(
     Ok(())
 }
 
-/// Parallel exploration must report exactly the violation the sequential
-/// explorer reports (same schedule, same message), for any thread count.
+/// The shim must report exactly the violation the explorer reports (same
+/// schedule, same message), for any configured thread count.
 #[test]
 fn parallel_explorer_finds_the_sequential_counterexample() {
     let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(2, TasOp::TestAndSet);
@@ -97,7 +117,7 @@ fn parallel_explorer_finds_the_sequential_counterexample() {
             threads,
             ..Default::default()
         };
-        let parallel = explore_schedules_parallel(
+        let parallel = via_shim(
             |mem| BrokenTas {
                 flag: mem.alloc("flag", Value::FALSE),
             },
@@ -114,8 +134,8 @@ fn parallel_explorer_finds_the_sequential_counterexample() {
     }
 }
 
-/// On a correct object, sequential and parallel exploration cover the same
-/// schedule tree (same schedule count, both exhausted).
+/// On a correct object, the explorer and the shim cover the same schedule
+/// tree (same schedule count, both exhausted).
 #[test]
 fn parallel_explorer_covers_the_same_tree_on_correct_objects() {
     let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(2, TasOp::TestAndSet);
@@ -128,7 +148,7 @@ fn parallel_explorer_covers_the_same_tree_on_correct_objects() {
     };
     let sequential = explore_schedules(new_speculative_tas, &wl, &ExploreConfig::default(), check)
         .expect("speculative TAS is correct");
-    let parallel = explore_schedules_parallel(
+    let parallel = via_shim(
         new_speculative_tas,
         &wl,
         &ExploreConfig {
@@ -139,10 +159,7 @@ fn parallel_explorer_covers_the_same_tree_on_correct_objects() {
     )
     .expect("speculative TAS is correct");
     assert_eq!(sequential.schedules(), parallel.schedules());
-    assert!(matches!(
-        parallel,
-        scl::sim::ExploreOutcome::Exhausted { .. }
-    ));
+    assert!(matches!(parallel, ExploreOutcome::Exhausted { .. }));
 }
 
 /// Executor-reset determinism on a real paper algorithm (module A1): running
