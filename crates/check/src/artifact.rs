@@ -249,8 +249,7 @@ pub struct Artifact {
     /// The violating schedule (raw pseudo-process ids).
     pub schedule: Vec<ProcessId>,
     /// The configuration of the original run, as far as the artifact
-    /// records it: reduction (its lin barriers shape the race relation the
-    /// replay reports), resume mode, checker, crash closure, schedule
+    /// records it: reduction, resume mode, checker, crash closure, schedule
     /// budget, tick limit, drop and restart budgets. Replays run
     /// sequentially and without an observer; scenario runners re-apply
     /// their own overrides on top.
@@ -330,14 +329,12 @@ pub fn artifact_json(
         .iter()
         .map(|t| {
             format!(
-                "    {{\"id\": {}, \"kind\": {}, \"proc\": {}, \"footprint\": {}, \"invoked\": \
-                 {}, \"responded\": {}, \"emission\": {}}}",
+                "    {{\"id\": {}, \"kind\": {}, \"proc\": {}, \"footprint\": {}, \"emission\": \
+                 {}}}",
                 t.id.index(),
                 crate::json_string(&t.kind.describe()),
                 tick_proc(t),
                 crate::json_string(&footprint_str(&t.label.footprint)),
-                t.label.invoked,
-                t.label.responded,
                 crate::json_string(&emission_str(&t.emission)),
             )
         })

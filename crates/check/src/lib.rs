@@ -11,12 +11,11 @@
 //! pieces that turn it into a linearizability model checker:
 //!
 //! * [`bridge`] — the explorer↔spec bridge: a [`scl_sim::ScheduleMonitor`]
-//!   that records the invoke/commit projection into one reusable
-//!   [`scl_spec::ConcurrentHistory`] as the explorer runs, and computes
-//!   per-schedule verdicts either with the *incremental* Wing–Gong checker
-//!   (frontier states memoised at branch points, suffix-only re-checking
-//!   under prefix-resume) or by re-running the from-scratch checker per
-//!   schedule;
+//!   that feeds the history (invocations, responses, crash gates and
+//!   recovery deadlines) to the *incremental* Wing–Gong checker as the
+//!   explorer runs (frontier states memoised at branch points, suffix-only
+//!   re-checking under prefix-resume), or to the from-scratch checker per
+//!   schedule, and decides every order of each explored trace's history;
 //! * [`scenarios`] — the declarative scenario registry: named workloads over
 //!   the speculative/solo-fast/resettable test-and-set, the bare A1 module
 //!   and its seeded `DroppedRawFence` mutant, the composable universal
@@ -27,13 +26,14 @@
 //!   ([`run_selection`]), and emits a JSON report (`--smoke` runs the whole
 //!   registry under tiny bounds in CI).
 //!
-//! The reduced modes matter here: [`scl_sim::Reduction::SourceDpor`]
-//! explicitly does *not* preserve real-time order, so it may miss (or,
-//! harmlessly, can never invent) linearizability counterexamples that depend
-//! only on event order. [`scl_sim::Reduction::SourceDporLinPreserving`] (the
-//! default) closes that gap with invoke/commit barriers in its race relation
-//! and wake rule; the oracle tests in `tests/` verify it against unreduced
-//! enumeration.
+//! The reduced modes matter here: one schedule per Mazurkiewicz trace does
+//! not fix the real-time order of operations of different processes, which
+//! linearizability reads. Under both source-DPOR names
+//! ([`scl_sim::Reduction::SourceDporLinPreserving`] is the default) the
+//! bridge therefore walks every linear extension of each explored trace's
+//! history under happens-before, and reports a violating one as a schedule
+//! of the same trace; the oracle tests in `tests/` verify the walk against
+//! unreduced enumeration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +43,7 @@ pub mod bridge;
 pub mod scenarios;
 
 pub use artifact::{artifact_json, parse_json, render_interleaving, Artifact, Json};
-pub use bridge::{CheckerMode, CrashedPending, LinMonitor};
+pub use bridge::{CheckerMode, CrashedPending, HistoryEvent, LinMonitor};
 pub use scenarios::{
     cli_name, crashed_pending_values, find, metrics_only_conflict, nearest, parse_crashed_pending,
     parse_reduction, reduction_name, reduction_values, registry, run_selection,

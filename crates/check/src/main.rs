@@ -83,9 +83,10 @@ fn usage() -> ! {
          \n\
          Options:\n\
          \x20  --reduction MODE        {reductions}\n\
-         \x20                          (source-dpor-lin keeps its lin barriers\n\
-         \x20                          only where a verdict reads real-time\n\
-         \x20                          order; outcome-only scenarios run it as\n\
+         \x20                          (both source-dpor names explore the same\n\
+         \x20                          traces; linearizability verdicts walk\n\
+         \x20                          every order of each trace's history,\n\
+         \x20                          and outcome-only scenarios report\n\
          \x20                          source-dpor)\n\
          \x20  --crashed-pending MODE  {crashed}\n\
          \x20                          (strict = strict linearizability for\n\

@@ -10,11 +10,12 @@
 //! runs on every complete execution. A scenario whose checks include a
 //! linearizability verdict attaches the [`LinMonitor`] bridge, which records
 //! the invoke/commit projection incrementally and answers the per-schedule
-//! verdict. An *outcome-only* scenario reads nothing a linearization
-//! orders — only per-operation outcomes and steps, completion and the crash
-//! and restart masks, which every schedule of one Mazurkiewicz trace shares —
-//! so it attaches no monitor and runs the lin-preserving reduction as plain
-//! source DPOR (see [`ScenarioReport::reduction`]).
+//! verdict for every schedule of the explored trace (see [`crate::bridge`]).
+//! An *outcome-only* scenario reads nothing a linearization orders — only
+//! per-operation outcomes and steps, completion and the crash and restart
+//! masks, which every schedule of one Mazurkiewicz trace shares — so it
+//! attaches no monitor and reports plain source DPOR (see
+//! [`ScenarioReport::reduction`]).
 
 use crate::bridge::{CheckerMode, CrashedPending, LinMonitor};
 use scl_core::{
@@ -48,12 +49,11 @@ pub struct CheckConfig {
     /// topology). The restart and drop budgets are safe to raise globally:
     /// restarts need a crash and drops need a network, so scenarios
     /// without them are unaffected. The defaults differ from
-    /// [`ExploreConfig::default`] in three places: the
-    /// linearizability-preserving source-DPOR reduction (its pruning
-    /// provably cannot change the commit projection, so per-schedule
-    /// verdicts lose nothing; outcome-only scenarios run it as plain source
-    /// DPOR, see [`ScenarioReport::reduction`]), prefix-resume backtracking,
-    /// and one worker. A scenario always explores on one thread; `threads`
+    /// [`ExploreConfig::default`] in three places:
+    /// [`Reduction::SourceDporLinPreserving`] (plain source DPOR whose
+    /// linearizability verdicts cover every schedule of each explored
+    /// trace, see [`crate::bridge`]), prefix-resume backtracking, and one
+    /// worker. A scenario always explores on one thread; `threads`
     /// is how many scenarios [`run_selection`] runs at once (`0` = the
     /// available parallelism). `metrics_only` is valid only for scenarios
     /// whose checks never read the trace ([`Scenario::needs_trace`] is
@@ -188,13 +188,15 @@ pub struct ScenarioReport {
     pub outcome: Outcome,
     /// Explorer work accounting.
     pub explore: ExploreStats,
-    /// The reduction the exploration actually ran. This is the configured
-    /// one, except that an outcome-only scenario (no linearizability
-    /// variant among its `checks`) runs
-    /// [`Reduction::SourceDporLinPreserving`] as plain
-    /// [`Reduction::SourceDpor`]: no verdict of it reads real-time order,
-    /// and plain source DPOR explores every Mazurkiewicz trace, so every
-    /// final state and every per-process step sequence is still reached.
+    /// The reduction the exploration ran. This is the configured one,
+    /// except that an outcome-only scenario (no linearizability variant
+    /// among its `checks`) reports [`Reduction::SourceDporLinPreserving`]
+    /// as [`Reduction::SourceDpor`]: both explore the same plain
+    /// Mazurkiewicz traces, and the `-lin` name says that a
+    /// [`LinMonitor`] decides every linear extension of each trace's
+    /// history, which an outcome-only scenario does not need (every
+    /// schedule of a trace shares its final state and per-process step
+    /// sequences).
     pub reduction: Reduction,
     /// Checker states expanded across the whole run (see
     /// [`LinMonitor::checker_states`]; 0 for outcome-only scenarios, which
@@ -470,9 +472,9 @@ where
 /// Runs a workload of an outcome-only scenario: `check` reads only what
 /// every schedule of one Mazurkiewicz trace shares (each operation's outcome
 /// and steps, completion, the crash and restart masks), never real-time
-/// order. The lin-preserving barriers would only multiply the schedules, so
-/// [`Reduction::SourceDporLinPreserving`] runs as plain
-/// [`Reduction::SourceDpor`], and no monitor records the history.
+/// order, so no monitor records the history, and
+/// [`Reduction::SourceDporLinPreserving`] is reported as
+/// [`Reduction::SourceDpor`].
 fn explore_outcomes<S, V, O, FSetup, FCheck>(
     config: &CheckConfig,
     setup: FSetup,
@@ -487,7 +489,7 @@ where
     FCheck: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String>,
 {
     let mut config = config.clone();
-    if config.explore.reduction.preserves_lin() {
+    if config.explore.reduction == Reduction::SourceDporLinPreserving {
         config.explore.reduction = Reduction::SourceDpor;
     }
     let check =
@@ -1219,7 +1221,7 @@ fn run_abd_quorum_mutant(config: &CheckConfig) -> RunnerOutput {
     // the write through replica 0 while the read's query reaches only the
     // never-updated replica 1: the read returns the initial value after its
     // own committed write, with *zero* crashes, drops and partitions. Every
-    // lin-preserving mode must find it. Capacity 24, not the exact-fit 16:
+    // source-DPOR mode must find it. Capacity 24, not the exact-fit 16:
     // the workload needs 8 sends, and a global `--max-drops` budget makes
     // retries resend into the slots above them.
     explore_with_lin(
@@ -1598,7 +1600,7 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "completes"],
         expect_violation: true,
         // The stale read hides deep in the message-interleaving space: the
-        // lin-preserving reductions reach it in 19 schedules, unreduced DFS
+        // source-DPOR reductions reach it in 19 schedules, unreduced DFS
         // needs ~3.1M — smoke-sized budgets are underpowered under `off`.
         needs_schedules: 4_000_000,
         needs_trace: false,

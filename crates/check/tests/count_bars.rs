@@ -201,7 +201,7 @@ fn explorer_reductions_on_the_n2_space() {
         new_speculative_tas,
         &wl,
         &base,
-        all_modes([64_472, 26, 77]),
+        all_modes([64_472, 26, 26]),
     );
     assert!(
         lin.schedules < EAGER_COUNTS[0].2,
@@ -224,7 +224,7 @@ fn explorer_reductions_on_the_n2_space() {
     );
     assert_eq!(
         (off.executed_steps, combined.executed_steps),
-        (1_218_482, 533)
+        (1_218_482, 184)
     );
     assert!(off.executed_steps >= 5 * combined.executed_steps);
 }
@@ -240,7 +240,7 @@ fn explorer_reductions_exhaust_the_full_n3_space() {
         &base,
         [
             (Reduction::SourceDpor, 1_956),
-            (Reduction::SourceDporLinPreserving, 11_923),
+            (Reduction::SourceDporLinPreserving, 1_956),
         ],
     );
     let combined = ExploreConfig {
@@ -252,9 +252,9 @@ fn explorer_reductions_exhaust_the_full_n3_space() {
         new_speculative_tas,
         &wl,
         &combined,
-        [(Reduction::SourceDporLinPreserving, 11_923)],
+        [(Reduction::SourceDporLinPreserving, 1_956)],
     );
-    assert_eq!(combined.executed_steps, 75_087);
+    assert_eq!(combined.executed_steps, 12_456);
 }
 
 #[test]
@@ -264,7 +264,7 @@ fn reduction_and_crash_groups_exhaust_in_every_mode() {
         new_speculative_tas,
         &tas(2, 1),
         &checker_config(1_000_000),
-        all_modes([64_472, 26, 77]),
+        all_modes([64_472, 26, 26]),
     );
     assert!(source.schedules <= lin.schedules && lin.schedules < off.schedules);
     assert!(
@@ -278,7 +278,7 @@ fn reduction_and_crash_groups_exhaust_in_every_mode() {
         &checker_config(50_000_000),
         [
             (Reduction::SourceDpor, 1_956),
-            (Reduction::SourceDporLinPreserving, 11_923),
+            (Reduction::SourceDporLinPreserving, 1_956),
         ],
     );
     let crash = ExploreConfig {
@@ -291,7 +291,7 @@ fn reduction_and_crash_groups_exhaust_in_every_mode() {
         new_speculative_tas,
         &tas(2, 1),
         &crash,
-        all_modes([306_992, 120, 377]),
+        all_modes([306_992, 120, 120]),
     );
     assert!(
         crash_off.schedules > off.schedules,
@@ -325,7 +325,7 @@ fn recovery_group_exhausts_in_every_mode() {
         setup,
         &wl,
         &restart,
-        all_modes([370, 32, 102]),
+        all_modes([370, 44, 44]),
     );
     assert!(
         restart_off.schedules > baseline.schedules,

@@ -110,15 +110,6 @@ where
             Phase::First(exec) | Phase::Second(exec) => exec.next_footprint(),
         }
     }
-
-    fn may_respond_next(&self) -> bool {
-        // Over-approximation: an inner completion that turns out to be an
-        // abort becomes a silent switch to the second module, but "may
-        // respond" only has to cover the cases where it commits.
-        match &self.phase {
-            Phase::First(exec) | Phase::Second(exec) => exec.may_respond_next(),
-        }
-    }
 }
 
 /// Snapshot of a [`Composed`] object: the switch counter plus the component

@@ -400,11 +400,6 @@ impl OpExecution<RegisterSpec, ()> for AbdOp {
         }
     }
 
-    fn may_respond_next(&self) -> bool {
-        // Commit and abort both happen while consuming the inbox.
-        matches!(self.pc, Pc::CollectQuery | Pc::CollectUpdate) && self.resend_to.is_none()
-    }
-
     fn blocked(&self, mem: &SharedMemory) -> bool {
         matches!(self.pc, Pc::CollectQuery | Pc::CollectUpdate)
             && self.resend_to.is_none()

@@ -175,10 +175,6 @@ impl OpExecution<TasSpec, TasSwitch> for RtasOp {
             _ => Footprint::Write(self.winner),
         }
     }
-
-    fn may_respond_next(&self) -> bool {
-        self.pc != 0
-    }
 }
 
 /// Correct recovery: re-run the claim CAS and read off ownership. The
@@ -219,10 +215,6 @@ impl OpExecution<TasSpec, TasSwitch> for RtasRecover {
     fn next_footprint(&self) -> Footprint {
         Footprint::Write(self.winner)
     }
-
-    fn may_respond_next(&self) -> bool {
-        !self.done
-    }
 }
 
 /// The seeded mutant's recovery: re-claims the register but commits
@@ -253,10 +245,6 @@ impl OpExecution<TasSpec, TasSwitch> for RtasMutantRecover {
 
     fn next_footprint(&self) -> Footprint {
         Footprint::Write(self.winner)
-    }
-
-    fn may_respond_next(&self) -> bool {
-        !self.done
     }
 }
 

@@ -191,10 +191,6 @@ impl OpExecution<RegisterSpec, ()> for WbFlushRecovery {
             _ => Footprint::Write(self.main),
         }
     }
-
-    fn may_respond_next(&self) -> bool {
-        self.pc != 0
-    }
 }
 
 /// [`WbRecovery::Abandon`]: roll the write-ahead cell back (`buf := main`)
@@ -238,10 +234,6 @@ impl OpExecution<RegisterSpec, ()> for WbRollbackRecovery {
             _ => Footprint::Write(self.buf),
         }
     }
-
-    fn may_respond_next(&self) -> bool {
-        self.pc != 0
-    }
 }
 
 /// `Write(v)`: `buf := v`, then `main := v`, commit `v`.
@@ -278,10 +270,6 @@ impl OpExecution<RegisterSpec, ()> for WbWrite {
             0 => Footprint::Write(self.buf),
             _ => Footprint::Write(self.main),
         }
-    }
-
-    fn may_respond_next(&self) -> bool {
-        self.pc != 0
     }
 }
 
@@ -333,9 +321,5 @@ impl OpExecution<RegisterSpec, ()> for WbRead {
             1 => Footprint::Read(self.buf),
             _ => Footprint::Write(self.main),
         }
-    }
-
-    fn may_respond_next(&self) -> bool {
-        self.pc != 0
     }
 }

@@ -239,23 +239,6 @@ impl OpExecution<TasSpec, TasSwitch> for A1Exec {
             Pc::SetAborted => Footprint::Write(self.regs.aborted),
         }
     }
-
-    fn may_respond_next(&self) -> bool {
-        match self.pc {
-            // These states unconditionally continue.
-            Pc::ReadAborted | Pc::WriteP | Pc::WriteS | Pc::RecheckP | Pc::SetAborted => false,
-            // `V ← 1` responds immediately only in the seeded mutant.
-            Pc::WriteV => self.regs.variant == A1Variant::DroppedRawFence,
-            // Every other state may commit or abort depending on what it
-            // reads.
-            Pc::ReadVForAbort
-            | Pc::ReadV
-            | Pc::ReadP
-            | Pc::ReadS
-            | Pc::FinalAbortedCheck
-            | Pc::ReadVAfterContention => true,
-        }
-    }
 }
 
 impl SimObject<TasSpec, TasSwitch> for A1Tas {

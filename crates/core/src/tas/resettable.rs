@@ -114,13 +114,6 @@ impl OpExecution<TasSpec, TasSwitch> for TasExec {
             TasPhase::Inner(exec) => exec.next_footprint(),
         }
     }
-
-    fn may_respond_next(&self) -> bool {
-        match &self.phase {
-            TasPhase::ReadCount => false,
-            TasPhase::Inner(exec) => exec.may_respond_next(),
-        }
-    }
 }
 
 #[derive(Clone, Copy)]
@@ -164,10 +157,6 @@ impl OpExecution<TasSpec, TasSwitch> for ResetExec {
             ResetPhase::ReadCount => Footprint::Read(self.obj.count),
             ResetPhase::WriteCount(_) => Footprint::Write(self.obj.count),
         }
-    }
-
-    fn may_respond_next(&self) -> bool {
-        matches!(self.phase, ResetPhase::WriteCount(_))
     }
 }
 

@@ -56,6 +56,7 @@
 //! so no fork is wasted on the check.
 
 use crate::adversary::{Adversary, SchedView};
+use crate::hb::HbTracker;
 use crate::machine::{OpExecution, OpOutcome, SimObject, StepOutcome};
 use crate::memory::{Footprint, SharedMemory, StepLabel};
 use crate::metrics::{ExecutionMetrics, OpMetrics};
@@ -471,6 +472,9 @@ pub struct ExecSession<S: SequentialSpec, V> {
     forkable: Vec<bool>,
     /// Undo log of operation records.
     op_log: OpLog,
+    /// Happens-before over the executed transitions, when the explorer
+    /// tracks it (source DPOR); see [`Self::hb`].
+    pub(crate) hb: Option<HbTracker>,
 }
 
 impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> Default for ExecSession<S, V> {
@@ -496,7 +500,18 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
             spare: Vec::new(),
             forkable: Vec::new(),
             op_log: OpLog::default(),
+            hb: None,
         }
+    }
+
+    /// The happens-before order over the transitions executed so far, when
+    /// the explorer tracks it: under source DPOR, event `e` is the `e`-th
+    /// scheduling decision, and every decision is pushed before the monitor
+    /// observes it ([`crate::ScheduleMonitor::observe`]). `None` under
+    /// [`crate::Reduction::Off`] and in replay, where the schedule's own
+    /// order is the only one explored.
+    pub fn hb(&self) -> Option<&HbTracker> {
+        self.hb.as_ref()
     }
 
     /// The result of the last [`Executor::run_in`] on this session.
@@ -524,30 +539,20 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
         self.result.decisions.len()
     }
 
-    /// The predicted label of process `p`'s next step: an invocation with no
-    /// shared-memory access if `p` is idle; otherwise the access its
-    /// in-flight operation or recovery routine reports
-    /// ([`OpExecution::next_footprint`]), responding if that step may finish
-    /// ([`OpExecution::may_respond_next`]). A recovery's completion is a
-    /// response-like event (it may resolve the interrupted operation), and
-    /// the trivial recovery completes on its very next tick. The explorer's
+    /// The predicted label of process `p`'s next step: no shared-memory
+    /// access if `p` is idle (an invocation) or runs the trivial recovery;
+    /// otherwise the access its in-flight operation or recovery routine
+    /// reports ([`OpExecution::next_footprint`]). The explorer's
     /// [`crate::explore::pending_label`] for a step.
     pub fn next_label(&self, p: ProcessId) -> StepLabel {
-        let (footprint, invoked, responded) = match self.states.get(p.index()) {
-            Some(ProcState::Idle { .. }) => (Footprint::Pure, true, false),
+        let footprint = match self.states.get(p.index()) {
             Some(ProcState::Running { exec, .. })
             | Some(ProcState::Recovering {
                 exec: Some(exec), ..
-            }) => (exec.next_footprint(), false, exec.may_respond_next()),
-            Some(ProcState::Recovering { exec: None, .. }) => (Footprint::Pure, false, true),
-            _ => (Footprint::Pure, false, false),
+            }) => exec.next_footprint(),
+            _ => Footprint::Pure,
         };
-        StepLabel {
-            proc: p,
-            footprint,
-            invoked,
-            responded,
-        }
+        StepLabel { proc: p, footprint }
     }
 
     /// What the most recent [`Executor::tick`] emitted. Reset by

@@ -14,9 +14,8 @@
 //!   exact footprint, exact invoke/response emissions — see
 //!   [`crate::executor::ExecSession::last_step_footprint`]) and stamped with
 //!   the **set of earlier events that happen-before it** under the
-//!   dependence relation (program order plus [`StepLabel::dependent`], with
-//!   the invoke/commit barriers folded in for the linearizability-preserving
-//!   variant). The explorer's threads are the processes and, over a
+//!   dependence relation (program order plus [`StepLabel::dependent`]). The
+//!   explorer's threads are the processes and, over a
 //!   network, one single-event thread per in-flight message slot (its
 //!   delivery or drop);
 //! * a pair `(i, j)` is a **race** when the two transitions belong to
@@ -68,12 +67,11 @@
 //! suffix.
 //!
 //! The dependence test itself is filtered. Beside each 64-byte
-//! [`StepLabel`] the tracker keeps a compact signature: the thread, the
-//! invoke/respond/unknown flags, and the read and write register sets
-//! folded into `u64` masks (register `r` sets bit `r mod 64`). Two
-//! signatures *may conflict* when they share a thread, either is
-//! unknown, a lin barrier pairs an invocation with a response, or a write
-//! bit of one meets a read or write bit of the other. Folding only merges
+//! [`StepLabel`] the tracker keeps a compact signature: the thread, whether
+//! the footprint is unknown, and the read and write register sets folded
+//! into `u64` masks (register `r` sets bit `r mod 64`). Two signatures *may
+//! conflict* when they share a thread, either is unknown, or a write bit of
+//! one meets a read or write bit of the other. Folding only merges
 //! registers, so a pair that may not conflict is independent for certain;
 //! a pair that may conflict, aliased registers included, falls back to the
 //! exact [`StepLabel::dependent`]. Rows and races are therefore the ones
@@ -108,48 +106,26 @@ struct Sig {
     /// Written registers (network write sets included), folded mod 64.
     writes: u64,
     proc: u32,
-    /// [`Sig::INVOKED`] | [`Sig::RESPONDED`] | [`Sig::UNKNOWN`].
-    flags: u32,
+    /// Whether the footprint is [`Footprint::Unknown`].
+    unknown: bool,
 }
 
 impl Sig {
-    const INVOKED: u32 = 1;
-    const RESPONDED: u32 = 2;
-    const UNKNOWN: u32 = 4;
-
     fn of(label: StepLabel) -> Sig {
         let fold = |r: RegId| 1u64 << (r.0 % 64);
         let (reads, writes, unknown) = match label.footprint {
-            Footprint::Pure => (0, 0, 0),
-            Footprint::Read(r) => (fold(r), 0, 0),
-            Footprint::Write(r) => (0, fold(r), 0),
-            Footprint::Net(w) => (0, w.regs().iter().fold(0, |m, &r| m | fold(r)), 0),
-            Footprint::Unknown => (0, 0, Sig::UNKNOWN),
+            Footprint::Pure => (0, 0, false),
+            Footprint::Read(r) => (fold(r), 0, false),
+            Footprint::Write(r) => (0, fold(r), false),
+            Footprint::Net(w) => (0, w.regs().iter().fold(0, |m, &r| m | fold(r)), false),
+            Footprint::Unknown => (0, 0, true),
         };
         Sig {
             reads,
             writes,
             proc: label.proc.index() as u32,
-            flags: unknown
-                | if label.invoked { Sig::INVOKED } else { 0 }
-                | if label.responded { Sig::RESPONDED } else { 0 },
+            unknown,
         }
-    }
-
-    /// The flags of an earlier event that make it possibly dependent with
-    /// this one regardless of registers: unknown, and under lin barriers
-    /// the response/invocation flag opposite to each of this event's.
-    fn barrier_flags(self, lin_barriers: bool) -> u32 {
-        let mut hit = Sig::UNKNOWN;
-        if lin_barriers {
-            if self.flags & Sig::INVOKED != 0 {
-                hit |= Sig::RESPONDED;
-            }
-            if self.flags & Sig::RESPONDED != 0 {
-                hit |= Sig::INVOKED;
-            }
-        }
-        hit
     }
 }
 
@@ -193,10 +169,7 @@ fn fold_event(mut h: u64, label: StepLabel, preds: u64) -> u64 {
         }
         Footprint::Unknown => (5, 0),
     };
-    h = fnv(
-        h,
-        tag | (u64::from(label.invoked) << 8) | (u64::from(label.responded) << 9),
-    );
+    h = fnv(h, tag);
     h = fnv(h, detail);
     fnv(h, preds)
 }
@@ -214,9 +187,6 @@ fn bit(p: ProcessId) -> u64 {
 /// [module documentation](self).
 #[derive(Debug, Clone)]
 pub struct HbTracker {
-    /// Whether the invoke/commit barrier footprints are part of the
-    /// dependence relation ([`StepLabel::dependent`]'s `lin_barriers`).
-    lin_barriers: bool,
     labels: Vec<StepLabel>,
     /// `sigs[e]` is the [`Sig`] of `labels[e]`.
     sigs: Vec<Sig>,
@@ -242,9 +212,8 @@ pub struct HbTracker {
 impl HbTracker {
     /// A fresh tracker for `threads` threads (the label's
     /// [`StepLabel::proc`] names the thread).
-    pub fn new(threads: usize, lin_barriers: bool) -> Self {
+    pub fn new(threads: usize) -> Self {
         HbTracker {
-            lin_barriers,
             labels: Vec::new(),
             sigs: Vec::new(),
             seqs: Vec::new(),
@@ -318,8 +287,7 @@ impl HbTracker {
         debug_assert!(p < self.counts.len());
         let sig = Sig::of(label);
         // Every earlier event may conflict with an unknown one.
-        let always = sig.flags & Sig::UNKNOWN != 0;
-        let hit_flags = sig.barrier_flags(self.lin_barriers);
+        let always = sig.unknown;
         let touched = sig.reads | sig.writes;
         let j = self.labels.len();
         if j == 64 * self.words {
@@ -350,9 +318,9 @@ impl HbTracker {
             // Branch-free: the scan visits mostly independent events.
             let may_conflict = always
                 | (q == p)
-                | (si.flags & hit_flags != 0)
+                | si.unknown
                 | ((si.writes & touched) | (si.reads & sig.writes) != 0);
-            if may_conflict && self.labels[i].dependent(label, self.lin_barriers) {
+            if may_conflict && self.labels[i].dependent(label) {
                 for (dst, &s) in row.iter_mut().zip(&head[i * w..(i + 1) * w]) {
                     *dst |= s;
                 }
@@ -379,6 +347,31 @@ impl HbTracker {
         i == j || self.row(j)[i / 64] & (1 << (i % 64)) != 0
     }
 
+    /// The event indices of a schedule of the recorded trace that runs the
+    /// events of `order` in that order, each as early as possible: before
+    /// each one, its not yet listed happens-before predecessors in index
+    /// order; after the last one, every remaining event in index order.
+    /// Every such sequence is a linear extension of happens-before, so it
+    /// is a schedule of the same Mazurkiewicz trace. `order` must list its
+    /// events in an order that happens-before allows.
+    pub fn extend_order(&self, order: &[usize]) -> Vec<usize> {
+        let mut listed = vec![false; self.len()];
+        let mut out = Vec::with_capacity(self.len());
+        for &e in order {
+            debug_assert!(!listed[e], "event {e} is ordered after its successor");
+            for (i, seen) in listed[..e].iter_mut().enumerate() {
+                if !*seen && self.happens_before(i, e) {
+                    *seen = true;
+                    out.push(i);
+                }
+            }
+            listed[e] = true;
+            out.push(e);
+        }
+        out.extend((0..self.len()).filter(|&e| !listed[e]));
+        out
+    }
+
     /// Appends to `out` (ascending) the indices `i` such that `(i, last)` is
     /// a race: different threads, dependent, and no intermediate event `k`
     /// with `i → k → last`. The list is the one the last [`Self::push`]
@@ -395,7 +388,7 @@ impl HbTracker {
     /// same value.
     ///
     /// Each thread's events are hashed in program order, each with its
-    /// label content (footprint and invoke/response flags) and a
+    /// label content (its footprint) and a
     /// commutative sum over its maximal dependent predecessors, each named
     /// by thread and per-thread index; the per-thread hashes are folded in
     /// thread order. Program order and maximal predecessors are invariant
@@ -475,7 +468,6 @@ mod tests {
     /// by a full walk over every event.
     struct VcReference {
         threads: usize,
-        lin_barriers: bool,
         labels: Vec<StepLabel>,
         /// Flat clock rows, stride `threads`.
         clocks: Vec<u32>,
@@ -486,10 +478,9 @@ mod tests {
     }
 
     impl VcReference {
-        fn new(threads: usize, lin_barriers: bool) -> Self {
+        fn new(threads: usize) -> Self {
             VcReference {
                 threads,
-                lin_barriers,
                 labels: Vec::new(),
                 clocks: Vec::new(),
                 preds: Vec::new(),
@@ -519,7 +510,7 @@ mod tests {
             let base = j * n;
             self.clocks.resize(base + n, 0);
             let dependent: Vec<usize> = (0..j)
-                .filter(|&i| self.labels[i].dependent(label, self.lin_barriers))
+                .filter(|&i| self.labels[i].dependent(label))
                 .collect();
             for &i in &dependent {
                 let (head, tail) = self.clocks.split_at_mut(base);
@@ -583,14 +574,12 @@ mod tests {
         StepLabel {
             proc: p(proc),
             footprint: fp,
-            invoked: false,
-            responded: false,
         }
     }
 
     #[test]
     fn unknown_footprints_are_ordered_with_everything() {
-        let mut hb = HbTracker::new(3, false);
+        let mut hb = HbTracker::new(3);
         hb.push(step(0, Footprint::Unknown));
         hb.push(step(1, Footprint::Pure));
         hb.push(step(2, Footprint::Read(RegId(0))));
@@ -610,7 +599,7 @@ mod tests {
     #[test]
     fn per_process_counters_stay_concurrent_on_disjoint_registers() {
         let (a, b) = (RegId(0), RegId(1));
-        let mut hb = HbTracker::new(2, false);
+        let mut hb = HbTracker::new(2);
         hb.push(step(0, Footprint::Write(a)));
         hb.push(step(0, Footprint::Write(a)));
         hb.push(step(1, Footprint::Write(b)));
@@ -635,7 +624,7 @@ mod tests {
         // p0: W(a); p1: W(a); p2: W(a). The (0, 2) pair is ordered through
         // event 1, so the reversible races are exactly (0, 1) and (1, 2).
         let a = RegId(0);
-        let mut hb = HbTracker::new(3, false);
+        let mut hb = HbTracker::new(3);
         let mut races = Vec::new();
         hb.push(step(0, Footprint::Write(a)));
         hb.push(step(1, Footprint::Write(a)));
@@ -656,7 +645,7 @@ mod tests {
         // p0: W(a); p1: W(b); p2: R(a). Race (0, 2); v = [W(b), R(a)].
         // Both p1's and p2's first events are front-movable.
         let (a, b) = (RegId(0), RegId(1));
-        let mut hb = HbTracker::new(3, false);
+        let mut hb = HbTracker::new(3);
         hb.push(step(0, Footprint::Write(a)));
         hb.push(step(1, Footprint::Write(b)));
         hb.push(step(2, Footprint::Read(a)));
@@ -668,7 +657,7 @@ mod tests {
         // p0: W(a); p1: W(b); p2: R(b); p2: R(a). Race (0, 3);
         // v = [W(b), R(b), R(a)] and p2's first event in v (the R(b))
         // happens-after p1's W(b), so only p1 is an initial.
-        let mut hb = HbTracker::new(3, false);
+        let mut hb = HbTracker::new(3);
         hb.push(step(0, Footprint::Write(a)));
         hb.push(step(1, Footprint::Write(b)));
         hb.push(step(2, Footprint::Read(b)));
@@ -680,27 +669,32 @@ mod tests {
     }
 
     #[test]
-    fn invoke_commit_barriers_race_only_with_lin_barriers() {
-        let mk = |lin| {
-            let mut hb = HbTracker::new(2, lin);
-            hb.push(StepLabel {
-                proc: p(0),
-                footprint: Footprint::Pure,
-                invoked: false,
-                responded: true,
-            });
-            hb.push(StepLabel {
-                proc: p(1),
-                footprint: Footprint::Pure,
-                invoked: true,
-                responded: false,
-            });
-            let mut races = Vec::new();
-            hb.races_of_last(&mut races);
-            races
-        };
-        assert!(mk(false).is_empty(), "plain mode: pure steps never race");
-        assert_eq!(mk(true), vec![0], "lin mode: response vs invocation races");
+    fn pure_steps_of_different_threads_never_race() {
+        // Invocations and responses are pure steps: only program order and
+        // footprints order them, so a response never races with another
+        // process's invocation.
+        let mut hb = HbTracker::new(2);
+        hb.push(step(0, Footprint::Pure));
+        hb.push(step(1, Footprint::Pure));
+        let mut races = Vec::new();
+        hb.races_of_last(&mut races);
+        assert!(races.is_empty());
+        assert!(!hb.happens_before(0, 1));
+    }
+
+    #[test]
+    fn extend_order_realises_a_history_order_as_a_schedule() {
+        // p0: W(a) then R(b); p1: W(b). Only W(b) -> R(b) is ordered across
+        // threads, so the order [1, 0] (p1's write first) extends to the
+        // schedule [1, 0, 2], and [2] pulls in both predecessors.
+        let (a, b) = (RegId(0), RegId(1));
+        let mut hb = HbTracker::new(2);
+        hb.push(step(0, Footprint::Write(a)));
+        hb.push(step(1, Footprint::Write(b)));
+        hb.push(step(0, Footprint::Read(b)));
+        assert_eq!(hb.extend_order(&[1, 0]), vec![1, 0, 2]);
+        assert_eq!(hb.extend_order(&[2]), vec![0, 1, 2]);
+        assert_eq!(hb.extend_order(&[]), vec![0, 1, 2]);
     }
 
     #[test]
@@ -708,20 +702,20 @@ mod tests {
         let (a, b) = (RegId(0), RegId(1));
         // Independent steps commute: the two interleavings of W(a) and W(b)
         // are the same trace, so they fingerprint identically.
-        let mut one = HbTracker::new(2, false);
+        let mut one = HbTracker::new(2);
         one.push(step(0, Footprint::Write(a)));
         one.push(step(1, Footprint::Write(b)));
-        let mut two = HbTracker::new(2, false);
+        let mut two = HbTracker::new(2);
         two.push(step(1, Footprint::Write(b)));
         two.push(step(0, Footprint::Write(a)));
         assert_eq!(one.fingerprint(), two.fingerprint());
 
         // Dependent steps do not: swapping two writes to the same register
         // changes the dependence structure's orientation.
-        let mut three = HbTracker::new(2, false);
+        let mut three = HbTracker::new(2);
         three.push(step(0, Footprint::Write(a)));
         three.push(step(1, Footprint::Write(a)));
-        let mut four = HbTracker::new(2, false);
+        let mut four = HbTracker::new(2);
         four.push(step(1, Footprint::Write(a)));
         four.push(step(0, Footprint::Write(a)));
         assert_ne!(three.fingerprint(), four.fingerprint());
@@ -731,7 +725,7 @@ mod tests {
     #[test]
     fn truncate_rewinds_the_event_stream() {
         let a = RegId(0);
-        let mut hb = HbTracker::new(2, false);
+        let mut hb = HbTracker::new(2);
         hb.push(step(0, Footprint::Write(a)));
         hb.push(step(1, Footprint::Write(a)));
         hb.truncate(1);
@@ -746,8 +740,8 @@ mod tests {
 
     /// A random label over `procs` processes and six registers that alias
     /// pairwise mod 64 (`r` and `r + 64` fold onto one signature bit, so
-    /// the push prefilter's exact fallback decides those pairs), every
-    /// footprint kind and random invoke/respond flags.
+    /// the push prefilter's exact fallback decides those pairs), with every
+    /// footprint kind.
     fn arb_label(rng: &mut SplitMix64, procs: usize) -> StepLabel {
         const REGS: [usize; 6] = [0, 1, 2, 64, 65, 66];
         let reg = |rng: &mut SplitMix64| RegId(REGS[rng.next_below(REGS.len())]);
@@ -764,8 +758,6 @@ mod tests {
         StepLabel {
             proc: p(rng.next_below(procs)),
             footprint,
-            invoked: rng.next_below(4) == 0,
-            responded: rng.next_below(4) == 0,
         }
     }
 
@@ -795,14 +787,13 @@ mod tests {
         for case in 0..128u64 {
             let mut rng = SplitMix64::new(0x4B_1D ^ case);
             let procs = 2 + rng.next_below(3);
-            let lin = rng.next_bool();
-            let mut fast = HbTracker::new(procs, lin);
-            let mut slow = VcReference::new(procs, lin);
+            let mut fast = HbTracker::new(procs);
+            let mut slow = VcReference::new(procs);
             let mut fast_races = Vec::new();
             // Streams grow past 64 and 128 events, so rows widen and
             // truncations cross word boundaries.
             for step in 0..160 {
-                let at = format!("case {case} step {step} (procs {procs}, lin {lin})");
+                let at = format!("case {case} step {step} (procs {procs})");
                 match rng.next_below(32) {
                     0 => {
                         let len = fast.len() - rng.next_below(fast.len().min(16) + 1);

@@ -111,20 +111,11 @@ pub trait OpExecution<S: SequentialSpec, V> {
         Footprint::Unknown
     }
 
-    /// Whether the *next* [`Self::step`] call could finish the operation
-    /// (return [`StepOutcome::Done`]) — i.e. whether the next scheduling of
-    /// this operation may emit a commit or abort event.
-    ///
-    /// Used by the sleep-set wake rule of the linearizability-preserving
-    /// reduction ([`crate::Reduction::SourceDporLinPreserving`]): reordering
-    /// a response past another process's invocation changes the real-time
-    /// precedence of the invoke/commit projection, so a sleeping step that
-    /// may respond must wake when another process invokes. (Race detection
-    /// sees whether an executed step actually responded and does not need
-    /// this hook.) Like [`Self::next_footprint`] this must be a
-    /// function of local state only, and it must *over*-approximate: answer
-    /// `true` whenever completion is possible. The default (`true`) is
-    /// always sound and merely costs reduction.
+    /// Whether the *next* [`Self::step`] call could finish the operation.
+    /// Nothing in the workspace calls it: real-time order is read per trace
+    /// by walking the linear extensions of its history, not kept by the
+    /// dependence relation. The method stays, defaulted, because the
+    /// benchmark harness's object wrappers implement it.
     fn may_respond_next(&self) -> bool {
         true
     }
@@ -264,11 +255,6 @@ impl<S: SequentialSpec + 'static, V: Clone + 'static> OpExecution<S, V> for Imme
 
     fn next_footprint(&self) -> Footprint {
         Footprint::Pure
-    }
-
-    fn may_respond_next(&self) -> bool {
-        // The first step responds; the (unreachable) later steps do not.
-        self.outcome.is_some()
     }
 }
 

@@ -287,15 +287,18 @@ impl Footprint {
 }
 
 /// The label of one scheduling transition: which happens-before thread
-/// moved, what shared-memory access it performed, and which trace events it
-/// emitted. The source-DPOR engine in [`crate::explore`] decides both of
-/// its dependence questions with [`StepLabel::dependent`]: races between
-/// *executed* transitions (via the happens-before layer in [`crate::hb`]),
-/// whose labels say exactly what each transition did, and sleep-set wakes,
-/// which compare an executed label with a sleeping transition's *predicted*
-/// one ([`crate::explore::pending_label`]). A prediction over-approximates
-/// — a step that *may* respond is labelled as responding — so a wake
-/// never comes too late.
+/// moved and what shared-memory access it performed. The source-DPOR engine
+/// in [`crate::explore`] decides both of its dependence questions with
+/// [`StepLabel::dependent`]: races between *executed* transitions (via the
+/// happens-before layer in [`crate::hb`]), whose labels say exactly what
+/// each transition did, and sleep-set wakes, which compare an executed label
+/// with a sleeping transition's *predicted* one
+/// ([`crate::explore::pending_label`]). A prediction over-approximates, so
+/// a wake never comes too late.
+///
+/// Invocations and responses are not part of the label: a verdict that
+/// reads real-time order walks the linear extensions of each trace's
+/// history instead (see [`crate::explore::Reduction`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepLabel {
     /// The process that took the transition.
@@ -303,31 +306,16 @@ pub struct StepLabel {
     /// The shared-memory access the transition performed
     /// ([`Footprint::Pure`] for invocations and silent local steps).
     pub footprint: Footprint,
-    /// Whether the transition emitted an invocation (invoke/init) event.
-    pub invoked: bool,
-    /// Whether the transition emitted a response (commit/abort) event.
-    pub responded: bool,
 }
 
 impl StepLabel {
     /// Whether two executed transitions are dependent (may fail to commute).
     ///
     /// Transitions of the same process are always dependent (program order).
-    /// Across processes the base relation is shared-memory dependence of the
-    /// footprints ([`Footprint::dependent`]); with `lin_barriers` the
-    /// invoke/commit *barrier footprints* of the linearizability-preserving
-    /// reductions are folded in: a transition that emitted a response event
-    /// is additionally dependent with every other process's
-    /// invocation-emitting transition (and vice versa), because swapping
-    /// such a pair changes the real-time precedence of the commit
-    /// projection.
-    pub fn dependent(self, other: StepLabel, lin_barriers: bool) -> bool {
-        if self.proc == other.proc {
-            return true;
-        }
-        self.footprint.dependent(other.footprint)
-            || (lin_barriers
-                && ((self.invoked && other.responded) || (self.responded && other.invoked)))
+    /// Across processes the relation is shared-memory dependence of the
+    /// footprints ([`Footprint::dependent`]).
+    pub fn dependent(self, other: StepLabel) -> bool {
+        self.proc == other.proc || self.footprint.dependent(other.footprint)
     }
 }
 

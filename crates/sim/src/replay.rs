@@ -47,9 +47,9 @@ pub struct ReplayLog {
     /// Reversible racing pairs `(i, j)` over tick indices: the races the
     /// explorer branches on. They are detected by
     /// [`HbTracker::races_of_last`] over the explorer's threads (one per
-    /// process and one per in-flight slot), with the lin barriers matching
-    /// the recorded reduction, and the explorer's enabling-edge filter
-    /// drops the pairs whose later transition the earlier one enabled.
+    /// process and one per in-flight slot), and the explorer's enabling-edge
+    /// filter drops the pairs whose later transition the earlier one
+    /// enabled.
     pub races: Vec<(usize, usize)>,
     /// Which processes ended the execution crashed.
     pub crashed: Vec<bool>,
@@ -84,8 +84,7 @@ pub enum ReplayOutcome {
 /// outcome together with the (possibly partial, on divergence) replay log.
 ///
 /// `config` supplies the execution parameters the schedule was recorded
-/// under — tick limit, trace mode, partition, and the reduction whose lin
-/// barriers shape the race relation reported in the log. Budgets
+/// under — tick limit, trace mode and partition. Budgets
 /// (`max_schedules`, `max_crashes`, `max_drops`) are *not* re-validated:
 /// the schedule is replayed verbatim.
 pub fn replay_schedule<S, V, O, M, FSetup, FCheck>(
@@ -124,7 +123,7 @@ where
     };
     executor.begin(&mut session, workload);
     monitor.begin();
-    let mut hb = HbTracker::new(n + cap, config.reduction.preserves_lin());
+    let mut hb = HbTracker::new(n + cap);
     let mut race_buf: Vec<usize> = Vec::new();
     // Per tick, the processes blocked at the node before it.
     let mut node_blocked: Vec<u64> = Vec::with_capacity(schedule.len());

@@ -730,6 +730,15 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
         }
     }
 
+    /// Whether the frontier is empty: no linearization order exists for the
+    /// events consumed so far, and none will for any extension of them.
+    /// (A [`IncVerdict::NotLinearizable`] verdict may instead come from a
+    /// frontier that owes a crashed operation's late commit, which a later
+    /// commit can still pay.)
+    pub fn refuted(&self) -> bool {
+        self.failure.is_some()
+    }
+
     /// Saves the current checker position and returns a token for
     /// [`Self::rewind_to`]. Tokens form a stack: rewinding to a token
     /// discards every later one.

@@ -1,8 +1,7 @@
 //! Golden exploration counters: every registered `scl-check` scenario, run
-//! under the default configuration (`source-dpor-lin`, prefix-resume,
-//! incremental checker, sequential engine), must explore exactly the tree
-//! recorded here. The four outcome-only scenarios (no linearizability check)
-//! run that default as plain source DPOR.
+//! under the default configuration (`source-dpor-lin`, which is plain source
+//! DPOR, with prefix-resume, the incremental checker and the sequential
+//! engine), must explore exactly the tree recorded here.
 //!
 //! The counters pin the *shape* of the explored tree, not its speed:
 //! schedules, executed steps and ticks, races and race seeds, distinct
@@ -37,34 +36,34 @@ const BOUNDED: [&str; 3] = [
 /// drop_steps, restart_steps, explored_ticks, replayed_ticks]`.
 #[rustfmt::skip]
 const GOLDEN: [(&str, &str, [u64; 15]); 28] = [
-    ("spec_tas_n2", "exhausted", [77, 533, 542, 179, 76, 28, 0, 185, 76, 0, 0, 0, 0, 542, 0]),
+    ("spec_tas_n2", "exhausted", [26, 184, 190, 59, 25, 26, 0, 64, 25, 0, 0, 0, 0, 190, 0]),
     ("spec_tas_n3", "exhausted", [1956, 12456, 12567, 6701, 2044, 1956, 89, 5065, 2044, 0, 0, 0, 0, 12567, 0]),
-    ("spec_tas_n3_realtime", "violation", [1859, 11630, 11700, 6451, 1930, 1857, 67, 4755, 1925, 0, 0, 0, 0, 11700, 0]),
-    ("solo_fast_tas_n2", "exhausted", [77, 517, 526, 179, 76, 28, 0, 184, 76, 0, 0, 0, 0, 526, 0]),
-    ("a1_n2", "exhausted", [65, 446, 455, 146, 64, 24, 0, 152, 64, 0, 0, 0, 0, 455, 0]),
-    ("a1_dropped_raw_fence_n2", "violation", [6, 43, 47, 14, 8, 6, 0, 25, 5, 0, 0, 0, 0, 47, 0]),
-    ("resettable_tas_n2", "exhausted", [392, 3844, 4290, 965, 391, 157, 0, 1339, 391, 0, 0, 0, 0, 4290, 0]),
-    ("universal_queue_n2", "exhausted", [605, 9986, 10700, 1589, 604, 272, 0, 4048, 604, 0, 0, 0, 0, 10700, 0]),
-    ("universal_register_n2", "exhausted", [605, 9986, 10700, 1589, 604, 272, 0, 4048, 604, 0, 0, 0, 0, 10700, 0]),
-    ("consensus_split_n2", "exhausted", [81, 599, 610, 202, 80, 36, 0, 165, 80, 0, 0, 0, 0, 610, 0]),
-    ("consensus_cas_n2", "exhausted", [8, 28, 34, 14, 7, 6, 0, 10, 7, 0, 0, 0, 0, 34, 0]),
-    ("crash_spec_tas_n2", "exhausted", [377, 1048, 1648, 428, 81, 146, 272, 479, 648, 567, 0, 0, 0, 1648, 0]),
-    ("crash_write_behind_open_n2", "exhausted", [36, 113, 170, 62, 16, 36, 7, 29, 42, 26, 0, 0, 0, 170, 0]),
-    ("crash_write_behind_strict_n2", "violation", [9, 37, 54, 19, 6, 9, 3, 9, 11, 6, 0, 0, 0, 54, 0]),
+    ("spec_tas_n3_realtime", "violation", [9, 73, 85, 30, 12, 9, 0, 45, 8, 0, 0, 0, 0, 85, 0]),
+    ("solo_fast_tas_n2", "exhausted", [26, 178, 184, 59, 25, 26, 0, 63, 25, 0, 0, 0, 0, 184, 0]),
+    ("a1_n2", "exhausted", [22, 155, 161, 48, 21, 22, 0, 53, 21, 0, 0, 0, 0, 161, 0]),
+    ("a1_dropped_raw_fence_n2", "violation", [5, 40, 44, 12, 7, 5, 0, 24, 4, 0, 0, 0, 0, 44, 0]),
+    ("resettable_tas_n2", "exhausted", [57, 603, 688, 135, 56, 57, 0, 367, 56, 0, 0, 0, 0, 688, 0]),
+    ("universal_queue_n2", "exhausted", [270, 4433, 4758, 702, 269, 270, 0, 1824, 269, 0, 0, 0, 0, 4758, 0]),
+    ("universal_register_n2", "exhausted", [270, 4433, 4758, 702, 269, 270, 0, 1824, 269, 0, 0, 0, 0, 4758, 0]),
+    ("consensus_split_n2", "exhausted", [34, 246, 255, 79, 33, 34, 0, 73, 33, 0, 0, 0, 0, 255, 0]),
+    ("consensus_cas_n2", "exhausted", [4, 14, 18, 6, 3, 4, 0, 6, 3, 0, 0, 0, 0, 18, 0]),
+    ("crash_spec_tas_n2", "exhausted", [120, 327, 526, 88, 25, 120, 93, 161, 212, 187, 0, 0, 0, 526, 0]),
+    ("crash_write_behind_open_n2", "exhausted", [13, 53, 76, 18, 7, 13, 3, 13, 15, 8, 0, 0, 0, 76, 0]),
+    ("crash_write_behind_strict_n2", "violation", [2, 11, 17, 2, 2, 2, 0, 4, 1, 1, 0, 0, 0, 17, 0]),
     ("crash_resettable_tas_wedge_n2", "violation", [2, 25, 30, 2, 2, 2, 0, 15, 1, 1, 0, 0, 0, 30, 0]),
-    ("crash_a1_dropped_raw_fence_n2", "violation", [38, 108, 171, 74, 15, 30, 24, 57, 61, 52, 0, 0, 0, 171, 0]),
-    ("recovery_tas_n2", "exhausted", [102, 268, 390, 160, 56, 74, 1, 112, 102, 23, 0, 0, 30, 390, 0]),
-    ("recovery_tas_mutant_n2", "violation", [11, 18, 34, 14, 6, 11, 0, 12, 10, 7, 0, 0, 2, 34, 0]),
-    ("recovery_write_behind_flush_durable_n2", "exhausted", [442, 1691, 2070, 961, 362, 259, 0, 486, 441, 26, 0, 0, 60, 2070, 0]),
-    ("recovery_write_behind_flush_strict_n2", "violation", [47, 188, 235, 99, 36, 25, 0, 61, 46, 6, 0, 0, 8, 235, 0]),
-    ("recovery_write_behind_abandon_durable_n2", "exhausted", [361, 1384, 1726, 740, 281, 205, 0, 413, 360, 26, 0, 0, 60, 1726, 0]),
-    ("recovery_write_behind_abandon_recoverable_n2", "violation", [26, 96, 123, 47, 18, 19, 0, 33, 25, 4, 0, 0, 7, 123, 0]),
-    ("recovery_recrash_unrecovered_n2", "violation", [4, 15, 23, 6, 3, 4, 0, 12, 3, 2, 0, 0, 1, 23, 0]),
+    ("crash_a1_dropped_raw_fence_n2", "violation", [23, 70, 105, 23, 9, 23, 10, 40, 32, 28, 0, 0, 0, 105, 0]),
+    ("recovery_tas_n2", "exhausted", [44, 116, 184, 74, 21, 44, 2, 54, 45, 18, 0, 0, 18, 184, 0]),
+    ("recovery_tas_mutant_n2", "violation", [9, 16, 30, 9, 4, 9, 0, 11, 8, 5, 0, 0, 2, 30, 0]),
+    ("recovery_write_behind_flush_durable_n2", "exhausted", [132, 550, 696, 298, 103, 132, 0, 161, 131, 8, 0, 0, 23, 696, 0]),
+    ("recovery_write_behind_flush_strict_n2", "violation", [2, 11, 17, 2, 2, 2, 0, 10, 1, 1, 0, 0, 0, 17, 0]),
+    ("recovery_write_behind_abandon_durable_n2", "exhausted", [98, 413, 537, 219, 69, 98, 0, 127, 97, 8, 0, 0, 23, 537, 0]),
+    ("recovery_write_behind_abandon_recoverable_n2", "violation", [13, 53, 71, 27, 9, 13, 0, 22, 12, 1, 0, 0, 5, 71, 0]),
+    ("recovery_recrash_unrecovered_n2", "violation", [4, 15, 23, 5, 3, 4, 0, 12, 3, 2, 0, 0, 1, 23, 0]),
     ("abd_partition_majority_wedge_n2", "violation", [1, 4, 12, 2, 2, 1, 0, 10, 0, 0, 4, 0, 0, 12, 0]),
     ("abd_quorum_mutant", "violation", [19, 90, 229, 49, 20, 19, 0, 202, 18, 0, 133, 0, 0, 229, 0]),
     ("abd_lossy_n2", "limit_reached", [2000, 2999, 6673, 2464, 1013, 2000, 244, 2265, 2244, 1244, 2427, 1, 0, 6673, 0]),
     ("abd_partition_minority_n2", "limit_reached", [2000, 6368, 11672, 5234, 2160, 2000, 145, 4579, 2145, 0, 5158, 0, 0, 11672, 0]),
-    ("abd_retry_exhaustion_abort_n2", "limit_reached", [2000, 5121, 9525, 4271, 1516, 1424, 258, 3486, 2258, 0, 3624, 778, 0, 9525, 0]),
+    ("abd_retry_exhaustion_abort_n2", "limit_reached", [2000, 5121, 9525, 4267, 1515, 1424, 258, 3486, 2258, 0, 3624, 778, 0, 9525, 0]),
 ];
 
 const FIELDS: [&str; 15] = [
