@@ -23,7 +23,7 @@ fn main() {
             let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(n, TasOp::TestAndSet);
             let (res, s) = run_and_summarise(new_speculative_tas, &wl, adversary.as_mut());
             let winners = res
-                .trace
+                .trace()
                 .commits()
                 .iter()
                 .filter(|(_, r)| *r == TasResp::Winner)

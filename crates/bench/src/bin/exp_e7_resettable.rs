@@ -26,7 +26,7 @@ fn main() {
             let res =
                 Executor::new().run(&mut mem, &mut tas, &wl, &mut RoundRobinAdversary::default());
             let winners: Vec<_> = res
-                .trace
+                .trace()
                 .commits()
                 .iter()
                 .filter(|(_, r)| *r == TasResp::Winner)
@@ -48,7 +48,7 @@ fn main() {
                 .ops
                 .iter()
                 .find(|o| {
-                    res2.trace
+                    res2.trace()
                         .request(o.req_id)
                         .map(|r| r.op == TasOp::TestAndSet)
                         .unwrap_or(false)

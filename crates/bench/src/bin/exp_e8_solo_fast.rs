@@ -26,7 +26,7 @@ fn run_variant(mut mem: SharedMemory, mut tas: Composed<A1Tas, A2Tas>) -> (u64, 
     let res1 = Executor::new().run(&mut mem, &mut tas, &wl, &mut RoundRobinAdversary::default());
     assert!(res1.completed);
     let winners1 = res1
-        .trace
+        .trace()
         .commits()
         .iter()
         .filter(|(_, r)| *r == TasResp::Winner)
@@ -39,7 +39,7 @@ fn run_variant(mut mem: SharedMemory, mut tas: Composed<A1Tas, A2Tas>) -> (u64, 
     assert!(res2.completed);
     let late_op = &res2.metrics.ops[0];
     let winners2 = res2
-        .trace
+        .trace()
         .commits()
         .iter()
         .filter(|(_, r)| *r == TasResp::Winner)

@@ -16,7 +16,7 @@
 //! well-formedness of every document the tool emits.
 
 use crate::scenarios::{
-    cli_name, crashed_pending_values, parse_crashed_pending, parse_reduction, reduction_values,
+    cli_name, crashed_pending_values, parse_crashed_pending, parse_reduction, reduction_cli_name,
     CheckConfig,
 };
 use scl_sim::{Footprint, ReplayLog, ReplayTick, StepKind, TickEmission};
@@ -289,8 +289,12 @@ impl Artifact {
             .collect::<Option<Vec<ProcessId>>>()
             .ok_or("artifact schedule must be an array of integers".to_string())?;
         // Artifacts written before the checker and resume knobs were removed
-        // also carry `checker` and `resume`; a replay ignores both.
-        let reduction_text = cfg_str("reduction")?;
+        // also carry `checker` and `resume`; a replay ignores both. Older
+        // artifacts name source DPOR `source-dpor-lin` too.
+        let reduction_text = match cfg_str("reduction")? {
+            "source-dpor-lin" => "source-dpor",
+            text => text,
+        };
         let crashed_text = cfg_str("crashed_pending")?;
         let mut run = CheckConfig {
             crashed_pending: parse_crashed_pending(crashed_text)
@@ -355,7 +359,7 @@ pub fn artifact_json(
         crate::json_string(scenario),
         crate::json_string(message),
         sched.join(", "),
-        cli_name(reduction_values(), config.explore.reduction),
+        reduction_cli_name(config.explore.reduction),
         cli_name(crashed_pending_values(), config.crashed_pending),
         config.explore.max_schedules,
         config.explore.max_ticks,
@@ -576,7 +580,7 @@ mod tests {
         );
         assert_eq!(
             artifact.config.explore.reduction,
-            scl_sim::Reduction::SourceDporLinPreserving
+            scl_sim::Reduction::SourceDpor
         );
         assert_eq!(artifact.config.explore.max_schedules, 200_000);
         let config = &artifact.config;

@@ -4,10 +4,10 @@
 //! verdicts.
 //!
 //! The bridge keeps **one** checker for the whole exploration, rewound
-//! whenever the explorer restores a checkpoint, and works under
-//! [`TraceMode::MetricsOnly`](scl_sim::TraceMode): events are taken from the
-//! executor's [`TickEmission`] stream, not from the trace. Which checker
-//! depends on the [`CheckerMode`]:
+//! whenever the explorer restores a checkpoint. Events are taken from the
+//! executor's [`TickEmission`] stream as each transition runs, not from the
+//! finished execution's trace. Which checker depends on the
+//! [`CheckerMode`]:
 //!
 //! * [`CheckerMode::Incremental`] feeds the events to an
 //!   [`IncrementalLinChecker`] whose frontier is memoised at branch points,
@@ -53,9 +53,8 @@
 
 use scl_sim::{name_counterexample, ExecSession, OpOutcome, ScheduleMonitor, TickEmission};
 use scl_spec::{
-    check_linearizable_with_stats, check_strict_linearizable_with_stats, ConcurrentHistory,
-    FxHashMap, HistoryMark, IncVerdict, IncrementalLinChecker, LinCheckResult, Request, RequestId,
-    SequentialSpec,
+    check_strict_linearizable_with_stats, ConcurrentHistory, FxHashMap, HistoryMark, IncVerdict,
+    IncrementalLinChecker, LinCheckResult, Request, RequestId, SequentialSpec,
 };
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -313,13 +312,10 @@ impl<S: SequentialSpec> Checker<S> {
                 spec, hist, states, ..
             } => (spec, hist, states),
         };
-        // The durable and recoverable closures share the strict search: the
-        // difference is entirely in *what* was recorded (where the deadline
-        // sits, and whether the op is required).
-        let (result, stats) = match crashed_pending {
-            CrashedPending::Open => check_linearizable_with_stats(spec, hist),
-            _ => check_strict_linearizable_with_stats(spec, hist),
-        };
+        // Every closure shares the strict search: the difference is entirely
+        // in *what* was recorded (no gate under the open closure, where the
+        // deadline sits, and whether the op is required).
+        let (result, stats) = check_strict_linearizable_with_stats(spec, hist);
         *states += stats.states;
         let adverb = match crashed_pending {
             CrashedPending::Open => {

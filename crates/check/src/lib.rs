@@ -26,11 +26,10 @@
 //!   ([`run_selection`]), and emits a JSON report (`--smoke` runs the whole
 //!   registry under tiny bounds in CI).
 //!
-//! The reduced modes matter here: one schedule per Mazurkiewicz trace does
+//! The reduced mode matters here: one schedule per Mazurkiewicz trace does
 //! not fix the real-time order of operations of different processes, which
-//! linearizability reads. Under both source-DPOR names
-//! ([`scl_sim::Reduction::SourceDporLinPreserving`] is the default) the
-//! bridge therefore walks every linear extension of each explored trace's
+//! linearizability reads. Under source DPOR (the default) the bridge
+//! therefore walks every linear extension of each explored trace's
 //! history under happens-before, and reports a violating one as a schedule
 //! of the same trace; the oracle tests in `tests/` verify the walk against
 //! unreduced enumeration.
@@ -45,9 +44,9 @@ pub mod scenarios;
 pub use artifact::{artifact_json, parse_json, render_interleaving, Artifact, Json};
 pub use bridge::{CheckerMode, CrashedPending, HistoryEvent, LinMonitor};
 pub use scenarios::{
-    cli_name, crashed_pending_values, find, metrics_only_conflict, nearest, parse_crashed_pending,
-    parse_reduction, reduction_name, reduction_values, registry, run_selection,
-    unknown_value_message, CheckConfig, Outcome, ReplayCapture, Scenario, ScenarioReport,
+    cli_name, crashed_pending_values, find, nearest, parse_crashed_pending, parse_reduction,
+    reduction_name, reduction_values, registry, run_selection, unknown_value_message, CheckConfig,
+    Outcome, ReplayCapture, Scenario, ScenarioReport,
 };
 
 /// Renders a set of scenario reports (plus the configuration that produced
@@ -86,20 +85,18 @@ pub fn reports_to_json_partial(
                     ),
                 )
             }
-            Outcome::ConfigError(msg) => (0, format!("{{\"config_error\": {}}}", json_string(msg))),
             Outcome::HarnessFailure { message } => (
                 r.explore.schedules,
                 format!("{{\"harness_failure\": {}}}", json_string(message)),
             ),
         };
         entries.push(format!(
-            "    \"{}\": {{\"outcome\": \"{}\", \"reduction\": \"{}\", \"schedules\": {}, \
+            "    \"{}\": {{\"outcome\": \"{}\", \"schedules\": {}, \
              \"executed_steps\": {}, \"executed_ticks\": {}, \"checker_states\": {}, \
              \"expect_violation\": {}, \"underpowered\": {}, \"as_expected\": {}, \
              \"secs\": {:.6}, \"violation\": {}, \"telemetry\": {}}}",
             r.name,
             r.outcome.tag(),
-            cli_name(reduction_values(), r.reduction),
             schedules,
             r.explore.executed_steps,
             r.explore.executed_ticks,
@@ -121,7 +118,7 @@ pub fn reports_to_json_partial(
     format!(
         "{{\n  \"tool\": \"scl-check\",\n  \"config\": {{\"reduction\": \"{}\", \
          \"crashed_pending\": \"{}\", \"max_schedules\": {}, \"max_ticks\": {}, \"max_drops\": \
-         {}, \"max_recoveries\": {}, \"metrics_only\": {}, \"workers\": {}}},\n  \"host\": {{\"available_parallelism\": {}}},\n  \"exhausted\": \
+         {}, \"max_recoveries\": {}, \"workers\": {}}},\n  \"host\": {{\"available_parallelism\": {}}},\n  \"exhausted\": \
          {},\n  \"scenarios\": {{\n{}\n  }},\n  \"all_as_expected\": {}\n}}\n",
         reduction_name(config.explore.reduction),
         config.crashed_pending.name(),
@@ -129,7 +126,6 @@ pub fn reports_to_json_partial(
         config.explore.max_ticks,
         config.explore.max_drops,
         config.explore.max_recoveries,
-        config.explore.metrics_only,
         config.explore.threads,
         std::thread::available_parallelism()
             .map(|n| n.get())

@@ -20,10 +20,9 @@
 //! order and does not depend on N.
 
 use scl_check::{
-    artifact_json, cli_name, crashed_pending_values, find, metrics_only_conflict,
-    parse_crashed_pending, parse_reduction, reduction_values, registry, render_interleaving,
-    reports_to_json_partial, run_selection, unknown_value_message, Artifact, CheckConfig, Outcome,
-    ReplayCapture, Scenario,
+    artifact_json, crashed_pending_values, find, parse_crashed_pending, parse_reduction,
+    reduction_values, registry, render_interleaving, reports_to_json_partial, run_selection,
+    unknown_value_message, Artifact, CheckConfig, Outcome, ReplayCapture, Scenario,
 };
 use scl_sim::{ReplayOutcome, TelemetryObserver};
 use std::sync::Arc;
@@ -83,11 +82,9 @@ fn usage() -> ! {
          \n\
          Options:\n\
          \x20  --reduction MODE        {reductions}\n\
-         \x20                          (both source-dpor names explore the same\n\
-         \x20                          traces; linearizability verdicts walk\n\
-         \x20                          every order of each trace's history,\n\
-         \x20                          and outcome-only scenarios report\n\
-         \x20                          source-dpor)\n\
+         \x20                          (source-dpor explores one schedule per\n\
+         \x20                          trace; linearizability verdicts walk\n\
+         \x20                          every order of each trace's history)\n\
          \x20  --crashed-pending MODE  {crashed}\n\
          \x20                          (strict = strict linearizability for\n\
          \x20                          crash-exploring scenarios)\n\
@@ -106,8 +103,6 @@ fn usage() -> ! {
          \x20  --time-budget-ms N      stop starting scenarios once N ms have\n\
          \x20                          elapsed; the JSON report stays well-formed\n\
          \x20                          and marks the remainder \"skipped\"\n\
-         \x20  --metrics-only          skip event-trace recording (rejected for\n\
-         \x20                          scenarios with trace-consuming checks)\n\
          \x20  --heartbeat N           print a progress line, prefixed with the\n\
          \x20                          scenario name, to stderr every N\n\
          \x20                          completed schedules\n\
@@ -285,7 +280,6 @@ fn main() {
             }
             "--all" => all = true,
             "--smoke" => smoke = true,
-            "--metrics-only" => config.explore.metrics_only = true,
             "--reduction" => {
                 let v = value(&mut i);
                 config.explore.reduction = parse_reduction(&v).unwrap_or_else(|| {
@@ -365,15 +359,6 @@ fn main() {
             .collect()
     };
 
-    // Reject --metrics-only against trace-consuming scenarios *now*, at
-    // arg-parse time — not as a ConfigError halfway through the run.
-    if config.explore.metrics_only {
-        if let Some(msg) = metrics_only_conflict(scenarios.iter().copied()) {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
-
     // The time budget cuts at two granularities. Between scenarios: the
     // ones that never started are listed as skipped in a still-well-formed
     // JSON document. *Within* a scenario: the deadline is threaded into the
@@ -397,7 +382,6 @@ fn main() {
         ));
         let report = s.run(&run_config);
         let status = match (&report.outcome, report.as_expected()) {
-            (Outcome::ConfigError(msg), _) => format!("CONFIG ERROR: {msg}"),
             (Outcome::HarnessFailure { message }, _) => format!("HARNESS FAILURE: {message}"),
             (Outcome::Violation { schedule, message }, true) => {
                 format!("violation as expected ({message}; schedule {schedule:?})")
@@ -414,12 +398,8 @@ fn main() {
             (_, false) => "EXPECTED A VIOLATION, none found".to_string(),
         };
         eprintln!(
-            "{:<26} {status} [steps={} checker_states={} reduction={} {:.3}s]",
-            s.name,
-            report.explore.executed_steps,
-            report.checker_states,
-            cli_name(reduction_values(), report.reduction),
-            report.secs
+            "{:<26} {status} [steps={} checker_states={} {:.3}s]",
+            s.name, report.explore.executed_steps, report.checker_states, report.secs
         );
         if let (Some(dir), Outcome::Violation { schedule, message }) =
             (&artifacts_dir, &report.outcome)

@@ -14,8 +14,7 @@
 //! An *outcome-only* scenario reads nothing a linearization orders — only
 //! per-operation outcomes and steps, completion and the crash and restart
 //! masks, which every schedule of one Mazurkiewicz trace shares — so it
-//! attaches no monitor and reports plain source DPOR (see
-//! [`ScenarioReport::reduction`]).
+//! attaches no monitor.
 
 use crate::bridge::{CheckerMode, CrashedPending, LinMonitor};
 use scl_core::{
@@ -42,7 +41,7 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct CheckConfig {
     /// The explorer's configuration. The CLI sets the reduction, budgets,
-    /// tick limit, trace mode, worker count and deadline;
+    /// tick limit, worker count and deadline;
     /// scenarios set their own crash budget and eligibility (an arbitrary
     /// crash budget would invalidate outcome checks such as "exactly one
     /// winner") and partition mask (meaningful only against their own
@@ -50,15 +49,15 @@ pub struct CheckConfig {
     /// restarts need a crash and drops need a network, so scenarios
     /// without them are unaffected. The defaults differ from
     /// [`ExploreConfig::default`] in three places:
-    /// [`Reduction::SourceDporLinPreserving`] (plain source DPOR whose
-    /// linearizability verdicts cover every schedule of each explored
-    /// trace, see [`crate::bridge`]), prefix-resume backtracking, and one
-    /// worker. A scenario always explores on one thread; `threads`
-    /// is how many scenarios [`run_selection`] runs at once (`0` = the
-    /// available parallelism). `metrics_only` is valid only for scenarios
-    /// whose checks never read the trace ([`Scenario::needs_trace`] is
-    /// `false`). Verdicts always come from the incremental checker
-    /// ([`CheckerMode::Incremental`]).
+    /// [`Reduction::SourceDpor`] (whose linearizability verdicts cover
+    /// every schedule of each explored trace, see [`crate::bridge`]),
+    /// prefix-resume backtracking, and one worker. A scenario always
+    /// explores on one thread; `threads` is how many scenarios
+    /// [`run_selection`] runs at once (`0` = the available parallelism).
+    /// [`Reduction::SourceDporLinPreserving`], the benchmark harness's
+    /// second name for source DPOR, explores the same traces and is
+    /// reported as `source-dpor`. Verdicts always come from the
+    /// incremental checker ([`CheckerMode::Incremental`]).
     pub explore: ExploreConfig,
     /// How crashed-pending operations enter the completion closure
     /// (`--crashed-pending`): [`CrashedPending::Open`] is plain
@@ -113,7 +112,7 @@ impl Default for CheckConfig {
     fn default() -> Self {
         CheckConfig {
             explore: ExploreConfig {
-                reduction: Reduction::SourceDporLinPreserving,
+                reduction: Reduction::SourceDpor,
                 resume: ResumeMode::PrefixResume,
                 threads: 1,
                 ..ExploreConfig::default()
@@ -155,8 +154,6 @@ pub enum Outcome {
         /// The check's error.
         message: String,
     },
-    /// The configuration is invalid for this scenario.
-    ConfigError(String),
     /// The harness itself failed (the scenario's run panicked): not a
     /// verdict about the object at all, and never "as expected" — even for
     /// scenarios that expect a violation.
@@ -173,7 +170,6 @@ impl Outcome {
             Outcome::Exhausted { .. } => "exhausted",
             Outcome::LimitReached { .. } => "limit_reached",
             Outcome::Violation { .. } => "violation",
-            Outcome::ConfigError(_) => "config_error",
             Outcome::HarnessFailure { .. } => "harness_failure",
         }
     }
@@ -188,16 +184,6 @@ pub struct ScenarioReport {
     pub outcome: Outcome,
     /// Explorer work accounting.
     pub explore: ExploreStats,
-    /// The reduction the exploration ran. This is the configured one,
-    /// except that an outcome-only scenario (no linearizability variant
-    /// among its `checks`) reports [`Reduction::SourceDporLinPreserving`]
-    /// as [`Reduction::SourceDpor`]: both explore the same plain
-    /// Mazurkiewicz traces, and the `-lin` name says that a
-    /// [`LinMonitor`] decides every linear extension of each trace's
-    /// history, which an outcome-only scenario does not need (every
-    /// schedule of a trace shares its final state and per-process step
-    /// sequences).
-    pub reduction: Reduction,
     /// Checker states expanded across the whole run (see
     /// [`LinMonitor::checker_states`]; 0 for outcome-only scenarios, which
     /// attach no monitor).
@@ -228,7 +214,7 @@ impl ScenarioReport {
             // inconclusive, not wrong: the scenario declared it needs more.
             (Outcome::LimitReached { .. }, true) => self.underpowered,
             (Outcome::Exhausted { .. } | Outcome::LimitReached { .. }, expected) => !expected,
-            (Outcome::ConfigError(_) | Outcome::HarnessFailure { .. }, _) => false,
+            (Outcome::HarnessFailure { .. }, _) => false,
         }
     }
 }
@@ -237,8 +223,6 @@ impl ScenarioReport {
 struct RunnerOutput {
     report: ExploreReport,
     checker_states: u64,
-    /// The reduction the exploration ran (see [`ScenarioReport::reduction`]).
-    reduction: Reduction,
 }
 
 /// A registered model-checking scenario.
@@ -261,9 +245,6 @@ pub struct Scenario {
     /// *underpowered* — inconclusive rather than wrong — so smoke-sized
     /// sweeps over the whole registry stay meaningful for deep scenarios.
     pub needs_schedules: u64,
-    /// Whether some check reads the event trace (and therefore cannot run
-    /// under `metrics_only`).
-    pub needs_trace: bool,
     runner: fn(&CheckConfig) -> RunnerOutput,
 }
 
@@ -272,32 +253,13 @@ impl Scenario {
     /// (in the object, a check or the monitor) is caught and reported as
     /// [`Outcome::HarnessFailure`] naming the scenario.
     pub fn run(&self, config: &CheckConfig) -> ScenarioReport {
-        if config.explore.metrics_only && self.needs_trace {
-            return ScenarioReport {
-                name: self.name,
-                outcome: Outcome::ConfigError(format!(
-                    "scenario `{}` has trace-consuming checks ({}); metrics_only would silently \
-                     check an empty trace — drop --metrics-only for this scenario",
-                    self.name,
-                    self.checks.join(", ")
-                )),
-                explore: ExploreStats::default(),
-                reduction: config.explore.reduction,
-                checker_states: 0,
-                expect_violation: self.expect_violation,
-                underpowered: false,
-                secs: 0.0,
-                telemetry: None,
-            };
-        }
         let start = Instant::now();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.runner)(config)));
         let secs = start.elapsed().as_secs_f64();
-        let (outcome, stats, checker_states, reduction) = match run {
+        let (outcome, stats, checker_states) = match run {
             Ok(RunnerOutput {
                 report,
                 checker_states,
-                reduction,
             }) => {
                 let outcome = match report.outcome {
                     Ok(ExploreOutcome::Exhausted { schedules }) => Outcome::Exhausted { schedules },
@@ -312,7 +274,7 @@ impl Scenario {
                         unreachable!("the engine never reports {e}")
                     }
                 };
-                (outcome, report.stats, checker_states, reduction)
+                (outcome, report.stats, checker_states)
             }
             Err(payload) => {
                 let what = payload
@@ -324,19 +286,13 @@ impl Scenario {
                 // the panic's own stderr line.
                 let message = format!("scenario `{}` panicked: {what}", self.name);
                 let outcome = Outcome::HarnessFailure { message };
-                (
-                    outcome,
-                    ExploreStats::default(),
-                    0,
-                    config.explore.reduction,
-                )
+                (outcome, ExploreStats::default(), 0)
             }
         };
         ScenarioReport {
             name: self.name,
             outcome,
             explore: stats,
-            reduction,
             checker_states,
             expect_violation: self.expect_violation,
             underpowered: config.explore.max_schedules < self.needs_schedules,
@@ -447,7 +403,6 @@ where
     RunnerOutput {
         report,
         checker_states: monitor.checker_states(),
-        reduction: config.explore.reduction,
     }
 }
 
@@ -472,9 +427,7 @@ where
 /// Runs a workload of an outcome-only scenario: `check` reads only what
 /// every schedule of one Mazurkiewicz trace shares (each operation's outcome
 /// and steps, completion, the crash and restart masks), never real-time
-/// order, so no monitor records the history, and
-/// [`Reduction::SourceDporLinPreserving`] is reported as
-/// [`Reduction::SourceDpor`].
+/// order, so no monitor records the history.
 fn explore_outcomes<S, V, O, FSetup, FCheck>(
     config: &CheckConfig,
     setup: FSetup,
@@ -488,17 +441,12 @@ where
     FSetup: FnMut(&mut SharedMemory) -> O,
     FCheck: Fn(&ExecutionResult<S, V>, &SharedMemory) -> Result<(), String>,
 {
-    let mut config = config.clone();
-    if config.explore.reduction == Reduction::SourceDporLinPreserving {
-        config.explore.reduction = Reduction::SourceDpor;
-    }
     let check =
         move |res: &ExecutionResult<S, V>, mem: &SharedMemory, _m: &mut NoMonitor| check(res, mem);
-    let (report, _) = run_checked(&config, setup, workload, NoMonitor, check);
+    let (report, _) = run_checked(config, setup, workload, NoMonitor, check);
     RunnerOutput {
         report,
         checker_states: 0,
-        reduction: config.explore.reduction,
     }
 }
 
@@ -605,8 +553,7 @@ where
     }
 }
 
-/// Counts committed `Winner` responses from the op records (works in
-/// metrics-only runs).
+/// Counts committed `Winner` responses from the op records.
 fn winners<V>(res: &ExecutionResult<TasSpec, V>) -> usize {
     res.ops
         .iter()
@@ -700,12 +647,11 @@ fn run_a1_n2(config: &CheckConfig) -> RunnerOutput {
             return Err(format!("{w} winners (Invariant 1)"));
         }
         // Invariant 2: once a winner committed, no process may abort with W
-        // (it would go on to win the next module). Needs the trace.
+        // (it would go on to win the next module).
         let w_aborts = res
-            .trace
-            .abort_tokens()
+            .ops
             .iter()
-            .filter(|(_, v)| *v == TasSwitch::W)
+            .filter(|o| matches!(o.outcome, Some(OpOutcome::Abort(TasSwitch::W))))
             .count();
         if w == 1 && w_aborts > 0 {
             return Err("winner committed but some process aborted with W (Invariant 2)".into());
@@ -1297,7 +1243,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "single_winner", "wait_free"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_spec_tas_n2,
     },
     Scenario {
@@ -1308,7 +1253,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["single_winner", "wait_free"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_spec_tas_n3,
     },
     Scenario {
@@ -1319,7 +1263,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "single_winner", "wait_free"],
         expect_violation: true,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_spec_tas_n3_realtime,
     },
     Scenario {
@@ -1330,7 +1273,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "single_winner", "wait_free"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_solo_fast_tas_n2,
     },
     Scenario {
@@ -1341,7 +1283,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "at_most_one_winner", "invariant_2"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: true,
         runner: run_a1_n2,
     },
     Scenario {
@@ -1352,7 +1293,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "single_winner", "wait_free"],
         expect_violation: true,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_a1_dropped_raw_fence_n2,
     },
     Scenario {
@@ -1363,7 +1303,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "completes"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_resettable_tas_n2,
     },
     Scenario {
@@ -1374,7 +1313,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "wait_free"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_universal_queue_n2,
     },
     Scenario {
@@ -1385,7 +1323,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "completes"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_universal_register_n2,
     },
     Scenario {
@@ -1396,7 +1333,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_consensus_split_n2,
     },
     Scenario {
@@ -1407,7 +1343,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "wait_free"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_consensus_cas_n2,
     },
     Scenario {
@@ -1420,7 +1355,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "at_most_one_winner", "wait_free"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_crash_spec_tas_n2,
     },
     Scenario {
@@ -1431,7 +1365,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "completes"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_crash_write_behind_open_n2,
     },
     Scenario {
@@ -1443,7 +1376,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["strictly_linearizable", "completes"],
         expect_violation: true,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_crash_write_behind_strict_n2,
     },
     Scenario {
@@ -1455,7 +1387,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["completes", "non_blocking_progress"],
         expect_violation: true,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_crash_resettable_tas_wedge_n2,
     },
     Scenario {
@@ -1467,7 +1398,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "at_most_one_winner", "wait_free"],
         expect_violation: true,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_crash_a1_dropped_raw_fence_n2,
     },
     Scenario {
@@ -1479,7 +1409,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "at_most_one_winner", "wait_free"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_recovery_tas_n2,
     },
     Scenario {
@@ -1491,7 +1420,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "at_most_one_winner", "wait_free"],
         expect_violation: true,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_recovery_tas_mutant_n2,
     },
     Scenario {
@@ -1503,7 +1431,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["durably_linearizable", "completes"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_recovery_write_behind_flush_durable_n2,
     },
     Scenario {
@@ -1515,7 +1442,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["strictly_linearizable", "completes"],
         expect_violation: true,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_recovery_write_behind_flush_strict_n2,
     },
     Scenario {
@@ -1527,7 +1453,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["durably_linearizable", "completes"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_recovery_write_behind_abandon_durable_n2,
     },
     Scenario {
@@ -1539,7 +1464,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["recoverably_linearizable", "completes"],
         expect_violation: true,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_recovery_write_behind_abandon_recoverable_n2,
     },
     Scenario {
@@ -1552,7 +1476,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["completes", "recovery_crash_safety"],
         expect_violation: true,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_recovery_recrash_unrecovered_n2,
     },
     Scenario {
@@ -1564,7 +1487,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "completes"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_abd_lossy_n2,
     },
     Scenario {
@@ -1576,7 +1498,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "completes", "no_aborts"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_abd_partition_minority_n2,
     },
     Scenario {
@@ -1588,7 +1509,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["completes", "quorum_progress"],
         expect_violation: true,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_abd_partition_majority_wedge_n2,
     },
     Scenario {
@@ -1603,7 +1523,6 @@ static SCENARIOS: &[Scenario] = &[
         // source-DPOR reductions reach it in 19 schedules, unreduced DFS
         // needs ~3.1M — smoke-sized budgets are underpowered under `off`.
         needs_schedules: 4_000_000,
-        needs_trace: false,
         runner: run_abd_quorum_mutant,
     },
     Scenario {
@@ -1615,7 +1534,6 @@ static SCENARIOS: &[Scenario] = &[
         checks: &["linearizable", "completes", "designed_abort"],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: run_abd_retry_exhaustion_abort_n2,
     },
 ];
@@ -1630,31 +1548,6 @@ pub fn find(name: &str) -> Option<&'static Scenario> {
     SCENARIOS.iter().find(|s| s.name == name)
 }
 
-/// The arg-parse-time validation for `--metrics-only`: scenarios with
-/// trace-consuming checks cannot run without traces, and rejecting the
-/// combination up front beats surfacing a per-scenario `ConfigError`
-/// mid-run. Returns the error message naming every offending scenario, or
-/// `None` when the selection is compatible.
-pub fn metrics_only_conflict<'a, I>(selected: I) -> Option<String>
-where
-    I: IntoIterator<Item = &'a Scenario>,
-{
-    let offending: Vec<&str> = selected
-        .into_iter()
-        .filter(|s| s.needs_trace)
-        .map(|s| s.name)
-        .collect();
-    if offending.is_empty() {
-        None
-    } else {
-        Some(format!(
-            "--metrics-only is invalid for scenarios with trace-consuming checks: {} \
-             (drop --metrics-only or deselect them)",
-            offending.join(", ")
-        ))
-    }
-}
-
 /// The accepted `--reduction` CLI values, in catalogue order. This table is
 /// the single source of truth: [`parse_reduction`] resolves against it and
 /// `scl-check --list` prints it, so the help text and the registry cannot
@@ -1663,7 +1556,6 @@ pub fn reduction_values() -> &'static [(&'static str, Reduction)] {
     &[
         ("off", Reduction::Off),
         ("source-dpor", Reduction::SourceDpor),
-        ("source-dpor-lin", Reduction::SourceDporLinPreserving),
     ]
 }
 
@@ -1685,6 +1577,18 @@ pub fn cli_name<T: PartialEq + Copy>(values: &[(&'static str, T)], v: T) -> &'st
         .find(|(_, x)| *x == v)
         .map(|(n, _)| *n)
         .expect("every mode has a CLI value-table entry")
+}
+
+/// The CLI name of a reduction: [`cli_name`] over [`reduction_values`],
+/// with [`Reduction::SourceDporLinPreserving`] named `source-dpor`, the
+/// exploration it runs.
+pub(crate) fn reduction_cli_name(r: Reduction) -> &'static str {
+    let r = if r.is_source_dpor() {
+        Reduction::SourceDpor
+    } else {
+        r
+    };
+    cli_name(reduction_values(), r)
 }
 
 /// Reduction modes by CLI name.
@@ -1753,8 +1657,7 @@ where
 pub fn reduction_name(r: Reduction) -> &'static str {
     match r {
         Reduction::Off => "off",
-        Reduction::SourceDpor => "source_dpor",
-        Reduction::SourceDporLinPreserving => "source_dpor_lin_preserving",
+        Reduction::SourceDpor | Reduction::SourceDporLinPreserving => "source_dpor",
     }
 }
 
@@ -1763,29 +1666,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metrics_only_conflict_names_every_trace_consuming_scenario() {
-        let msg = metrics_only_conflict(registry().iter())
-            .expect("the registry contains trace-consuming scenarios");
-        for s in registry().iter().filter(|s| s.needs_trace) {
-            assert!(msg.contains(s.name), "{} missing from: {msg}", s.name);
-        }
-        assert!(
-            msg.contains("--metrics-only") && msg.contains("trace-consuming"),
-            "unhelpful error: {msg}"
-        );
-        // No false positives: trace-free scenarios are never named.
-        for s in registry().iter().filter(|s| !s.needs_trace) {
-            assert!(!msg.contains(s.name), "{} wrongly named in: {msg}", s.name);
-        }
-    }
-
-    #[test]
     fn cli_value_tables_round_trip_through_the_parsers() {
         // The tables are the single source of truth for the CLI: every
         // listed name must parse to its mode, and every mode must have a
         // report name (reduction_name is a total match, so adding an enum
         // variant without a table entry fails to compile or fails here).
-        assert_eq!(reduction_values().len(), 3);
+        assert_eq!(reduction_values().len(), 2);
         for (name, r) in reduction_values() {
             assert_eq!(parse_reduction(name), Some(*r));
             assert!(!reduction_name(*r).is_empty());
@@ -1832,7 +1718,7 @@ mod tests {
     #[test]
     fn removed_eager_reductions_are_unknown_values() {
         let names: Vec<&str> = reduction_values().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, ["off", "source-dpor", "source-dpor-lin"]);
+        assert_eq!(names, ["off", "source-dpor"]);
         for removed in ["sleep-sets", "sleep-sets-lin"] {
             assert_eq!(parse_reduction(removed), None);
             assert_eq!(
@@ -1840,6 +1726,20 @@ mod tests {
                 format!("unknown --reduction value `{removed}` (see scl-check --list)")
             );
         }
+    }
+
+    #[test]
+    fn the_second_source_dpor_name_is_unknown_and_reported_as_source_dpor() {
+        let names = reduction_values().iter().map(|(n, _)| *n);
+        assert_eq!(parse_reduction("source-dpor-lin"), None);
+        assert_eq!(
+            unknown_value_message("--reduction value", "source-dpor-lin", names),
+            "unknown --reduction value `source-dpor-lin`; did you mean `source-dpor`?"
+        );
+        let old = Reduction::SourceDporLinPreserving;
+        assert_eq!(reduction_cli_name(old), "source-dpor");
+        assert_eq!(reduction_name(old), reduction_name(Reduction::SourceDpor));
+        assert_eq!(reduction_cli_name(Reduction::Off), "off");
     }
 
     fn panicking_runner(_config: &CheckConfig) -> RunnerOutput {
@@ -1855,7 +1755,6 @@ mod tests {
         checks: &[],
         expect_violation: false,
         needs_schedules: 0,
-        needs_trace: false,
         runner: panicking_runner,
     };
 
@@ -1894,10 +1793,24 @@ mod tests {
         }
     }
 
+    /// [`ExploreConfig::metrics_only`] is read by nothing: every run has
+    /// its trace, so a scenario that reads abort switches (`a1_n2`) reports
+    /// the same with the field set as without.
     #[test]
     fn metrics_only_is_compatible_with_trace_free_selections() {
-        let trace_free: Vec<&Scenario> = registry().iter().filter(|s| !s.needs_trace).collect();
-        assert!(!trace_free.is_empty());
-        assert_eq!(metrics_only_conflict(trace_free.into_iter()), None);
+        for name in ["a1_n2", "spec_tas_n2"] {
+            let scenario = find(name).unwrap();
+            let plain = scenario.run(&CheckConfig::smoke());
+            let mut config = CheckConfig::smoke();
+            config.explore.metrics_only = true;
+            let flagged = scenario.run(&config);
+            assert!(
+                matches!(flagged.outcome, Outcome::Exhausted { .. }),
+                "{name}: {:?}",
+                flagged.outcome
+            );
+            assert_eq!(flagged.outcome, plain.outcome, "{name}");
+            assert_eq!(flagged.explore, plain.explore, "{name}");
+        }
     }
 }

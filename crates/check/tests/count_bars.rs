@@ -39,11 +39,7 @@ const EAGER_COUNTS: [(&str, u64, u64); 5] = [
 ];
 
 /// Every reduction mode, in the order the per-cell count arrays use.
-const ALL_MODES: [Reduction; 3] = [
-    Reduction::Off,
-    Reduction::SourceDpor,
-    Reduction::SourceDporLinPreserving,
-];
+const ALL_MODES: [Reduction; 2] = [Reduction::Off, Reduction::SourceDpor];
 
 /// A one-step swap-based TAS: trivially linearizable under every schedule,
 /// used for the long-history checker comparison (the *speculative* TAS
@@ -106,8 +102,7 @@ fn tas(n: usize, ops_each: usize) -> Workload<TasSpec, TasSwitch> {
     Workload::uniform(n, TasOp::TestAndSet, ops_each)
 }
 
-/// The explorer cells' configuration: full traces, full-replay
-/// backtracking, unreduced.
+/// The explorer cells' configuration: full-replay backtracking, unreduced.
 fn explorer_config(max_schedules: u64) -> ExploreConfig {
     ExploreConfig {
         max_schedules,
@@ -116,11 +111,9 @@ fn explorer_config(max_schedules: u64) -> ExploreConfig {
     }
 }
 
-/// The checker cells' configuration: metrics only, prefix-resume,
-/// unreduced.
+/// The checker cells' configuration: prefix-resume, unreduced.
 fn checker_config(max_schedules: u64) -> ExploreConfig {
     ExploreConfig {
-        metrics_only: true,
         resume: ResumeMode::PrefixResume,
         ..explorer_config(max_schedules)
     }
@@ -139,8 +132,8 @@ fn counted(report: ExploreReport) -> (ExploreStats, bool) {
 /// Explores one workload under each `(reduction, schedules)` cell (`base`
 /// supplies everything else) and asserts that each cell exhausts with
 /// exactly its recorded schedule count and, when `cell` is in
-/// [`EAGER_COUNTS`], that neither source-DPOR mode explores more than the
-/// eager mode it replaced. Returns the cells' counters in order.
+/// [`EAGER_COUNTS`], that source DPOR explores no more than the plain eager
+/// mode it replaced. Returns the cells' counters in order.
 fn exhaust_cells<S, V, O, const N: usize>(
     cell: &str,
     mut setup: impl FnMut(&mut SharedMemory) -> O,
@@ -169,13 +162,11 @@ where
         assert_eq!(stats.schedules, schedules, "{cell}/{name}: schedules");
         stats
     });
-    if let Some(&(_, eager_plain, eager_lin)) = EAGER_COUNTS.iter().find(|(c, ..)| *c == cell) {
+    if let Some(&(_, eager, _)) = EAGER_COUNTS.iter().find(|(c, ..)| *c == cell) {
         for (&(reduction, _), s) in expected.iter().zip(&stats) {
-            let eager = match reduction {
-                Reduction::Off => continue,
-                Reduction::SourceDpor => eager_plain,
-                Reduction::SourceDporLinPreserving => eager_lin,
-            };
+            if reduction == Reduction::Off {
+                continue;
+            }
             assert!(
                 s.schedules <= eager,
                 "{cell}/{}: source DPOR explored {} > eager {eager}",
@@ -188,7 +179,7 @@ where
 }
 
 /// Pairs every reduction mode with its recorded schedule count.
-fn all_modes(schedules: [u64; 3]) -> [(Reduction, u64); 3] {
+fn all_modes(schedules: [u64; 2]) -> [(Reduction, u64); 2] {
     std::array::from_fn(|i| (ALL_MODES[i], schedules[i]))
 }
 
@@ -196,18 +187,18 @@ fn all_modes(schedules: [u64; 3]) -> [(Reduction, u64); 3] {
 fn explorer_reductions_on_the_n2_space() {
     let wl = tas(2, 1);
     let base = explorer_config(1_000_000);
-    let [off, _source, lin] = exhaust_cells(
+    let [off, source] = exhaust_cells(
         "speculative_tas_n2",
         new_speculative_tas,
         &wl,
         &base,
-        all_modes([64_472, 26, 26]),
+        all_modes([64_472, 26]),
     );
     assert!(
-        lin.schedules < EAGER_COUNTS[0].2,
+        source.schedules < EAGER_COUNTS[0].2,
         "source DPOR must strictly shrink the n=2 lin-preserving space"
     );
-    // The default configuration: lin-preserving source DPOR on prefix-resume.
+    // The default configuration: source DPOR on prefix-resume.
     // Resuming from checkpoints does not change the enumeration, and the
     // pair executes at least 5x fewer shared-memory steps than unreduced
     // full replay.
@@ -220,7 +211,7 @@ fn explorer_reductions_on_the_n2_space() {
         new_speculative_tas,
         &wl,
         &combined,
-        [(Reduction::SourceDporLinPreserving, lin.schedules)],
+        [(Reduction::SourceDpor, source.schedules)],
     );
     assert_eq!(
         (off.executed_steps, combined.executed_steps),
@@ -238,10 +229,7 @@ fn explorer_reductions_exhaust_the_full_n3_space() {
         new_speculative_tas,
         &wl,
         &base,
-        [
-            (Reduction::SourceDpor, 1_956),
-            (Reduction::SourceDporLinPreserving, 1_956),
-        ],
+        [(Reduction::SourceDpor, 1_956)],
     );
     let combined = ExploreConfig {
         resume: ResumeMode::PrefixResume,
@@ -252,23 +240,23 @@ fn explorer_reductions_exhaust_the_full_n3_space() {
         new_speculative_tas,
         &wl,
         &combined,
-        [(Reduction::SourceDporLinPreserving, 1_956)],
+        [(Reduction::SourceDpor, 1_956)],
     );
     assert_eq!(combined.executed_steps, 12_456);
 }
 
 #[test]
 fn reduction_and_crash_groups_exhaust_in_every_mode() {
-    let [off, source, lin] = exhaust_cells(
+    let [off, source] = exhaust_cells(
         "speculative_tas_n2",
         new_speculative_tas,
         &tas(2, 1),
         &checker_config(1_000_000),
-        all_modes([64_472, 26, 26]),
+        all_modes([64_472, 26]),
     );
-    assert!(source.schedules <= lin.schedules && lin.schedules < off.schedules);
+    assert!(source.schedules < off.schedules);
     assert!(
-        lin.schedules < EAGER_COUNTS[0].2,
+        source.schedules < EAGER_COUNTS[0].2,
         "source DPOR must strictly shrink the n=2 lin-preserving space"
     );
     exhaust_cells(
@@ -276,10 +264,7 @@ fn reduction_and_crash_groups_exhaust_in_every_mode() {
         new_speculative_tas,
         &tas(3, 1),
         &checker_config(50_000_000),
-        [
-            (Reduction::SourceDpor, 1_956),
-            (Reduction::SourceDporLinPreserving, 1_956),
-        ],
+        [(Reduction::SourceDpor, 1_956)],
     );
     let crash = ExploreConfig {
         max_crashes: 1,
@@ -291,7 +276,7 @@ fn reduction_and_crash_groups_exhaust_in_every_mode() {
         new_speculative_tas,
         &tas(2, 1),
         &crash,
-        all_modes([306_992, 120, 120]),
+        all_modes([306_992, 120]),
     );
     assert!(
         crash_off.schedules > off.schedules,
@@ -325,7 +310,7 @@ fn recovery_group_exhausts_in_every_mode() {
         setup,
         &wl,
         &restart,
-        all_modes([370, 44, 44]),
+        all_modes([370, 44]),
     );
     assert!(
         restart_off.schedules > baseline.schedules,
@@ -359,7 +344,7 @@ fn network_group_exhausts_in_every_mode() {
         setup,
         &wl,
         &lossy,
-        all_modes([66_977, 1_052, 1_052]),
+        all_modes([66_977, 1_052]),
     );
     assert!(
         lossy_off.schedules > baseline.schedules,

@@ -291,7 +291,7 @@ fn assert_walk_matches_off<S, V, O, F>(
         spec.clone(),
         setup.clone(),
         wl,
-        &config(Reduction::SourceDporLinPreserving),
+        &config(Reduction::SourceDpor),
         closure,
         CheckerMode::Incremental,
     );
@@ -307,7 +307,7 @@ fn assert_walk_matches_off<S, V, O, F>(
         spec,
         setup,
         wl,
-        &config(Reduction::SourceDporLinPreserving),
+        &config(Reduction::SourceDpor),
         closure,
         CheckerMode::FromScratch,
     );
@@ -597,7 +597,7 @@ fn order_only_violation_is_caught_by_the_trace_walk() {
                 ..Default::default()
             },
             |res, _mem| {
-                if check_linearizable(&RegisterSpec, &res.trace.commit_projection())
+                if check_linearizable(&RegisterSpec, &res.trace().commit_projection())
                     .is_linearizable()
                 {
                     Ok(())
@@ -619,7 +619,7 @@ fn order_only_violation_is_caught_by_the_trace_walk() {
         setup,
         &wl,
         &ExploreConfig {
-            reduction: Reduction::SourceDporLinPreserving,
+            reduction: Reduction::SourceDpor,
             ..Default::default()
         },
         &mut monitor,

@@ -1,8 +1,7 @@
-//! Oracle tests for the network adversary layer: the linearizability-
-//! preserving reductions are validated against unreduced full enumeration
-//! *with message-loss and crash faults in the space*, and the seeded
-//! quorum mutant plus the majority-partition wedge are pinned as findable
-//! in every lin-preserving mode.
+//! Oracle tests for the network adversary layer: source DPOR is validated
+//! against unreduced full enumeration *with message-loss and crash faults
+//! in the space*, and the seeded quorum mutant plus the majority-partition
+//! wedge are pinned as findable in every mode.
 
 use scl_check::{find, CheckConfig, CheckerMode, CrashedPending, LinMonitor, Outcome};
 use scl_core::AbdRegister;
@@ -73,7 +72,7 @@ fn abd_signature_set(
 fn abd_reductions_have_the_full_verdict_set_under_crash_and_drop_budgets() {
     // The tentpole soundness oracle for the network layer: on a one-writer
     // ABD emulation (2 replicas, majority quorum, retry budget 1) with a
-    // 1-crash + 1-drop fault budget, every lin-preserving reduction ×
+    // 1-crash + 1-drop fault budget, source DPOR in every
     // resume mode × crashed-pending closure reaches exactly the
     // outcome+crash+verdict signatures of unreduced full enumeration —
     // deliveries, drops and crashes are all scheduled transitions, so this
@@ -101,14 +100,8 @@ fn abd_reductions_have_the_full_verdict_set_under_crash_and_drop_budgets() {
              crash and one drop"
         );
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-            let (set, scheds) = abd_signature_set(
-                &wl,
-                cap,
-                Reduction::SourceDporLinPreserving,
-                resume,
-                crashed_pending,
-                1,
-            );
+            let (set, scheds) =
+                abd_signature_set(&wl, cap, Reduction::SourceDpor, resume, crashed_pending, 1);
             assert_eq!(full, set, "{crashed_pending:?}/{resume:?}");
             assert!(
                 scheds < full_scheds,
@@ -125,7 +118,7 @@ fn parallel_engine_matches_sequential_on_the_abd_network_space() {
     // where deliveries, drops and crashes are scheduled transitions.
     let wl: Wl = Workload::from_ops(vec![vec![RegisterOp::Write(5)]]);
     let cap = 12;
-    let reduction = Reduction::SourceDporLinPreserving;
+    let reduction = Reduction::SourceDpor;
     for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
         let (seq, _) = abd_signature_set(&wl, cap, reduction, resume, CrashedPending::Open, 1);
         let set = Mutex::new(BTreeSet::new());
@@ -174,7 +167,7 @@ fn parallel_engine_matches_sequential_on_the_abd_network_space() {
 fn abd_quorum_mutant_is_caught_in_every_lin_preserving_mode() {
     // The seeded quorum off-by-one must be *found* (a stale read reported as
     // a linearizability violation, with zero faults in the budget) under
-    // every lin-preserving reduction × resume mode. The unreduced space
+    // source DPOR in every resume mode. The unreduced space
     // needs ~3.1M schedules to reach the violation, so `Off` is pinned by
     // the signature oracle above and by the release-mode numbers in
     // EXPERIMENTS.md rather than re-run here.
@@ -182,7 +175,7 @@ fn abd_quorum_mutant_is_caught_in_every_lin_preserving_mode() {
     for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
         let config = CheckConfig {
             explore: ExploreConfig {
-                reduction: Reduction::SourceDporLinPreserving,
+                reduction: Reduction::SourceDpor,
                 resume,
                 ..CheckConfig::default().explore
             },
@@ -205,13 +198,9 @@ fn abd_quorum_mutant_is_caught_in_every_lin_preserving_mode() {
 fn abd_majority_partition_wedges_as_a_designed_progress_violation() {
     // A severed majority must surface as a *reported* progress violation
     // (the writer wedges with its quorum unreachable), never a hang or a
-    // silent pass — in every lin-preserving mode × resume mode.
+    // silent pass — in every reduction × resume mode.
     let scenario = find("abd_partition_majority_wedge_n2").expect("registered");
-    for reduction in [
-        Reduction::Off,
-        Reduction::SourceDpor,
-        Reduction::SourceDporLinPreserving,
-    ] {
+    for reduction in [Reduction::Off, Reduction::SourceDpor] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             let config = CheckConfig {
                 explore: ExploreConfig {
@@ -303,8 +292,8 @@ fn two_client_abd_reductions_have_the_full_verdict_set() {
     // clients' messages are concurrent slot threads, so deliveries, drops
     // and crashes of different operations race with each other and every
     // reversal is branched from a race. Under a 1-crash budget, a 1-drop
-    // budget and both (160004, 199914 and 638912 unreduced schedules), both
-    // source-DPOR modes, sequential and through the shim, reach exactly the
+    // budget and both (160004, 199914 and 638912 unreduced schedules),
+    // source DPOR, sequential and through the shim, reaches exactly the
     // signatures of full enumeration. With both budgets, faults go first at
     // some nodes of one tree: a crash awake beside its sleeping step, and
     // the drop of an awake delivery. (A drop awake beside its sleeping
@@ -323,21 +312,19 @@ fn two_client_abd_reductions_have_the_full_verdict_set() {
             full.iter().any(|s| s.contains("=Some(Commit(5))")),
             "the reader must be able to see the write"
         );
-        for reduction in [Reduction::SourceDpor, Reduction::SourceDporLinPreserving] {
-            for workers in [1, 2] {
-                let config = ExploreConfig {
-                    reduction,
-                    ..base.clone()
-                };
-                let (set, scheds) = two_client_signature_set(&wl, &config, workers);
-                let at =
-                    format!("{reduction:?}, {workers} worker(s), {crashes} crash / {drops} drop");
-                assert_eq!(full, set, "{at}");
-                assert!(
-                    scheds < full_scheds,
-                    "{at}: source DPOR must prune the space: {scheds} vs {full_scheds}"
-                );
-            }
+        let reduction = Reduction::SourceDpor;
+        for workers in [1, 2] {
+            let config = ExploreConfig {
+                reduction,
+                ..base.clone()
+            };
+            let (set, scheds) = two_client_signature_set(&wl, &config, workers);
+            let at = format!("{reduction:?}, {workers} worker(s), {crashes} crash / {drops} drop");
+            assert_eq!(full, set, "{at}");
+            assert!(
+                scheds < full_scheds,
+                "{at}: source DPOR must prune the space: {scheds} vs {full_scheds}"
+            );
         }
     }
 }

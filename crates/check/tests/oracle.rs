@@ -6,13 +6,13 @@ use scl_check::{
     find, run_selection, CheckConfig, CheckerMode, CrashedPending, LinMonitor, Outcome, Scenario,
 };
 use scl_core::{
-    new_speculative_tas, A1Tas, A1Variant, A2Tas, Composed, RecoverableTas, WbRecovery,
-    WriteBehindRegister,
+    new_speculative_tas, A1Tas, A1Variant, A2Tas, AbdRegister, Composed, RecoverableTas,
+    WbRecovery, WriteBehindRegister,
 };
 use scl_sim::{
     explore_schedules_monitored_observed_report, explore_schedules_report, ExecutionResult,
-    ExploreConfig, ExploreError, ExploreOutcome, NoObserver, Reduction, ResumeMode, SharedMemory,
-    SimObject, Workload,
+    ExploreConfig, ExploreError, ExploreOutcome, ExploreStats, NoObserver, OpOutcome, Reduction,
+    ResumeMode, SharedMemory, SimObject, Workload,
 };
 use scl_spec::{
     check_linearizable, RegisterOp, RegisterSpec, SequentialSpec, TasOp, TasSpec, TasSwitch,
@@ -38,7 +38,7 @@ fn signature(res: &ExecutionResult<TasSpec, TasSwitch>) -> String {
         .map(|o| format!("{}={:?}", o.req.id, o.outcome))
         .collect();
     ops.sort();
-    let lin = check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable();
+    let lin = check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable();
     format!("{}|lin={lin}", ops.join(","))
 }
 
@@ -140,8 +140,7 @@ fn write_behind_explore(base: ExploreConfig, restarts: bool) -> ExploreConfig {
 fn lin_preserving_reductions_have_the_full_verdict_set_on_n2_speculative_tas() {
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
     let (full, full_scheds) = signature_set(new_speculative_tas, &wl, Reduction::Off);
-    let (source, source_scheds) =
-        signature_set(new_speculative_tas, &wl, Reduction::SourceDporLinPreserving);
+    let (source, source_scheds) = signature_set(new_speculative_tas, &wl, Reduction::SourceDpor);
     assert_eq!(
         full, source,
         "the source-DPOR reduction must reach exactly the outcome+verdict signatures of the \
@@ -170,7 +169,7 @@ fn lin_preserving_reduction_keeps_the_mutants_violating_signatures() {
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
     let mk = dropped_raw_fence_mutant;
     let (full, _) = signature_set(mk, &wl, Reduction::Off);
-    let (source, _) = signature_set(mk, &wl, Reduction::SourceDporLinPreserving);
+    let (source, _) = signature_set(mk, &wl, Reduction::SourceDpor);
     assert_eq!(full, source);
     assert!(
         full.iter().any(|s| s.ends_with("lin=false")),
@@ -184,7 +183,7 @@ fn incremental_checker_agrees_with_from_scratch_on_every_explored_schedule() {
     // fallbacks included) and compare its verdict with a from-scratch
     // Wing–Gong run on the trace's commit projection at every single leaf.
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
-    for reduction in [Reduction::Off, Reduction::SourceDporLinPreserving] {
+    for reduction in [Reduction::Off, Reduction::SourceDpor] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             let mut monitor = LinMonitor::new(TasSpec, CheckerMode::Incremental);
             let mut schedules = 0u64;
@@ -202,7 +201,7 @@ fn incremental_checker_agrees_with_from_scratch_on_every_explored_schedule() {
                 |res, _mem, m: &mut LinMonitor<TasSpec>| {
                     schedules += 1;
                     let incremental = m.verdict().is_ok();
-                    let scratch = check_linearizable(&TasSpec, &res.trace.commit_projection())
+                    let scratch = check_linearizable(&TasSpec, &res.trace().commit_projection())
                         .is_linearizable();
                     if incremental == scratch {
                         Ok(())
@@ -229,43 +228,34 @@ fn dropped_raw_fence_mutant_is_detected_in_every_mode() {
     // from-scratch checker.
     let scenario = find("a1_dropped_raw_fence_n2").expect("registered");
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
-    for reduction in [
-        Reduction::Off,
-        Reduction::SourceDpor,
-        Reduction::SourceDporLinPreserving,
-    ] {
+    for reduction in [Reduction::Off, Reduction::SourceDpor] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-            for metrics_only in [false, true] {
-                let explore = ExploreConfig {
-                    reduction,
-                    resume,
-                    metrics_only,
-                    ..CheckConfig::default().explore
-                };
-                let config = CheckConfig {
-                    explore: explore.clone(),
-                    ..Default::default()
-                };
-                let report = scenario.run(&config);
-                assert!(
-                    matches!(report.outcome, Outcome::Violation { .. }),
-                    "mutant not detected under {reduction:?}/{resume:?}/\
-                     metrics_only={metrics_only}: {:?}",
-                    report.outcome
-                );
-                assert!(report.as_expected());
-                assert!(
-                    from_scratch_violates(
-                        TasSpec,
-                        dropped_raw_fence_mutant,
-                        &wl,
-                        &explore,
-                        CrashedPending::Open
-                    ),
-                    "mutant not detected by the from-scratch checker under \
-                     {reduction:?}/{resume:?}/metrics_only={metrics_only}"
-                );
-            }
+            let explore = ExploreConfig {
+                reduction,
+                resume,
+                ..CheckConfig::default().explore
+            };
+            let config = CheckConfig {
+                explore: explore.clone(),
+                ..Default::default()
+            };
+            let report = scenario.run(&config);
+            assert!(
+                matches!(report.outcome, Outcome::Violation { .. }),
+                "mutant not detected under {reduction:?}/{resume:?}: {:?}",
+                report.outcome
+            );
+            assert!(report.as_expected());
+            assert!(
+                from_scratch_violates(
+                    TasSpec,
+                    dropped_raw_fence_mutant,
+                    &wl,
+                    &explore,
+                    CrashedPending::Open
+                ),
+                "mutant not detected by the from-scratch checker under {reduction:?}/{resume:?}"
+            );
         }
     }
 }
@@ -277,7 +267,7 @@ fn n3_realtime_inversion_is_detected_by_the_lin_preserving_reduction() {
     // still under the linearizability-preserving reduction (a plain
     // final-state check cannot see it; that is the whole point of the mode).
     let scenario = find("spec_tas_n3_realtime").expect("registered");
-    for reduction in [Reduction::Off, Reduction::SourceDporLinPreserving] {
+    for reduction in [Reduction::Off, Reduction::SourceDpor] {
         let config = CheckConfig {
             explore: ExploreConfig {
                 reduction,
@@ -293,32 +283,6 @@ fn n3_realtime_inversion_is_detected_by_the_lin_preserving_reduction() {
             report.outcome
         );
     }
-}
-
-#[test]
-fn metrics_only_with_trace_consuming_checks_is_a_config_error() {
-    let scenario = find("a1_n2").expect("registered");
-    let config = CheckConfig {
-        explore: ExploreConfig {
-            metrics_only: true,
-            ..CheckConfig::default().explore
-        },
-        ..Default::default()
-    };
-    let report = scenario.run(&config);
-    match &report.outcome {
-        Outcome::ConfigError(msg) => {
-            assert!(
-                msg.contains("metrics_only") && msg.contains("a1_n2"),
-                "unhelpful error: {msg}"
-            );
-        }
-        other => panic!("expected a config error, got {other:?}"),
-    }
-    assert!(!report.as_expected());
-    // Dropping the flag runs the scenario normally.
-    let ok = scenario.run(&CheckConfig::default());
-    assert!(matches!(ok.outcome, Outcome::Exhausted { .. }), "{ok:?}");
 }
 
 #[test]
@@ -398,7 +362,7 @@ where
 #[test]
 fn crash_aware_reductions_have_the_full_verdict_set_on_n2_speculative_tas() {
     // The tentpole soundness oracle: with a 1-crash budget on the n=2
-    // speculative-TAS space, every lin-preserving reduction × resume mode ×
+    // speculative-TAS space, source DPOR in every resume mode ×
     // crashed-pending closure reaches exactly the outcome+crash+verdict
     // signatures of unreduced full enumeration.
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
@@ -424,7 +388,7 @@ fn crash_aware_reductions_have_the_full_verdict_set_on_n2_speculative_tas() {
             let (set, scheds) = crash_signature_set(
                 new_speculative_tas,
                 &wl,
-                Reduction::SourceDporLinPreserving,
+                Reduction::SourceDpor,
                 resume,
                 crashed_pending,
             );
@@ -461,13 +425,8 @@ fn crash_aware_reductions_keep_the_mutants_violating_signatures() {
             "the mutant must keep non-linearizable signatures under crashes"
         );
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-            let (set, _) = crash_signature_set(
-                mk,
-                &wl,
-                Reduction::SourceDporLinPreserving,
-                resume,
-                crashed_pending,
-            );
+            let (set, _) =
+                crash_signature_set(mk, &wl, Reduction::SourceDpor, resume, crashed_pending);
             assert_eq!(full, set, "mutant {crashed_pending:?}/{resume:?}");
         }
     }
@@ -478,11 +437,7 @@ fn wedged_resettable_tas_is_reported_within_budget_in_every_lin_preserving_mode(
     // The progress-violation scenario must be *found* (as a violation, not a
     // hang or a budget exhaustion) under every reduction × resume mode.
     let scenario = find("crash_resettable_tas_wedge_n2").expect("registered");
-    for reduction in [
-        Reduction::Off,
-        Reduction::SourceDpor,
-        Reduction::SourceDporLinPreserving,
-    ] {
+    for reduction in [Reduction::Off, Reduction::SourceDpor] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             let config = CheckConfig {
                 explore: ExploreConfig {
@@ -564,8 +519,8 @@ where
 #[test]
 fn recovery_aware_reductions_have_the_full_verdict_set_on_recoverable_tas() {
     // The PR-10 tentpole soundness oracle: with a 1-crash + 1-restart
-    // budget on the n=2 recoverable-TAS space, every lin-preserving
-    // reduction × resume mode × crashed-pending closure reaches exactly the
+    // budget on the n=2 recoverable-TAS space, source DPOR in every
+    // resume mode × crashed-pending closure reaches exactly the
     // outcome+crash+restart+verdict signatures of unreduced enumeration.
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
     let mk = |mem: &mut SharedMemory| scl_core::RecoverableTas::new(mem, 2);
@@ -594,13 +549,8 @@ fn recovery_aware_reductions_have_the_full_verdict_set_on_recoverable_tas() {
              crash + restart"
         );
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-            let (set, scheds) = recovery_signature_set(
-                mk,
-                &wl,
-                Reduction::SourceDporLinPreserving,
-                resume,
-                crashed_pending,
-            );
+            let (set, scheds) =
+                recovery_signature_set(mk, &wl, Reduction::SourceDpor, resume, crashed_pending);
             assert_eq!(full, set, "{crashed_pending:?}/{resume:?}");
             assert!(
                 scheds < full_scheds,
@@ -619,11 +569,7 @@ fn recovery_mutant_is_detected_in_every_mode() {
     // 1-crash + 1-restart space, by the from-scratch checker.
     let scenario = find("recovery_tas_mutant_n2").expect("registered");
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
-    for reduction in [
-        Reduction::Off,
-        Reduction::SourceDpor,
-        Reduction::SourceDporLinPreserving,
-    ] {
+    for reduction in [Reduction::Off, Reduction::SourceDpor] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             let explore = ExploreConfig {
                 reduction,
@@ -833,26 +779,27 @@ const LIN_CHECKS: [&str; 4] = [
     "recoverably_linearizable",
 ];
 
+/// Only a scenario whose checks read real-time order attaches the
+/// linearizability monitor: the others report no checker states.
 #[test]
 fn only_scenarios_with_a_linearizability_check_keep_the_lin_barriers() {
-    // The default configuration with a smaller budget: the reduction a
-    // scenario runs does not depend on the budget.
+    // The default configuration with a smaller budget: whether a scenario
+    // attaches the monitor does not depend on the budget.
     let mut config = CheckConfig::default();
     config.explore.max_schedules = 2_000;
     let mut outcome_only = Vec::new();
     for scenario in scl_check::registry() {
         let reads_real_time = scenario.checks.iter().any(|c| LIN_CHECKS.contains(c));
         let report = scenario.run(&config);
-        let expected = if reads_real_time {
-            Reduction::SourceDporLinPreserving
-        } else {
-            outcome_only.push(scenario.name);
-            Reduction::SourceDpor
-        };
-        assert_eq!(report.reduction, expected, "{}", scenario.name);
         if !reads_real_time {
-            assert_eq!(report.checker_states, 0, "{}", scenario.name);
+            outcome_only.push(scenario.name);
         }
+        assert_eq!(
+            report.checker_states > 0,
+            reads_real_time,
+            "{}",
+            scenario.name
+        );
     }
     assert_eq!(
         outcome_only,
@@ -874,4 +821,183 @@ fn json_report_escapes_and_summarises() {
     assert!(json.contains("\"spec_tas_n2\""));
     assert!(json.contains("\"all_as_expected\": true"));
     assert!(json.trim_start().starts_with('{') && json.trim_end().ends_with('}'));
+}
+
+/// The outcome, counters and verdict-signature set (each operation's
+/// outcome, the crashed and restarted masks and the bridge's verdict) of one
+/// exploration under `reduction` and `base`. No schedule stops it.
+fn explored_verdicts<S, V, O, F>(
+    spec: S,
+    setup: F,
+    wl: &Workload<S, V>,
+    base: &ExploreConfig,
+    crashed_pending: CrashedPending,
+    reduction: Reduction,
+) -> (
+    Result<ExploreOutcome, ExploreError>,
+    ExploreStats,
+    BTreeSet<String>,
+)
+where
+    S: SequentialSpec,
+    V: Clone + Eq + Hash + Debug,
+    O: SimObject<S, V>,
+    F: FnMut(&mut SharedMemory) -> O,
+    OpOutcome<S, V>: Debug,
+{
+    let mut set = BTreeSet::new();
+    let mut monitor =
+        LinMonitor::new(spec, CheckerMode::Incremental).with_crashed_pending(crashed_pending);
+    let report = explore_schedules_monitored_observed_report(
+        setup,
+        wl,
+        &ExploreConfig {
+            reduction,
+            ..base.clone()
+        },
+        &mut monitor,
+        &NoObserver,
+        |res, _mem, m: &mut LinMonitor<S>| {
+            let mut ops: Vec<String> = res
+                .ops
+                .iter()
+                .map(|o| format!("{}={:?}", o.req.id, o.outcome))
+                .collect();
+            ops.sort();
+            set.insert(format!(
+                "{}|crashed={:b}|restarted={:b}|{:?}",
+                ops.join(","),
+                res.crashed,
+                res.restarted,
+                m.verdict()
+            ));
+            Ok(())
+        },
+    );
+    (report.outcome, report.stats, set)
+}
+
+/// Asserts that the benchmark harness's second source-DPOR name explores
+/// exactly like [`Reduction::SourceDpor`] in both resume modes: the same
+/// outcome and counters (so the same tree) and the same verdict
+/// signatures.
+fn assert_names_explore_alike<S, V, O, F>(
+    at: &str,
+    spec: S,
+    setup: F,
+    wl: &Workload<S, V>,
+    base: &ExploreConfig,
+    crashed_pending: CrashedPending,
+) where
+    S: SequentialSpec + Clone,
+    V: Clone + Eq + Hash + Debug,
+    O: SimObject<S, V>,
+    F: FnMut(&mut SharedMemory) -> O + Clone,
+    OpOutcome<S, V>: Debug,
+{
+    for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
+        let base = ExploreConfig {
+            resume,
+            ..base.clone()
+        };
+        let [plain, old] =
+            [Reduction::SourceDpor, Reduction::SourceDporLinPreserving].map(|reduction| {
+                explored_verdicts(
+                    spec.clone(),
+                    setup.clone(),
+                    wl,
+                    &base,
+                    crashed_pending,
+                    reduction,
+                )
+            });
+        let at = format!("{at}/{resume:?}");
+        assert!(
+            matches!(plain.0, Ok(ExploreOutcome::Exhausted { .. })),
+            "{at}: {:?}",
+            plain.0
+        );
+        assert_eq!(plain.0, old.0, "{at}: outcome");
+        assert_eq!(plain.1, old.1, "{at}: counters");
+        assert_eq!(plain.2, old.2, "{at}: verdict signatures");
+    }
+}
+
+/// `Reduction::SourceDporLinPreserving` stays in `scl-sim` only because the
+/// benchmark harness sets it. It is the same exploration as source DPOR on
+/// every space the oracles and count bars ran it on.
+#[test]
+fn the_second_source_dpor_name_explores_exactly_like_source_dpor() {
+    let base = ExploreConfig {
+        max_schedules: 1_000_000,
+        ..Default::default()
+    };
+    let crash = ExploreConfig {
+        max_crashes: 1,
+        ..base.clone()
+    };
+    for n in [2, 3] {
+        let wl: Wl = Workload::single_op_each(n, TasOp::TestAndSet);
+        let at = format!("composed TAS n={n}");
+        assert_names_explore_alike(
+            &at,
+            TasSpec,
+            new_speculative_tas,
+            &wl,
+            &base,
+            CrashedPending::Open,
+        );
+    }
+    let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
+    assert_names_explore_alike(
+        "composed TAS n=2, 1 crash",
+        TasSpec,
+        new_speculative_tas,
+        &wl,
+        &crash,
+        CrashedPending::Open,
+    );
+    let restart = ExploreConfig {
+        max_recoveries: 1,
+        ..crash.clone()
+    };
+    assert_names_explore_alike(
+        "recoverable TAS n=2, 1 crash, 1 restart",
+        TasSpec,
+        |mem: &mut SharedMemory| RecoverableTas::new(mem, 2),
+        &wl,
+        &restart,
+        CrashedPending::Recoverable,
+    );
+    assert_names_explore_alike(
+        "flush write-behind, 1 crash, 1 restart",
+        RegisterSpec,
+        |mem: &mut SharedMemory| WriteBehindRegister::with_recovery(mem, WbRecovery::Flush),
+        &write_behind_workload(),
+        &write_behind_explore(base.clone(), true),
+        CrashedPending::Durable,
+    );
+    let writer: Workload<RegisterSpec, ()> = Workload::from_ops(vec![vec![RegisterOp::Write(5)]]);
+    let faults = ExploreConfig {
+        max_drops: 1,
+        ..crash
+    };
+    assert_names_explore_alike(
+        "one-writer ABD, 1 crash, 1 drop",
+        RegisterSpec,
+        |mem: &mut SharedMemory| AbdRegister::new(mem, 1, 2, 12, 1),
+        &writer,
+        &faults,
+        CrashedPending::Open,
+    );
+    let two_clients: Workload<RegisterSpec, ()> =
+        Workload::from_ops(vec![vec![RegisterOp::Write(5)], vec![RegisterOp::Read]]);
+    assert_names_explore_alike(
+        "two-client ABD, 1 crash, 1 drop",
+        RegisterSpec,
+        |mem: &mut SharedMemory| AbdRegister::new(mem, 2, 1, 12, 0),
+        &two_clients,
+        &faults,
+        CrashedPending::Open,
+    );
 }

@@ -1,9 +1,9 @@
 //! Oracle for the outcome-only scenarios: `scl-check` runs a scenario whose
 //! checks read no real-time order (no linearizability variant among its
-//! `checks`) under plain source DPOR, even when the lin-preserving relation
-//! is configured. That is sound when plain source DPOR reaches every
-//! outcome the lin-preserving relation reaches, and, where full enumeration
-//! is feasible, every outcome `off` reaches.
+//! `checks`) under plain source DPOR with no monitor. That is sound when
+//! plain source DPOR reaches every outcome `off` reaches; where full
+//! enumeration is infeasible, the oracle is source DPOR under full-replay
+//! backtracking.
 //!
 //! Each workload is rebuilt here from public constructors with the
 //! scenario's own configuration overrides. Every schedule contributes its
@@ -15,7 +15,7 @@ use scl_check::CheckConfig;
 use scl_core::{new_speculative_tas, AbdRegister, ResettableTas, WbRecovery, WriteBehindRegister};
 use scl_sim::{
     explore_schedules_report, ExecutionResult, ExploreConfig, ExploreOutcome, OpOutcome, Reduction,
-    SharedMemory, SimObject, Workload,
+    ResumeMode, SharedMemory, SimObject, Workload,
 };
 use scl_spec::{RegisterOp, SequentialSpec, TasOp, TasSpec, TasSwitch};
 use std::collections::BTreeSet;
@@ -83,8 +83,9 @@ where
     }
 }
 
-/// Asserts that plain source DPOR reaches exactly the signatures of the
-/// lin-preserving relation, and of `off` when `with_off` is set.
+/// Asserts that plain source DPOR reaches exactly the signatures of `off`
+/// when `with_off` is set, and otherwise those of source DPOR under
+/// full-replay backtracking.
 fn assert_outcomes_agree<S, V, O, F>(
     name: &str,
     setup: F,
@@ -99,20 +100,26 @@ fn assert_outcomes_agree<S, V, O, F>(
     OpOutcome<S, V>: Debug,
 {
     let (plain, plain_n) = signature_set(setup.clone(), wl, base, Reduction::SourceDpor);
-    let (lin, lin_n) = signature_set(setup.clone(), wl, base, Reduction::SourceDporLinPreserving);
+    let (oracle, (other, other_n)) = if with_off {
+        (
+            "full enumeration",
+            signature_set(setup, wl, base, Reduction::Off),
+        )
+    } else {
+        let replay = ExploreConfig {
+            resume: ResumeMode::FullReplay,
+            ..base.clone()
+        };
+        (
+            "full-replay source DPOR",
+            signature_set(setup, wl, &replay, Reduction::SourceDpor),
+        )
+    };
     assert_eq!(
-        plain, lin,
-        "{name}: plain source DPOR ({plain_n} schedules) and the lin-preserving relation \
-         ({lin_n} schedules) reach different outcomes"
+        plain, other,
+        "{name}: plain source DPOR ({plain_n} schedules) and {oracle} ({other_n} schedules) \
+         reach different outcomes"
     );
-    if with_off {
-        let (off, off_n) = signature_set(setup, wl, base, Reduction::Off);
-        assert_eq!(
-            plain, off,
-            "{name}: plain source DPOR ({plain_n} schedules) and full enumeration \
-             ({off_n} schedules) reach different outcomes"
-        );
-    }
 }
 
 /// The CLI's default exploration configuration, before scenario overrides.

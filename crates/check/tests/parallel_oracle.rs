@@ -8,10 +8,9 @@
 //! count the config names, and `perfbench` compares its traced replicas
 //! with `scl-check` reports on that premise.
 //!
-//! Under `Reduction::Off` schedule counts are compared too. Under the
-//! source-DPOR modes the comparison is on exactly what each mode preserves:
-//! outcome signatures under `SourceDpor`, full outcome+verdict signatures
-//! under `SourceDporLinPreserving` (where the verdict is class-invariant).
+//! Schedule counts are compared too. The verdict is part of the signature
+//! under both reductions: under source DPOR the bridge decides every order
+//! of each explored trace's history, so the verdict is class-invariant.
 
 use scl_check::{CheckerMode, LinMonitor};
 use scl_core::{new_speculative_tas, A1Tas, A1Variant, A2Tas, Composed};
@@ -27,35 +26,19 @@ use std::sync::Mutex;
 type Wl = Workload<TasSpec, TasSwitch>;
 
 /// A canonical per-schedule verdict signature: every operation's outcome
-/// plus (when `with_verdict`) the bridge's linearizability verdict (message
-/// included, so the two engines must agree on *what* they report, not just
-/// whether they pass). The verdict is dropped for `Reduction::SourceDpor`,
-/// whose contract only preserves outcomes.
-fn signature(
-    res: &ExecutionResult<TasSpec, TasSwitch>,
-    verdict: &Result<(), String>,
-    with_verdict: bool,
-) -> String {
+/// plus the bridge's linearizability verdict (message included, so the two
+/// engines must agree on *what* they report, not just whether they pass).
+fn signature(res: &ExecutionResult<TasSpec, TasSwitch>, verdict: &Result<(), String>) -> String {
     let mut ops: Vec<String> = res
         .ops
         .iter()
         .map(|o| format!("{}={:?}", o.req.id, o.outcome))
         .collect();
     ops.sort();
-    if !with_verdict {
-        return ops.join(",");
-    }
     match verdict {
         Ok(()) => format!("{}|lin=ok", ops.join(",")),
         Err(e) => format!("{}|lin=err:{e}", ops.join(",")),
     }
-}
-
-/// What the oracle compares for a reduction: the verdict-bearing signature
-/// wherever the mode preserves verdicts, outcome-only signatures for plain
-/// `SourceDpor`.
-fn verdict_in_signature(reduction: Reduction) -> bool {
-    reduction != Reduction::SourceDpor
 }
 
 fn config(reduction: Reduction, resume: ResumeMode, threads: usize) -> ExploreConfig {
@@ -81,7 +64,6 @@ where
 {
     let mut monitor = LinMonitor::new(TasSpec, checker);
     let mut set = BTreeSet::new();
-    let with_verdict = verdict_in_signature(reduction);
     let report = explore_schedules_monitored_observed_report(
         setup,
         wl,
@@ -90,7 +72,7 @@ where
         &NoObserver,
         |res, _mem, m: &mut LinMonitor<TasSpec>| {
             let verdict = m.verdict();
-            set.insert(signature(res, &verdict, with_verdict));
+            set.insert(signature(res, &verdict));
             Ok(())
         },
     );
@@ -114,7 +96,6 @@ where
 {
     let set = Mutex::new(BTreeSet::new());
     let factory = move || LinMonitor::new(TasSpec, checker);
-    let with_verdict = verdict_in_signature(reduction);
     let (report, monitors) = explore_schedules_parallel_monitored_observed_report(
         setup,
         wl,
@@ -123,9 +104,7 @@ where
         &NoObserver,
         |res, _mem, m: &mut LinMonitor<TasSpec>| {
             let verdict = m.verdict();
-            set.lock()
-                .unwrap()
-                .insert(signature(res, &verdict, with_verdict));
+            set.lock().unwrap().insert(signature(res, &verdict));
             Ok(())
         },
     );
@@ -145,16 +124,12 @@ where
     F: Fn(&mut SharedMemory) -> O + Sync,
 {
     let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
-    for reduction in [
-        Reduction::Off,
-        Reduction::SourceDpor,
-        Reduction::SourceDporLinPreserving,
-    ] {
+    for reduction in [Reduction::Off, Reduction::SourceDpor] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             for checker in [CheckerMode::Incremental, CheckerMode::FromScratch] {
                 let (seq_set, seq_schedules) =
                     sequential_signatures(&setup, &wl, reduction, resume, checker);
-                if expect_violating_signatures && verdict_in_signature(reduction) {
+                if expect_violating_signatures {
                     // Sanity: the mutant's two-winner histories are visible
                     // in every mode (two winners is a final-state property,
                     // which even plain source DPOR preserves).
@@ -169,14 +144,10 @@ where
                     seq_set, par_set,
                     "verdict-signature sets diverge under {reduction:?}/{resume:?}/{checker:?}"
                 );
-                // Under `Off` the counts are compared too (see the module
-                // doc).
-                if !reduction.is_source_dpor() {
-                    assert_eq!(
-                        seq_schedules, par_schedules,
-                        "schedule counts diverge under {reduction:?}/{resume:?}/{checker:?}"
-                    );
-                }
+                assert_eq!(
+                    seq_schedules, par_schedules,
+                    "schedule counts diverge under {reduction:?}/{resume:?}/{checker:?}"
+                );
             }
         }
     }

@@ -1,8 +1,7 @@
 //! Replay oracle: every expected-violation scenario in the registry —
 //! shared-memory, crash-fault and network scenarios alike — must emit a
 //! counterexample whose deterministic replay reproduces the recorded verdict
-//! bit-identically, under the linearizability-preserving reduction and
-//! both resume modes. The full artifact round trip (serialize → parse →
+//! bit-identically, under source DPOR and both resume modes. The full artifact round trip (serialize → parse →
 //! rebuild config → replay) is part of the oracle: what `scl-check
 //! --artifacts` writes is exactly what `scl-check replay` must reproduce.
 
@@ -10,13 +9,13 @@ use scl_check::{artifact_json, Artifact, CheckConfig, Outcome, ReplayCapture, Sc
 use scl_sim::{ExploreConfig, Reduction, ReplayOutcome, ResumeMode};
 use std::sync::Arc;
 
-/// The reduction × resume grid the oracle sweeps. Only the lin-preserving
-/// reduction: plain source DPOR may legitimately prune real-time-only
-/// violations, so "must violate" is not a fair expectation for it.
+/// The reduction × resume grid the oracle sweeps: source DPOR, whose
+/// linearizability verdicts cover every schedule of each explored trace, on
+/// both resume modes.
 fn mode_grid() -> Vec<(Reduction, ResumeMode)> {
     [ResumeMode::FullReplay, ResumeMode::PrefixResume]
         .into_iter()
-        .map(|m| (Reduction::SourceDporLinPreserving, m))
+        .map(|m| (Reduction::SourceDpor, m))
         .collect()
 }
 
@@ -162,6 +161,42 @@ fn artifact_round_trip_reproduces_the_verdict() {
             replayed, artifact.message,
             "artifact replay of `{name}` must reproduce the recorded verdict bit-identically"
         );
+    }
+}
+
+#[test]
+fn artifacts_naming_the_second_source_dpor_name_replay() {
+    // Artifacts written before `scl-check` dropped `source-dpor-lin` name it
+    // in their config; they replay as `source-dpor`, the same exploration.
+    for name in ["a1_dropped_raw_fence_n2", "crash_write_behind_strict_n2"] {
+        let scenario = scl_check::find(name).expect("registered scenario");
+        let config = CheckConfig::default();
+        let (schedule, message) = violate_and_replay(scenario, &config);
+        let capture = Arc::new(ReplayCapture::new(schedule.clone()));
+        let mut replay_config = config.clone();
+        replay_config.replay = Some(capture.clone());
+        let _ = scenario.run(&replay_config);
+        let (_, log) = capture.take().expect("replay log");
+        let doc = artifact_json(scenario.name, &config, &message, &schedule, &log);
+        let current = "\"reduction\": \"source-dpor\"";
+        assert_eq!(doc.matches(current).count(), 1, "{doc}");
+        let old = doc.replace(current, "\"reduction\": \"source-dpor-lin\"");
+        let artifact = Artifact::from_json(&old)
+            .unwrap_or_else(|e| panic!("old artifact for `{name}` does not parse: {e}\n{old}"));
+        assert_eq!(artifact.config.explore.reduction, Reduction::SourceDpor);
+        let capture = Arc::new(ReplayCapture::new(artifact.schedule.clone()));
+        let mut replay_config = artifact.config;
+        replay_config.replay = Some(capture.clone());
+        let report = scenario.run(&replay_config);
+        assert_eq!(
+            report.outcome,
+            Outcome::Violation { schedule, message },
+            "{name}"
+        );
+        assert!(matches!(
+            capture.take(),
+            Some((ReplayOutcome::Violation(_), _))
+        ));
     }
 }
 

@@ -232,7 +232,7 @@ mod tests {
         let res = Executor::new().run(&mut mem, &mut composed, &wl, &mut SoloAdversary);
         assert!(res.completed);
         // Both requests committed via the second module; exactly one winner.
-        let commits = res.trace.commits();
+        let commits = res.trace().commits();
         assert_eq!(commits.len(), 2);
         let winners = commits
             .iter()
@@ -250,7 +250,7 @@ mod tests {
         let res = Executor::new().run(&mut mem, &mut composed, &wl, &mut SoloAdversary);
         assert!(res.completed);
         assert_eq!(res.metrics.aborted_count(), 1);
-        assert_eq!(res.trace.abort_tokens().len(), 1);
+        assert_eq!(res.trace().abort_tokens().len(), 1);
     }
 
     #[test]
@@ -266,7 +266,7 @@ mod tests {
         };
         let res = Executor::new().run(&mut mem, &mut composed, &wl, &mut SoloAdversary);
         assert!(res.completed);
-        assert_eq!(res.trace.commits()[0].1, TasResp::Loser);
+        assert_eq!(res.trace().commits()[0].1, TasResp::Loser);
         assert_eq!(res.metrics.ops[0].steps, 0);
         assert_eq!(composed.switch_count(), 0);
     }

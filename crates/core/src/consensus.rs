@@ -868,7 +868,7 @@ mod tests {
         res: &scl_sim::ExecutionResult<ConsensusSpec, ConsensusSwitch>,
         proposals: &[u64],
     ) -> Result<(), String> {
-        let decisions: Vec<u64> = res.trace.commits().iter().map(|(_, d)| *d).collect();
+        let decisions: Vec<u64> = res.trace().commits().iter().map(|(_, d)| *d).collect();
         if decisions.windows(2).any(|w| w[0] != w[1]) {
             return Err(format!("agreement violated: {decisions:?}"));
         }
@@ -893,7 +893,7 @@ mod tests {
             &mut SoloAdversary,
         );
         assert!(res.completed);
-        assert_eq!(res.trace.commits()[0].1, 42);
+        assert_eq!(res.trace().commits()[0].1, 42);
         assert!(
             res.metrics.ops[0].steps <= 16,
             "steps = {}",
@@ -918,7 +918,7 @@ mod tests {
         agreement_and_validity_check(&res, &proposals).unwrap();
         // Everyone committed (no contention), and the first value won.
         assert_eq!(res.metrics.committed_count(), 3);
-        assert_eq!(res.trace.commits()[0].1, 7);
+        assert_eq!(res.trace().commits()[0].1, 7);
     }
 
     #[test]
@@ -950,7 +950,7 @@ mod tests {
                     return Err("did not complete".into());
                 }
                 agreement_and_validity_check(res, &proposals)?;
-                if !check_linearizable(&ConsensusSpec, &res.trace.commit_projection())
+                if !check_linearizable(&ConsensusSpec, &res.trace().commit_projection())
                     .is_linearizable()
                 {
                     return Err("commit projection not linearizable".into());
@@ -971,7 +971,7 @@ mod tests {
             let wl: Wl = Workload { ops: wl_ops };
             let res = Executor::new().run(&mut mem, &mut obj, &wl, &mut SoloAdversary);
             assert!(res.completed);
-            assert_eq!(res.trace.commits()[0].1, 33);
+            assert_eq!(res.trace().commits()[0].1, 33);
             let steps = res.metrics.ops[0].steps;
             // Two propose phases, each with up to 3 collects of n registers
             // plus a constant number of extra accesses.

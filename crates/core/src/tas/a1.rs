@@ -307,7 +307,7 @@ mod tests {
     fn solo_execution_wins_in_constant_steps_with_registers_only() {
         let (res, mem) = run_with(1, &mut SoloAdversary);
         assert!(res.completed);
-        assert_eq!(res.trace.commits()[0].1, TasResp::Winner);
+        assert_eq!(res.trace().commits()[0].1, TasResp::Winner);
         let op = &res.metrics.ops[0];
         assert_eq!(op.steps, A1Tas::MAX_STEPS);
         assert_eq!(op.rmws, 0, "A1 must not use read-modify-write primitives");
@@ -319,7 +319,7 @@ mod tests {
     fn sequential_processes_get_one_winner_rest_losers() {
         let (res, _) = run_with(4, &mut SoloAdversary);
         assert!(res.completed);
-        let commits = res.trace.commits();
+        let commits = res.trace().commits();
         assert_eq!(commits.len(), 4);
         assert_eq!(
             commits
@@ -329,7 +329,7 @@ mod tests {
             1
         );
         assert_eq!(res.metrics.aborted_count(), 0);
-        assert!(check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable());
+        assert!(check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable());
     }
 
     #[test]
@@ -354,7 +354,7 @@ mod tests {
         assert!(res.metrics.aborted_count() > 0);
         // At most one process committed winner (Invariant 1).
         let winners = res
-            .trace
+            .trace()
             .commits()
             .iter()
             .filter(|(_, r)| *r == TasResp::Winner)
@@ -362,8 +362,8 @@ mod tests {
         assert!(winners <= 1);
         // The committed projection stays linearizable and the whole trace is
         // certifiably safely composable.
-        assert!(check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable());
-        assert!(find_valid_interpretation(&TasSpec, &res.trace, &TasConstraint).is_composable());
+        assert!(check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable());
+        assert!(find_valid_interpretation(&TasSpec, &res.trace(), &TasConstraint).is_composable());
     }
 
     #[test]
@@ -385,7 +385,7 @@ mod tests {
             ops: vec![vec![(TasOp::TestAndSet, Some(TasSwitch::L))]],
         };
         let res = Executor::new().run(&mut mem, &mut a1, &wl, &mut SoloAdversary);
-        assert_eq!(res.trace.commits()[0].1, TasResp::Loser);
+        assert_eq!(res.trace().commits()[0].1, TasResp::Loser);
         assert!(res.metrics.ops[0].steps <= 2);
     }
 
@@ -397,7 +397,7 @@ mod tests {
                 return Err("did not complete".into());
             }
             let winners = res
-                .trace
+                .trace()
                 .commits()
                 .iter()
                 .filter(|(_, r)| *r == TasResp::Winner)
@@ -406,7 +406,7 @@ mod tests {
                 return Err("two winners".into());
             }
             let w_aborts = res
-                .trace
+                .trace()
                 .abort_tokens()
                 .iter()
                 .filter(|(_, v)| *v == TasSwitch::W)
@@ -416,10 +416,10 @@ mod tests {
                     "winner committed but some process aborted with W (Invariant 2)".into(),
                 );
             }
-            if !check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable() {
+            if !check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable() {
                 return Err("commit projection not linearizable".into());
             }
-            if !find_valid_interpretation(&TasSpec, &res.trace, &TasConstraint).is_composable() {
+            if !find_valid_interpretation(&TasSpec, &res.trace(), &TasConstraint).is_composable() {
                 return Err("no valid interpretation (Definition 2)".into());
             }
             Ok(())
@@ -438,7 +438,7 @@ mod tests {
         // One fewer step than the standard variant: the entry read of
         // `aborted` is gone.
         assert_eq!(res.metrics.ops[0].steps, A1Tas::MAX_STEPS - 1);
-        assert_eq!(res.trace.commits()[0].1, TasResp::Winner);
+        assert_eq!(res.trace().commits()[0].1, TasResp::Winner);
     }
 
     #[test]
@@ -449,6 +449,6 @@ mod tests {
             ops: vec![vec![(TasOp::Reset, None)]],
         };
         let res = Executor::new().run(&mut mem, &mut a1, &wl, &mut SoloAdversary);
-        assert_eq!(res.trace.commits()[0].1, TasResp::ResetDone);
+        assert_eq!(res.trace().commits()[0].1, TasResp::ResetDone);
     }
 }

@@ -110,7 +110,7 @@ mod tests {
         let wl: Wl = Workload::single_op_each(3, TasOp::TestAndSet);
         let res = Executor::new().run(&mut mem, &mut a2, &wl, &mut SoloAdversary);
         assert!(res.completed);
-        let commits = res.trace.commits();
+        let commits = res.trace().commits();
         assert_eq!(commits[0].1, TasResp::Winner);
         assert_eq!(
             commits.iter().filter(|(_, r)| *r == TasResp::Loser).count(),
@@ -131,7 +131,7 @@ mod tests {
         let res = Executor::new().run(&mut mem, &mut a2, &wl, &mut RoundRobinAdversary::default());
         assert!(res.completed);
         assert_eq!(res.metrics.aborted_count(), 0);
-        assert!(check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable());
+        assert!(check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable());
     }
 
     #[test]
@@ -147,7 +147,7 @@ mod tests {
         };
         let res = Executor::new().run(&mut mem, &mut a2, &wl, &mut SoloAdversary);
         assert!(res.completed);
-        let commits = res.trace.commits();
+        let commits = res.trace().commits();
         let winners = commits
             .iter()
             .filter(|(_, r)| *r == TasResp::Winner)
@@ -163,14 +163,14 @@ mod tests {
         assert_eq!(l_op.steps, 0);
         // The trace with init tokens is certifiably safely composable
         // (Lemma 5).
-        assert!(find_valid_interpretation(&TasSpec, &res.trace, &TasConstraint).is_composable());
+        assert!(find_valid_interpretation(&TasSpec, &res.trace(), &TasConstraint).is_composable());
     }
 
     #[test]
     fn all_interleavings_are_linearizable() {
         let wl: Wl = Workload::single_op_each(2, TasOp::TestAndSet);
         let outcome = explore_schedules(A2Tas::new, &wl, &ExploreConfig::default(), |res, _| {
-            if !check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable() {
+            if !check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable() {
                 return Err("not linearizable".into());
             }
             if res.metrics.aborted_count() > 0 {

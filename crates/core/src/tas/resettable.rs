@@ -249,9 +249,9 @@ mod tests {
         assert!(res.completed);
         // The sequential history must be linearizable against the resettable
         // TAS spec: p0 wins round 0, resets, then wins round 1; p1 loses.
-        assert!(check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable());
+        assert!(check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable());
         let winners = res
-            .trace
+            .trace()
             .commits()
             .iter()
             .filter(|(_, r)| *r == TasResp::Winner)
@@ -268,7 +268,7 @@ mod tests {
         let res = Executor::new().run(&mut mem, &mut tas, &wl, &mut SoloAdversary);
         assert!(res.completed);
         assert_eq!(tas.rounds_allocated(), 1);
-        assert!(check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable());
+        assert!(check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable());
     }
 
     #[test]
@@ -280,14 +280,14 @@ mod tests {
             let res = Executor::new().run(&mut mem, &mut tas, &wl, &mut RandomAdversary::new(seed));
             assert!(res.completed);
             let winners = res
-                .trace
+                .trace()
                 .commits()
                 .iter()
                 .filter(|(_, r)| *r == TasResp::Winner)
                 .count();
             assert_eq!(winners, 1, "seed {seed}");
             assert!(
-                check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable(),
+                check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable(),
                 "seed {seed}"
             );
         }
@@ -309,7 +309,7 @@ mod tests {
                 Executor::new().run(&mut mem, &mut tas, &wl, &mut RoundRobinAdversary::default());
             assert!(res.completed, "round {round}");
             let winners: Vec<_> = res
-                .trace
+                .trace()
                 .commits()
                 .iter()
                 .filter(|(_, r)| *r == TasResp::Winner)
@@ -317,7 +317,7 @@ mod tests {
                 .collect();
             assert_eq!(winners.len(), 1, "round {round}: exactly one winner");
             assert!(
-                check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable(),
+                check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable(),
                 "round {round}"
             );
             assert!(tas.is_current_winner(winners[0]));
@@ -352,7 +352,7 @@ mod tests {
         );
         assert!(res0.completed);
         let winner_proc = res0
-            .trace
+            .trace()
             .commits()
             .iter()
             .find(|(_, r)| *r == TasResp::Winner)
@@ -369,7 +369,7 @@ mod tests {
             .ops
             .iter()
             .find(|o| {
-                res1.trace
+                res1.trace()
                     .request(o.req_id)
                     .map(|r| r.op == TasOp::TestAndSet)
                     .unwrap_or(false)

@@ -58,7 +58,7 @@ mod tests {
         let mut tas = new_speculative_tas(&mut mem);
         let wl: Wl = Workload::single_op_each(1, TasOp::TestAndSet);
         let res = Executor::new().run(&mut mem, &mut tas, &wl, &mut SoloAdversary);
-        assert_eq!(res.trace.commits()[0].1, TasResp::Winner);
+        assert_eq!(res.trace().commits()[0].1, TasResp::Winner);
         assert_eq!(res.metrics.ops[0].steps, A1Tas::MAX_STEPS);
         assert_eq!(
             res.metrics.ops[0].rmws, 0,
@@ -77,14 +77,14 @@ mod tests {
         let res = Executor::new().run(&mut mem, &mut tas, &wl, &mut SoloAdversary);
         assert!(res.completed);
         let winners = res
-            .trace
+            .trace()
             .commits()
             .iter()
             .filter(|(_, r)| *r == TasResp::Winner)
             .count();
         assert_eq!(winners, 1);
         assert_eq!(tas.switch_count(), 0);
-        assert!(check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable());
+        assert!(check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable());
     }
 
     #[test]
@@ -105,13 +105,15 @@ mod tests {
             );
             assert_eq!(res.metrics.committed_count(), n);
             let winners = res
-                .trace
+                .trace()
                 .commits()
                 .iter()
                 .filter(|(_, r)| *r == TasResp::Winner)
                 .count();
             assert_eq!(winners, 1, "exactly one winner, n={n}");
-            assert!(check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable());
+            assert!(
+                check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable()
+            );
             // Base objects stay at consensus number ≤ 2 even on the slow path.
             let cn = mem.max_required_consensus_number();
             assert!(cn == Some(1) || cn == Some(2));
@@ -159,7 +161,7 @@ mod tests {
             assert!(res.completed);
             assert_eq!(res.metrics.aborted_count(), 0);
             assert!(
-                check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable(),
+                check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable(),
                 "seed {seed}"
             );
         }
@@ -184,7 +186,7 @@ mod tests {
                     return Err("composition aborted".into());
                 }
                 let winners = res
-                    .trace
+                    .trace()
                     .commits()
                     .iter()
                     .filter(|(_, r)| *r == TasResp::Winner)
@@ -192,10 +194,12 @@ mod tests {
                 if winners != 1 {
                     return Err(format!("{winners} winners"));
                 }
-                if !check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable() {
+                if !check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable()
+                {
                     return Err("not linearizable".into());
                 }
-                if !find_valid_interpretation(&TasSpec, &res.trace, &TasConstraint).is_composable()
+                if !find_valid_interpretation(&TasSpec, &res.trace(), &TasConstraint)
+                    .is_composable()
                 {
                     return Err("not certifiably composable".into());
                 }
@@ -212,7 +216,7 @@ mod tests {
         let mut tas = new_solo_fast_tas(&mut mem);
         let wl: Wl = Workload::single_op_each(1, TasOp::TestAndSet);
         let res = Executor::new().run(&mut mem, &mut tas, &wl, &mut SoloAdversary);
-        assert_eq!(res.trace.commits()[0].1, TasResp::Winner);
+        assert_eq!(res.trace().commits()[0].1, TasResp::Winner);
         assert_eq!(res.metrics.ops[0].rmws, 0);
         assert_eq!(res.metrics.ops[0].steps, A1Tas::MAX_STEPS - 1);
     }
@@ -230,7 +234,7 @@ mod tests {
             },
             |res, _| {
                 let winners = res
-                    .trace
+                    .trace()
                     .commits()
                     .iter()
                     .filter(|(_, r)| *r == TasResp::Winner)
@@ -238,7 +242,8 @@ mod tests {
                 if winners != 1 {
                     return Err(format!("{winners} winners"));
                 }
-                if !check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable() {
+                if !check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable()
+                {
                     return Err("not linearizable".into());
                 }
                 Ok(())

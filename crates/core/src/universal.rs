@@ -547,7 +547,7 @@ mod tests {
         let res = Executor::new().run(&mut mem, &mut uc, &wl, &mut SoloAdversary);
         assert!(res.completed);
         assert_eq!(res.metrics.aborted_count(), 0);
-        assert!(check_linearizable(&QueueSpec, &res.trace.commit_projection()).is_linearizable());
+        assert!(check_linearizable(&QueueSpec, &res.trace().commit_projection()).is_linearizable());
         assert_eq!(uc.recorded_abstract_trace().check(), Ok(()));
     }
 
@@ -563,7 +563,8 @@ mod tests {
             assert!(res.completed, "seed {seed}");
             assert_eq!(res.metrics.aborted_count(), 0);
             assert!(
-                check_linearizable(&CounterSpec, &res.trace.commit_projection()).is_linearizable(),
+                check_linearizable(&CounterSpec, &res.trace().commit_projection())
+                    .is_linearizable(),
                 "seed {seed}"
             );
             assert_eq!(uc.recorded_abstract_trace().check(), Ok(()), "seed {seed}");
@@ -585,7 +586,7 @@ mod tests {
         // Registers only: no strong primitive used anywhere.
         assert_eq!(mem.max_required_consensus_number(), Some(1));
         assert!(
-            check_linearizable(&RegisterSpec, &res.trace.commit_projection()).is_linearizable()
+            check_linearizable(&RegisterSpec, &res.trace().commit_projection()).is_linearizable()
         );
         assert_eq!(uc.recorded_abstract_trace().check(), Ok(()));
     }
@@ -611,7 +612,8 @@ mod tests {
                 "seed {seed}: Abstract properties must hold"
             );
             assert!(
-                check_linearizable(&CounterSpec, &res.trace.commit_projection()).is_linearizable(),
+                check_linearizable(&CounterSpec, &res.trace().commit_projection())
+                    .is_linearizable(),
                 "seed {seed}"
             );
         }
@@ -636,7 +638,8 @@ mod tests {
                 "the composition never aborts"
             );
             assert!(
-                check_linearizable(&CounterSpec, &res.trace.commit_projection()).is_linearizable(),
+                check_linearizable(&CounterSpec, &res.trace().commit_projection())
+                    .is_linearizable(),
                 "seed {seed}"
             );
         }
@@ -669,7 +672,9 @@ mod tests {
         let res = Executor::new().run(&mut mem, &mut uc, &wl, &mut RoundRobinAdversary::default());
         assert!(res.completed);
         assert_eq!(res.metrics.aborted_count(), 0);
-        assert!(check_linearizable(&CounterSpec, &res.trace.commit_projection()).is_linearizable());
+        assert!(
+            check_linearizable(&CounterSpec, &res.trace().commit_projection()).is_linearizable()
+        );
         if uc.switch_count() > 0 {
             // The slow path uses CAS, i.e. consensus number ∞ base objects —
             // exactly the cost Proposition 2 predicts for generic objects.
@@ -688,7 +693,7 @@ mod tests {
         let res = Executor::new().run(&mut mem, &mut uc, &wl, &mut SoloAdversary);
         assert!(res.completed);
         assert_eq!(res.metrics.aborted_count(), 0);
-        assert!(check_linearizable(&QueueSpec, &res.trace.commit_projection()).is_linearizable());
+        assert!(check_linearizable(&QueueSpec, &res.trace().commit_projection()).is_linearizable());
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The execution engine: drives `n` simulated processes over per-process
-//! workloads under an adversarial scheduler, recording a trace and metrics.
+//! workloads under an adversarial scheduler, recording each operation and
+//! metrics.
 //!
 //! Scheduling model (one *tick* per adversary decision):
 //!
@@ -21,14 +22,15 @@
 //! the engine is built to be *reused*:
 //!
 //! * an [`ExecSession`] owns every buffer a run needs (process states, the
-//!   result's trace/metrics/ops vectors, the decision log, and the scratch
+//!   result's metrics/ops vectors, the decision log, and the scratch
 //!   enabled/in-progress sets); [`Executor::run_in`] rewinds and refills it,
 //!   so a warm session executes a schedule without allocating beyond what
 //!   the object itself boxes per operation;
 //! * scheduling decisions are stored in a flat [`DecisionLog`] (the chosen
 //!   ids only);
-//! * a [`TraceMode::MetricsOnly`] run skips all per-event trace pushes for
-//!   exploration checks that only consume metrics and memory state.
+//! * each operation is recorded once, in its [`OpRecord`] and
+//!   [`OpMetrics`]; the event trace is built from them on demand
+//!   ([`ExecutionResult::trace`]).
 //!
 //! # Checkpoints: marks on undo logs
 //!
@@ -47,7 +49,7 @@
 //!   outcome after the newest mark logs its metrics (an operation changes
 //!   only while it is open or interrupted, so its outcome was unset).
 //!
-//! The append-only buffers (trace, op records, decision log) rewind by
+//! The append-only buffers (op records, decision log) rewind by
 //! truncation to the lengths in the mark, and the crash and restart masks
 //! ride in it. A mark is refused when some in-flight operation cannot fork:
 //! a later in-place step could not be undone. To know that, a mark forks
@@ -61,7 +63,7 @@ use crate::machine::{OpExecution, OpOutcome, SimObject, StepOutcome};
 use crate::memory::{Footprint, SharedMemory, StepLabel};
 use crate::metrics::{ExecutionMetrics, OpMetrics};
 use crate::step::StepKind;
-use scl_spec::{ProcessId, Request, RequestId, SequentialSpec, Trace};
+use scl_spec::{Event, ProcessId, Request, RequestId, SequentialSpec, Trace};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -122,17 +124,6 @@ impl<S: SequentialSpec, V: Clone> Workload<S, V> {
     }
 }
 
-/// Whether the executor records the full event trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceMode {
-    /// Record every invoke/init/commit/abort event (the default).
-    #[default]
-    Full,
-    /// Skip all trace pushes; only metrics, op records and decisions are
-    /// produced. For exploration checks that never look at the trace.
-    MetricsOnly,
-}
-
 /// The scheduling decisions of an execution: the raw id chosen at each tick
 /// (see [`crate::step::StepKind`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -178,10 +169,9 @@ impl DecisionLog {
     }
 }
 
-/// What the most recent [`Executor::tick`] emitted at the trace level,
-/// regardless of [`TraceMode`] (so metrics-only explorations can still feed
+/// What the most recent [`Executor::tick`] emitted at the trace level, for
 /// incremental history consumers such as the linearizability bridge in
-/// `scl-check`). The payload indexes into [`ExecutionResult::ops`].
+/// `scl-check`. The payload indexes into [`ExecutionResult::ops`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TickEmission {
     /// The tick took a silent step (or was a no-op on a done process).
@@ -251,21 +241,23 @@ pub enum TickEmission {
     },
 }
 
-/// One operation's record: the request and outcome indices into the trace.
+/// One operation's record: what it was invoked with and how it ended. Its
+/// invoke and response ticks are in the [`OpMetrics`] of the same index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpRecord<S: SequentialSpec, V> {
     /// The request that was invoked.
     pub req: Request<S>,
-    /// The outcome, if the operation finished.
+    /// The init value the invocation received (`Some` for an `(init, m, v)`
+    /// event, `None` for a plain invoke).
+    pub switch: Option<V>,
+    /// The outcome, if the operation finished (a resolving recovery's late
+    /// commit included).
     pub outcome: Option<OpOutcome<S, V>>,
 }
 
 /// The result of one simulated execution.
 #[derive(Debug)]
 pub struct ExecutionResult<S: SequentialSpec, V> {
-    /// The recorded trace (invoke / init / commit / abort events). Empty in
-    /// [`TraceMode::MetricsOnly`] runs.
-    pub trace: Trace<S, V>,
     /// Per-operation measurements.
     pub metrics: ExecutionMetrics,
     /// Operation records in invocation order.
@@ -288,7 +280,6 @@ pub struct ExecutionResult<S: SequentialSpec, V> {
 impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> Default for ExecutionResult<S, V> {
     fn default() -> Self {
         ExecutionResult {
-            trace: Trace::new(),
             metrics: ExecutionMetrics::default(),
             ops: Vec::new(),
             decisions: DecisionLog::default(),
@@ -296,6 +287,53 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> Default for ExecutionResul
             crashed: 0,
             restarted: 0,
         }
+    }
+}
+
+impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecutionResult<S, V> {
+    /// The trace of the execution (§3): each operation's invoke or init event
+    /// at its invoke tick, and its commit or abort at its response tick, in
+    /// tick order. One transition emits at most one event, so this is the
+    /// order in which the events happened.
+    pub fn trace(&self) -> Trace<S, V> {
+        let mut events = Vec::with_capacity(2 * self.ops.len());
+        for (op, m) in self.ops.iter().zip(&self.metrics.ops) {
+            let req = op.req.clone();
+            events.push((
+                m.invoke_tick,
+                match &op.switch {
+                    Some(switch) => Event::Init {
+                        req,
+                        switch: switch.clone(),
+                    },
+                    None => Event::Invoke { req },
+                },
+            ));
+            let (proc, req_id) = (op.req.proc, op.req.id);
+            if let (Some(tick), Some(outcome)) = (m.response_tick, &op.outcome) {
+                events.push((
+                    tick,
+                    match outcome {
+                        OpOutcome::Commit(resp) => Event::Commit {
+                            proc,
+                            req_id,
+                            resp: resp.clone(),
+                        },
+                        OpOutcome::Abort(switch) => Event::Abort {
+                            proc,
+                            req_id,
+                            switch: switch.clone(),
+                        },
+                    },
+                ));
+            }
+        }
+        events.sort_unstable_by_key(|(tick, _)| *tick);
+        let mut trace = Trace::new();
+        for (_, event) in events {
+            trace.push(event);
+        }
+        trace
     }
 }
 
@@ -403,7 +441,6 @@ pub struct SessionMark {
     epoch: u64,
     states: usize,
     ops: usize,
-    trace_len: usize,
     ops_len: usize,
     decisions_len: usize,
     crashed: u64,
@@ -598,7 +635,6 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
             epoch: self.epoch,
             states: self.state_log.len(),
             ops: self.op_log.entries.len(),
-            trace_len: self.result.trace.len(),
             ops_len: self.result.ops.len(),
             decisions_len: self.result.decisions.len(),
             crashed: self.result.crashed,
@@ -609,7 +645,7 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
     /// Rewinds the session to `mark`, taken earlier in the *same* run, so
     /// exploration can backtrack one scheduling decision and re-execute only
     /// the suffix: pops both undo logs back to the mark and truncates the
-    /// trace, op records and decision log. Marks nest like a stack (no mark
+    /// op records and decision log. Marks nest like a stack (no mark
     /// taken before `mark` may have been undone to since) and `mark` stays
     /// usable for further undos. The caller rewinds the paired
     /// [`crate::memory::MemMark`] and [`crate::machine::ObjectSnapshot`]
@@ -637,7 +673,6 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
             result.ops[i].outcome = None;
             self.op_log.stamps[i] = stamp;
         }
-        result.trace.truncate(mark.trace_len);
         result.ops.truncate(mark.ops_len);
         result.metrics.ops.truncate(mark.ops_len);
         self.op_log.stamps.truncate(mark.ops_len);
@@ -732,7 +767,6 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> ExecSession<S, V> {
         self.in_progress.clear();
         self.last_emission = TickEmission::None;
         self.last_footprint = Footprint::Pure;
-        self.result.trace.clear();
         self.result.metrics.ops.clear();
         self.result.ops.clear();
         self.result.decisions.clear();
@@ -794,15 +828,12 @@ pub enum SurveyStatus {
 pub struct Executor {
     /// Maximum number of ticks before the execution is cut off.
     pub max_ticks: u64,
-    /// Whether to record the full event trace.
-    pub trace_mode: TraceMode,
 }
 
 impl Default for Executor {
     fn default() -> Self {
         Executor {
             max_ticks: 1_000_000,
-            trace_mode: TraceMode::Full,
         }
     }
 }
@@ -816,12 +847,6 @@ impl Executor {
     /// Sets the tick limit.
     pub fn max_ticks(mut self, max_ticks: u64) -> Self {
         self.max_ticks = max_ticks;
-        self
-    }
-
-    /// Sets the trace mode.
-    pub fn trace_mode(mut self, trace_mode: TraceMode) -> Self {
-        self.trace_mode = trace_mode;
         self
     }
 
@@ -1000,7 +1025,6 @@ impl Executor {
             session.enabled,
             session.result.decisions.chosen()
         );
-        let full_trace = self.trace_mode == TraceMode::Full;
         let tick = session.result.decisions.len() as u64;
         session.result.decisions.push(chosen);
         session.last_emission = TickEmission::None;
@@ -1108,15 +1132,9 @@ impl Executor {
                     proc: p,
                     op,
                 };
-                if full_trace {
-                    match &switch {
-                        Some(v) => session.result.trace.record_init(req.clone(), v.clone()),
-                        None => session.result.trace.record_invoke(req.clone()),
-                    }
-                }
                 mem.begin_op(p);
                 let steps_before_invoke = mem.global_steps();
-                let exec = object.invoke(mem, req.clone(), switch);
+                let exec = object.invoke(mem, req.clone(), switch.clone());
                 debug_assert_eq!(
                     mem.global_steps(),
                     steps_before_invoke,
@@ -1150,7 +1168,11 @@ impl Executor {
                     aborted: false,
                 });
                 session.op_log.stamps.push(session.epoch);
-                session.result.ops.push(OpRecord { req, outcome: None });
+                session.result.ops.push(OpRecord {
+                    req,
+                    switch,
+                    outcome: None,
+                });
                 session.last_emission = TickEmission::Invoked {
                     op_index: metrics_idx,
                 };
@@ -1196,22 +1218,8 @@ impl Executor {
                 }
                 if let StepOutcome::Done(outcome) = outcome {
                     let metrics = &mut session.result.metrics.ops[midx];
-                    let req_id = metrics.req_id;
                     metrics.response_tick = Some(tick);
-                    let aborted = match &outcome {
-                        OpOutcome::Commit(resp) => {
-                            if full_trace {
-                                session.result.trace.record_commit(p, req_id, resp.clone());
-                            }
-                            false
-                        }
-                        OpOutcome::Abort(v) => {
-                            if full_trace {
-                                session.result.trace.record_abort(p, req_id, v.clone());
-                            }
-                            true
-                        }
-                    };
+                    let aborted = matches!(outcome, OpOutcome::Abort(_));
                     metrics.aborted = aborted;
                     session.result.ops[midx].outcome = Some(outcome);
                     session.last_emission = if aborted {
@@ -1276,11 +1284,7 @@ impl Executor {
                             // interrupted operation.
                             let ops = &mut session.result.metrics.ops;
                             session.op_log.touch(session.epoch, ops, midx);
-                            let req_id = ops[midx].req_id;
                             ops[midx].response_tick = Some(tick);
-                            if full_trace {
-                                session.result.trace.record_commit(p, req_id, resp.clone());
-                            }
                             session.result.ops[midx].outcome = Some(OpOutcome::Commit(resp));
                             true
                         }
@@ -1369,7 +1373,7 @@ mod tests {
         let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(3, TasOp::TestAndSet);
         let res = Executor::new().run(&mut mem, &mut obj, &wl, &mut SoloAdversary);
         assert!(res.completed);
-        assert_eq!(res.trace.check_well_formed(), Ok(()));
+        assert_eq!(res.trace().check_well_formed(), Ok(()));
         assert_eq!(res.metrics.committed_count(), 3);
         // No interval or step contention under the solo adversary.
         for op in &res.metrics.ops {
@@ -1377,7 +1381,7 @@ mod tests {
             assert!(op.step_contention_free());
             assert_eq!(op.steps, 1);
         }
-        let lin = check_linearizable(&TasSpec, &res.trace.commit_projection());
+        let lin = check_linearizable(&TasSpec, &res.trace().commit_projection());
         assert!(lin.is_linearizable());
     }
 
@@ -1390,13 +1394,13 @@ mod tests {
         assert!(res.completed);
         // Exactly one winner.
         let winners = res
-            .trace
+            .trace()
             .commits()
             .iter()
             .filter(|(_, r)| *r == TasResp::Winner)
             .count();
         assert_eq!(winners, 1);
-        let lin = check_linearizable(&TasSpec, &res.trace.commit_projection());
+        let lin = check_linearizable(&TasSpec, &res.trace().commit_projection());
         assert!(lin.is_linearizable());
         // At least one operation observed a foreign step.
         assert!(res.metrics.ops.iter().any(|o| !o.step_contention_free()));
@@ -1449,7 +1453,7 @@ mod tests {
         };
         let res = Executor::new().run(&mut mem, &mut obj, &wl, &mut SoloAdversary);
         assert!(res.completed);
-        assert_eq!(res.trace.init_tokens().len(), 2);
+        assert_eq!(res.trace().init_tokens().len(), 2);
         // The L process lost without taking any shared-memory step.
         let l_op = res
             .metrics
@@ -1498,31 +1502,6 @@ mod tests {
             Workload::from_ops(vec![vec![TasOp::TestAndSet], vec![]]);
         assert_eq!(wl2.processes(), 2);
         assert_eq!(wl2.total_ops(), 1);
-    }
-
-    #[test]
-    fn metrics_only_mode_skips_the_trace_but_not_the_metrics() {
-        let mut mem = SharedMemory::new();
-        let mut obj = SwapTas::new(&mut mem);
-        let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(3, TasOp::TestAndSet);
-        let res = Executor::new().trace_mode(TraceMode::MetricsOnly).run(
-            &mut mem,
-            &mut obj,
-            &wl,
-            &mut SoloAdversary,
-        );
-        assert!(res.completed);
-        assert!(res.trace.is_empty());
-        assert_eq!(res.metrics.committed_count(), 3);
-        assert_eq!(res.ops.len(), 3);
-        assert_eq!(res.decisions.len(), 6);
-        // Op records still carry the outcomes.
-        let winners = res
-            .ops
-            .iter()
-            .filter(|o| matches!(o.outcome, Some(OpOutcome::Commit(TasResp::Winner))))
-            .count();
-        assert_eq!(winners, 1);
     }
 
     #[test]
@@ -1702,7 +1681,7 @@ mod tests {
             res.ops[1].outcome,
             Some(OpOutcome::Commit(TasResp::Loser))
         ));
-        let lin = check_linearizable(&TasSpec, &res.trace.commit_projection());
+        let lin = check_linearizable(&TasSpec, &res.trace().commit_projection());
         assert!(lin.is_linearizable());
     }
 
@@ -1818,7 +1797,7 @@ mod tests {
         );
         let res2 = session.result();
 
-        assert_eq!(res1.trace, res2.trace);
+        assert_eq!(res1.trace(), res2.trace());
         assert_eq!(res1.metrics, res2.metrics);
         assert_eq!(res1.decisions, res2.decisions);
         assert_eq!(res1.ops, res2.ops);

@@ -49,14 +49,12 @@
 //!
 //! The engine owns one [`SharedMemory`] and one [`ExecSession`] and reuses
 //! them across the whole exploration; only the object under test is rebuilt
-//! on replays via `setup`. Checks that never look at the event trace can set
-//! [`ExploreConfig::metrics_only`] to skip all trace recording. An
-//! exploration runs on one thread; callers with many independent
+//! on replays via `setup`. An exploration runs on one thread; callers with many independent
 //! explorations (such as `scl-check` over its scenario registry) run them
 //! concurrently, one engine each.
 
 use crate::executor::{
-    ExecSession, ExecutionResult, Executor, SessionMark, SurveyStatus, TraceMode, Workload,
+    ExecSession, ExecutionResult, Executor, SessionMark, SurveyStatus, Workload,
 };
 use crate::hb::HbTracker;
 use crate::machine::{ObjectSnapshot, SimObject};
@@ -143,11 +141,9 @@ pub enum Reduction {
     Off,
     /// Source DPOR with sleep sets over shared-memory footprints.
     SourceDpor,
-    /// The same exploration as [`Reduction::SourceDpor`]: plain source DPOR,
-    /// whose monitors recover real-time order per trace (see the soundness
-    /// contract above). The name stays for configurations that spell the
-    /// default of `scl-check` (`--reduction source-dpor-lin`) and for the
-    /// benchmark harness, which sets it.
+    /// The same exploration as [`Reduction::SourceDpor`]. Only the frozen
+    /// benchmark harness sets this name; `scl-check` neither accepts nor
+    /// reports it.
     SourceDporLinPreserving,
 }
 
@@ -186,8 +182,9 @@ pub struct ExploreConfig {
     pub max_schedules: u64,
     /// Tick limit per execution.
     pub max_ticks: u64,
-    /// Skip all event-trace recording ([`TraceMode::MetricsOnly`]). Only
-    /// valid for checks that never read `result.trace`.
+    /// Not read by anything: every execution records its operations once,
+    /// and [`ExecutionResult::trace`] builds the event trace from them on
+    /// demand. The field stays because the benchmark harness sets it.
     pub metrics_only: bool,
     /// Not read by the engine, which always explores on one thread.
     /// `scl-check` reads it as its scenario-worker count (`--workers`, `0` =
@@ -275,13 +272,7 @@ impl Default for ExploreConfig {
 
 impl ExploreConfig {
     pub(crate) fn executor(&self) -> Executor {
-        Executor::new()
-            .max_ticks(self.max_ticks)
-            .trace_mode(if self.metrics_only {
-                TraceMode::MetricsOnly
-            } else {
-                TraceMode::Full
-            })
+        Executor::new().max_ticks(self.max_ticks)
     }
 }
 
@@ -1802,7 +1793,7 @@ mod tests {
         if !res.completed {
             return Err("execution did not complete".into());
         }
-        if check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable() {
+        if check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable() {
             Ok(())
         } else {
             Err("not linearizable".into())
@@ -1833,11 +1824,7 @@ mod tests {
 
     fn all_mode_configs() -> Vec<ExploreConfig> {
         let mut configs = Vec::new();
-        for reduction in [
-            Reduction::Off,
-            Reduction::SourceDpor,
-            Reduction::SourceDporLinPreserving,
-        ] {
+        for reduction in [Reduction::Off, Reduction::SourceDpor] {
             for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
                 configs.push(ExploreConfig {
                     reduction,
@@ -2402,71 +2389,68 @@ mod tests {
         };
         let (off, off_states) = run(Reduction::Off);
         let (source, source_states) = run(Reduction::SourceDpor);
-        let (source_lin, source_lin_states) = run(Reduction::SourceDporLinPreserving);
         // Race-driven branching never adds representatives over eager
         // branching with the same relation...
         assert_eq!(source.schedules, EAGER_SCHEDULES);
-        assert!(source_lin.schedules < off.schedules);
+        assert!(source.schedules < off.schedules);
         assert!(source.races > 0 && source.race_seeds > 0);
         // ...wastes (much) less work on sleep-blocked continuations...
         assert!(source.sleep_blocked <= EAGER_SLEEP_BLOCKED);
         // ...and still reaches every final state of the full enumeration.
         assert_eq!(off_states, source_states);
-        assert_eq!(off_states, source_lin_states);
     }
 
     #[test]
     fn parallel_source_dpor_covers_the_sequential_final_states() {
         // The benchmark shim must reach exactly the engine's equivalence
-        // classes under both source-DPOR modes — compared here on the
-        // class-invariant final-state fingerprints.
+        // classes under source DPOR — compared here on the class-invariant
+        // final-state fingerprints.
         let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(3, TasOp::TestAndSet);
-        for reduction in [Reduction::SourceDpor, Reduction::SourceDporLinPreserving] {
-            for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-                let base = ExploreConfig {
-                    reduction,
-                    resume,
-                    ..Default::default()
+        let reduction = Reduction::SourceDpor;
+        for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
+            let base = ExploreConfig {
+                reduction,
+                resume,
+                ..Default::default()
+            };
+            let mut seq_states = std::collections::BTreeSet::new();
+            let seq = explore_schedules_report(
+                |mem| SwapTas {
+                    flag: mem.alloc("flag", Value::FALSE),
+                },
+                &wl,
+                &base,
+                |res, mem| {
+                    seq_states.insert(fingerprint(res, mem));
+                    Ok(())
+                },
+            );
+            assert!(matches!(seq.outcome, Ok(ExploreOutcome::Exhausted { .. })));
+            for threads in [2usize, 4] {
+                let config = ExploreConfig {
+                    threads,
+                    ..base.clone()
                 };
-                let mut seq_states = std::collections::BTreeSet::new();
-                let seq = explore_schedules_report(
-                    |mem| SwapTas {
+                let mut par_states = std::collections::BTreeSet::new();
+                let par = via_shim(
+                    |mem: &mut SharedMemory| SwapTas {
                         flag: mem.alloc("flag", Value::FALSE),
                     },
                     &wl,
-                    &base,
+                    &config,
                     |res, mem| {
-                        seq_states.insert(fingerprint(res, mem));
+                        par_states.insert(fingerprint(res, mem));
                         Ok(())
                     },
                 );
-                assert!(matches!(seq.outcome, Ok(ExploreOutcome::Exhausted { .. })));
-                for threads in [2usize, 4] {
-                    let config = ExploreConfig {
-                        threads,
-                        ..base.clone()
-                    };
-                    let mut par_states = std::collections::BTreeSet::new();
-                    let par = via_shim(
-                        |mem: &mut SharedMemory| SwapTas {
-                            flag: mem.alloc("flag", Value::FALSE),
-                        },
-                        &wl,
-                        &config,
-                        |res, mem| {
-                            par_states.insert(fingerprint(res, mem));
-                            Ok(())
-                        },
-                    );
-                    assert!(
-                        matches!(par, Ok(ExploreOutcome::Exhausted { .. })),
-                        "threads={threads} {reduction:?}/{resume:?}: {par:?}"
-                    );
-                    assert_eq!(
-                        seq_states, par_states,
-                        "threads={threads} {reduction:?}/{resume:?}"
-                    );
-                }
+                assert!(
+                    matches!(par, Ok(ExploreOutcome::Exhausted { .. })),
+                    "threads={threads} {reduction:?}/{resume:?}: {par:?}"
+                );
+                assert_eq!(
+                    seq_states, par_states,
+                    "threads={threads} {reduction:?}/{resume:?}"
+                );
             }
         }
     }
@@ -2542,7 +2526,7 @@ mod tests {
                 |res, _mem, m: &mut MirrorMonitor| {
                     schedules += 1;
                     let expected: Vec<(bool, scl_spec::RequestId)> = res
-                        .trace
+                        .trace()
                         .events()
                         .iter()
                         .map(|e| (e.is_invocation(), e.req_id()))
@@ -2933,54 +2917,6 @@ mod tests {
         assert!(resume.stats.snapshots > 0);
         assert_eq!(resume.stats.snapshot_fallbacks, 0);
         assert!(resume.stats.executed_ticks < replay.stats.executed_ticks);
-    }
-
-    #[test]
-    fn metrics_only_exploration_runs_without_traces() {
-        let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(2, TasOp::TestAndSet);
-        let config = ExploreConfig {
-            metrics_only: true,
-            ..Default::default()
-        };
-        let full = explore_schedules(
-            |mem| SwapTas {
-                flag: mem.alloc("flag", Value::FALSE),
-            },
-            &wl,
-            &ExploreConfig::default(),
-            lin_check,
-        )
-        .unwrap();
-        let outcome = explore_schedules(
-            |mem| SwapTas {
-                flag: mem.alloc("flag", Value::FALSE),
-            },
-            &wl,
-            &config,
-            |res, _mem| {
-                if !res.trace.is_empty() {
-                    return Err("metrics-only run recorded a trace".into());
-                }
-                let winners = res
-                    .ops
-                    .iter()
-                    .filter(|o| {
-                        matches!(
-                            o.outcome,
-                            Some(crate::machine::OpOutcome::Commit(TasResp::Winner))
-                        )
-                    })
-                    .count();
-                if winners == 1 {
-                    Ok(())
-                } else {
-                    Err(format!("{winners} winners"))
-                }
-            },
-        )
-        .expect("swap TAS has one winner under every schedule");
-        // Metrics-only exploration covers the identical schedule tree.
-        assert_eq!(outcome.schedules(), full.schedules());
     }
 
     /// Network-adversary exploration: scheduled deliveries, drop budgets,

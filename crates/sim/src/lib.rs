@@ -57,7 +57,7 @@ pub use adversary::{
 };
 pub use executor::{
     DecisionLog, ExecSession, ExecutionResult, Executor, OpRecord, SessionMark, SurveyStatus,
-    TickEmission, TraceMode, Workload,
+    TickEmission, Workload,
 };
 pub use explore::{
     explore_schedules, explore_schedules_monitored_observed_report,

@@ -587,28 +587,39 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
                 self.next_frontier.push(next);
             }
             // ...or linearize some other pending operation first.
-            for (i, op) in self.ops.iter().enumerate() {
-                let bit = 1u128 << i;
-                if i == slot || cfg.mask & bit != 0 || op.committed {
-                    continue;
-                }
-                let Some(owed) = Self::gate_marker(op, cfg.mask) else {
-                    continue;
-                };
-                let (next_state, assigned_resp) =
-                    self.spec.apply(self.store.states.get(cfg.state), &op.op);
-                let resp_id = self.store.resps.intern(assigned_resp);
-                let next = Config {
-                    mask: cfg.mask | bit,
-                    state: self.store.states.intern(next_state),
-                    assigned: self.store.assigned_insert(cfg.assigned, i, resp_id | owed),
-                };
-                if self.visited.insert(next) {
-                    self.stack.push(next);
-                }
-            }
+            self.linearize_another(cfg, slot);
         }
         self.install_frontier(id);
+    }
+
+    /// Pushes onto the stack each unvisited configuration that linearizes
+    /// one more pending operation other than `slot` after `cfg`, recording
+    /// the response it takes effect with for later validation. Strict
+    /// closure: a crashed operation may only take effect before its crash
+    /// point, so it is blocked once any operation invoked after the crash is
+    /// linearized — unless it may still commit, which the configuration
+    /// then owes.
+    fn linearize_another(&mut self, cfg: Config, slot: usize) {
+        for (i, op) in self.ops.iter().enumerate() {
+            let bit = 1u128 << i;
+            if i == slot || cfg.mask & bit != 0 || op.committed {
+                continue;
+            }
+            let Some(owed) = Self::gate_marker(op, cfg.mask) else {
+                continue;
+            };
+            let (next_state, assigned_resp) =
+                self.spec.apply(self.store.states.get(cfg.state), &op.op);
+            let resp_id = self.store.resps.intern(assigned_resp);
+            let next = Config {
+                mask: cfg.mask | bit,
+                state: self.store.states.intern(next_state),
+                assigned: self.store.assigned_insert(cfg.assigned, i, resp_id | owed),
+            };
+            if self.visited.insert(next) {
+                self.stack.push(next);
+            }
+        }
     }
 
     /// Consumes a commit event: operation `id` responded with `resp`.
@@ -686,32 +697,8 @@ impl<S: SequentialSpec> IncrementalLinChecker<S> {
                     self.next_frontier.push(next);
                 }
             }
-            // ...or linearize some other pending operation first, recording
-            // the response it takes effect with for later validation.
-            for (i, op) in self.ops.iter().enumerate() {
-                let bit = 1u128 << i;
-                if i == slot || cfg.mask & bit != 0 || op.committed {
-                    continue;
-                }
-                // Strict closure: the crashed op may only take effect
-                // before its crash point, so it is blocked once any
-                // operation invoked after the crash is linearized — unless
-                // it may still commit, which this configuration then owes.
-                let Some(owed) = Self::gate_marker(op, cfg.mask) else {
-                    continue;
-                };
-                let (next_state, assigned_resp) =
-                    self.spec.apply(self.store.states.get(cfg.state), &op.op);
-                let resp_id = self.store.resps.intern(assigned_resp);
-                let next = Config {
-                    mask: cfg.mask | bit,
-                    state: self.store.states.intern(next_state),
-                    assigned: self.store.assigned_insert(cfg.assigned, i, resp_id | owed),
-                };
-                if self.visited.insert(next) {
-                    self.stack.push(next);
-                }
-            }
+            // ...or linearize some other pending operation first.
+            self.linearize_another(cfg, slot);
         }
         self.install_frontier(id);
     }

@@ -1,9 +1,9 @@
 //! Traces: the real-time-ordered sequences of invocation, init, commit and
 //! abort events observed in an execution (§3, §5.1).
 //!
-//! A trace is recorded by an executor (the simulator in `scl-sim`, or a test
-//! harness wrapping real threads in `scl-runtime`) and consumed by the
-//! checkers in this crate: well-formedness, linearizability of the
+//! A trace is produced by an executor (the simulator in `scl-sim` builds it
+//! from its operation records, or a test harness wrapping real threads in
+//! `scl-runtime` records it) and consumed by the checkers in this crate: well-formedness, linearizability of the
 //! invoke/commit projection (Theorem 3), and the Definition 2 search for a
 //! valid interpretation.
 
@@ -146,18 +146,6 @@ impl<S: SequentialSpec, V: Clone + Eq + Hash + Debug> Trace<S, V> {
     /// Appends an event.
     pub fn push(&mut self, event: Event<S, V>) {
         self.events.push(event);
-    }
-
-    /// Removes all events, keeping the allocation (used by executors that
-    /// reuse one trace buffer across many runs).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
-    /// Truncates the trace to its first `len` events (used by executors that
-    /// rewind a session to an earlier point of the same run).
-    pub fn truncate(&mut self, len: usize) {
-        self.events.truncate(len);
     }
 
     /// The events in real-time order.

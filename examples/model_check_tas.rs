@@ -35,7 +35,7 @@ fn main() {
                 return Err("the composition aborted".into());
             }
             let winners = res
-                .trace
+                .trace()
                 .commits()
                 .iter()
                 .filter(|(_, r)| *r == TasResp::Winner)
@@ -43,10 +43,10 @@ fn main() {
             if winners != 1 {
                 return Err(format!("{winners} winners observed"));
             }
-            if !check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable() {
+            if !check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable() {
                 return Err("commit projection is not linearizable".into());
             }
-            if !find_valid_interpretation(&TasSpec, &res.trace, &TasConstraint).is_composable() {
+            if !find_valid_interpretation(&TasSpec, &res.trace(), &TasConstraint).is_composable() {
                 return Err("no valid Definition-2 interpretation found".into());
             }
             // The composed object must never require base objects beyond

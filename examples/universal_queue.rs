@@ -27,7 +27,7 @@ fn main() {
     let res = Executor::new().run(&mut mem, &mut queue, &workload, &mut SoloAdversary);
     assert!(res.completed);
     println!("uncontended run:");
-    for (req, resp) in res.trace.commits() {
+    for (req, resp) in res.trace().commits() {
         println!("  {} {:?} -> {:?}", req.proc, req.op, resp);
     }
     println!(
@@ -35,7 +35,7 @@ fn main() {
         queue.switch_count(),
         mem.max_required_consensus_number()
     );
-    assert!(check_linearizable(&QueueSpec, &res.trace.commit_projection()).is_linearizable());
+    assert!(check_linearizable(&QueueSpec, &res.trace().commit_projection()).is_linearizable());
 
     // --- Contended: round-robin stepping forces the register-only instance
     // to abort; the CAS instance finishes the work with the inherited
@@ -55,7 +55,7 @@ fn main() {
     );
     assert!(res.completed);
     println!("contended run:");
-    for (req, resp) in res.trace.commits() {
+    for (req, resp) in res.trace().commits() {
         println!("  {} {:?} -> {:?}", req.proc, req.op, resp);
     }
     println!(
@@ -63,6 +63,6 @@ fn main() {
         queue.switch_count(),
         mem.max_required_consensus_number()
     );
-    assert!(check_linearizable(&QueueSpec, &res.trace.commit_projection()).is_linearizable());
+    assert!(check_linearizable(&QueueSpec, &res.trace().commit_projection()).is_linearizable());
     println!("the composition stays linearizable in both regimes; contention is what pays for CAS");
 }

@@ -31,18 +31,18 @@ fn theorem4_composition_correct_across_adversaries_and_sizes() {
                 "wait-freedom: the composition never aborts"
             );
             let winners = res
-                .trace
+                .trace()
                 .commits()
                 .iter()
                 .filter(|(_, r)| *r == TasResp::Winner)
                 .count();
             assert_eq!(winners, 1, "n={n} seed={seed}");
             assert!(
-                check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable(),
+                check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable(),
                 "n={n} seed={seed}"
             );
             assert!(
-                find_valid_interpretation(&TasSpec, &res.trace, &TasConstraint).is_composable(),
+                find_valid_interpretation(&TasSpec, &res.trace(), &TasConstraint).is_composable(),
                 "n={n} seed={seed}"
             );
             // Theorem 4's cost claim: base objects never exceed consensus
@@ -88,14 +88,14 @@ fn alternative_composition_orders_remain_correct() {
         assert!(res.completed);
         assert_eq!(res.metrics.aborted_count(), 0);
         let winners = res
-            .trace
+            .trace()
             .commits()
             .iter()
             .filter(|(_, r)| *r == TasResp::Winner)
             .count();
         assert_eq!(winners, 1, "seed {seed}");
         assert!(
-            check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable(),
+            check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable(),
             "seed {seed}"
         );
     }
@@ -111,14 +111,14 @@ fn solo_fast_variant_is_correct_under_contention() {
         let res = Executor::new().run(&mut mem, &mut tas, &wl, &mut RandomAdversary::new(seed));
         assert!(res.completed);
         let winners = res
-            .trace
+            .trace()
             .commits()
             .iter()
             .filter(|(_, r)| *r == TasResp::Winner)
             .count();
         assert_eq!(winners, 1, "seed {seed}");
         assert!(
-            check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable(),
+            check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable(),
             "seed {seed}"
         );
     }
@@ -145,7 +145,7 @@ fn bare_a1_module_costs_and_certification() {
         let res = Executor::new().run(&mut mem, &mut a1, &wl, &mut RoundRobinAdversary::default());
         assert!(res.completed);
         assert!(
-            find_valid_interpretation(&TasSpec, &res.trace, &TasConstraint).is_composable(),
+            find_valid_interpretation(&TasSpec, &res.trace(), &TasConstraint).is_composable(),
             "n={n}"
         );
     }

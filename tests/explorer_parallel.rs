@@ -86,7 +86,7 @@ fn single_winner_check(
         return Err("did not complete".into());
     }
     let winners = res
-        .trace
+        .trace()
         .commits()
         .iter()
         .filter(|(_, r)| *r == TasResp::Winner)
@@ -140,7 +140,7 @@ fn parallel_explorer_finds_the_sequential_counterexample() {
 fn parallel_explorer_covers_the_same_tree_on_correct_objects() {
     let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(2, TasOp::TestAndSet);
     let check = |res: &scl::sim::ExecutionResult<TasSpec, TasSwitch>, _mem: &SharedMemory| {
-        if check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable() {
+        if check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable() {
             Ok(())
         } else {
             Err("not linearizable".into())
@@ -211,7 +211,7 @@ fn reset_replay_is_deterministic_on_a1() {
     );
     let res2 = session.result();
 
-    assert_eq!(res1.trace, res2.trace);
+    assert_eq!(res1.trace(), res2.trace());
     assert_eq!(res1.metrics, res2.metrics);
     assert_eq!(res1.decisions, res2.decisions);
     assert_eq!(res1.ops, res2.ops);

@@ -36,11 +36,7 @@ fn mode(reduction: Reduction, resume: ResumeMode) -> ExploreConfig {
 
 fn all_modes() -> Vec<ExploreConfig> {
     let mut v = Vec::new();
-    for reduction in [
-        Reduction::Off,
-        Reduction::SourceDpor,
-        Reduction::SourceDporLinPreserving,
-    ] {
+    for reduction in [Reduction::Off, Reduction::SourceDpor] {
         for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
             v.push(mode(reduction, resume));
         }
@@ -80,7 +76,7 @@ fn final_states(config: &ExploreConfig, n: usize) -> (ExploreOutcome, BTreeSet<S
     (outcome, states)
 }
 
-/// On n=2 (64472 schedules) both source-DPOR modes reach exactly the same
+/// On n=2 (64472 schedules) source DPOR in both resume modes reaches exactly the same
 /// set of final states as full enumeration: the oracle the acceptance
 /// criteria require.
 #[test]
@@ -95,30 +91,27 @@ fn reduced_modes_reach_exactly_the_full_final_state_set_on_n2() {
         "the unreduced enumeration must match the pinned PR 1 count"
     );
 
-    for reduction in [Reduction::SourceDpor, Reduction::SourceDporLinPreserving] {
-        for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
-            let (reduced_outcome, reduced_states) = final_states(&mode(reduction, resume), 2);
-            assert!(matches!(reduced_outcome, ExploreOutcome::Exhausted { .. }));
-            assert!(
-                reduced_outcome.schedules() < full_outcome.schedules() / 100,
-                "{reduction:?} should prune the bulk of the {N2_FULL_SCHEDULES} schedules, \
-                 explored {}",
-                reduced_outcome.schedules()
-            );
-            assert_eq!(
-                full_states, reduced_states,
-                "{reduction:?} ({resume:?}) lost or invented final states"
-            );
-        }
+    let reduction = Reduction::SourceDpor;
+    for resume in [ResumeMode::FullReplay, ResumeMode::PrefixResume] {
+        let (reduced_outcome, reduced_states) = final_states(&mode(reduction, resume), 2);
+        assert!(matches!(reduced_outcome, ExploreOutcome::Exhausted { .. }));
+        assert!(
+            reduced_outcome.schedules() < full_outcome.schedules() / 100,
+            "{reduction:?} should prune the bulk of the {N2_FULL_SCHEDULES} schedules, \
+             explored {}",
+            reduced_outcome.schedules()
+        );
+        assert_eq!(
+            full_states, reduced_states,
+            "{reduction:?} ({resume:?}) lost or invented final states"
+        );
     }
 }
 
-/// The race-driven modes never explore more representatives than the
-/// removed eager sleep-set modes did — and exactly match them where the
-/// executed-label race relation coincides with the conservative wake
-/// relation (the plain footprint mode), while strictly shrinking the
-/// lin-preserving space (the may-respond barrier is an over-approximation
-/// that race detection does not pay).
+/// Race-driven source DPOR never explores more representatives than the
+/// removed eager sleep-set modes did — it exactly matches the plain one,
+/// whose conservative wake relation coincides with the executed-label race
+/// relation, and strictly undercuts the lin-preserving one.
 #[test]
 fn source_dpor_counts_close_the_reduction_gap_on_n2() {
     let count = |reduction| {
@@ -126,22 +119,15 @@ fn source_dpor_counts_close_the_reduction_gap_on_n2() {
             .0
             .schedules()
     };
-    let (source, source_lin) = (
-        count(Reduction::SourceDpor),
-        count(Reduction::SourceDporLinPreserving),
-    );
+    let source = count(Reduction::SourceDpor);
     assert_eq!(
         source, EAGER_N2_SCHEDULES,
         "plain relations coincide, so must the counts"
     );
     assert!(
-        source_lin < EAGER_LIN_N2_SCHEDULES,
-        "the lin-preserving source-DPOR space must be strictly smaller ({source_lin} vs \
-         {EAGER_LIN_N2_SCHEDULES})"
-    );
-    assert!(
-        source <= source_lin,
-        "barriers can only add representatives"
+        source < EAGER_LIN_N2_SCHEDULES,
+        "the source-DPOR space must be strictly smaller than the eager lin-preserving one \
+         ({source} vs {EAGER_LIN_N2_SCHEDULES})"
     );
 }
 
@@ -179,7 +165,7 @@ fn prefix_resume_enumerates_exactly_the_full_replay_tree_on_n2() {
 fn reduced_modes_agree_on_n3() {
     // The race-driven branching reaches the same final states in both
     // resume mechanics, with the eager mode's representative count (the
-    // plain race relation is exact)...
+    // plain race relation is exact).
     let (a_outcome, a_states) =
         final_states(&mode(Reduction::SourceDpor, ResumeMode::FullReplay), 3);
     let (b_outcome, b_states) =
@@ -188,15 +174,6 @@ fn reduced_modes_agree_on_n3() {
     assert_eq!(a_outcome, b_outcome);
     assert_eq!(a_states, b_states);
     assert_eq!(a_outcome.schedules(), EAGER_N3_SCHEDULES);
-    // ...and the invoke/commit barriers add representatives, never final
-    // states.
-    let (c_outcome, c_states) = final_states(
-        &mode(Reduction::SourceDporLinPreserving, ResumeMode::PrefixResume),
-        3,
-    );
-    assert!(matches!(c_outcome, ExploreOutcome::Exhausted { .. }));
-    assert_eq!(a_states, c_states);
-    assert!(a_outcome.schedules() <= c_outcome.schedules());
 }
 
 /// The seeded bug: dropping A1's final RAW-fenced read of `aborted` lets a
@@ -217,7 +194,7 @@ fn single_winner_check(
         return Err("did not complete".into());
     }
     let winners = res
-        .trace
+        .trace()
         .commits()
         .iter()
         .filter(|(_, r)| *r == TasResp::Winner)
@@ -297,8 +274,8 @@ fn deep_register_sets(reduction: Reduction) -> (u64, BTreeSet<String>, BTreeSet<
                 .map(|o| format!("{}={:?}", o.req.id, o.outcome))
                 .collect();
             outs.sort();
-            let lin =
-                check_linearizable(&RegisterSpec, &res.trace.commit_projection()).is_linearizable();
+            let lin = check_linearizable(&RegisterSpec, &res.trace().commit_projection())
+                .is_linearizable();
             states.insert(format!("{regs:?}|{outs:?}"));
             verdicts.insert(format!("{outs:?}|lin={lin}"));
             Ok(())
@@ -309,15 +286,14 @@ fn deep_register_sets(reduction: Reduction) -> (u64, BTreeSet<String>, BTreeSet<
     (outcome.schedules(), states, verdicts)
 }
 
-/// Both source modes reach exactly full enumeration's final states and
-/// verdict signatures on schedules deeper than 64 events.
+/// Source DPOR reaches exactly full enumeration's final states and verdict
+/// signatures on schedules deeper than 64 events.
 #[test]
 fn source_modes_match_full_enumeration_past_64_events() {
     let (full, full_states, full_verdicts) = deep_register_sets(Reduction::Off);
-    for reduction in [Reduction::SourceDpor, Reduction::SourceDporLinPreserving] {
-        let (schedules, states, verdicts) = deep_register_sets(reduction);
-        assert!(schedules < full, "{reduction:?}: {schedules} vs {full}");
-        assert_eq!(states, full_states, "{reduction:?} final states");
-        assert_eq!(verdicts, full_verdicts, "{reduction:?} verdict signatures");
-    }
+    let reduction = Reduction::SourceDpor;
+    let (schedules, states, verdicts) = deep_register_sets(reduction);
+    assert!(schedules < full, "{reduction:?}: {schedules} vs {full}");
+    assert_eq!(states, full_states, "{reduction:?} final states");
+    assert_eq!(verdicts, full_verdicts, "{reduction:?} verdict signatures");
 }

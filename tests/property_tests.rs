@@ -136,14 +136,14 @@ fn speculative_tas_random_schedules() {
             "case {case} (n={n}, seed={seed})"
         );
         let winners = res
-            .trace
+            .trace()
             .commits()
             .iter()
             .filter(|(_, r)| *r == TasResp::Winner)
             .count();
         assert_eq!(winners, 1, "case {case} (n={n}, seed={seed})");
         assert!(
-            check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable(),
+            check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable(),
             "case {case} (n={n}, seed={seed})"
         );
     }
@@ -267,14 +267,14 @@ fn resettable_tas_random_schedules() {
         let res = Executor::new().run(&mut mem, &mut tas, &wl, &mut RandomAdversary::new(seed));
         assert!(res.completed, "case {case} (n={n}, seed={seed})");
         let winners = res
-            .trace
+            .trace()
             .commits()
             .iter()
             .filter(|(_, r)| *r == TasResp::Winner)
             .count();
         assert_eq!(winners, 1, "case {case} (n={n}, seed={seed})");
         assert!(
-            check_linearizable(&TasSpec, &res.trace.commit_projection()).is_linearizable(),
+            check_linearizable(&TasSpec, &res.trace().commit_projection()).is_linearizable(),
             "case {case} (n={n}, seed={seed})"
         );
     }

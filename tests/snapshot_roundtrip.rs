@@ -257,7 +257,7 @@ fn assert_roundtrip_bit_identical<S, V, O>(
 
     let r = ref_session.result();
     let c = session.result();
-    assert_eq!(r.trace, c.trace, "trace diverged");
+    assert_eq!(r.trace(), c.trace(), "trace diverged");
     assert_eq!(r.metrics, c.metrics, "metrics diverged");
     assert_eq!(r.ops, c.ops, "op records diverged");
     assert_eq!(r.decisions, c.decisions, "decision log diverged");

@@ -31,7 +31,7 @@ fn proposition1_generic_objects_through_the_composition() {
         assert!(res.completed);
         assert_eq!(res.metrics.aborted_count(), 0);
         assert!(
-            check_linearizable(&QueueSpec, &res.trace.commit_projection()).is_linearizable(),
+            check_linearizable(&QueueSpec, &res.trace().commit_projection()).is_linearizable(),
             "queue, seed {seed}"
         );
 
@@ -41,7 +41,7 @@ fn proposition1_generic_objects_through_the_composition() {
         let wl: Workload<FetchIncSpec, History<FetchIncSpec>> = Workload::uniform(3, FetchIncOp, 2);
         let res = Executor::new().run(&mut mem, &mut f, &wl, &mut RandomAdversary::new(seed));
         assert!(res.completed);
-        let mut values: Vec<u64> = res.trace.commits().iter().map(|(_, v)| *v).collect();
+        let mut values: Vec<u64> = res.trace().commits().iter().map(|(_, v)| *v).collect();
         values.sort_unstable();
         values.dedup();
         assert_eq!(
@@ -65,7 +65,7 @@ fn three_level_composition_is_wait_free() {
         assert!(res.completed, "seed {seed}");
         assert_eq!(res.metrics.aborted_count(), 0);
         assert!(
-            check_linearizable(&CounterSpec, &res.trace.commit_projection()).is_linearizable(),
+            check_linearizable(&CounterSpec, &res.trace().commit_projection()).is_linearizable(),
             "seed {seed}"
         );
     }
