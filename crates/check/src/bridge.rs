@@ -13,10 +13,10 @@
 //!   [`IncrementalLinChecker`] whose frontier is memoised at branch points,
 //!   so backtracking re-checks only the suffix of each schedule instead of
 //!   re-running the checker from tick 0;
-//! * [`CheckerMode::FromScratch`] records a [`ConcurrentHistory`], rewound
-//!   by high-water-mark truncation (its buffers are reused across the whole
-//!   exploration), and runs the from-scratch search on it at every
-//!   verdict.
+//! * [`CheckerMode::FromScratch`] keeps no state between events: at every
+//!   verdict it builds a [`ConcurrentHistory`] from the events of the order
+//!   it checks, numbered as a live recorder would, and runs the
+//!   from-scratch search on it.
 //!
 //! # One verdict per trace: the real-time walk
 //!
@@ -38,7 +38,8 @@
 //!   does not happen-before it, the own order is the most constrained
 //!   extension and its verdict stands for all;
 //! * otherwise a depth-first walk feeds extensions to a second checker
-//!   through its `mark`/`rewind_to`. It runs every ready response-like event
+//!   through its `mark`/`rewind_to` (the from-scratch checker reads the
+//!   walked order at its end). It runs every ready response-like event
 //!   at once (the more constrained choice), branches only over the ready
 //!   invocations, keeps a sleep set among them (two invocations commute),
 //!   and stops at the first extension that fails (with the incremental
@@ -53,8 +54,8 @@
 
 use scl_sim::{name_counterexample, ExecSession, OpOutcome, ScheduleMonitor, TickEmission};
 use scl_spec::{
-    check_strict_linearizable_with_stats, ConcurrentHistory, FxHashMap, HistoryMark, IncVerdict,
-    IncrementalLinChecker, LinCheckResult, Request, RequestId, SequentialSpec,
+    check_linearizable_with_stats, ConcurrentHistory, FxHashMap, IncVerdict, IncrementalLinChecker,
+    LinCheckResult, Request, RequestId, SequentialSpec,
 };
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -66,11 +67,11 @@ pub enum CheckerMode {
     /// at branch points and only the suffix is re-checked on backtrack.
     #[default]
     Incremental,
-    /// Re-run the from-scratch Wing–Gong search on the (incrementally
-    /// maintained, allocation-reusing) history at every leaf. The baseline
-    /// whose checker states the incremental mode must undercut (the
-    /// `count_bars` test) and an oracle for it; `scl-check` itself always
-    /// runs [`CheckerMode::Incremental`].
+    /// Run the from-scratch Wing–Gong search at every verdict, on a history
+    /// built from the recorded events (the order checked, with its crash
+    /// gates and deadlines). The baseline whose checker states the
+    /// incremental mode must undercut (the `count_bars` test) and an oracle
+    /// for it; `scl-check` itself always runs [`CheckerMode::Incremental`].
     FromScratch,
 }
 
@@ -190,22 +191,20 @@ pub struct LinMonitor<S: SequentialSpec> {
     /// Fed the orders of the per-trace walk.
     walker: Checker<S>,
     history: Vec<Recorded<S>>,
-    /// Stack of (monitor mark, history length).
+    /// Stack of (checker mark, history length); a monitor mark is its
+    /// index.
     marks: Vec<(u64, usize)>,
     memo: FxHashMap<Vec<KeyEntry<S::Resp>>, Found>,
 }
 
-/// The per-mode checker state: exactly one of the two is maintained.
+/// The per-mode checker state.
 enum Checker<S: SequentialSpec> {
     /// The incremental checker (boxed: it is several times the size of the
-    /// other variant); its own mark tokens are the monitor's.
+    /// other variant).
     Incremental(Box<IncrementalLinChecker<S>>),
-    /// The recorded history, re-checked from scratch at every verdict.
+    /// Reads the checked order only at the verdict.
     FromScratch {
         spec: S,
-        hist: ConcurrentHistory<S>,
-        /// Stack of history marks; a mark's token is its stack index.
-        marks: Vec<HistoryMark>,
         /// Checker states expanded by the verdicts so far.
         states: u64,
     },
@@ -217,47 +216,27 @@ impl<S: SequentialSpec> Checker<S> {
             CheckerMode::Incremental => {
                 Checker::Incremental(Box::new(IncrementalLinChecker::new(spec)))
             }
-            CheckerMode::FromScratch => Checker::FromScratch {
-                spec,
-                hist: ConcurrentHistory::new(),
-                marks: Vec::new(),
-                states: 0,
-            },
+            CheckerMode::FromScratch => Checker::FromScratch { spec, states: 0 },
         }
     }
 
     fn begin(&mut self) {
-        match self {
-            Checker::Incremental(inc) => inc.begin(),
-            Checker::FromScratch { hist, marks, .. } => {
-                hist.clear();
-                marks.clear();
-            }
+        if let Checker::Incremental(inc) = self {
+            inc.begin();
         }
     }
 
-    /// Consumes one history event. `event_count` is a dense clock over
-    /// recorded events, so relative order (all the from-scratch checker
-    /// consumes) matches the fed order.
+    /// Consumes one history event.
     fn feed(&mut self, event: &HistoryEvent<S>) {
-        match (self, event) {
-            (Checker::Incremental(inc), HistoryEvent::Invoke(req)) => inc.invoke(req),
-            (Checker::Incremental(inc), HistoryEvent::Commit(id, resp)) => inc.commit(*id, resp),
-            (Checker::Incremental(inc), HistoryEvent::Crash(id)) => inc.crash(*id),
-            (Checker::Incremental(inc), HistoryEvent::Abandon(id)) => inc.abandon(*id),
-            (Checker::Incremental(inc), HistoryEvent::Required(id)) => inc.recovered_required(*id),
-            (Checker::FromScratch { hist, .. }, event) => {
-                let at = hist.event_count();
-                match event {
-                    HistoryEvent::Invoke(req) => hist.record_invoke(at, req.clone()),
-                    HistoryEvent::Commit(id, resp) => hist.record_response(at, *id, resp.clone()),
-                    // A history op that never commits keeps its gate anyway.
-                    HistoryEvent::Crash(id) | HistoryEvent::Abandon(id) => {
-                        hist.record_crash(at, *id)
-                    }
-                    HistoryEvent::Required(id) => hist.record_crash_required(at, *id),
-                }
-            }
+        let Checker::Incremental(inc) = self else {
+            return;
+        };
+        match event {
+            HistoryEvent::Invoke(req) => inc.invoke(req),
+            HistoryEvent::Commit(id, resp) => inc.commit(*id, resp),
+            HistoryEvent::Crash(id) => inc.crash(*id),
+            HistoryEvent::Abandon(id) => inc.abandon(*id),
+            HistoryEvent::Required(id) => inc.recovered_required(*id),
         }
     }
 
@@ -277,27 +256,27 @@ impl<S: SequentialSpec> Checker<S> {
     fn mark(&mut self) -> u64 {
         match self {
             Checker::Incremental(inc) => inc.mark(),
-            Checker::FromScratch { hist, marks, .. } => {
-                marks.push(hist.mark());
-                marks.len() as u64 - 1
-            }
+            Checker::FromScratch { .. } => 0,
         }
     }
 
     fn rewind_to(&mut self, mark: u64) {
-        match self {
-            Checker::Incremental(inc) => inc.rewind_to(mark),
-            Checker::FromScratch { hist, marks, .. } => {
-                debug_assert!((mark as usize) < marks.len(), "rewound to an unknown mark");
-                marks.truncate(mark as usize + 1);
-                hist.truncate_to(*marks.last().expect("rewound to an unknown monitor mark"));
-            }
+        if let Checker::Incremental(inc) = self {
+            inc.rewind_to(mark);
         }
     }
 
-    /// The verdict for the events fed so far, under `crashed_pending`.
-    fn verdict(&mut self, crashed_pending: CrashedPending) -> Result<(), String> {
-        let (spec, hist, states) = match self {
+    /// The verdict, under `crashed_pending`, for `events`: the events fed
+    /// since [`Self::begin`], in that order.
+    fn verdict<'e>(
+        &mut self,
+        crashed_pending: CrashedPending,
+        events: impl Iterator<Item = &'e HistoryEvent<S>>,
+    ) -> Result<(), String>
+    where
+        S: 'e,
+    {
+        let (spec, states) = match self {
             Checker::Incremental(inc) => {
                 return match inc.verdict() {
                     IncVerdict::Linearizable => Ok(()),
@@ -308,14 +287,12 @@ impl<S: SequentialSpec> Checker<S> {
                     IncVerdict::TooLarge => Err(TOO_LARGE.to_string()),
                 };
             }
-            Checker::FromScratch {
-                spec, hist, states, ..
-            } => (spec, hist, states),
+            Checker::FromScratch { spec, states } => (spec, states),
         };
-        // Every closure shares the strict search: the difference is entirely
+        // Every closure shares the one search: the difference is entirely
         // in *what* was recorded (no gate under the open closure, where the
         // deadline sits, and whether the op is required).
-        let (result, stats) = check_strict_linearizable_with_stats(spec, hist);
+        let (result, stats) = check_linearizable_with_stats(spec, &replay(events));
         *states += stats.states;
         let adverb = match crashed_pending {
             CrashedPending::Open => {
@@ -331,6 +308,33 @@ impl<S: SequentialSpec> Checker<S> {
         );
         result_or(result, &message)
     }
+}
+
+/// The history of `events`, in that order. Invocations and responses take
+/// consecutive real-time indices; a crash gate or deadline takes the index
+/// of the next one, so it precedes every later invocation.
+fn replay<'e, S: SequentialSpec + 'e>(
+    events: impl Iterator<Item = &'e HistoryEvent<S>>,
+) -> ConcurrentHistory<S> {
+    let mut hist = ConcurrentHistory::new();
+    let mut at = 0;
+    for event in events {
+        match event {
+            HistoryEvent::Invoke(req) => hist.record_invoke(at, req.clone()),
+            HistoryEvent::Commit(id, resp) => hist.record_response(at, *id, resp.clone()),
+            // The durable closure's deadline is a crash gate too.
+            HistoryEvent::Crash(id) | HistoryEvent::Abandon(id) => {
+                hist.record_crash(at, *id);
+                continue;
+            }
+            HistoryEvent::Required(id) => {
+                hist.record_crash_required(at, *id);
+                continue;
+            }
+        }
+        at += 1;
+    }
+    hist
 }
 
 /// `result` as a verdict, with `message` for a violation.
@@ -454,7 +458,8 @@ impl<'a, S: SequentialSpec> Walk<'a, S> {
 
     /// The walked order with its message, if the checker rejects it.
     fn failure(&mut self) -> Found {
-        let message = self.checker.verdict(self.crashed_pending).err()?;
+        let events = self.order.iter().map(|&k| &self.history[k].event);
+        let message = self.checker.verdict(self.crashed_pending, events).err()?;
         Some((self.order.clone(), message))
     }
 }
@@ -493,7 +498,8 @@ impl<S: SequentialSpec> LinMonitor<S> {
     /// When the failing extension is not the schedule's own order, it is
     /// named to the explorer ([`name_counterexample`]).
     pub fn verdict(&mut self) -> Result<(), String> {
-        self.checker.verdict(self.crashed_pending)?;
+        let events = self.history.iter().map(|r| &r.event);
+        self.checker.verdict(self.crashed_pending, events)?;
         if !self.history.last().is_some_and(|r| r.movable) {
             return Ok(());
         }
@@ -645,20 +651,17 @@ where
     }
 
     fn mark(&mut self) -> u64 {
-        let token = self.checker.mark();
-        self.marks.push((token, self.history.len()));
-        token
+        self.marks.push((self.checker.mark(), self.history.len()));
+        self.marks.len() as u64 - 1
     }
 
     fn rewind_to(&mut self, mark: u64) {
-        self.checker.rewind_to(mark);
-        while self.marks.last().is_some_and(|&(token, _)| token > mark) {
-            self.marks.pop();
-        }
-        let &(_, len) = self
+        let &(token, len) = self
             .marks
-            .last()
+            .get(mark as usize)
             .expect("rewound to an unknown monitor mark");
+        self.marks.truncate(mark as usize + 1);
+        self.checker.rewind_to(token);
         self.history.truncate(len);
     }
 }

@@ -45,8 +45,8 @@ pub use artifact::{artifact_json, parse_json, render_interleaving, Artifact, Jso
 pub use bridge::{CheckerMode, CrashedPending, HistoryEvent, LinMonitor};
 pub use scenarios::{
     cli_name, crashed_pending_values, find, nearest, parse_crashed_pending, parse_reduction,
-    reduction_name, reduction_values, registry, run_selection, unknown_value_message, CheckConfig,
-    Outcome, ReplayCapture, Scenario, ScenarioReport,
+    reduction_cli_name, reduction_values, registry, run_selection, unknown_value_message,
+    CheckConfig, Outcome, ReplayCapture, Scenario, ScenarioReport,
 };
 
 /// Renders a set of scenario reports (plus the configuration that produced
@@ -120,7 +120,7 @@ pub fn reports_to_json_partial(
          \"crashed_pending\": \"{}\", \"max_schedules\": {}, \"max_ticks\": {}, \"max_drops\": \
          {}, \"max_recoveries\": {}, \"workers\": {}}},\n  \"host\": {{\"available_parallelism\": {}}},\n  \"exhausted\": \
          {},\n  \"scenarios\": {{\n{}\n  }},\n  \"all_as_expected\": {}\n}}\n",
-        reduction_name(config.explore.reduction),
+        reduction_cli_name(config.explore.reduction),
         config.crashed_pending.name(),
         config.explore.max_schedules,
         config.explore.max_ticks,

@@ -1262,7 +1262,9 @@ static SCENARIOS: &[Scenario] = &[
         description: "pins the discovered n=3 real-time inversion of the commit projection",
         checks: &["linearizable", "single_winner", "wait_free"],
         expect_violation: true,
-        needs_schedules: 0,
+        // Source DPOR finds the inversion at schedule 9; unreduced DFS first
+        // reaches it at schedule 87370.
+        needs_schedules: 100_000,
         runner: run_spec_tas_n3_realtime,
     },
     Scenario {
@@ -1579,10 +1581,10 @@ pub fn cli_name<T: PartialEq + Copy>(values: &[(&'static str, T)], v: T) -> &'st
         .expect("every mode has a CLI value-table entry")
 }
 
-/// The CLI name of a reduction: [`cli_name`] over [`reduction_values`],
-/// with [`Reduction::SourceDporLinPreserving`] named `source-dpor`, the
-/// exploration it runs.
-pub(crate) fn reduction_cli_name(r: Reduction) -> &'static str {
+/// The name of a reduction in the CLI, the report and artifacts: [`cli_name`]
+/// over [`reduction_values`], with [`Reduction::SourceDporLinPreserving`]
+/// named `source-dpor`, the exploration it runs.
+pub fn reduction_cli_name(r: Reduction) -> &'static str {
     let r = if r.is_source_dpor() {
         Reduction::SourceDpor
     } else {
@@ -1653,28 +1655,18 @@ where
     }
 }
 
-/// The report name of a reduction.
-pub fn reduction_name(r: Reduction) -> &'static str {
-    match r {
-        Reduction::Off => "off",
-        Reduction::SourceDpor | Reduction::SourceDporLinPreserving => "source_dpor",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn cli_value_tables_round_trip_through_the_parsers() {
-        // The tables are the single source of truth for the CLI: every
-        // listed name must parse to its mode, and every mode must have a
-        // report name (reduction_name is a total match, so adding an enum
-        // variant without a table entry fails to compile or fails here).
+        // The tables are the single source of truth for the CLI and the
+        // report: every listed name must parse to its mode and name it back.
         assert_eq!(reduction_values().len(), 2);
         for (name, r) in reduction_values() {
             assert_eq!(parse_reduction(name), Some(*r));
-            assert!(!reduction_name(*r).is_empty());
+            assert_eq!(reduction_cli_name(*r), *name);
         }
         for (name, c) in crashed_pending_values() {
             assert_eq!(parse_crashed_pending(name), Some(*c));
@@ -1738,7 +1730,6 @@ mod tests {
         );
         let old = Reduction::SourceDporLinPreserving;
         assert_eq!(reduction_cli_name(old), "source-dpor");
-        assert_eq!(reduction_name(old), reduction_name(Reduction::SourceDpor));
         assert_eq!(reduction_cli_name(Reduction::Off), "off");
     }
 
@@ -1791,6 +1782,19 @@ mod tests {
             let json = crate::reports_to_json(&config, &reports);
             assert!(json.contains("\"panicking_runner_n2\": {\"outcome\": \"harness_failure\""));
         }
+    }
+
+    /// Unreduced DFS reaches the n=3 real-time inversion only past 20000
+    /// schedules: a run stopped there is inconclusive, not a miss.
+    #[test]
+    fn the_unreduced_realtime_inversion_is_underpowered_at_20000_schedules() {
+        let mut config = CheckConfig::default();
+        config.explore.reduction = Reduction::Off;
+        config.explore.max_schedules = 20_000;
+        let report = find("spec_tas_n3_realtime").unwrap().run(&config);
+        assert_eq!(report.outcome, Outcome::LimitReached { schedules: 20_000 });
+        assert!(report.underpowered);
+        assert!(report.as_expected());
     }
 
     /// [`ExploreConfig::metrics_only`] is read by nothing: every run has

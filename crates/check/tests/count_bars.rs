@@ -12,7 +12,7 @@
 //! incremental checker expands fewer states, ...) is asserted beside it, so
 //! a change that moves a count shows which claim still holds.
 
-use scl_check::{reduction_name, CheckerMode, LinMonitor};
+use scl_check::{reduction_cli_name, CheckerMode, LinMonitor};
 use scl_core::{new_speculative_tas, AbdRegister, RecoverableTas};
 use scl_sim::{
     explore_schedules_monitored_observed_report, explore_schedules_report, ExploreConfig,
@@ -151,7 +151,7 @@ where
             reduction,
             ..base.clone()
         };
-        let name = reduction_name(reduction);
+        let name = reduction_cli_name(reduction);
         let (stats, exhausted) = counted(explore_schedules_report(
             &mut setup,
             wl,
@@ -170,7 +170,7 @@ where
             assert!(
                 s.schedules <= eager,
                 "{cell}/{}: source DPOR explored {} > eager {eager}",
-                reduction_name(reduction),
+                reduction_cli_name(reduction),
                 s.schedules
             );
         }

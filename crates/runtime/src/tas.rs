@@ -479,12 +479,11 @@ mod tests {
     #[test]
     fn concurrent_histories_are_linearizable() {
         // Record per-thread invocation/response order with a global ticket
-        // counter and check the resulting concurrent history. One history
-        // buffer is reused across rounds; each completed operation is
-        // recorded with the shared `record_completed_op` helper from
-        // scl-spec (the same recorder the simulator bridge uses) instead of
-        // hand-rolled invoke/response bookkeeping.
-        let mut hist = ConcurrentHistory::<TasSpec>::new();
+        // counter and check each round's concurrent history. Each completed
+        // operation is recorded with scl-spec's `record_completed_op`
+        // helper instead of hand-rolled invoke/response bookkeeping; the
+        // history records no crashes, so the check is plain
+        // linearizability.
         for round in 0..50 {
             let tas = Arc::new(SpeculativeTas::new());
             let clock = Arc::new(AtomicUsize::new(0));
@@ -503,7 +502,7 @@ mod tests {
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
-            hist.clear();
+            let mut hist = ConcurrentHistory::<TasSpec>::new();
             for (t, invoke_at, respond_at, r) in results {
                 let req: Request<TasSpec> = Request::new(t as u64, t, TasOp::TestAndSet);
                 hist.record_completed_op(req, invoke_at, respond_at, to_resp(r));

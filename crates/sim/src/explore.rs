@@ -441,9 +441,9 @@ pub struct ExploreReport {
 /// backtracking re-feeds it only the suffix of each schedule.
 ///
 /// The motivating implementation is the linearizability bridge in
-/// `scl-check`, which maintains a [`scl_spec::ConcurrentHistory`] and an
-/// incremental Wing–Gong checker across the whole exploration instead of
-/// rebuilding both from the trace for every schedule.
+/// `scl-check`, which maintains the history's events and an incremental
+/// Wing–Gong checker across the whole exploration instead of rebuilding
+/// both from the trace for every schedule.
 pub trait ScheduleMonitor<S: SequentialSpec, V> {
     /// A fresh execution is starting from tick 0 — the initial drive, or a
     /// branch whose checkpoint was unavailable and which therefore replays
@@ -512,30 +512,6 @@ impl<S: SequentialSpec, V> ScheduleMonitor<S, V> for NoMonitor {
         0
     }
     fn rewind_to(&mut self, _mark: u64) {}
-}
-
-/// Builds a [`ScheduleMonitor`] for
-/// [`explore_schedules_parallel_monitored_observed_report`]. Any `Fn() -> M`
-/// closure is a factory; the trait exists so the monitor type is nameable in
-/// return positions.
-pub trait MonitorFactory<S: SequentialSpec, V> {
-    /// The monitor type produced.
-    type Monitor: ScheduleMonitor<S, V>;
-
-    /// Builds a fresh monitor, positioned before any execution.
-    fn monitor(&self) -> Self::Monitor;
-}
-
-impl<S, V, M, F> MonitorFactory<S, V> for F
-where
-    S: SequentialSpec,
-    M: ScheduleMonitor<S, V>,
-    F: Fn() -> M,
-{
-    type Monitor = M;
-    fn monitor(&self) -> M {
-        self()
-    }
 }
 
 /// The sleep/seed mask bit of the raw scheduled id `p`. Ids beyond the
@@ -1649,24 +1625,24 @@ where
 /// [`ExploreConfig::threads`]; it stays, under this name, because the
 /// benchmark harness calls it. Independent explorations run concurrently
 /// side by side instead, as `scl-check --workers` runs whole scenarios.
-pub fn explore_schedules_parallel_monitored_observed_report<S, V, O, MF, Obs, FSetup, FCheck>(
+pub fn explore_schedules_parallel_monitored_observed_report<S, V, O, M, Obs, FSetup, FCheck>(
     setup: FSetup,
     workload: &Workload<S, V>,
     config: &ExploreConfig,
-    factory: &MF,
+    factory: &impl Fn() -> M,
     obs: &Obs,
     check: FCheck,
-) -> (ExploreReport, Vec<MF::Monitor>)
+) -> (ExploreReport, Vec<M>)
 where
     S: SequentialSpec,
     V: Clone + Eq + Hash + Debug,
     O: SimObject<S, V>,
-    MF: MonitorFactory<S, V>,
+    M: ScheduleMonitor<S, V>,
     Obs: ExploreObserver,
     FSetup: FnMut(&mut SharedMemory) -> O,
-    FCheck: FnMut(&ExecutionResult<S, V>, &SharedMemory, &mut MF::Monitor) -> Result<(), String>,
+    FCheck: FnMut(&ExecutionResult<S, V>, &SharedMemory, &mut M) -> Result<(), String>,
 {
-    let mut monitor = factory.monitor();
+    let mut monitor = factory();
     let report = explore_schedules_monitored_observed_report(
         setup,
         workload,

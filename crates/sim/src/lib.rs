@@ -63,7 +63,7 @@ pub use explore::{
     explore_schedules, explore_schedules_monitored_observed_report,
     explore_schedules_parallel_monitored_observed_report, explore_schedules_report,
     name_counterexample, ExploreConfig, ExploreError, ExploreOutcome, ExploreReport, ExploreStats,
-    ExploreViolation, MonitorFactory, NoMonitor, Reduction, ResumeMode, ScheduleMonitor,
+    ExploreViolation, NoMonitor, Reduction, ResumeMode, ScheduleMonitor,
 };
 pub use hb::HbTracker;
 pub use machine::{

@@ -1118,9 +1118,7 @@ mod tests {
             }
             inc.commit(RequestId(2), &sees);
             hist.record_response(at, RequestId(2), sees);
-            let from_scratch =
-                crate::linearizability::check_strict_linearizable(&RegisterSpec, &hist)
-                    .is_linearizable();
+            let from_scratch = check_linearizable(&RegisterSpec, &hist).is_linearizable();
             assert_eq!(
                 from_scratch, expect,
                 "from-scratch on r1_at_invoke={r1_at_invoke} sees={sees}"

@@ -24,8 +24,11 @@
 //! * [`interpretation`] — Definition 2: valid interpretations of a trace and
 //!   a bounded checker that searches for one (certifying that a recorded
 //!   trace is safely composable).
-//! * [`linearizability`] — a Wing–Gong style linearizability checker used by
-//!   Theorem 3 style arguments and by the test-suites of the other crates.
+//! * [`linearizability`] — a Wing–Gong style linearizability checker: a
+//!   pure function of a finished concurrent history (crash gates and
+//!   requirements included), used by Theorem 3 style arguments, by the
+//!   test-suites of the other crates and as the reference for the
+//!   incremental checker.
 //! * [`incremental`] — the same checker as an *online* algorithm consuming
 //!   invoke/commit events one at a time, with snapshot/rewind positions so
 //!   the schedule explorer (`scl-sim` / `scl-check`) re-checks only the
@@ -63,8 +66,7 @@ pub use interpretation::{
     find_valid_interpretation, CheckOutcome, InterpretationError, ValidInterpretation,
 };
 pub use linearizability::{
-    check_linearizable, check_linearizable_with_stats, check_strict_linearizable,
-    check_strict_linearizable_with_stats, CompletedOp, ConcurrentHistory, HistoryMark,
+    check_linearizable, check_linearizable_with_stats, CompletedOp, ConcurrentHistory,
     LinCheckResult, LinCheckStats, PendingOp,
 };
 pub use objects::{

@@ -6,13 +6,19 @@
 //! module provides the checker used by the test-suites and the experiment
 //! harness to validate recorded traces against a [`SequentialSpec`].
 //!
-//! The checker performs a depth-first search over candidate linearization
-//! orders with memoisation on (set of linearized operations, object state),
-//! following Wing & Gong's algorithm. Completed operations must appear in the
-//! witness with exactly the response they returned; operations that are still
+//! The checker is a pure function of a finished [`ConcurrentHistory`]. It
+//! performs a depth-first search over candidate linearization orders with
+//! memoisation on (set of linearized operations, object state), following
+//! Wing & Gong's algorithm. Completed operations must appear in the witness
+//! with exactly the response they returned; operations that are still
 //! pending (invoked but not yet responded — e.g. crashed or aborted
 //! operations) may either be dropped or linearized with an arbitrary
-//! response, as usual for linearizability.
+//! response, as usual for linearizability. A history that records a crash
+//! gate or a requirement for a pending operation
+//! ([`ConcurrentHistory::record_crash`],
+//! [`ConcurrentHistory::record_crash_required`]) is checked under it: that
+//! is how the strict, durable and recoverable closures reach the search. A
+//! history that records none gets the plain verdict.
 
 use crate::history::Request;
 use crate::ids::RequestId;
@@ -40,59 +46,36 @@ pub struct PendingOp<S: SequentialSpec> {
     /// Real-time index of the invocation event.
     pub invoke_at: usize,
     /// Real-time index of the crash that orphaned this operation, if its
-    /// process crashed while the operation was in flight. Ignored by plain
-    /// linearizability; [`check_strict_linearizable`] only lets the
-    /// operation take effect before this point.
+    /// process crashed while the operation was in flight: the operation may
+    /// only take effect before this point.
     pub crashed_at: Option<usize>,
     /// Whether the operation is *required* to take effect (see
     /// [`ConcurrentHistory::record_crash_required`]): its owner's recovery
     /// completed without resolving it, so under the recoverable closure it
-    /// must be linearized (with some response) rather than dropped. Ignored
-    /// by plain linearizability.
+    /// must be linearized (with some response) rather than dropped.
     pub required: bool,
 }
 
-/// One tracked operation of a [`ConcurrentHistory`].
+/// One operation of a [`ConcurrentHistory`].
 #[derive(Debug, Clone)]
 struct TrackedOp<S: SequentialSpec> {
     req: Request<S>,
     invoke_at: usize,
+    /// `Some((respond_at, resp))` once the operation responded.
     completion: Option<(usize, S::Resp)>,
+    /// The crash gate of a pending operation.
     crashed_at: Option<usize>,
+    /// Whether the pending operation must be linearized rather than dropped.
     required: bool,
 }
 
-/// A point-in-time position of a [`ConcurrentHistory`], produced by
-/// [`ConcurrentHistory::mark`] and consumed by
-/// [`ConcurrentHistory::truncate_to`]. Marks are high-water levels of the
-/// append-only internal logs, so truncation is `O(events recorded after the
-/// mark)` and reuses every allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistoryMark {
-    ops_len: usize,
-    completions_len: usize,
-    crashes_len: usize,
-}
-
 /// A concurrent history: completed and pending operations with real-time
-/// invocation/response indices.
-///
-/// The history is an *undoable recorder*: invocations append to a flat
-/// operation table and responses append to a completion log, so
-/// [`Self::mark`] / [`Self::truncate_to`] can rewind the history to an
-/// earlier point (the schedule explorer's prefix-resume checkpoints) and
-/// [`Self::clear`] can reuse one history across many executions without
-/// reallocating. This is the shared recording helper used by the simulator
-/// bridge in `scl-check` and by the real-atomics linearizability tests in
-/// `scl-runtime`.
+/// invocation/response indices. Recorders fill it in; the checker reads the
+/// finished history.
 #[derive(Debug, Clone)]
 pub struct ConcurrentHistory<S: SequentialSpec> {
     ops: Vec<TrackedOp<S>>,
     index: HashMap<RequestId, usize>,
-    /// Indices into `ops`, in completion order (the undo log for responses).
-    completions: Vec<usize>,
-    /// Indices into `ops`, in crash order (the undo log for crashes).
-    crashes: Vec<usize>,
 }
 
 impl<S: SequentialSpec> Default for ConcurrentHistory<S> {
@@ -100,8 +83,6 @@ impl<S: SequentialSpec> Default for ConcurrentHistory<S> {
         ConcurrentHistory {
             ops: Vec::new(),
             index: HashMap::new(),
-            completions: Vec::new(),
-            crashes: Vec::new(),
         }
     }
 }
@@ -113,9 +94,8 @@ impl<S: SequentialSpec> ConcurrentHistory<S> {
     }
 
     /// Records an invocation at real-time index `at`. Request ids must be
-    /// unique within a recording; re-invoking an id that is already present
-    /// is ignored (an in-place overwrite could not be undone by
-    /// [`Self::truncate_to`], so first invocation wins).
+    /// unique within a history; re-invoking an id that is already present
+    /// is ignored (first invocation wins).
     pub fn record_invoke(&mut self, at: usize, req: Request<S>) {
         if self.index.contains_key(&req.id) {
             return;
@@ -132,28 +112,26 @@ impl<S: SequentialSpec> ConcurrentHistory<S> {
 
     /// Records a response at real-time index `at` for a previously recorded
     /// invocation. Responses without a matching invocation, and second
-    /// responses to the same request, are ignored.
+    /// responses to the same request, are ignored. A response dissolves a
+    /// crash gate recorded before it: the operation committed after all
+    /// (a recovery that resolves it).
     pub fn record_response(&mut self, at: usize, id: RequestId, resp: S::Resp) {
-        if let Some(&slot) = self.index.get(&id) {
-            if self.ops[slot].completion.is_none() {
-                self.ops[slot].completion = Some((at, resp));
-                self.completions.push(slot);
-            }
+        if let Some(op) = self.pending_op(id) {
+            op.completion = Some((at, resp));
+            op.crashed_at = None;
+            op.required = false;
         }
     }
 
     /// Records that the process of the (pending) operation `id` crashed at
     /// real-time index `at`: the operation is orphaned — it will never
-    /// respond, and under *strict* linearizability it may only take effect
-    /// before `at`. Crashes of unknown, completed or already-crashed
-    /// requests are ignored.
+    /// respond, and it may only take effect before `at` (the strict
+    /// closure's crash gate; the durable closure records its recovery
+    /// deadline this way too). Crashes of unknown, completed or
+    /// already-crashed requests are ignored.
     pub fn record_crash(&mut self, at: usize, id: RequestId) {
-        if let Some(&slot) = self.index.get(&id) {
-            let op = &mut self.ops[slot];
-            if op.completion.is_none() && op.crashed_at.is_none() {
-                op.crashed_at = Some(at);
-                self.crashes.push(slot);
-            }
+        if let Some(op) = self.pending_op(id).filter(|op| op.crashed_at.is_none()) {
+            op.crashed_at = Some(at);
         }
     }
 
@@ -162,23 +140,20 @@ impl<S: SequentialSpec> ConcurrentHistory<S> {
     /// under the *recoverable* closure the operation must take effect — and
     /// no later than `at`. It gets the same deadline as
     /// [`Self::record_crash`] (it may only linearize before anything invoked
-    /// after `at`) plus the obligation to be linearized rather than dropped;
-    /// [`check_strict_linearizable`] enforces both. Events for unknown,
-    /// completed or already-crashed requests are ignored.
+    /// after `at`) plus the obligation to be linearized rather than dropped.
+    /// Events for unknown, completed or already-crashed requests are
+    /// ignored.
     pub fn record_crash_required(&mut self, at: usize, id: RequestId) {
-        if let Some(&slot) = self.index.get(&id) {
-            let op = &mut self.ops[slot];
-            if op.completion.is_none() && op.crashed_at.is_none() {
-                op.crashed_at = Some(at);
-                op.required = true;
-                self.crashes.push(slot);
-            }
+        if let Some(op) = self.pending_op(id).filter(|op| op.crashed_at.is_none()) {
+            op.crashed_at = Some(at);
+            op.required = true;
         }
     }
 
-    /// Number of crashed-pending operations currently recorded.
-    pub fn crashed_count(&self) -> usize {
-        self.crashes.len()
+    /// The recorded operation `id`, if it has not responded.
+    fn pending_op(&mut self, id: RequestId) -> Option<&mut TrackedOp<S>> {
+        let &slot = self.index.get(&id)?;
+        Some(&mut self.ops[slot]).filter(|op| op.completion.is_none())
     }
 
     /// Records a complete (invoked *and* responded) operation in one call —
@@ -197,21 +172,23 @@ impl<S: SequentialSpec> ConcurrentHistory<S> {
         self.record_response(respond_at, id, resp);
     }
 
-    /// The completed operations, in completion order.
+    /// The completed operations, in response order.
     pub fn completed(&self) -> Vec<CompletedOp<S>> {
-        self.completions
+        let mut completed: Vec<CompletedOp<S>> = self
+            .ops
             .iter()
-            .map(|&slot| {
-                let op = &self.ops[slot];
-                let (respond_at, resp) = op.completion.clone().expect("logged completion");
-                CompletedOp {
+            .filter_map(|op| {
+                let (respond_at, resp) = op.completion.clone()?;
+                Some(CompletedOp {
                     req: op.req.clone(),
                     invoke_at: op.invoke_at,
                     respond_at,
                     resp,
-                }
+                })
             })
-            .collect()
+            .collect();
+        completed.sort_by_key(|c| c.respond_at);
+        completed
     }
 
     /// The pending operations (invoked, never responded), in invocation
@@ -241,55 +218,6 @@ impl<S: SequentialSpec> ConcurrentHistory<S> {
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
     }
-
-    /// Number of recorded events (invocations plus responses). Also a dense
-    /// real-time index for recorders that stamp events with
-    /// `history.event_count()` as they observe them.
-    pub fn event_count(&self) -> usize {
-        self.ops.len() + self.completions.len()
-    }
-
-    /// Removes every operation while keeping the allocations, so one history
-    /// buffer can be reused across many executions.
-    pub fn clear(&mut self) {
-        self.ops.clear();
-        self.index.clear();
-        self.completions.clear();
-        self.crashes.clear();
-    }
-
-    /// The current position, for a later [`Self::truncate_to`].
-    pub fn mark(&self) -> HistoryMark {
-        HistoryMark {
-            ops_len: self.ops.len(),
-            completions_len: self.completions.len(),
-            crashes_len: self.crashes.len(),
-        }
-    }
-
-    /// Rewinds the history to an earlier [`Self::mark`] of the same
-    /// recording: invocations recorded after the mark are removed, responses
-    /// recorded after the mark are reopened. The mark stays valid for
-    /// further truncations.
-    pub fn truncate_to(&mut self, mark: HistoryMark) {
-        while self.completions.len() > mark.completions_len {
-            let slot = self.completions.pop().expect("len checked above");
-            self.ops[slot].completion = None;
-        }
-        while self.crashes.len() > mark.crashes_len {
-            let slot = self.crashes.pop().expect("len checked above");
-            self.ops[slot].crashed_at = None;
-            self.ops[slot].required = false;
-        }
-        while self.ops.len() > mark.ops_len {
-            let op = self.ops.pop().expect("len checked above");
-            debug_assert!(
-                op.completion.is_none() && op.crashed_at.is_none(),
-                "completion/crash logs rewound above removed their entries first"
-            );
-            self.index.remove(&op.req.id);
-        }
-    }
 }
 
 /// Result of a linearizability check.
@@ -312,20 +240,6 @@ impl LinCheckResult {
     }
 }
 
-#[derive(Clone)]
-struct OpEntry<S: SequentialSpec> {
-    req: Request<S>,
-    invoke_at: usize,
-    /// `Some((respond_at, resp))` for completed ops, `None` for pending ops.
-    completion: Option<(usize, S::Resp)>,
-    /// Real-time index of the crash that orphaned a pending op, if any.
-    /// Consulted only by the strict checker.
-    crashed_at: Option<usize>,
-    /// Whether the pending op must be linearized rather than dropped (the
-    /// recoverable closure). Consulted only by the strict checker.
-    required: bool,
-}
-
 /// Work accounting of one [`check_linearizable_with_stats`] call: how many
 /// checker states (nodes of the memoised Wing–Gong search) were expanded.
 /// Quantifies what the incremental checker saves over re-running this search
@@ -338,7 +252,10 @@ pub struct LinCheckStats {
 }
 
 /// Checks whether a concurrent history is linearizable with respect to a
-/// sequential specification.
+/// sequential specification, under the crash gates and requirements it
+/// records: a pending operation with a crash gate may only take effect
+/// before it (it must linearize before every operation invoked after the
+/// gate, or be dropped), and a required one may not be dropped.
 ///
 /// The search is exponential in the worst case but memoised; histories of up
 /// to 128 operations are supported (larger histories return
@@ -357,65 +274,17 @@ pub fn check_linearizable_with_stats<S: SequentialSpec>(
     spec: &S,
     history: &ConcurrentHistory<S>,
 ) -> (LinCheckResult, LinCheckStats) {
-    check_linearizable_impl(spec, history, false)
-}
-
-/// Checks whether a concurrent history is *strictly* linearizable: like
-/// [`check_linearizable`], except that a pending operation whose process
-/// crashed (see [`ConcurrentHistory::record_crash`]) may only take effect
-/// before its crash point — it must linearize before every operation invoked
-/// after the crash, or be dropped. Histories without recorded crashes get
-/// the plain verdict.
-pub fn check_strict_linearizable<S: SequentialSpec>(
-    spec: &S,
-    history: &ConcurrentHistory<S>,
-) -> LinCheckResult {
-    check_strict_linearizable_with_stats(spec, history).0
-}
-
-/// Like [`check_strict_linearizable`], additionally reporting how many
-/// checker states the search expanded.
-pub fn check_strict_linearizable_with_stats<S: SequentialSpec>(
-    spec: &S,
-    history: &ConcurrentHistory<S>,
-) -> (LinCheckResult, LinCheckStats) {
-    check_linearizable_impl(spec, history, true)
-}
-
-fn check_linearizable_impl<S: SequentialSpec>(
-    spec: &S,
-    history: &ConcurrentHistory<S>,
-    strict: bool,
-) -> (LinCheckResult, LinCheckStats) {
     let mut stats = LinCheckStats::default();
-    let mut ops: Vec<OpEntry<S>> = history
-        .completed()
-        .into_iter()
-        .map(|c| OpEntry {
-            req: c.req,
-            invoke_at: c.invoke_at,
-            completion: Some((c.respond_at, c.resp)),
-            crashed_at: None,
-            required: false,
-        })
-        .collect();
-    for p in history.pending() {
-        ops.push(OpEntry {
-            req: p.req,
-            invoke_at: p.invoke_at,
-            completion: None,
-            crashed_at: if strict { p.crashed_at } else { None },
-            required: strict && p.required,
-        });
-    }
-    if ops.len() > 128 {
+    if history.ops.len() > 128 {
         return (LinCheckResult::TooLarge, stats);
     }
-    let full_mask: u128 = if ops.len() == 128 {
-        u128::MAX
-    } else {
-        (1u128 << ops.len()) - 1
-    };
+    // The order the search tries operations in: completed ones by response,
+    // then pending ones by invocation.
+    let mut ops: Vec<&TrackedOp<S>> = history.ops.iter().collect();
+    ops.sort_by_key(|o| match &o.completion {
+        Some((respond_at, _)) => (false, *respond_at),
+        None => (true, o.invoke_at),
+    });
     // Required pending ops (recoverable closure) must be linearized like
     // completed ops — with any response instead of an observed one — so they
     // join the success mask.
@@ -432,7 +301,7 @@ fn check_linearizable_impl<S: SequentialSpec>(
     #[allow(clippy::too_many_arguments)]
     fn dfs<S: SequentialSpec>(
         spec: &S,
-        ops: &[OpEntry<S>],
+        ops: &[&TrackedOp<S>],
         done: u128,
         completed_mask: u128,
         any_crashed: bool,
@@ -455,8 +324,8 @@ fn check_linearizable_impl<S: SequentialSpec>(
         let min_resp = ops
             .iter()
             .enumerate()
-            .filter(|(i, o)| done & (1u128 << i) == 0 && o.completion.is_some())
-            .map(|(_, o)| o.completion.as_ref().unwrap().0)
+            .filter(|(i, _)| done & (1u128 << i) == 0)
+            .filter_map(|(_, o)| o.completion.as_ref().map(|(at, _)| *at))
             .min()
             .unwrap_or(usize::MAX);
         // The latest invocation among already-linearized ops: a crashed
@@ -524,7 +393,6 @@ fn check_linearizable_impl<S: SequentialSpec>(
     ) {
         LinCheckResult::Linearizable(witness)
     } else {
-        let _ = full_mask;
         LinCheckResult::NotLinearizable
     };
     (result, stats)
@@ -690,7 +558,7 @@ mod tests {
         let mut b = ConcurrentHistory::<TasSpec>::new();
         b.record_completed_op(tas_req(1, 0), 0, 3, TasResp::Winner);
         assert_eq!(a.completed(), b.completed());
-        assert_eq!(a.event_count(), b.event_count());
+        assert_eq!(a.len(), b.len());
         assert_eq!(
             check_linearizable(&TasSpec, &a),
             check_linearizable(&TasSpec, &b)
@@ -698,48 +566,22 @@ mod tests {
     }
 
     #[test]
-    fn truncate_to_rewinds_invocations_and_reopens_responses() {
-        let spec = TasSpec;
-        let mut h = ConcurrentHistory::new();
-        h.record_invoke(0, tas_req(1, 0));
-        let mark = h.mark();
-        // Suffix: r1 responds, r2 invoked and responds.
-        h.record_response(1, RequestId(1), TasResp::Winner);
-        h.record_invoke(2, tas_req(2, 1));
-        h.record_response(3, RequestId(2), TasResp::Winner);
-        assert_eq!(
-            check_linearizable(&spec, &h),
-            LinCheckResult::NotLinearizable
-        );
-
-        h.truncate_to(mark);
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.completed().len(), 0);
-        assert_eq!(h.pending().len(), 1);
-        assert_eq!(h.event_count(), 1);
-
-        // A different suffix replays cleanly over the truncated prefix.
-        h.record_response(1, RequestId(1), TasResp::Winner);
-        h.record_invoke(2, tas_req(2, 1));
-        h.record_response(3, RequestId(2), TasResp::Loser);
-        assert!(check_linearizable(&spec, &h).is_linearizable());
-
-        // The mark stays valid for further truncations.
-        h.truncate_to(mark);
-        assert_eq!(h.len(), 1);
-        assert!(h.completed().is_empty());
-    }
-
-    #[test]
-    fn clear_reuses_the_history_buffer() {
+    fn completed_ops_listed_in_response_order() {
+        // Responses recorded out of invocation order.
         let mut h = ConcurrentHistory::<TasSpec>::new();
-        h.record_completed_op(tas_req(1, 0), 0, 1, TasResp::Winner);
-        h.clear();
-        assert!(h.is_empty());
-        assert_eq!(h.event_count(), 0);
-        h.record_completed_op(tas_req(1, 0), 0, 1, TasResp::Winner);
-        h.record_completed_op(tas_req(2, 1), 2, 3, TasResp::Loser);
-        assert!(check_linearizable(&TasSpec, &h).is_linearizable());
+        h.record_invoke(0, tas_req(1, 0));
+        h.record_invoke(1, tas_req(2, 1));
+        h.record_response(2, RequestId(2), TasResp::Loser);
+        h.record_response(3, RequestId(1), TasResp::Winner);
+        let ids: Vec<RequestId> = h.completed().iter().map(|c| c.req.id).collect();
+        assert_eq!(ids, [RequestId(2), RequestId(1)]);
+        // Whole operations recorded out of response order.
+        let mut h = ConcurrentHistory::<TasSpec>::new();
+        h.record_completed_op(tas_req(1, 0), 0, 5, TasResp::Winner);
+        h.record_completed_op(tas_req(2, 1), 1, 3, TasResp::Loser);
+        let at: Vec<usize> = h.completed().iter().map(|c| c.respond_at).collect();
+        assert_eq!(at, [3, 5]);
+        assert_eq!(h.completed()[0].req.id, RequestId(2));
     }
 
     #[test]
@@ -754,19 +596,53 @@ mod tests {
         assert!(stats.states >= 3);
     }
 
-    /// The write-behind-register shape: W(5) crashes, then two reads both
-    /// invoked after the crash return 0 then 5 — the crashed write would
-    /// have to take effect *between* them.
-    fn crashed_write_then_stale_fresh_reads() -> ConcurrentHistory<RegisterSpec> {
+    fn write(id: u64, p: usize, v: u64) -> Request<RegisterSpec> {
+        Request::new(id, p, RegisterOp::Write(v))
+    }
+
+    fn read(id: u64, p: usize) -> Request<RegisterSpec> {
+        Request::new(id, p, RegisterOp::Read)
+    }
+
+    #[test]
+    fn check_linearizable_honours_a_recorded_crash_gate() {
+        // W(5) crashes; then, all invoked after the crash, a read sees 0,
+        // W(7) completes and a read sees 5: W(5) would have to take effect
+        // after W(7), past its crash gate.
+        let history = |gated: bool| {
+            let mut h = ConcurrentHistory::new();
+            h.record_invoke(0, write(1, 0, 5));
+            if gated {
+                h.record_crash(1, RequestId(1));
+            }
+            h.record_invoke(1, read(2, 1));
+            h.record_response(2, RequestId(2), 0);
+            h.record_invoke(3, write(3, 1, 7));
+            h.record_response(4, RequestId(3), 7);
+            h.record_invoke(5, read(4, 1));
+            h.record_response(6, RequestId(4), 5);
+            h
+        };
+        // Without the record: [R(0), W(7), W(5), R(5)] linearizes.
+        assert!(check_linearizable(&RegisterSpec, &history(false)).is_linearizable());
+        assert_eq!(
+            check_linearizable(&RegisterSpec, &history(true)),
+            LinCheckResult::NotLinearizable
+        );
+    }
+
+    /// The write-behind-register shape: W(5) is pending (crashed at 1 when
+    /// `crashed`), then two reads both invoked after the crash return 0 then
+    /// 5 — the write would have to take effect *between* them.
+    fn crashed_write_then_stale_fresh_reads(crashed: bool) -> ConcurrentHistory<RegisterSpec> {
         let mut h = ConcurrentHistory::new();
-        let w: Request<RegisterSpec> = Request::new(1u64, 0usize, RegisterOp::Write(5));
-        h.record_invoke(0, w);
-        h.record_crash(1, RequestId(1));
-        let r1: Request<RegisterSpec> = Request::new(2u64, 1usize, RegisterOp::Read);
-        h.record_invoke(1, r1);
+        h.record_invoke(0, write(1, 0, 5));
+        if crashed {
+            h.record_crash(1, RequestId(1));
+        }
+        h.record_invoke(1, read(2, 1));
         h.record_response(2, RequestId(2), 0);
-        let r2: Request<RegisterSpec> = Request::new(3u64, 1usize, RegisterOp::Read);
-        h.record_invoke(3, r2);
+        h.record_invoke(3, read(3, 1));
         h.record_response(4, RequestId(3), 5);
         h
     }
@@ -774,12 +650,14 @@ mod tests {
     #[test]
     fn strict_rejects_crashed_op_taking_effect_after_a_later_invocation() {
         let spec = RegisterSpec;
-        let h = crashed_write_then_stale_fresh_reads();
-        // Open closure: [R1(0), W(5), R2(5)] linearizes.
+        // No crash recorded (the open closure): [R1(0), W(5), R2(5)].
+        let h = crashed_write_then_stale_fresh_reads(false);
         assert!(check_linearizable(&spec, &h).is_linearizable());
-        // Strict closure: W may only take effect before its crash point.
+        // The crash gate (the strict closure): W may only take effect
+        // before its crash point.
+        let h = crashed_write_then_stale_fresh_reads(true);
         assert_eq!(
-            check_strict_linearizable(&spec, &h),
+            check_linearizable(&spec, &h),
             LinCheckResult::NotLinearizable
         );
     }
@@ -787,48 +665,57 @@ mod tests {
     #[test]
     fn strict_still_allows_crashed_op_before_or_dropped() {
         let spec = RegisterSpec;
-        // Crashed W takes effect first: both later reads see 5.
-        let mut h = ConcurrentHistory::new();
-        let w: Request<RegisterSpec> = Request::new(1u64, 0usize, RegisterOp::Write(5));
-        h.record_invoke(0, w);
-        h.record_crash(1, RequestId(1));
-        let r: Request<RegisterSpec> = Request::new(2u64, 1usize, RegisterOp::Read);
-        h.record_invoke(1, r);
-        h.record_response(2, RequestId(2), 5);
-        assert!(check_strict_linearizable(&spec, &h).is_linearizable());
-
-        // Crashed W dropped: the later read sees the initial 0.
-        let mut h = ConcurrentHistory::new();
-        let w: Request<RegisterSpec> = Request::new(1u64, 0usize, RegisterOp::Write(5));
-        h.record_invoke(0, w);
-        h.record_crash(1, RequestId(1));
-        let r: Request<RegisterSpec> = Request::new(2u64, 1usize, RegisterOp::Read);
-        h.record_invoke(1, r);
-        h.record_response(2, RequestId(2), 0);
-        assert!(check_strict_linearizable(&spec, &h).is_linearizable());
+        // Crashed W takes effect first (the read sees 5), or is dropped
+        // (the read sees the initial 0): linearizable with or without the
+        // crash record.
+        for sees in [5u64, 0] {
+            for crashed in [false, true] {
+                let mut h = ConcurrentHistory::new();
+                h.record_invoke(0, write(1, 0, 5));
+                if crashed {
+                    h.record_crash(1, RequestId(1));
+                }
+                h.record_invoke(1, read(2, 1));
+                h.record_response(2, RequestId(2), sees);
+                assert!(
+                    check_linearizable(&spec, &h).is_linearizable(),
+                    "sees={sees} crashed={crashed}"
+                );
+            }
+        }
     }
 
     #[test]
     fn strict_equals_open_on_crash_free_histories() {
+        // A pending op whose crash gate follows every invocation is as free
+        // as one with no gate: it may still take effect anywhere.
         let spec = TasSpec;
-        let mut h = ConcurrentHistory::new();
-        h.record_invoke(0, tas_req(1, 0)); // stays pending, never crashed
-        h.record_invoke(1, tas_req(2, 1));
-        h.record_response(2, RequestId(2), TasResp::Loser);
-        assert!(check_linearizable(&spec, &h).is_linearizable());
-        assert!(check_strict_linearizable(&spec, &h).is_linearizable());
+        for crashed in [false, true] {
+            let mut h = ConcurrentHistory::new();
+            h.record_invoke(0, tas_req(1, 0)); // stays pending
+            h.record_invoke(1, tas_req(2, 1));
+            h.record_response(2, RequestId(2), TasResp::Loser);
+            if crashed {
+                h.record_crash(3, RequestId(1));
+            }
+            assert!(
+                check_linearizable(&spec, &h).is_linearizable(),
+                "crashed={crashed}"
+            );
+        }
     }
 
     /// The recoverable-closure shape: W(5) is interrupted, its owner's
-    /// recovery completes at `at` without resolving it (the op is
-    /// *required*), then a read invoked after the recovery observes `sees`.
-    fn required_write_then_read(sees: u64) -> ConcurrentHistory<RegisterSpec> {
+    /// recovery completes at 1 without resolving it (the op is *required*
+    /// when `required`, else merely pending), then a read invoked after the
+    /// recovery observes `sees`.
+    fn required_write_then_read(sees: u64, required: bool) -> ConcurrentHistory<RegisterSpec> {
         let mut h = ConcurrentHistory::new();
-        let w: Request<RegisterSpec> = Request::new(1u64, 0usize, RegisterOp::Write(5));
-        h.record_invoke(0, w);
-        h.record_crash_required(1, RequestId(1));
-        let r: Request<RegisterSpec> = Request::new(2u64, 1usize, RegisterOp::Read);
-        h.record_invoke(2, r);
+        h.record_invoke(0, write(1, 0, 5));
+        if required {
+            h.record_crash_required(1, RequestId(1));
+        }
+        h.record_invoke(2, read(2, 1));
         h.record_response(3, RequestId(2), sees);
         h
     }
@@ -839,17 +726,15 @@ mod tests {
         // The read invoked after the recovery completed sees 0: the required
         // W(5) can neither be dropped (recoverability forces it into the
         // witness) nor ordered after the read (its deadline is the recovery
-        // completion). Not recoverable — but fine under the open closure,
-        // which simply drops the pending write.
-        let h = required_write_then_read(0);
-        assert!(check_linearizable(&spec, &h).is_linearizable());
+        // completion). Not recoverable — but fine without the record (the
+        // open closure), which simply drops the pending write.
+        assert!(check_linearizable(&spec, &required_write_then_read(0, false)).is_linearizable());
         assert_eq!(
-            check_strict_linearizable(&spec, &h),
+            check_linearizable(&spec, &required_write_then_read(0, true)),
             LinCheckResult::NotLinearizable
         );
         // The read seeing 5 is exactly the required order: recoverable.
-        let h = required_write_then_read(5);
-        match check_strict_linearizable(&spec, &h) {
+        match check_linearizable(&spec, &required_write_then_read(5, true)) {
             LinCheckResult::Linearizable(w) => {
                 assert!(w.contains(&RequestId(1)), "required op is in the witness")
             }
@@ -865,13 +750,15 @@ mod tests {
         // separation at the checker level.
         let spec = RegisterSpec;
         let mut h = ConcurrentHistory::new();
-        let w: Request<RegisterSpec> = Request::new(1u64, 0usize, RegisterOp::Write(5));
-        h.record_invoke(0, w);
+        h.record_invoke(0, write(1, 0, 5));
         h.record_crash(1, RequestId(1));
-        let r: Request<RegisterSpec> = Request::new(2u64, 1usize, RegisterOp::Read);
-        h.record_invoke(2, r);
+        h.record_invoke(2, read(2, 1));
         h.record_response(3, RequestId(2), 0);
-        assert!(check_strict_linearizable(&spec, &h).is_linearizable());
+        assert!(check_linearizable(&spec, &h).is_linearizable());
+        assert_eq!(
+            check_linearizable(&spec, &required_write_then_read(0, true)),
+            LinCheckResult::NotLinearizable
+        );
     }
 
     #[test]
@@ -880,72 +767,24 @@ mod tests {
         // before the required write: 0-then-obligation is recoverable.
         let spec = RegisterSpec;
         let mut h = ConcurrentHistory::new();
-        let w: Request<RegisterSpec> = Request::new(1u64, 0usize, RegisterOp::Write(5));
-        h.record_invoke(0, w);
-        let r: Request<RegisterSpec> = Request::new(2u64, 1usize, RegisterOp::Read);
-        h.record_invoke(1, r);
+        h.record_invoke(0, write(1, 0, 5));
+        h.record_invoke(1, read(2, 1));
         h.record_crash_required(2, RequestId(1));
         h.record_response(3, RequestId(2), 0);
-        assert!(check_strict_linearizable(&spec, &h).is_linearizable());
+        assert!(check_linearizable(&spec, &h).is_linearizable());
     }
 
     #[test]
-    fn truncate_to_reopens_required_ops() {
-        let spec = RegisterSpec;
+    fn a_response_dissolves_a_recorded_crash_gate() {
+        // A recovery that resolves the crashed W(5) commits it late: the
+        // committed op is ordered by its response, not by the gate.
         let mut h = ConcurrentHistory::new();
-        let w: Request<RegisterSpec> = Request::new(1u64, 0usize, RegisterOp::Write(5));
-        h.record_invoke(0, w);
-        let mark = h.mark();
-
-        h.record_crash_required(1, RequestId(1));
-        let r: Request<RegisterSpec> = Request::new(2u64, 1usize, RegisterOp::Read);
-        h.record_invoke(2, r);
-        h.record_response(3, RequestId(2), 0);
-        assert_eq!(
-            check_strict_linearizable(&spec, &h),
-            LinCheckResult::NotLinearizable
-        );
-
-        // Rewinding past the recovery event clears the obligation: the same
-        // suffix is strictly linearizable again (W is merely pending).
-        h.truncate_to(mark);
-        assert_eq!(h.crashed_count(), 0);
-        assert!(!h.pending().iter().any(|p| p.required));
-        let r: Request<RegisterSpec> = Request::new(3u64, 1usize, RegisterOp::Read);
-        h.record_invoke(2, r);
-        h.record_response(3, RequestId(3), 0);
-        assert!(check_strict_linearizable(&spec, &h).is_linearizable());
-    }
-
-    #[test]
-    fn truncate_to_reopens_crashes() {
-        let spec = RegisterSpec;
-        let mut h = ConcurrentHistory::new();
-        let w: Request<RegisterSpec> = Request::new(1u64, 0usize, RegisterOp::Write(5));
-        h.record_invoke(0, w);
-        let mark = h.mark();
-
-        // Crashy suffix: strictly not linearizable.
+        h.record_invoke(0, write(1, 0, 5));
         h.record_crash(1, RequestId(1));
-        let r1: Request<RegisterSpec> = Request::new(2u64, 1usize, RegisterOp::Read);
-        h.record_invoke(1, r1);
+        h.record_invoke(1, read(2, 1));
         h.record_response(2, RequestId(2), 0);
-        let r2: Request<RegisterSpec> = Request::new(3u64, 1usize, RegisterOp::Read);
-        h.record_invoke(3, r2);
-        h.record_response(4, RequestId(3), 5);
-        assert_eq!(h.crashed_count(), 1);
-        assert_eq!(
-            check_strict_linearizable(&spec, &h),
-            LinCheckResult::NotLinearizable
-        );
-
-        // Rewinding past the crash reopens the op: a crash-free suffix over
-        // the same prefix is strictly linearizable again.
-        h.truncate_to(mark);
-        assert_eq!(h.crashed_count(), 0);
-        let r: Request<RegisterSpec> = Request::new(4u64, 1usize, RegisterOp::Read);
-        h.record_invoke(1, r);
-        h.record_response(2, RequestId(4), 5);
-        assert!(check_strict_linearizable(&spec, &h).is_linearizable());
+        h.record_response(3, RequestId(1), 5);
+        assert!(h.pending().is_empty());
+        assert!(check_linearizable(&RegisterSpec, &h).is_linearizable());
     }
 }
