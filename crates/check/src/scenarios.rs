@@ -190,9 +190,10 @@ pub struct ScenarioReport {
     pub checker_states: u64,
     /// Whether the scenario expected a violation.
     pub expect_violation: bool,
-    /// Whether the run's schedule budget was below the scenario's
-    /// [`Scenario::needs_schedules`] floor — a limit-reached outcome is then
-    /// *inconclusive* rather than a missed expectation.
+    /// Whether the run reached its schedule limit with a budget below the
+    /// scenario's [`Scenario::needs_schedules`] floor — the limit-reached
+    /// outcome is then *inconclusive* rather than a missed expectation.
+    /// Always `false` for a run that found a violation or exhausted.
     pub underpowered: bool,
     /// Wall-clock seconds the whole run took (exploration plus checking).
     pub secs: f64,
@@ -289,13 +290,17 @@ impl Scenario {
                 (outcome, ExploreStats::default(), 0)
             }
         };
+        // A budget below the scenario's floor qualifies only a run that
+        // stopped at it: a found violation or an exhausted tree is decided.
+        let underpowered = matches!(outcome, Outcome::LimitReached { .. })
+            && config.explore.max_schedules < self.needs_schedules;
         ScenarioReport {
             name: self.name,
             outcome,
             explore: stats,
             checker_states,
             expect_violation: self.expect_violation,
-            underpowered: config.explore.max_schedules < self.needs_schedules,
+            underpowered,
             secs,
             telemetry: config.observer.as_ref().map(|o| o.snapshot()),
         }
@@ -1794,6 +1799,25 @@ mod tests {
         let report = find("spec_tas_n3_realtime").unwrap().run(&config);
         assert_eq!(report.outcome, Outcome::LimitReached { schedules: 20_000 });
         assert!(report.underpowered);
+        assert!(report.as_expected());
+    }
+
+    /// The budget alone does not make a run underpowered: source DPOR finds
+    /// the same inversion well inside 20000 schedules, below the
+    /// scenario's floor, and that run is decided.
+    #[test]
+    fn a_violation_found_below_the_schedule_floor_is_not_underpowered() {
+        let mut config = CheckConfig::default();
+        config.explore.max_schedules = 20_000;
+        let scenario = find("spec_tas_n3_realtime").unwrap();
+        assert!(config.explore.max_schedules < scenario.needs_schedules);
+        let report = scenario.run(&config);
+        assert!(
+            matches!(report.outcome, Outcome::Violation { .. }),
+            "{:?}",
+            report.outcome
+        );
+        assert!(!report.underpowered);
         assert!(report.as_expected());
     }
 

@@ -51,6 +51,13 @@ impl<A, B> Composed<A, B> {
     pub fn switch_count(&self) -> u64 {
         self.switches.get()
     }
+
+    /// Rewinds the switch counter to `switches`. The counter cell is shared
+    /// with every in-flight operation of this composition, so they all see
+    /// the rewound value.
+    pub(crate) fn rewind_switch_count(&self, switches: u64) {
+        self.switches.set(switches);
+    }
 }
 
 enum Phase<S: SequentialSpec, V> {
@@ -158,9 +165,7 @@ where
 
     fn restore(&mut self, snap: &ObjectSnapshot) {
         let s = snap.downcast::<ComposedSnap>();
-        // The counter cell is shared with every in-flight ComposedExec, so
-        // setting it here rewinds them all.
-        self.switches.set(s.switches);
+        self.rewind_switch_count(s.switches);
         self.first.restore(&s.first);
         self.second.restore(&s.second);
     }

@@ -45,6 +45,12 @@ impl ResettableTas {
         self.rounds.borrow().len()
     }
 
+    /// Number of operations that switched from the register-only module to
+    /// the hardware module so far, summed over all rounds.
+    pub fn switch_count(&self) -> u64 {
+        self.rounds.borrow().iter().map(|r| r.switch_count()).sum()
+    }
+
     /// Whether process `p` currently believes it is the winner.
     pub fn is_current_winner(&self, p: ProcessId) -> bool {
         self.crt_winner
@@ -195,13 +201,16 @@ impl SimObject<TasSpec, TasSwitch> for ResettableTas {
     }
 
     fn snapshot(&self) -> Option<ObjectSnapshot> {
-        let rounds = self.rounds.borrow();
-        let mut round_snaps = Vec::with_capacity(rounds.len());
-        for round in rounds.iter() {
-            round_snaps.push(round.snapshot()?);
-        }
+        // A round's modules A1 and A2 keep all their state in registers
+        // (their snapshots are stateless), so a round's private state is
+        // its composition's switch counter.
         Some(ObjectSnapshot::new(ResettableSnap {
-            rounds: round_snaps,
+            switches: self
+                .rounds
+                .borrow()
+                .iter()
+                .map(|r| r.switch_count())
+                .collect(),
             crt_winner: self.crt_winner.borrow().clone(),
         }))
     }
@@ -212,19 +221,20 @@ impl SimObject<TasSpec, TasSwitch> for ResettableTas {
         // Rounds allocated after the snapshot are rolled back; the paired
         // memory restore reclaims their registers, and a later re-allocation
         // recycles the same slots deterministically.
-        rounds.truncate(s.rounds.len());
-        for (round, round_snap) in rounds.iter_mut().zip(&s.rounds) {
-            round.restore(round_snap);
+        rounds.truncate(s.switches.len());
+        for (round, &switches) in rounds.iter().zip(&s.switches) {
+            round.rewind_switch_count(switches);
         }
         drop(rounds);
         self.crt_winner.borrow_mut().copy_from_slice(&s.crt_winner);
     }
 }
 
-/// Snapshot of a [`ResettableTas`]: per-round composed-object snapshots plus
-/// the local `crtWinner` flags.
+/// Snapshot of a [`ResettableTas`]: the switch counter of every allocated
+/// round (the round array only grows, so its length is theirs) plus the
+/// local `crtWinner` flags.
 struct ResettableSnap {
-    rounds: Vec<ObjectSnapshot>,
+    switches: Vec<u64>,
     crt_winner: Vec<bool>,
 }
 

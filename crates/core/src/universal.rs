@@ -35,7 +35,11 @@
 //! identifiers and the payload lookup is performed through a shared
 //! (step-free) table filled at invocation time. The shared-memory step count
 //! attributed to ordering and state transfer is unaffected; only the
-//! payload-copy steps are elided (see DESIGN.md).
+//! payload-copy steps are elided. An object snapshot copies none of this
+//! table or of the abstract log (see [`SimObject::snapshot`]): the log and
+//! the consensus-instance list only grow and are rewound by length, the
+//! table is a write-once cache keyed by request id and is not rewound at
+//! all, and only the per-process commit counters are copied.
 
 use crate::compose::Composed;
 use crate::consensus::{
@@ -404,34 +408,39 @@ impl<S: SequentialSpec + 'static, C: AbortableConsensus> SimObject<S, History<S>
     }
 
     fn snapshot(&self) -> Option<ObjectSnapshot> {
-        Some(ObjectSnapshot::new(UcSnap::<S> {
+        Some(ObjectSnapshot::new(UcSnap {
             cons_len: self.cons.borrow().len(),
+            log_len: self.log.borrow().len(),
             local_commits: self.local_commits.borrow().clone(),
-            requests: self.requests.borrow().clone(),
-            log: self.log.borrow().clone(),
         }))
     }
 
     fn restore(&mut self, snap: &ObjectSnapshot) {
-        let s = snap.downcast::<UcSnap<S>>();
+        let s = snap.downcast::<UcSnap>();
         // Consensus instances are plain register handles; instances
         // allocated after the snapshot are rolled back (their registers are
         // reclaimed by the paired memory restore).
         self.cons.borrow_mut().truncate(s.cons_len);
+        self.log.borrow_mut().truncate(s.log_len);
         self.local_commits
             .borrow_mut()
             .copy_from_slice(&s.local_commits);
-        *self.requests.borrow_mut() = s.requests.clone();
-        *self.log.borrow_mut() = s.log.clone();
+        // The request table is not rewound: see `UcSnap`.
     }
 }
 
-/// Snapshot of a [`UniversalConstruction`]'s private state.
-struct UcSnap<S: SequentialSpec> {
+/// Snapshot of a [`UniversalConstruction`]'s private state, independent of
+/// the length of the run. The consensus-instance list and the abstract log
+/// only grow, so they are rewound to their lengths. The request table is a
+/// write-once cache: a request id names the same workload request in every
+/// branch, and `history_from_codes` looks up only codes decided in the
+/// current branch, each of which some process of that branch registered at
+/// its invocation — so entries added on an abandoned branch are never read
+/// wrongly and need no rewind.
+struct UcSnap {
     cons_len: usize,
+    log_len: usize,
     local_commits: Vec<u64>,
-    requests: BTreeMap<u64, Request<S>>,
-    log: AbstractTrace<S>,
 }
 
 /// The composition of a register-only universal construction with the

@@ -897,6 +897,10 @@ where
     /// Fault transitions on `path`.
     faults: FaultCounts,
     frames: Vec<Frame>,
+    /// The emptied sibling vectors of popped frames ([`Frame::alts`]),
+    /// reused by the frames [`Self::drive`] pushes next, so that a frame
+    /// costs no heap allocation once the stack has been as deep before.
+    spare_alts: Vec<Vec<ProcessId>>,
     /// Sleep set in force at the current point of the drive (always 0 under
     /// [`Reduction::Off`]).
     cur_sleep: u64,
@@ -1006,6 +1010,7 @@ where
             path: Vec::new(),
             faults: FaultCounts::default(),
             frames: Vec::new(),
+            spare_alts: Vec::new(),
             cur_sleep: 0,
             surveys: Vec::new(),
             object_gen: 0,
@@ -1207,10 +1212,10 @@ where
             return None;
         }
         // Session first: its mark checks that the in-flight operations fork,
-        // which is cheaper than a deep object snapshot, so an unforkable op
-        // short-circuits before the object pays for a clone that would be
-        // thrown away. A session mark left unused when the object cannot
-        // snapshot costs only logging: marks need no release.
+        // so an unforkable op short-circuits before the object allocates a
+        // snapshot that would be thrown away. A session mark left unused
+        // when the object cannot snapshot costs only logging: marks need no
+        // release.
         let session = self.session.mark();
         let object = session.and_then(|_| {
             self.object
@@ -1356,15 +1361,15 @@ where
             // from the back: the twin comes next, then restarts, the other
             // awake faults and last the displaced transition. A frame exists
             // wherever some sibling is awake, since a later race may seed it.
-            let mut alts: Vec<ProcessId> = if source_dpor {
-                Vec::new()
-            } else {
-                self.enabled_buf
-                    .iter()
-                    .copied()
-                    .filter(|p| *p != chosen && sleep & bit(*p) == 0)
-                    .collect()
-            };
+            let mut alts = self.spare_alts.pop().unwrap_or_default();
+            if !source_dpor {
+                alts.extend(
+                    self.enabled_buf
+                        .iter()
+                        .copied()
+                        .filter(|p| *p != chosen && sleep & bit(*p) == 0),
+                );
+            }
             alts.extend(displaced);
             alts.extend_from_slice(&self.crash_alts);
             alts.extend_from_slice(&self.drop_alts);
@@ -1395,6 +1400,9 @@ where
                     enabled_len: self.enabled_buf.len(),
                     snap,
                 });
+            } else {
+                // No sibling was queued: `alts` is empty.
+                self.spare_alts.push(alts);
             }
             self.exec_tick(chosen);
         }
@@ -1412,6 +1420,8 @@ where
             let Some((alt, entry_sleep)) = frame.take_sibling(sleep_sets) else {
                 let done = self.frames.pop().expect("frame checked above");
                 self.surveys.truncate(done.survey_start);
+                // Every sibling was taken: `alts` is empty.
+                self.spare_alts.push(done.alts);
                 continue;
             };
             let depth = frame.depth;

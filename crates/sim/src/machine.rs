@@ -205,6 +205,19 @@ pub trait SimObject<S: SequentialSpec, V> {
     /// then rebuild the object and replay the prefix instead. Objects whose
     /// whole state lives in shared registers return
     /// `Some(ObjectSnapshot::stateless())`.
+    ///
+    /// The explorer takes a snapshot at every branch point, so its cost
+    /// should not grow with the length of the run. Snapshots nest like the
+    /// memory's marks ([`SharedMemory::undo_to`]): one is restored only
+    /// while the execution still extends the point where it was taken, so
+    /// private state needs no full copy:
+    ///
+    /// * state that only grows (a log, a list of lazily allocated
+    ///   sub-objects) is rewound by recording its length and truncating;
+    /// * a write-once cache whose key always maps to the same value (the
+    ///   universal construction's request table, keyed by request id) needs
+    ///   no rewind at all;
+    /// * only small counters and flags are copied.
     fn snapshot(&self) -> Option<ObjectSnapshot> {
         None
     }
@@ -213,7 +226,11 @@ pub trait SimObject<S: SequentialSpec, V> {
     /// interior state (e.g. `Rc<RefCell<…>>` / `Rc<Cell<…>>`) *in place*, so
     /// that in-flight [`OpExecution`]s holding clones of the object observe
     /// the restored state too. Only called with snapshots this object (or a
-    /// clone sharing its state) produced.
+    /// clone sharing its state) produced, and only while the current
+    /// execution extends the point where `snap` was taken: a restore to an
+    /// earlier snapshot invalidates every later one, as
+    /// [`SharedMemory::undo_to`] does for memory marks. The same snapshot
+    /// may be restored repeatedly, once per sibling branch.
     fn restore(&mut self, snap: &ObjectSnapshot) {
         let _ = snap;
     }

@@ -198,6 +198,13 @@ impl<S: SequentialSpec> AbstractTrace<S> {
         self.events.is_empty()
     }
 
+    /// Drops every event after the first `len`, so that a recorder whose
+    /// trace only grows can rewind it to an earlier [`Self::len`] without
+    /// a copy. No effect if the trace is not longer than `len`.
+    pub fn truncate(&mut self, len: usize) {
+        self.events.truncate(len);
+    }
+
     /// All commit histories with the committing request, in commit order.
     pub fn commit_histories(&self) -> Vec<(RequestId, &History<S>)> {
         self.events
@@ -464,6 +471,20 @@ mod tests {
             t.check(),
             Err(AbstractViolation::UnknownRequest(RequestId(7)))
         );
+    }
+
+    #[test]
+    fn truncate_rewinds_to_an_earlier_length() {
+        let mut t = AbstractTrace::<TasSpec>::new();
+        t.record_invoke(req(1, 0), History::empty());
+        t.record_commit(ProcessId(0), RequestId(1), hist(&[(1, 0)]));
+        let prefix = t.clone();
+        t.record_invoke(req(2, 1), History::empty());
+        t.record_abort(ProcessId(1), RequestId(2), hist(&[(1, 0), (2, 1)]));
+        t.truncate(prefix.len());
+        assert_eq!(t, prefix);
+        t.truncate(5);
+        assert_eq!(t, prefix, "truncating past the end changes nothing");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!    used in Lemma 4, and the per-request reading is the one under which
 //!    the Lemma 5 interpretation of the wait-free module — where init
 //!    histories must be prefixes of commit histories by Init Ordering — is
-//!    well defined. We therefore adopt it; see DESIGN.md.)
+//!    well defined. We therefore adopt it.)
 //! 4. the substituted trace `φτ` satisfies the Abstract properties
 //!    (Definition 1).
 //!

@@ -1,7 +1,10 @@
 //! Snapshot round-trip property tests: for every core `SimObject`,
 //! `snapshot → mutate → restore → replay` must be bit-identical to an
 //! uninterrupted fresh replay — traces, metrics, op records, decision logs,
-//! tick counts, and the shared memory's registers, counters and audit.
+//! tick counts, the shared memory's registers, counters and audit, and the
+//! object's own private state as its public accessors report it (the
+//! universal construction's abstract log and consensus instances, switch
+//! counters, the resettable TAS's rounds and winner flags).
 //!
 //! This is the property the explorer's prefix-resume mode rests on. The
 //! `SharedMemory`-only round trip is unit-tested in `scl-sim`; these tests
@@ -14,16 +17,16 @@
 
 use scl::core::{
     new_composable_universal, new_solo_fast_tas, new_speculative_tas, new_three_level_universal,
-    A1Tas, A2Tas, AbdRegister, CasConsensus, ConsensusObject, RecoverableTas, ResettableTas,
-    SplitConsensus, UniversalConstruction, WbRecovery, WriteBehindRegister,
+    A1Tas, A2Tas, AbdRegister, AbortableConsensus, CasConsensus, ConsensusObject, RecoverableTas,
+    ResettableTas, SplitConsensus, UniversalConstruction, WbRecovery, WriteBehindRegister,
 };
 use scl::sim::{
     ExecSession, Executor, SharedMemory, SimObject, SplitMix64, SurveyStatus, TickEmission,
     Workload,
 };
 use scl::spec::{
-    ConsensusOp, ConsensusSpec, CounterOp, CounterSpec, History, ProcessId, RegisterOp,
-    RegisterSpec, SequentialSpec, TasOp, TasSpec, TasSwitch,
+    AbstractTrace, ConsensusOp, ConsensusSpec, CounterOp, CounterSpec, History, ProcessId,
+    RegisterOp, RegisterSpec, SequentialSpec, TasOp, TasSpec, TasSwitch,
 };
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -175,10 +178,13 @@ fn detour<S, V, O>(
 /// Drives `object` under `script`; at decision `checkpoint_at` marks the
 /// memory and the session and snapshots the object, takes a detour, rewinds
 /// (twice: a mark stays valid after an undo), and finishes the scripted
-/// run. Returns nothing; panics on any divergence from the uninterrupted
+/// run. `observe` reads the object's private state: it must equal its value
+/// at the mark after each rewind, and the reference run's at the end.
+/// Returns nothing; panics on any divergence from the uninterrupted
 /// reference run.
-fn assert_roundtrip_bit_identical<S, V, O>(
+fn assert_roundtrip_bit_identical<S, V, O, T>(
     build: impl Fn(&mut SharedMemory) -> O,
+    observe: impl Fn(&O) -> T,
     workload: &Workload<S, V>,
     script: &[ProcessId],
     checkpoint_at: usize,
@@ -186,6 +192,7 @@ fn assert_roundtrip_bit_identical<S, V, O>(
     S: SequentialSpec + PartialEq + Debug,
     V: Clone + Eq + Hash + Debug,
     O: SimObject<S, V>,
+    T: PartialEq + Debug,
 {
     let executor = Executor::new();
     let n = workload.processes();
@@ -229,6 +236,7 @@ fn assert_roundtrip_bit_identical<S, V, O>(
                 .expect("every core object must support snapshotting");
             let enabled = session.enabled().to_vec();
             let in_progress = session.in_progress().to_vec();
+            let object_state = observe(&obj);
             for round in 0..2 {
                 detour(&executor, &mut session, &mut mem, &mut obj, workload, round);
                 mem.undo_to(&mem_mark);
@@ -241,6 +249,7 @@ fn assert_roundtrip_bit_identical<S, V, O>(
                 );
                 assert_eq!(session.enabled(), &enabled[..], "enabled set after an undo");
                 assert_eq!(session.in_progress(), &in_progress[..]);
+                assert_eq!(observe(&obj), object_state, "object state after a restore");
             }
             continue;
         }
@@ -264,6 +273,7 @@ fn assert_roundtrip_bit_identical<S, V, O>(
     assert_eq!(r.completed, c.completed);
     assert_eq!(r.crashed, c.crashed, "crash mask diverged");
     assert_eq!(r.restarted, c.restarted, "restart mask diverged");
+    assert_eq!(observe(&ref_obj), observe(&obj), "object state diverged");
     assert_eq!(ref_mem.global_steps(), mem.global_steps());
     assert_eq!(ref_mem.register_count(), mem.register_count());
     assert_eq!(ref_mem.audit(), mem.audit());
@@ -333,34 +343,40 @@ fn scripts_with_network(n: usize, cap: usize, len: usize, seeds: &[u64]) -> Vec<
     all
 }
 
-fn check_tas_object<O: SimObject<TasSpec, TasSwitch>>(build: impl Fn(&mut SharedMemory) -> O) {
+/// The observation of an object whose whole state lives in shared memory.
+fn registers_only<O>(_: &O) {}
+
+fn check_tas_object<O: SimObject<TasSpec, TasSwitch>, T: PartialEq + Debug>(
+    build: impl Fn(&mut SharedMemory) -> O,
+    observe: impl Fn(&O) -> T,
+) {
     let n = 3;
     let wl: Workload<TasSpec, TasSwitch> = Workload::single_op_each(n, TasOp::TestAndSet);
     for script in scripts_with_crashes(n, 48, &[2012, 7, 99]) {
         for checkpoint_at in [1, 4, 9] {
-            assert_roundtrip_bit_identical(&build, &wl, &script, checkpoint_at);
+            assert_roundtrip_bit_identical(&build, &observe, &wl, &script, checkpoint_at);
         }
     }
 }
 
 #[test]
 fn a1_roundtrip() {
-    check_tas_object(A1Tas::new);
+    check_tas_object(A1Tas::new, registers_only);
 }
 
 #[test]
 fn a2_roundtrip() {
-    check_tas_object(A2Tas::new);
+    check_tas_object(A2Tas::new, registers_only);
 }
 
 #[test]
 fn speculative_tas_roundtrip() {
-    check_tas_object(new_speculative_tas);
+    check_tas_object(new_speculative_tas, |tas| tas.switch_count());
 }
 
 #[test]
 fn solo_fast_tas_roundtrip() {
-    check_tas_object(new_solo_fast_tas);
+    check_tas_object(new_solo_fast_tas, |tas| tas.switch_count());
 }
 
 #[test]
@@ -376,12 +392,26 @@ fn resettable_tas_roundtrip() {
         for checkpoint_at in [2, 7, 13] {
             assert_roundtrip_bit_identical(
                 |mem| ResettableTas::new(mem, n),
+                |tas| {
+                    let winners: Vec<bool> = (0..n)
+                        .map(|p| tas.is_current_winner(ProcessId(p)))
+                        .collect();
+                    (tas.rounds_allocated(), tas.switch_count(), winners)
+                },
                 &wl,
                 &script,
                 checkpoint_at,
             );
         }
     }
+}
+
+/// A universal construction's private state as its accessors report it:
+/// the abstract log and the number of consensus instances.
+fn observe_universal<C: AbortableConsensus>(
+    uc: &UniversalConstruction<CounterSpec, C>,
+) -> (AbstractTrace<CounterSpec>, usize) {
+    (uc.recorded_abstract_trace(), uc.consensus_instances())
 }
 
 #[test]
@@ -393,6 +423,7 @@ fn universal_construction_roundtrip() {
         for checkpoint_at in [3, 10, 21] {
             assert_roundtrip_bit_identical(
                 |mem| UniversalConstruction::<CounterSpec, CasConsensus>::new(mem, n, CounterSpec),
+                observe_universal,
                 &wl,
                 &script,
                 checkpoint_at,
@@ -401,6 +432,7 @@ fn universal_construction_roundtrip() {
                 |mem| {
                     UniversalConstruction::<CounterSpec, SplitConsensus>::new(mem, n, CounterSpec)
                 },
+                observe_universal,
                 &wl,
                 &script,
                 checkpoint_at,
@@ -418,12 +450,28 @@ fn composable_universal_roundtrip() {
         for checkpoint_at in [4, 15] {
             assert_roundtrip_bit_identical(
                 |mem| new_composable_universal(mem, n, CounterSpec),
+                |uc| {
+                    (
+                        observe_universal(&uc.first),
+                        observe_universal(&uc.second),
+                        uc.switch_count(),
+                    )
+                },
                 &wl,
                 &script,
                 checkpoint_at,
             );
             assert_roundtrip_bit_identical(
                 |mem| new_three_level_universal(mem, n, CounterSpec),
+                |uc| {
+                    (
+                        observe_universal(&uc.first),
+                        observe_universal(&uc.second.first),
+                        observe_universal(&uc.second.second),
+                        uc.switch_count(),
+                        uc.second.switch_count(),
+                    )
+                },
                 &wl,
                 &script,
                 checkpoint_at,
@@ -443,7 +491,13 @@ fn write_behind_register_roundtrip() {
     ]);
     for script in scripts_with_crashes(n, 32, &[1, 9, 321]) {
         for checkpoint_at in [1, 3, 6] {
-            assert_roundtrip_bit_identical(WriteBehindRegister::new, &wl, &script, checkpoint_at);
+            assert_roundtrip_bit_identical(
+                WriteBehindRegister::new,
+                registers_only,
+                &wl,
+                &script,
+                checkpoint_at,
+            );
         }
     }
 }
@@ -459,6 +513,7 @@ fn recoverable_tas_roundtrip() {
         for checkpoint_at in [1, 3, 6] {
             assert_roundtrip_bit_identical(
                 |mem| RecoverableTas::new(mem, n),
+                registers_only,
                 &wl,
                 &script,
                 checkpoint_at,
@@ -482,6 +537,7 @@ fn write_behind_recovery_roundtrip() {
             for checkpoint_at in [1, 3, 6] {
                 assert_roundtrip_bit_identical(
                     |mem| WriteBehindRegister::with_recovery(mem, recovery),
+                    registers_only,
                     &wl,
                     &script,
                     checkpoint_at,
@@ -506,6 +562,7 @@ fn abd_register_roundtrip() {
         for checkpoint_at in [2, 6, 13] {
             assert_roundtrip_bit_identical(
                 |mem| AbdRegister::new(mem, n, 2, cap, 2),
+                registers_only,
                 &wl,
                 &script,
                 checkpoint_at,
@@ -532,6 +589,7 @@ fn abd_register_partition_roundtrip() {
                     mem.net_sever(1 << (n + 1));
                     reg
                 },
+                registers_only,
                 &wl,
                 &script,
                 checkpoint_at,
@@ -559,18 +617,21 @@ fn consensus_object_roundtrip() {
         for checkpoint_at in [2, 6, 12] {
             assert_roundtrip_bit_identical(
                 |mem| ConsensusObject::<SplitConsensus>::new(mem, n),
+                registers_only,
                 &wl,
                 &script,
                 checkpoint_at,
             );
             assert_roundtrip_bit_identical(
                 |mem| ConsensusObject::<CasConsensus>::new(mem, n),
+                registers_only,
                 &wl,
                 &script,
                 checkpoint_at,
             );
             assert_roundtrip_bit_identical(
                 |mem| ConsensusObject::<scl::core::AbortableBakery>::new(mem, n),
+                registers_only,
                 &wl,
                 &script,
                 checkpoint_at,
